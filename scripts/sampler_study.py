@@ -18,28 +18,11 @@ from chainwishart import wishart_p as wp
 from chainwishart import wishart_q as wq
 from chainwishart.power_functions import ShapeParams
 from chainwishart.verification import (
-    coordinate_weights,
+    _random_pd,
+    _random_q,
     cov_coords_from_operator,
     stream_rng,
 )
-
-
-def random_pd(rng, n):
-    d = rng.uniform(0.7, 1.5, n)
-    sub = rng.uniform(-0.6, 0.6, n - 1)
-    diag = d**2
-    diag[1:] += sub**2
-    from chainwishart.matrix_spaces import TridiagSym
-
-    return TridiagSym(n, diag, sub * d[:-1])
-
-
-def random_q(rng, n):
-    from chainwishart.matrix_spaces import IncompleteSym
-
-    d = rng.uniform(0.5, 2.0, n)
-    rho = rng.uniform(-0.7, 0.7, n - 1)
-    return IncompleteSym(n, d, rho * np.sqrt(d[:-1] * d[1:]))
 
 
 def worst_z(coords, th_mean, th_cov):
@@ -65,7 +48,7 @@ def main() -> None:
     print("recursive sampler on the dual cone:")
     print(f"{'pivot':>6}  {'mean |z|':>9}  {'cov |z|':>8}  {'round-trip err':>14}")
     for m in range(1, n + 1):
-        y = random_pd(rng, n)
+        y = _random_pd(rng, n)
         p = ShapeParams(m, rng.uniform(0.8, 2.5, n))
         w = wq.WishartQ(p, y)
         coords = wq.sample_many(w, stream_rng(args.seed, 10 + m), args.draws)
@@ -83,7 +66,7 @@ def main() -> None:
     sigma[n // 2] = 2
     m_piv = max(2, n // 2 + 1) if n > 1 else 1
     sigma_sets = wq.sigma_to_shape(sigma, m_piv)
-    y = random_pd(rng, n)
+    y = _random_pd(rng, n)
     w = wq.WishartQ(sigma_sets, y)
     coords = wq.sample_quadratic_many(sigma, m_piv, y, stream_rng(args.seed, 30), args.draws)
     zm, zc = worst_z(
@@ -94,7 +77,7 @@ def main() -> None:
     print("\nconcentration-cone sampler:")
     print(f"{'pivot':>6}  {'mean |z|':>9}  {'cov |z|':>8}")
     for m in range(1, n + 1):
-        x = random_q(rng, n)
+        x = _random_q(rng, n)
         p = ShapeParams(m, rng.uniform(-0.7, 1.5, n))
         w = wp.WishartP(p, x)
         coords = wp.sample_p_many(w, stream_rng(args.seed, 40 + m), args.draws)

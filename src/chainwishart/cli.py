@@ -225,10 +225,13 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     else:
         w = _load_family(params, args.family)
         n = w.n
-        if args.family == "q":
-            coords = wishart_q.sample_many(w, rng, args.n)
-        else:
-            coords = wishart_p.sample_p_many(w, rng, args.n)
+        try:
+            if args.family == "q":
+                coords = wishart_q.sample_many(w, rng, args.n)
+            else:
+                coords = wishart_p.sample_p_many(w, rng, args.n)
+        except (ConeError, ValueError) as e:
+            raise CliError(EXIT_DOMAIN, str(e)) from e
         meta = {"family": args.family}
     header = [
         "# chainwishart sample",

@@ -9,8 +9,9 @@ positive diagonal, subdiagonal entries below the pivot and superdiagonal
 entries from the pivot on -- ``O(n)`` data.
 
 Every positive definite banded ``y`` factors as ``y = T T'`` with ``T`` of
-this shape, for every pivot ``M``; the factor is built by peeling vertex 1
-while the pivot lies to the right and vertex ``n`` once it is reached.  The
+this shape, for every pivot ``M``; the factor is read off the peel plan of
+``y``, which peels vertex 1 while the pivot lies to the right and vertex
+``n`` once it is reached, the same plan both exact samplers walk.  The
 factorization turns the mean map into a diagonal congruence, which is what
 makes the closed-form variance function work: with ``y`` the preimage of
 ``m`` under the mean map, the hat completion is
@@ -27,7 +28,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .matrix_spaces import DenseSym, IncompleteSym, TridiagSym, assert_in_P
-from .peeling import phi_inv, phi_tilde_inv
+from .peeling import _peel_plan
 from .power_functions import ShapeParams
 
 __all__ = ["LUMMatrix", "decompose", "multiply", "invert", "is_lum_pattern", "hat_via_T"]
@@ -73,38 +74,26 @@ class LUMMatrix:
 
 
 def decompose(y: TridiagSym, M: int) -> LUMMatrix:
-    """LU(M) factor ``T`` with ``y = T T'``, built by corner peeling.
+    """LU(M) factor ``T`` with ``y = T T'``, read off the peel plan of ``y``.
 
-    Peels vertex 1 while the pivot is still to the right (``M >= 2``) and
-    vertex ``n`` once the pivot is leftmost, mirroring the inductive
-    construction of the factorization.
+    Each vertex peeled with pivot ``a`` and regression ``b`` contributes
+    ``T_ii = sqrt(a)`` and ``sqrt(a) b`` on the side facing the pivot; the
+    pivot vertex contributes the square root of the remainder.
     """
-    if not 1 <= M <= y.n:
-        raise ValueError(f"pivot M={M} out of range 1..{y.n}")
     assert_in_P(y)
-    if y.n == 1:
-        return LUMMatrix(1, 1, [sqrt(y.diag[0])], [], [])
-    if M >= 2:
-        p = phi_inv(y)
-        v = decompose(p.rest, M - 1)
-        sa = sqrt(p.a)
-        return LUMMatrix(
-            y.n,
-            M,
-            np.concatenate([[sa], v.diag]),
-            np.concatenate([[sa * p.b], v.sub]),
-            v.sup,
-        )
-    p = phi_tilde_inv(y)
-    v = decompose(p.rest, 1)
-    sa = sqrt(p.a)
-    return LUMMatrix(
-        y.n,
-        1,
-        np.concatenate([v.diag, [sa]]),
-        v.sub,
-        np.concatenate([v.sup, [sa * p.b]]),
-    )
+    steps, last = _peel_plan(y, M)
+    diag = np.empty(y.n)
+    sub = np.empty(M - 1)
+    sup = np.empty(y.n - M)
+    diag[M - 1] = sqrt(last)
+    for i, a, b, _ in steps:
+        sa = sqrt(a)
+        diag[i] = sa
+        if i < M - 1:
+            sub[i] = sa * b
+        else:
+            sup[i - M] = sa * b
+    return LUMMatrix(y.n, M, diag, sub, sup)
 
 
 def multiply(s: LUMMatrix, t: LUMMatrix) -> DenseSym:

@@ -36,7 +36,6 @@ __all__ = [
     "IncompleteSym",
     "DenseSym",
     "project_pi",
-    "band_of",
     "is_in_P",
     "is_in_Q",
     "assert_in_P",
@@ -187,11 +186,6 @@ def project_pi(a: DenseSym) -> IncompleteSym:
     a = np.asarray(a, dtype=float)
     n = a.shape[0]
     return IncompleteSym(n, np.diag(a).copy(), np.diag(a, 1).copy())
-
-
-def band_of(a: DenseSym) -> TridiagSym:
-    """Band part of a dense matrix, read as an element of ``Z``."""
-    return TridiagSym.from_dense(a)
 
 
 # ---------------------------------------------------------------------------

@@ -181,6 +181,40 @@ def psi_tilde_inv(eta: IncompleteSym) -> PeelTriple:
     return PeelTriple(alpha, beta, rest)
 
 
+_PeelStep = tuple[int, float, float, float]
+
+
+def _peel_plan(
+    elem: Union[TridiagSym, IncompleteSym], M: int
+) -> tuple[list[_PeelStep], float]:
+    """Peel ``elem`` down to its pivot vertex ``M`` without recursion.
+
+    Peels vertex 1 while the pivot lies to the right, then vertex ``n``
+    (``phi_inv``/``phi_tilde_inv`` on ``P``, ``psi_inv``/``psi_tilde_inv`` on
+    ``Q``).  Returns the steps in peeling order as ``(i, a, b, c)``: the
+    peeled vertex ``i`` (0-based), its coordinates ``a`` and ``b``, and the
+    remaining diagonal entry ``c`` next to it.  The second value is the
+    one-vertex remainder at the pivot.  Walking the steps in reverse rebuilds
+    the element innermost first, as the inductive constructions do.
+    """
+    if not 1 <= M <= elem.n:
+        raise ValueError(f"pivot M={M} out of range 1..{elem.n}")
+    on_p = isinstance(elem, TridiagSym)
+    steps: list[_PeelStep] = []
+    left, right = 0, elem.n - 1
+    while left < right:
+        if left < M - 1:
+            p = phi_inv(elem) if on_p else psi_inv(elem)
+            steps.append((left, p.a, p.b, float(p.rest.diag[0])))
+            left += 1
+        else:
+            p = phi_tilde_inv(elem) if on_p else psi_tilde_inv(elem)
+            steps.append((right, p.a, p.b, float(p.rest.diag[-1])))
+            right -= 1
+        elem = p.rest
+    return steps, float(elem.diag[0])
+
+
 # ---------------------------------------------------------------------------
 # Jacobians of the coordinate changes
 # ---------------------------------------------------------------------------

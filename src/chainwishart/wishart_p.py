@@ -24,13 +24,13 @@ inversion is provided as a convenience utility only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 from scipy.special import gammaln
 
+from .chain_graph import _cycle_expansion
 from .matrix_spaces import (
     IncompleteSym,
     TridiagSym,
@@ -40,7 +40,7 @@ from .matrix_spaces import (
     is_in_Q,
     pairing,
 )
-from .peeling import psi_inv, psi_tilde_inv
+from .peeling import _peel_plan
 from .power_functions import (
     ShapeParams,
     delta_exponents,
@@ -208,55 +208,27 @@ def covariance_p_matrix(w: WishartP) -> NDArray[np.float64]:
 # ---------------------------------------------------------------------------
 
 
-def _draw_p(
-    s: NDArray[np.float64],
-    M: int,
-    x: IncompleteSym,
-    rng: np.random.Generator,
-    size: int,
-) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Vectorized recursive sampler on ``P``.
-
-    Peeling vertex 1 (while the pivot is to the right) the pivot coordinate
-    is Gamma(s_1 + 3/2) with rate the peeled dual pivot, the regression
-    coefficient is Gaussian given it, and the remaining block is a smaller
-    member of the family.
-    """
-    n = s.size
-    if n == 1:
-        d = rng.gamma(shape=s[0] + 1.0, scale=1.0 / x.diag[0], size=size)
-        return d[:, None], np.zeros((size, 0))
-    diag = np.empty((size, n))
-    off = np.empty((size, n - 1))
-    if M >= 2:
-        p = psi_inv(x)
-        dz, oz = _draw_p(s[1:], M - 1, p.rest, rng, size)
-        x22 = float(p.rest.diag[0])
-        a = rng.gamma(shape=s[0] + 1.5, scale=1.0 / p.a, size=size)
-        b = rng.normal(loc=-p.b, scale=np.sqrt(1.0 / (2.0 * a * x22)))
-        diag[:, 0] = a
-        diag[:, 1] = dz[:, 0] + a * b**2
-        diag[:, 2:] = dz[:, 1:]
-        off[:, 0] = a * b
-        off[:, 1:] = oz
-    else:
-        p = psi_tilde_inv(x)
-        dz, oz = _draw_p(s[:-1], 1, p.rest, rng, size)
-        xnn = float(p.rest.diag[-1])
-        a = rng.gamma(shape=s[-1] + 1.5, scale=1.0 / p.a, size=size)
-        b = rng.normal(loc=-p.b, scale=np.sqrt(1.0 / (2.0 * a * xnn)))
-        diag[:, -1] = a
-        diag[:, -2] = dz[:, -1] + a * b**2
-        diag[:, : n - 2] = dz[:, :-1]
-        off[:, -1] = a * b
-        off[:, : n - 2] = oz
-    return diag, off
-
-
 def sample_p_many(w: WishartP, rng: np.random.Generator, size: int) -> NDArray[np.float64]:
-    """``size`` exact draws as coordinate rows (diag then off); all land in ``P``."""
-    diag, off = _draw_p(w.params.s, w.params.M, w.x, rng, size)
-    return np.hstack([diag, off])
+    """``size`` exact draws as coordinate rows (diag then off); all land in ``P``.
+
+    Walks the peel plan of ``x`` innermost first: the pivot coordinate is a
+    gamma draw, and each peeled vertex gets a Gamma(s_i + 3/2) pivot with
+    rate its peeled dual pivot and a regression coefficient that is Gaussian
+    given it, whose ``a b^2`` adds onto the neighbour's diagonal.
+    """
+    n, M, s = w.n, w.params.M, w.params.s
+    steps, last = _peel_plan(w.x, M)
+    out = np.empty((size, 2 * n - 1))
+    diag, off = out[:, :n], out[:, n:]
+    diag[:, M - 1] = rng.gamma(shape=s[M - 1] + 1.0, scale=1.0 / last, size=size)
+    for i, alpha, beta, xjj in reversed(steps):
+        j = i + 1 if i < M - 1 else i - 1
+        a = rng.gamma(shape=s[i] + 1.5, scale=1.0 / alpha, size=size)
+        b = rng.normal(loc=-beta, scale=np.sqrt(1.0 / (2.0 * a * xjj)))
+        diag[:, i] = a
+        diag[:, j] += a * b**2
+        off[:, min(i, j)] = a * b
+    return out
 
 
 def sample_p(w: WishartP, rng: np.random.Generator) -> TridiagSym:
@@ -408,22 +380,6 @@ def integer_feasibility_p(
 # ---------------------------------------------------------------------------
 
 
-def _cycles(perm: Sequence[int]) -> list[list[int]]:
-    seen = [False] * len(perm)
-    out = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        cyc = []
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            cyc.append(j)
-            j = perm[j]
-        out.append(cyc)
-    return out
-
-
 def moment_p(w: WishartP, x_list: Sequence[IncompleteSym], cap: int = 6) -> float:
     """``E[ <Y, x_1> ... <Y, x_N> ]`` by the permutation-cycle expansion.
 
@@ -466,13 +422,7 @@ def moment_p(w: WishartP, x_list: Sequence[IncompleteSym], cap: int = 6) -> floa
             total += (-diag_e[jj]) * val
         return total
 
-    total = 0.0
-    for perm in permutations(range(n_dirs)):
-        val = 1.0
-        for cyc in _cycles(perm):
-            val *= cycle_value(cyc)
-        total += val
-    return total
+    return _cycle_expansion(n_dirs, cycle_value)
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,9 @@ operator, two equivalent variance-function formulas, the intertwining of the
 inverse mean map with the reciprocal-shape mean map, higher moments through a
 permutation-cycle expansion, and two exact samplers:
 
-* a recursive sampler that peels one vertex at a time, drawing a gamma pivot
-  and a conditionally Gaussian regression coefficient, exactly inverting the
-  integration steps behind the Laplace transform;
+* a peeling sampler that walks the peel plan of ``y`` one vertex at a time,
+  drawing a gamma pivot and a conditionally Gaussian regression coefficient,
+  exactly inverting the integration steps behind the Laplace transform;
 * a quadratic-construction sampler that sums projected Gaussian outer
   products over prefix/suffix index sets, with multiplicities ``sigma`` tied
   to the shape by ``sigma_i/2 = s_i - s_{i+1}`` (left of the pivot),
@@ -35,13 +35,13 @@ The tilt ``exp(-<y, pi(v v')>) = exp(-v' y_I v)`` makes each Gaussian factor
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 from scipy.special import gammaln
 
+from .chain_graph import _cycle_expansion
 from .matrix_spaces import (
     DenseSym,
     IncompleteSym,
@@ -56,7 +56,7 @@ from .matrix_spaces import (
     project_pi,
     zg_basis,
 )
-from .peeling import phi_inv, phi_tilde_inv
+from .peeling import _peel_plan
 from .power_functions import (
     ShapeParams,
     delta_exponents,
@@ -366,53 +366,28 @@ def intertwining_check(p: ShapeParams, m: IncompleteSym) -> tuple[IncompleteSym,
 # ---------------------------------------------------------------------------
 
 
-def _draw_q(
-    s: NDArray[np.float64],
-    M: int,
-    y: TridiagSym,
-    rng: np.random.Generator,
-    size: int,
-) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Vectorized recursive sampler; returns diagonal and off coordinate arrays.
-
-    While the pivot lies to the right, peel vertex 1: the remaining block is
-    a smaller Wishart, the regression coefficient is Gaussian given it, and
-    the pivot coordinate is an independent gamma.  Once the pivot is
-    leftmost, peel vertex ``n`` symmetrically.
-    """
-    n = s.size
-    if n == 1:
-        d = rng.gamma(shape=s[0], scale=1.0 / y.diag[0], size=size)
-        return d[:, None], np.zeros((size, 0))
-    diag = np.empty((size, n))
-    off = np.empty((size, n - 1))
-    if M >= 2:
-        p = phi_inv(y)
-        dz, oz = _draw_q(s[1:], M - 1, p.rest, rng, size)
-        x22 = dz[:, 0]
-        beta = rng.normal(loc=-p.b, scale=np.sqrt(1.0 / (2.0 * p.a * x22)))
-        alpha = rng.gamma(shape=s[0] - 0.5, scale=1.0 / p.a, size=size)
-        diag[:, 0] = alpha + beta**2 * x22
-        diag[:, 1:] = dz
-        off[:, 0] = beta * x22
-        off[:, 1:] = oz
-    else:
-        p = phi_tilde_inv(y)
-        dz, oz = _draw_q(s[:-1], 1, p.rest, rng, size)
-        xnn = dz[:, -1]
-        beta = rng.normal(loc=-p.b, scale=np.sqrt(1.0 / (2.0 * p.a * xnn)))
-        alpha = rng.gamma(shape=s[-1] - 0.5, scale=1.0 / p.a, size=size)
-        diag[:, -1] = alpha + beta**2 * xnn
-        diag[:, : n - 1] = dz
-        off[:, -1] = beta * xnn
-        off[:, : n - 2] = oz
-    return diag, off
-
-
 def sample_many(w: WishartQ, rng: np.random.Generator, size: int) -> NDArray[np.float64]:
-    """``size`` exact draws as rows of canonical coordinates (diag then off)."""
-    diag, off = _draw_q(w.params.s, w.params.M, w.y, rng, size)
-    return np.hstack([diag, off])
+    """``size`` exact draws as rows of canonical coordinates (diag then off).
+
+    Walks the peel plan of ``y`` innermost first: the pivot coordinate is a
+    gamma draw, and each peeled vertex adds a regression coefficient that is
+    Gaussian given its already drawn neighbour and an independent gamma
+    pivot coordinate, exactly inverting the integration steps behind the
+    Laplace transform.
+    """
+    n, M, s = w.n, w.params.M, w.params.s
+    steps, last = _peel_plan(w.y, M)
+    out = np.empty((size, 2 * n - 1))
+    diag, off = out[:, :n], out[:, n:]
+    diag[:, M - 1] = rng.gamma(shape=s[M - 1], scale=1.0 / last, size=size)
+    for i, a, b, _ in reversed(steps):
+        j = i + 1 if i < M - 1 else i - 1
+        xjj = diag[:, j]
+        beta = rng.normal(loc=-b, scale=np.sqrt(1.0 / (2.0 * a * xjj)))
+        alpha = rng.gamma(shape=s[i] - 0.5, scale=1.0 / a, size=size)
+        diag[:, i] = alpha + beta**2 * xjj
+        off[:, min(i, j)] = beta * xjj
+    return out
 
 
 def sample(w: WishartQ, rng: np.random.Generator) -> IncompleteSym:
@@ -535,22 +510,6 @@ def sample_quadratic(
 # ---------------------------------------------------------------------------
 
 
-def _cycles(perm: Sequence[int]) -> list[list[int]]:
-    seen = [False] * len(perm)
-    out = []
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        cyc = []
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            cyc.append(j)
-            j = perm[j]
-        out.append(cyc)
-    return out
-
-
 def moment(w: WishartQ, spec: MomentSpec) -> float:
     """``E[ <X, z_1> ... <X, z_N> ]`` by the permutation-cycle expansion.
 
@@ -578,10 +537,4 @@ def moment(w: WishartQ, spec: MomentSpec) -> float:
             total += coeff * float(np.trace(prod))
         return total
 
-    total = 0.0
-    for perm in permutations(range(n_dirs)):
-        val = 1.0
-        for cyc in _cycles(perm):
-            val *= cycle_value(cyc)
-        total += val
-    return total
+    return _cycle_expansion(n_dirs, cycle_value)

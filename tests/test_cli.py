@@ -74,6 +74,23 @@ def test_sample_domain_violation_exits_2(tmp_path):
     assert rc == EXIT_DOMAIN
 
 
+@pytest.mark.parametrize("family", ["q", "p"])
+def test_sample_negative_draw_count_exits_2(tmp_path, capsys, family):
+    if family == "q":
+        params = q_params(tmp_path)
+    else:
+        params = _write(
+            tmp_path / "pp.json",
+            {"M": 1, "s": [0.0, 0.5], "x": {"n": 2, "diag": [1.0, 1.0], "off": [0.2]}},
+        )
+    out = tmp_path / "neg.csv"
+    rc = main(["sample", "--family", family, "--params", params, "--n", "-1", "--out", str(out)])
+    assert rc == EXIT_DOMAIN
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_sample_p_family(tmp_path):
     params = _write(
         tmp_path / "pp.json",

@@ -1,0 +1,78 @@
+"""The shared peel plan behind both exact samplers and the LU(M) factor.
+
+The pinned values were recorded from the recursive implementation that the
+plan replaced; seeded draws and factors must stay bit-identical to them.
+"""
+
+import sys
+
+import numpy as np
+import pytest
+
+from chainwishart import wishart_p as wp
+from chainwishart import wishart_q as wq
+from chainwishart.lum_triangular import decompose
+from chainwishart.matrix_spaces import IncompleteSym, TridiagSym, is_in_P, is_in_Q
+from chainwishart.power_functions import ShapeParams
+
+from _gen import random_pd_tridiag, random_q_elem
+
+Y = TridiagSym(4, [2.0, 2.5, 1.8, 2.2], [0.3, -0.4, 0.5])
+X = IncompleteSym(4, [1.0, 1.5, 0.8, 1.2], [0.2, -0.3, 0.4])
+S_Q = [1.2, 0.9, 1.6, 1.1]
+S_P = [0.3, -0.2, 0.8, 0.1]
+
+# pivot -> two draws with default_rng(pivot)
+PINNED_Q = {
+    1: [[0.6266443191075012, 0.4518896350701108, 0.305785788716885, 0.6484321333790928, 0.24860941622554214, -0.16238305140497195, -0.2756253561550247],
+        [0.6176148581792533, 0.24444999672533588, 0.4763812481939636, 0.21742562106516233, 0.08290906186099332, 0.01412442665499418, -0.19289544741160194]],
+    3: [[0.1645511030046696, 0.23870909187933945, 3.227167647915764, 0.7633261990089495, 0.19816386065194247, 0.29776655029203597, -1.1211029790442535],
+        [0.10516999949594599, 0.03441394898766847, 1.108997000677458, 0.2121712588374178, -0.023694735837607696, -0.13679874210330903, -0.3602833038937279]],
+    4: [[0.4812276511288773, 0.13007812902242963, 1.1879209988689428, 0.1585001451490293, -0.07900389119014707, 0.3093288148355333, -0.39650274738486274],
+        [0.7982755141827031, 1.9685248427260689, 0.16281395455013667, 1.6250204634030234, -0.9130704367453172, 0.3134460086111991, -0.471913260702198]],
+}
+PINNED_P = {
+    1: [[1.3480208536892555, 1.4806721498376676, 3.032529305470002, 1.3119004348111123, 0.017798413746038334, 0.08399297189588192, -0.6485774391287679],
+        [1.336977872090319, 0.7104885284787736, 1.8483826104235495, 0.5747197440799595, 0.052726825267831415, 0.7207351714347665, -0.45253774098421173]],
+    3: [[2.1895672121390746, 0.9028455659497524, 8.512074669526665, 0.8224717808301082, -0.27121696163844505, -0.4517575919695484, -1.0315670352025452],
+        [3.040279642213127, 0.9513717888238205, 8.712602634747025, 0.08212413054371125, 1.150793149062025, -0.028467688569563603, 0.7117831232002118]],
+    4: [[1.1325141910455536, 0.8831768353762205, 1.3566871189383454, 1.9896026903698196, 0.08259166043937002, -0.7766000769120864, -1.072181231796453],
+        [0.8288952660469122, 0.9802235402408827, 6.427186994055204, 2.870511041741078, -0.16837072738209097, 2.086965732252814, -0.39702270167591897]],
+}
+# pivot -> (diag, sub, sup) of the LU(M) factor of Y
+PINNED_T = {
+    1: ([1.400921071947414, 1.5508453481248667, 1.2986006454501848, 1.4832396974191326], [],
+        [0.19344288607676532, -0.308023872775246, 0.337099931231621]),
+    3: ([1.4142135623730951, 1.5668439615992398, 1.27325980077674, 1.4832396974191326],
+        [0.21213203435596426, -0.25529025850904113], [0.337099931231621]),
+    4: ([1.4142135623730951, 1.5668439615992398, 1.3171282716236816, 1.4338386946261044],
+        [0.21213203435596426, -0.25529025850904113, 0.3796137481610869], []),
+}
+
+
+@pytest.mark.parametrize("M", [1, 3, 4])
+def test_seeded_draws_and_factor_are_pinned(M):
+    q = wq.sample_many(wq.WishartQ(ShapeParams(M, S_Q), Y), np.random.default_rng(M), 2)
+    p = wp.sample_p_many(wp.WishartP(ShapeParams(M, S_P), X), np.random.default_rng(M), 2)
+    t = decompose(Y, M)
+    assert np.array_equal(q, np.array(PINNED_Q[M]))
+    assert np.array_equal(p, np.array(PINNED_P[M]))
+    diag, sub, sup = PINNED_T[M]
+    assert np.array_equal(t.diag, diag)
+    assert np.array_equal(t.sub, sub)
+    assert np.array_equal(t.sup, sup)
+
+
+def test_chains_longer_than_the_recursion_limit():
+    n = sys.getrecursionlimit() + 200
+    M = n // 3
+    rng = np.random.default_rng(12)
+    y = random_pd_tridiag(rng, n)
+    x = random_q_elem(rng, n)
+    q = wq.sample_many(wq.WishartQ(ShapeParams(M, np.full(n, 1.5)), y), rng, 4)
+    p = wp.sample_p_many(wp.WishartP(ShapeParams(M, np.full(n, 0.5)), x), rng, 4)
+    assert q.shape == p.shape == (4, 2 * n - 1)
+    assert all(is_in_Q(IncompleteSym.from_coords(row)) for row in q)
+    assert all(is_in_P(TridiagSym.from_coords(row)) for row in p)
+    t = decompose(y, M).to_dense()
+    assert np.allclose(t @ t.T, y.to_dense(), rtol=0.0, atol=1e-12)
