@@ -27,10 +27,8 @@ from .matrix_spaces import (
     is_in_P,
     is_in_Q,
     lauritzen_map,
-    leading_minors,
     pairing,
     project_pi,
-    trailing_minors,
 )
 from .power_functions import (
     ShapeParams,

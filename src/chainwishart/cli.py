@@ -9,7 +9,8 @@ diagonal columns first, with ``#`` metadata lines recording seed and
 parameters.  The default seed comes from ``CHAINWISHART_SEED``.
 
 Exit codes: 0 success; 1 verification failure; 2 parameter-domain or cone
-violation (the diagnostic names the failed minor); 3 I/O failure; 4
+violation (the diagnostic names the failed minor), a moment order above its
+cap, or a Newton inversion that cannot reach its target; 3 I/O failure; 4
 inconvertible clique/separator parameters; 5 non-monotone missing-data
 pattern; 6 no consistent pivot for a missing-data pattern.
 """
@@ -320,8 +321,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             _print_json({"moment": val})
         else:  # pragma: no cover - argparse restricts choices
             raise CliError(EXIT_IO, f"unknown eval target {what}")
-    except (ConeError,) as e:
-        raise CliError(EXIT_DOMAIN, str(e)) from e
+    except (ValueError, RuntimeError, np.linalg.LinAlgError) as e:
+        # cone, shape and moment-order violations, and a Newton inversion that
+        # cannot reach the target: all are domain errors of the input
+        raise CliError(EXIT_DOMAIN, " ".join(str(e).split())) from e
     return EXIT_OK
 
 

@@ -17,18 +17,21 @@ makes the closed-form variance function work: with ``y`` the preimage of
 ``m`` under the mean map, the hat completion is
 
     hat(m) = T^{-T} diag(s) T^{-1}.
+
+Its band, which is the mean ``m`` itself, is read off the peel plan in one
+O(n) outward sweep from the pivot (:func:`_hat_band`); the mean, covariance
+and variance on ``Q`` and ``pi(y^{-1})`` all run on that sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .matrix_spaces import DenseSym, IncompleteSym, TridiagSym, assert_in_P
-from .peeling import _peel_plan
+from .matrix_spaces import DenseSym, IncompleteSym, TridiagSym
+from .peeling import _peel_order, _peel_plan, _rows
 from .power_functions import ShapeParams
 
 __all__ = ["LUMMatrix", "decompose", "multiply", "invert", "is_lum_pattern", "hat_via_T"]
@@ -80,20 +83,31 @@ def decompose(y: TridiagSym, M: int) -> LUMMatrix:
     ``T_ii = sqrt(a)`` and ``sqrt(a) b`` on the side facing the pivot; the
     pivot vertex contributes the square root of the remainder.
     """
-    assert_in_P(y)
-    steps, last = _peel_plan(y, M)
-    diag = np.empty(y.n)
-    sub = np.empty(M - 1)
-    sup = np.empty(y.n - M)
-    diag[M - 1] = sqrt(last)
-    for i, a, b, _ in steps:
-        sa = sqrt(a)
-        diag[i] = sa
-        if i < M - 1:
-            sub[i] = sa * b
-        else:
-            sup[i - M] = sa * b
-    return LUMMatrix(y.n, M, diag, sub, sup)
+    a, b = _peel_plan(y, M)
+    diag = np.sqrt(a)
+    return LUMMatrix(y.n, M, diag, diag[: M - 1] * b[: M - 1], diag[M:] * b[M:])
+
+
+def _hat_band(s: NDArray, M: int, a: NDArray, b: NDArray) -> tuple[NDArray, NDArray]:
+    """Band ``(diag, off)`` of ``T^{-T} diag(s) T^{-1}`` from the peel plan of ``y = T T'``.
+
+    One outward sweep from the pivot, O(n): ``hd_M = s_M / a_M``, then for
+    each peeled vertex ``i`` with neighbour ``j`` toward the pivot
+
+        hd_i = s_i / a_i + b_i^2 hd_j,    ho_{ij} = -b_i hd_j.
+
+    ``s`` is any real vector; ``a``, ``b`` come from the peel core and may be
+    complex with trailing batch axes.  At ``s = 1`` this is ``pi(y^{-1})``.
+    """
+    n = len(a)
+    s, a, b = s.tolist(), _rows(a), _rows(b)
+    hd = [0 * a[M - 1]] * n
+    ho = [0 * a[M - 1]] * (n - 1)
+    hd[M - 1] = s[M - 1] / a[M - 1]
+    for i, j in reversed(_peel_order(n, M)):
+        hd[i] = s[i] / a[i] + b[i] ** 2 * hd[j]
+        ho[min(i, j)] = -b[i] * hd[j]
+    return np.array(hd), np.array(ho).reshape((n - 1,) + np.shape(hd[0]))
 
 
 def multiply(s: LUMMatrix, t: LUMMatrix) -> DenseSym:

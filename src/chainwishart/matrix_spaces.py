@@ -19,6 +19,11 @@ definite.  The map ``y -> pi(y^{-1})`` is a bijection from ``P`` onto ``Q``;
 its inverse is the Lauritzen map, and the positive-definite completion of
 ``x`` in ``Q`` whose inverse is again banded is the "hat" completion.
 
+Cone membership is tested relative to the element's own scale (pivots
+against the largest diagonal entry, clique determinants against their own
+diagonal product), so it does not change when an element is multiplied by a
+positive constant.
+
 Vertices are labelled ``1..n`` in the public API; arrays are 0-based.
 """
 
@@ -44,8 +49,6 @@ __all__ = [
     "inverse_image",
     "lauritzen_map",
     "hat_completion",
-    "leading_minors",
-    "trailing_minors",
     "leading_log_minors",
     "trailing_log_minors",
     "zg_basis",
@@ -57,7 +60,7 @@ __all__ = [
 #: Dense symmetric matrices are carried as plain float arrays.
 DenseSym = NDArray[np.float64]
 
-# Cones are open: a pivot within PD_RTOL * scale of zero counts as "outside".
+# Cones are open: a pivot within PD_RTOL of the element's scale counts as "outside".
 PD_RTOL = 1e-12
 
 
@@ -198,30 +201,29 @@ def _pivots(diag: NDArray[np.float64], off: NDArray[np.float64]) -> NDArray[np.f
 
     Stops with a non-positive pivot left in place when the matrix is not PD.
     """
-    n = diag.size
-    piv = np.empty(n)
-    scale = max(1.0, float(np.max(np.abs(diag))) if n else 1.0)
-    tol = PD_RTOL * scale
-    piv[0] = diag[0]
-    for i in range(1, n):
-        if piv[i - 1] <= tol:
-            piv[i:] = -np.inf
-            return piv
-        piv[i] = diag[i] - off[i - 1] ** 2 / piv[i - 1]
-    return piv
+    d, o = diag.tolist(), off.tolist()
+    tol = PD_RTOL * float(np.max(np.abs(diag)))
+    piv = [d[0]]
+    for i in range(1, len(d)):
+        if piv[-1] <= tol:
+            return np.array(piv + [-np.inf] * (len(d) - i))
+        piv.append(d[i] - o[i - 1] ** 2 / piv[-1])
+    return np.array(piv)
+
+
+def _bad_pivots(y: TridiagSym) -> tuple[NDArray[np.float64], NDArray[np.intp]]:
+    """Pivots of ``y`` and the indices of those not above ``PD_RTOL`` times its scale."""
+    piv = _pivots(y.diag, y.off)
+    return piv, np.nonzero(piv <= PD_RTOL * float(np.max(np.abs(y.diag))))[0]
 
 
 def is_in_P(y: TridiagSym) -> bool:
     """True iff ``y`` is positive definite (all leading principal minors > 0)."""
-    piv = _pivots(y.diag, y.off)
-    scale = max(1.0, float(np.max(np.abs(y.diag))))
-    return bool(np.all(piv > PD_RTOL * scale))
+    return _bad_pivots(y)[1].size == 0
 
 
 def assert_in_P(y: TridiagSym, name: str = "y") -> None:
-    piv = _pivots(y.diag, y.off)
-    scale = max(1.0, float(np.max(np.abs(y.diag))))
-    bad = np.nonzero(piv <= PD_RTOL * scale)[0]
+    piv, bad = _bad_pivots(y)
     if bad.size:
         i = int(bad[0]) + 1
         raise ConeError(
@@ -230,36 +232,35 @@ def assert_in_P(y: TridiagSym, name: str = "y") -> None:
         )
 
 
+def _clique_gaps(x: IncompleteSym) -> NDArray[np.float64]:
+    """``det / (x_ii x_{i+1,i+1})`` per clique block, in ratio form that cannot overflow."""
+    return 1.0 - (x.off / x.diag[:-1]) * (x.off / x.diag[1:])
+
+
+def _bad_diagonal(x: IncompleteSym) -> NDArray[np.intp]:
+    """Indices of diagonal entries not above ``PD_RTOL`` times the largest one."""
+    return np.nonzero(x.diag <= PD_RTOL * float(np.max(np.abs(x.diag))))[0]
+
+
 def is_in_Q(x: IncompleteSym) -> bool:
     """True iff every 2x2 clique block of ``x`` is positive definite.
 
     For ``n = 1`` the condition degenerates to ``x_11 > 0``.
     """
-    scale = max(1.0, float(np.max(np.abs(x.diag))))
-    tol = PD_RTOL * scale
-    if np.any(x.diag <= tol):
-        return False
-    if x.n == 1:
-        return True
-    return bool(np.all(x.clique_dets() > tol * scale))
+    return _bad_diagonal(x).size == 0 and bool(np.all(_clique_gaps(x) > PD_RTOL))
 
 
 def assert_in_Q(x: IncompleteSym, name: str = "x") -> None:
-    scale = max(1.0, float(np.max(np.abs(x.diag))))
-    tol = PD_RTOL * scale
-    bad = np.nonzero(x.diag <= tol)[0]
+    bad = _bad_diagonal(x)
     if bad.size:
         i = int(bad[0]) + 1
         raise ConeError(f"{name} is outside the dual cone: diagonal entry {i} is not positive")
-    if x.n == 1:
-        return
-    dets = x.clique_dets()
-    bad = np.nonzero(dets <= tol * scale)[0]
+    bad = np.nonzero(_clique_gaps(x) <= PD_RTOL)[0]
     if bad.size:
         i = int(bad[0]) + 1
         raise ConeError(
             f"{name} is outside the dual cone: clique block ({i},{i + 1}) has "
-            f"non-positive determinant {dets[bad[0]]:.6g}"
+            f"non-positive determinant {x.clique_dets()[bad[0]]:.6g}"
         )
 
 
@@ -276,9 +277,41 @@ def pairing(y: TridiagSym, x: IncompleteSym) -> float:
 
 
 def inverse_image(y: TridiagSym) -> IncompleteSym:
-    """``pi(y^{-1})`` for positive definite ``y``; lands in the dual cone."""
-    assert_in_P(y)
-    return project_pi(np.linalg.inv(y.to_dense()))
+    """``pi(y^{-1})`` for positive definite ``y``; lands in the dual cone.
+
+    Read off the peel plan of ``y`` by the O(n) sweep of the mean map at unit
+    shape, without forming ``y^{-1}``.
+    """
+    from .lum_triangular import _hat_band  # deferred: both import this module
+    from .peeling import _peel_plan
+
+    a, b = _peel_plan(y, y.n)
+    return IncompleteSym(y.n, *_hat_band(np.ones(y.n), y.n, a, b))
+
+
+def _clique_inverses(
+    x: IncompleteSym,
+) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
+    """Entries ``(i00, i11, i01)`` of the inverse of every 2x2 clique block of ``x``.
+
+    Closed form ``[[x_{i+1,i+1}, -x_{i,i+1}], [-x_{i,i+1}, x_ii]] / det``,
+    vectorized over the blocks and written through :func:`_clique_gaps` so
+    that no product of two diagonal entries is formed.
+    """
+    d0, d1 = x.diag[:-1], x.diag[1:]
+    g = _clique_gaps(x)
+    return 1.0 / (d0 * g), 1.0 / (d1 * g), -(x.off / d0) / (d1 * g)
+
+
+def _clique_assembly(
+    x: IncompleteSym, cliq_w: NDArray[np.float64], diag_w: NDArray[np.float64]
+) -> TridiagSym:
+    """``sum_b cliq_w[b] ((x_b)^{-1})^0 + sum_j diag_w[j] / x_jj E_jj`` over the cliques ``b``."""
+    i00, i11, i01 = _clique_inverses(x)
+    diag = diag_w / x.diag
+    diag[:-1] += cliq_w * i00
+    diag[1:] += cliq_w * i11
+    return TridiagSym(x.n, diag, cliq_w * i01)
 
 
 def lauritzen_map(x: IncompleteSym) -> TridiagSym:
@@ -290,17 +323,10 @@ def lauritzen_map(x: IncompleteSym) -> TridiagSym:
     """
     assert_in_Q(x)
     n = x.n
-    if n == 1:
-        return TridiagSym(1, [1.0 / x.diag[0]], [])
-    diag = np.zeros(n)
-    off = np.zeros(n - 1)
-    for i in range(n - 1):
-        b = np.linalg.inv(x.clique_block(i + 1))
-        diag[i] += b[0, 0]
-        diag[i + 1] += b[1, 1]
-        off[i] += b[0, 1]
-    diag[1 : n - 1] -= 1.0 / x.diag[1 : n - 1]
-    return TridiagSym(n, diag, off)
+    cliques_at = np.zeros(n)
+    cliques_at[:-1] += 1.0
+    cliques_at[1:] += 1.0
+    return _clique_assembly(x, np.ones(n - 1), 1.0 - cliques_at)
 
 
 def hat_completion(x: IncompleteSym) -> DenseSym:
@@ -317,30 +343,6 @@ def hat_completion(x: IncompleteSym) -> DenseSym:
 # ---------------------------------------------------------------------------
 
 
-def leading_minors(y: TridiagSym) -> NDArray[np.float64]:
-    """Leading principal minors ``|y_{1:i}|``, i = 1..n, by the continuant recurrence.
-
-    Plain arithmetic: minors of large well-scaled matrices overflow to
-    inf/nan around n ~ 50; use :func:`leading_log_minors` past desk scale.
-    """
-    n = y.n
-    out = np.empty(n)
-    prev2, prev1 = 1.0, y.diag[0]
-    out[0] = prev1
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(1, n):
-            cur = y.diag[i] * prev1 - y.off[i - 1] ** 2 * prev2
-            out[i] = cur
-            prev2, prev1 = prev1, cur
-    return out
-
-
-def trailing_minors(y: TridiagSym) -> NDArray[np.float64]:
-    """Trailing principal minors ``|y_{i:n}|``, i = 1..n."""
-    rev = TridiagSym(y.n, y.diag[::-1].copy(), y.off[::-1].copy())
-    return leading_minors(rev)[::-1].copy()
-
-
 def leading_log_minors(y: TridiagSym, name: str = "y") -> NDArray[np.float64]:
     """``log |y_{1:i}|`` for positive definite ``y``.
 
@@ -348,9 +350,7 @@ def leading_log_minors(y: TridiagSym, name: str = "y") -> NDArray[np.float64]:
     matrix entries, so minors of any magnitude are handled without overflow.
     Raises :class:`ConeError` if ``y`` is not positive definite.
     """
-    piv = _pivots(y.diag, y.off)
-    scale = max(1.0, float(np.max(np.abs(y.diag))))
-    bad = np.nonzero(piv <= PD_RTOL * scale)[0]
+    piv, bad = _bad_pivots(y)
     if bad.size:
         raise ConeError(
             f"{name} is not positive definite: leading principal minor {int(bad[0]) + 1} "

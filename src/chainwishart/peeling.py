@@ -23,6 +23,11 @@ These four maps are the engine behind the closed-form Laplace transforms and
 the exact samplers: integrating a power function over the cone reduces, one
 vertex at a time, to a gamma integral in ``a`` (or ``alpha``) and a Gaussian
 integral in ``b`` (or ``beta``).
+
+Each public map checks its input cone.  The samplers, the ``LU(M)`` factor
+and the closed forms on ``Q`` instead use one peel plan per element: a single
+cone check, then every peel read off plain arrays in O(n) with the same
+floating-point operations as the maps (``_peel_plan``, ``_peel_core``).
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
+from numpy.typing import NDArray
 
 from .matrix_spaces import (
     IncompleteSym,
@@ -181,38 +187,65 @@ def psi_tilde_inv(eta: IncompleteSym) -> PeelTriple:
     return PeelTriple(alpha, beta, rest)
 
 
-_PeelStep = tuple[int, float, float, float]
+def _peel_order(n: int, M: int) -> list[tuple[int, int]]:
+    """Peeled vertices ``(i, j)`` in peeling order, ``j`` the neighbour toward the pivot.
 
-
-def _peel_plan(
-    elem: Union[TridiagSym, IncompleteSym], M: int
-) -> tuple[list[_PeelStep], float]:
-    """Peel ``elem`` down to its pivot vertex ``M`` without recursion.
-
-    Peels vertex 1 while the pivot lies to the right, then vertex ``n``
-    (``phi_inv``/``phi_tilde_inv`` on ``P``, ``psi_inv``/``psi_tilde_inv`` on
-    ``Q``).  Returns the steps in peeling order as ``(i, a, b, c)``: the
-    peeled vertex ``i`` (0-based), its coordinates ``a`` and ``b``, and the
-    remaining diagonal entry ``c`` next to it.  The second value is the
-    one-vertex remainder at the pivot.  Walking the steps in reverse rebuilds
-    the element innermost first, as the inductive constructions do.
+    Vertex 1 is peeled while the pivot lies to the right, then vertex ``n``;
+    indices are 0-based.  Reversed, this is the outward order from the pivot
+    in which the inductive constructions rebuild an element.
     """
+    return [(i, i + 1) for i in range(M - 1)] + [(i, i - 1) for i in range(n - 1, M - 1, -1)]
+
+
+def _rows(v: NDArray) -> list:
+    # Python scalars for one element (fast, and ``**`` rounds as on numpy
+    # scalars); rows of the trailing batch axes otherwise.
+    return v.tolist() if v.ndim == 1 else list(v)
+
+
+def _peel_core(
+    diag: NDArray, off: NDArray, M: int, dual: bool
+) -> tuple[NDArray, NDArray]:
+    """Peel coordinates ``(a, b)`` of banded data, indexed by vertex; no cone check.
+
+    Repeats the floating-point operations of ``phi_inv``/``phi_tilde_inv``
+    (``dual=False``) or ``psi_inv``/``psi_tilde_inv`` (``dual=True``) step by
+    step, in O(n).  ``a[M-1]`` holds the one-vertex remainder at the pivot and
+    ``b[M-1]`` is zero.  Entries may be complex and may carry trailing batch
+    axes (``diag`` of shape ``(n, ...)``, ``off`` of shape ``(n-1, ...)``).
+    """
+    d, o = _rows(diag), _rows(off)
+    n = len(d)
+    a = [0 * d[M - 1]] * n
+    b = [0 * d[M - 1]] * n
+    for i, j in _peel_order(n, M):
+        e = min(i, j)
+        if dual:
+            b[i] = o[e] / d[j]
+            a[i] = d[i] - o[e] ** 2 / d[j]
+        else:
+            a[i] = d[i]
+            b[i] = o[e] / d[i]
+            d[j] = d[j] - o[e] ** 2 / d[i]
+    a[M - 1] = d[M - 1]
+    return np.array(a), np.array(b)
+
+
+def _peel_plan(elem: Union[TridiagSym, IncompleteSym], M: int) -> tuple[NDArray, NDArray]:
+    """Peel ``elem`` down to its pivot vertex ``M`` after a single cone check.
+
+    Checks membership in ``P`` (or ``Q``) once, then reads every peel off the
+    arrays in O(n) with the same floating-point operations as the inverse
+    maps, so seeded samplers and factors are unchanged.  Returns ``(a, b)``
+    indexed by vertex: vertex ``i`` was peeled with pivot ``a[i]`` and
+    regression ``b[i]`` toward its neighbour ``j`` on the pivot's side (see
+    :func:`_peel_order`), and ``a[M-1]`` is the one-vertex remainder.
+    """
+    dual = isinstance(elem, IncompleteSym)
+    (assert_in_Q if dual else assert_in_P)(elem)
     if not 1 <= M <= elem.n:
         raise ValueError(f"pivot M={M} out of range 1..{elem.n}")
-    on_p = isinstance(elem, TridiagSym)
-    steps: list[_PeelStep] = []
-    left, right = 0, elem.n - 1
-    while left < right:
-        if left < M - 1:
-            p = phi_inv(elem) if on_p else psi_inv(elem)
-            steps.append((left, p.a, p.b, float(p.rest.diag[0])))
-            left += 1
-        else:
-            p = phi_tilde_inv(elem) if on_p else psi_tilde_inv(elem)
-            steps.append((right, p.a, p.b, float(p.rest.diag[-1])))
-            right -= 1
-        elem = p.rest
-    return steps, float(elem.diag[0])
+    return _peel_core(elem.diag, elem.off, M, dual)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ import numpy as np
 from numpy.typing import NDArray
 from scipy import stats
 
-from . import wishart_p, wishart_q
+from . import _dense_oracle, wishart_p, wishart_q
 from .matrix_spaces import IncompleteSym, TridiagSym, pairing
 from .power_functions import ShapeParams
 
@@ -372,7 +372,7 @@ def suite_mean(seed: int, mutations: frozenset = frozenset()) -> list[CheckResul
 
 
 def suite_variance(seed: int, mutations: frozenset = frozenset()) -> list[CheckResult]:
-    """Variance formulas against finite differences, each other, and sampling."""
+    """Variance formulas against finite differences, the dense oracle, and sampling."""
     out = []
     rng = stream_rng(seed, 400)
     n, M = 5, 3
@@ -388,12 +388,14 @@ def suite_variance(seed: int, mutations: frozenset = frozenset()) -> list[CheckR
     err = float(np.max(np.abs(v + jac)) / np.max(np.abs(v)))
     out.append(CheckResult("covariance_q_vs_fd[n=5]", err < 1e-5, f"rel err = {err:.2e}"))
 
+    # the banded variance operator against the paper's two dense formulas
     m = wishart_q.mean(w)
-    v_nice = wishart_q.operator_matrix(lambda u: wishart_q.variance_apply_nice(p, m, u), n)
-    v_exp = wishart_q.operator_matrix(lambda u: wishart_q.variance_apply_expanded(p, m, u), n)
+    v_band = wishart_q.operator_matrix(lambda u: wishart_q.variance_apply_nice(p, m, u), n)
+    v_nice = wishart_q.operator_matrix(lambda u: _dense_oracle.variance_apply_nice(p, m, u), n)
+    v_exp = wishart_q.operator_matrix(lambda u: _dense_oracle.variance_apply_expanded(p, m, u), n)
     scale = float(np.max(np.abs(v)))
     err_triple = float(
-        max(np.max(np.abs(v_nice - v_exp)), np.max(np.abs(v_nice - v))) / scale
+        max(np.max(np.abs(v_band - other)) for other in (v_nice, v_exp, v)) / scale
     )
     out.append(
         CheckResult("variance_triple_agreement[n=5]", err_triple < 1e-8, f"rel err = {err_triple:.2e}")

@@ -34,13 +34,15 @@ from .chain_graph import _cycle_expansion
 from .matrix_spaces import (
     IncompleteSym,
     TridiagSym,
+    _clique_assembly,
+    _clique_inverses,
     assert_in_Q,
     ig_basis,
     is_in_P,
     is_in_Q,
     pairing,
 )
-from .peeling import _peel_plan
+from .peeling import _peel_order, _peel_plan
 from .power_functions import (
     ShapeParams,
     delta_exponents,
@@ -161,15 +163,7 @@ def mean_p_formula(p: ShapeParams, x: IncompleteSym) -> TridiagSym:
         raise ValueError("size mismatch")
     assert_in_Q(x)
     cliq_e, diag_e = riesz_p_exponents(p.s, p.M)
-    n = x.n
-    diag = -diag_e / x.diag
-    off = np.zeros(n - 1)
-    for b in range(n - 1):
-        binv = np.linalg.inv(x.clique_block(b + 1))
-        diag[b] -= cliq_e[b] * binv[0, 0]
-        diag[b + 1] -= cliq_e[b] * binv[1, 1]
-        off[b] -= cliq_e[b] * binv[0, 1]
-    return TridiagSym(n, diag, off)
+    return _clique_assembly(x, -cliq_e, -diag_e)
 
 
 def mean_p(w: WishartP) -> TridiagSym:
@@ -183,17 +177,14 @@ def covariance_p_apply(w: WishartP, u: IncompleteSym) -> TridiagSym:
         raise ValueError("size mismatch")
     x = w.x
     cliq_e, diag_e = riesz_p_exponents(w.params.s, w.params.M)
-    n = x.n
-    diag = -diag_e * u.diag / x.diag**2
-    off = np.zeros(n - 1)
-    for b in range(n - 1):
-        binv = np.linalg.inv(x.clique_block(b + 1))
-        ub = np.array([[u.diag[b], u.off[b]], [u.off[b], u.diag[b + 1]]])
-        q = binv @ ub @ binv
-        diag[b] -= cliq_e[b] * q[0, 0]
-        diag[b + 1] -= cliq_e[b] * q[1, 1]
-        off[b] -= cliq_e[b] * q[0, 1]
-    return TridiagSym(n, diag, off)
+    # B u_b B per clique block, with B = [[i00, i01], [i01, i11]] its inverse
+    i00, i11, i01 = _clique_inverses(x)
+    u0, u1, uo = u.diag[:-1], u.diag[1:], u.off
+    diag = -diag_e * u.diag / x.diag / x.diag
+    diag[:-1] -= cliq_e * (i00 * i00 * u0 + 2.0 * i00 * i01 * uo + i01 * i01 * u1)
+    diag[1:] -= cliq_e * (i01 * i01 * u0 + 2.0 * i01 * i11 * uo + i11 * i11 * u1)
+    off = -cliq_e * (i00 * i01 * u0 + (i00 * i11 + i01 * i01) * uo + i01 * i11 * u1)
+    return TridiagSym(x.n, diag, off)
 
 
 def covariance_p_matrix(w: WishartP) -> NDArray[np.float64]:
@@ -217,14 +208,14 @@ def sample_p_many(w: WishartP, rng: np.random.Generator, size: int) -> NDArray[n
     given it, whose ``a b^2`` adds onto the neighbour's diagonal.
     """
     n, M, s = w.n, w.params.M, w.params.s
-    steps, last = _peel_plan(w.x, M)
+    alpha, beta = _peel_plan(w.x, M)
+    xd = w.x.diag
     out = np.empty((size, 2 * n - 1))
     diag, off = out[:, :n], out[:, n:]
-    diag[:, M - 1] = rng.gamma(shape=s[M - 1] + 1.0, scale=1.0 / last, size=size)
-    for i, alpha, beta, xjj in reversed(steps):
-        j = i + 1 if i < M - 1 else i - 1
-        a = rng.gamma(shape=s[i] + 1.5, scale=1.0 / alpha, size=size)
-        b = rng.normal(loc=-beta, scale=np.sqrt(1.0 / (2.0 * a * xjj)))
+    diag[:, M - 1] = rng.gamma(shape=s[M - 1] + 1.0, scale=1.0 / alpha[M - 1], size=size)
+    for i, j in reversed(_peel_order(n, M)):
+        a = rng.gamma(shape=s[i] + 1.5, scale=1.0 / alpha[i], size=size)
+        b = rng.normal(loc=-beta[i], scale=np.sqrt(1.0 / (2.0 * a * xd[j])))
         diag[:, i] = a
         diag[:, j] += a * b**2
         off[:, min(i, j)] = a * b
@@ -380,6 +371,14 @@ def integer_feasibility_p(
 # ---------------------------------------------------------------------------
 
 
+def _blocks(d0: NDArray, d1: NDArray, o: NDArray) -> NDArray[np.float64]:
+    """Stack of symmetric 2x2 blocks ``[[d0, o], [o, d1]]``, shape ``(len(o), 2, 2)``."""
+    out = np.empty((o.size, 2, 2))
+    out[:, 0, 0], out[:, 1, 1] = d0, d1
+    out[:, 0, 1] = out[:, 1, 0] = o
+    return out
+
+
 def moment_p(w: WishartP, x_list: Sequence[IncompleteSym], cap: int = 6) -> float:
     """``E[ <Y, x_1> ... <Y, x_N> ]`` by the permutation-cycle expansion.
 
@@ -395,32 +394,17 @@ def moment_p(w: WishartP, x_list: Sequence[IncompleteSym], cap: int = 6) -> floa
         raise ValueError("size mismatch")
     theta = w.x
     cliq_e, diag_e = riesz_p_exponents(w.params.s, w.params.M)
-    n = w.n
-    # per clique block: G_b[j] = (theta_b)^{-1} x_b^{(j)}, 2x2
-    block_gs = []
-    for b in range(n - 1):
-        binv = np.linalg.inv(theta.clique_block(b + 1))
-        gs = []
-        for x in x_list:
-            xb = np.array([[x.diag[b], x.off[b]], [x.off[b], x.diag[b + 1]]])
-            gs.append(binv @ xb)
-        block_gs.append(gs)
+    # gs[j, b] = (theta_b)^{-1} x_b^{(j)}, one 2x2 product per clique block b
+    binv = _blocks(*_clique_inverses(theta))
+    gs = np.stack([binv @ _blocks(x.diag[:-1], x.diag[1:], x.off) for x in x_list])
+    ratios = np.stack([x.diag / theta.diag for x in x_list])
 
     def cycle_value(cyc: list[int]) -> float:
-        total = 0.0
-        for b in range(n - 1):
-            prod = block_gs[b][cyc[0]]
-            for j in cyc[1:]:
-                prod = prod @ block_gs[b][j]
-            total += (-cliq_e[b]) * float(np.trace(prod))
-        for jj in range(n):
-            if diag_e[jj] == 0.0:
-                continue
-            val = theta.diag[jj] ** (-len(cyc))
-            for j in cyc:
-                val *= x_list[j].diag[jj]
-            total += (-diag_e[jj]) * val
-        return total
+        prod = gs[cyc[0]]
+        for j in cyc[1:]:
+            prod = prod @ gs[j]
+        traces = prod[:, 0, 0] + prod[:, 1, 1]
+        return float(-cliq_e @ traces - diag_e @ np.prod(ratios[cyc], axis=0))
 
     return _cycle_expansion(n_dirs, cycle_value)
 

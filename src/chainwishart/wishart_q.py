@@ -15,9 +15,20 @@ and Laplace transform ``Delta_{-s}(z + y) / Delta_{-s}(y)``.
 
 This module provides, all in closed form: the mean map and its explicit
 inverse (a family of generalized Lauritzen bijections), the covariance as an
-operator, two equivalent variance-function formulas, the intertwining of the
-inverse mean map with the reciprocal-shape mean map, higher moments through a
-permutation-cycle expansion, and two exact samplers:
+operator, the variance function, the intertwining of the inverse mean map
+with the reciprocal-shape mean map, higher moments through a
+permutation-cycle expansion, and two exact samplers.
+
+The mean, covariance and variance run in O(n) per evaluation without a dense
+inverse.  With ``y = T T'`` the LU(M) factor, the mean is the band of
+``T^{-T} diag(s) T^{-1}``, read off the peel plan of ``y`` in one outward
+sweep from the pivot (``lum_triangular._hat_band``).  The covariance is minus
+the derivative of that sweep, taken by complex step, and the variance
+function is the covariance at the inverse mean.  The paper's dense formulas
+(padded inverses of nested submatrices, and the compact and expanded
+variance formulas) live on as the test oracle ``chainwishart._dense_oracle``.
+
+The samplers:
 
 * a peeling sampler that walks the peel plan of ``y`` one vertex at a time,
   drawing a gamma pivot and a conditionally Gaussian regression coefficient,
@@ -42,21 +53,21 @@ from numpy.typing import NDArray
 from scipy.special import gammaln
 
 from .chain_graph import _cycle_expansion
+from .lum_triangular import _hat_band
 from .matrix_spaces import (
     DenseSym,
     IncompleteSym,
     TridiagSym,
+    _clique_assembly,
     assert_in_P,
     assert_in_Q,
-    hat_completion,
     inverse_image,
     is_in_Q,
     lauritzen_map,
     pairing,
-    project_pi,
     zg_basis,
 )
-from .peeling import _peel_plan
+from .peeling import _peel_core, _peel_order, _peel_plan
 from .power_functions import (
     ShapeParams,
     delta_exponents,
@@ -178,8 +189,9 @@ def _mean_blocks(p: ShapeParams, y: TridiagSym) -> list[tuple[float, DenseSym, t
 
     Returns ``(coeff, A, (lo, hi))`` triples with ``A = [(y_{lo:hi})^{-1}]^0``
     and coefficients ``s_i - s_{i+1}`` (prefixes), ``s_M`` (full),
-    ``s_i - s_{i-1}`` (suffixes).  The mean is ``pi`` of their sum; the
-    covariance and the moment expansion reuse the same triples.
+    ``s_i - s_{i-1}`` (suffixes).  The mean is ``pi`` of their sum and the
+    covariance applied to ``u`` is ``pi`` of the weighted ``A u A``; the
+    moment expansion and the dense oracle use these triples.
     """
     n, M, s = p.n, p.M, p.s
     yd = y.to_dense()
@@ -197,13 +209,14 @@ def _mean_blocks(p: ShapeParams, y: TridiagSym) -> list[tuple[float, DenseSym, t
 
 
 def mean_formula(p: ShapeParams, y: TridiagSym) -> IncompleteSym:
-    """The mean-map expression, evaluated for any real shape vector."""
-    assert_in_P(y)
-    n = p.n
-    acc = np.zeros((n, n))
-    for coeff, a, _ in _mean_blocks(p, y):
-        acc += coeff * a
-    return project_pi(acc)
+    """The mean-map expression, evaluated for any real shape vector.
+
+    With ``y = T T'`` the LU(M) factor, the mean is the band of
+    ``T^{-T} diag(s) T^{-1}``, read off the peel plan of ``y`` in one O(n)
+    outward sweep (no dense inverse).
+    """
+    a, b = _peel_plan(y, p.M)
+    return IncompleteSym(p.n, *_hat_band(p.s, p.M, a, b))
 
 
 def mean(w: WishartQ) -> IncompleteSym:
@@ -216,16 +229,40 @@ def pairing_with_parameter(w: WishartQ) -> float:
     return pairing(w.y, mean(w))
 
 
+#: Complex step, relative to ``y`` scaled to unit size: far below the square
+#: root of the rounding unit, far above underflow.
+_STEP = 1e-20
+
+
+def _covariance_coords(
+    p: ShapeParams, y: TridiagSym, u_diag: NDArray, u_off: NDArray
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """``-d/dt mean_formula(p, y + t u)`` at ``t = 0`` by complex step, O(n) per direction.
+
+    The mean sweep is rational in ``y``, so ``Im mean(y + i h u) / h`` is its
+    derivative up to ``O(h^2)``, with no cancellation.  ``y`` is first scaled
+    by a power of two to unit size (exact; the covariance is homogeneous of
+    degree -2).  ``u`` arrays may carry a trailing batch axis of directions.
+    """
+    assert_in_P(y)
+    unit = np.ldexp(1.0, -int(np.frexp(np.max(np.abs(y.coords())))[1]))
+    u_max = max(np.max(np.abs(u_diag)), np.max(np.abs(u_off), initial=0.0))
+    if u_max == 0.0:
+        return np.zeros(u_diag.shape), np.zeros(u_off.shape)
+    h = _STEP / u_max
+    pad = (slice(None),) + (None,) * (u_diag.ndim - 1)
+    a, b = _peel_core(
+        unit * y.diag[pad] + 1j * h * u_diag, unit * y.off[pad] + 1j * h * u_off, p.M, dual=False
+    )
+    hd, ho = _hat_band(p.s, p.M, a, b)
+    return -hd.imag / h * unit * unit, -ho.imag / h * unit * unit
+
+
 def covariance_apply(w: WishartQ, u: TridiagSym) -> IncompleteSym:
-    """Covariance operator applied to ``u``: sum of ``pi(A u A)`` over the blocks."""
+    """Covariance operator applied to ``u``: minus the derivative of the mean along ``u``."""
     if u.n != w.n:
         raise ValueError("size mismatch")
-    ud = u.to_dense()
-    n = w.n
-    acc = np.zeros((n, n))
-    for coeff, a, _ in _mean_blocks(w.params, w.y):
-        acc += coeff * (a @ ud @ a)
-    return project_pi(acc)
+    return IncompleteSym(w.n, *_covariance_coords(w.params, w.y, u.diag, u.off))
 
 
 def operator_matrix(fn: Callable[[TridiagSym], IncompleteSym], n: int) -> NDArray[np.float64]:
@@ -235,8 +272,13 @@ def operator_matrix(fn: Callable[[TridiagSym], IncompleteSym], n: int) -> NDArra
 
 
 def covariance_matrix(w: WishartQ) -> NDArray[np.float64]:
-    """Covariance operator in the canonical basis (columns are images of e_k)."""
-    return operator_matrix(lambda u: covariance_apply(w, u), w.n)
+    """Covariance operator in the canonical basis (columns are images of e_k).
+
+    All ``2n - 1`` basis directions run as one batched sweep, O(n^2).
+    """
+    n = w.n
+    eye = np.eye(2 * n - 1)
+    return np.vstack(_covariance_coords(w.params, w.y, eye[:n], eye[n:]))
 
 
 def covariance_bilinear_form(w: WishartQ) -> NDArray[np.float64]:
@@ -262,15 +304,7 @@ def inverse_mean(p: ShapeParams, m: IncompleteSym) -> TridiagSym:
         raise ValueError("size mismatch")
     assert_in_Q(m)
     cliq_e, diag_e = delta_exponents(p.s, p.M)
-    n = m.n
-    diag = diag_e / m.diag
-    off = np.zeros(n - 1)
-    for b in range(n - 1):
-        binv = np.linalg.inv(m.clique_block(b + 1))
-        diag[b] += cliq_e[b] * binv[0, 0]
-        diag[b + 1] += cliq_e[b] * binv[1, 1]
-        off[b] += cliq_e[b] * binv[0, 1]
-    return TridiagSym(n, diag, off)
+    return _clique_assembly(m, cliq_e, diag_e)
 
 
 # ---------------------------------------------------------------------------
@@ -278,73 +312,27 @@ def inverse_mean(p: ShapeParams, m: IncompleteSym) -> TridiagSym:
 # ---------------------------------------------------------------------------
 
 
-def _m_sets(k: DenseSym, n: int) -> Callable[[int, int], DenseSym]:
-    """``M_I = [((hat^{-1})_I)^{-1}]^0`` for interval index sets, from ``K = hat^{-1}``."""
-
-    def m_interval(lo: int, hi: int) -> DenseSym:
-        a = np.zeros((n, n))
-        a[lo - 1 : hi, lo - 1 : hi] = np.linalg.inv(k[lo - 1 : hi, lo - 1 : hi])
-        return a
-
-    return m_interval
-
-
-def _quad(a: DenseSym, ud: DenseSym) -> DenseSym:
-    return a @ ud @ a
-
-
 def variance_apply_nice(p: ShapeParams, m: IncompleteSym, u: TridiagSym) -> IncompleteSym:
-    """Compact variance formula
+    """Variance function ``V(m)u``: the covariance at the natural parameter with mean ``m``.
+
+    Evaluated as the banded covariance at ``y = inverse_mean(p, m)``, in O(n).
+    It equals the paper's compact formula
 
         V(m)u = (1/s_1 + 1/s_n - 1/s_M) P(hat)u
                 + sum_{i<M} (1/s_{i+1} - 1/s_i) P(hat - M_{1:i})u
                 + sum_{i>M} (1/s_{i-1} - 1/s_i) P(hat - M_{i:n})u
 
     with ``P(A)u = pi(A u A)`` and ``M_I`` the padded interval inverses of
-    the Lauritzen image of ``m``.
+    the Lauritzen image of ``m``, and its expanded three-sum form; both stay
+    as dense oracles in ``chainwishart._dense_oracle``.
     """
     if not (p.n == m.n == u.n):
         raise ValueError("size mismatch")
-    n, M, s = p.n, p.M, p.s
-    mhat = hat_completion(m)
-    k = lauritzen_map(m).to_dense()
-    m_of = _m_sets(k, n)
-    ud = u.to_dense()
-    acc = (1.0 / s[0] + 1.0 / s[n - 1] - 1.0 / s[M - 1]) * _quad(mhat, ud)
-    for i in range(1, M):
-        acc += (1.0 / s[i] - 1.0 / s[i - 1]) * _quad(mhat - m_of(1, i), ud)
-    for i in range(M + 1, n + 1):
-        acc += (1.0 / s[i - 2] - 1.0 / s[i - 1]) * _quad(mhat - m_of(i, n), ud)
-    return project_pi(acc)
+    return IncompleteSym(p.n, *_covariance_coords(p, inverse_mean(p, m), u.diag, u.off))
 
 
-def variance_apply_expanded(p: ShapeParams, m: IncompleteSym, u: TridiagSym) -> IncompleteSym:
-    """Expanded three-sum variance formula; algebraically equal to the compact one."""
-    if not (p.n == m.n == u.n):
-        raise ValueError("size mismatch")
-    n, M, s = p.n, p.M, p.s
-    mhat = hat_completion(m)
-    k = lauritzen_map(m).to_dense()
-    m_of = _m_sets(k, n)
-    ud = u.to_dense()
-    acc = np.zeros((n, n))
-    for i in range(1, M):
-        b = m_of(1, i) / s[i - 1]
-        for j in range(1, i):
-            b += (1.0 / s[j - 1] - 1.0 / s[j]) * m_of(1, j)
-        acc += (s[i - 1] - s[i]) * _quad(b, ud)
-    c = mhat / s[M - 1]
-    for j in range(1, M):
-        c += (1.0 / s[j - 1] - 1.0 / s[j]) * m_of(1, j)
-    for kk in range(M + 1, n + 1):
-        c += (1.0 / s[kk - 1] - 1.0 / s[kk - 2]) * m_of(kk, n)
-    acc += s[M - 1] * _quad(c, ud)
-    for i in range(M + 1, n + 1):
-        d = m_of(i, n) / s[i - 1]
-        for j in range(i + 1, n + 1):
-            d += (1.0 / s[j - 1] - 1.0 / s[j - 2]) * m_of(j, n)
-        acc += (s[i - 1] - s[i - 2]) * _quad(d, ud)
-    return project_pi(acc)
+#: The expanded three-sum formula is algebraically the compact one.
+variance_apply_expanded = variance_apply_nice
 
 
 def intertwining_check(p: ShapeParams, m: IncompleteSym) -> tuple[IncompleteSym, IncompleteSym]:
@@ -376,15 +364,14 @@ def sample_many(w: WishartQ, rng: np.random.Generator, size: int) -> NDArray[np.
     Laplace transform.
     """
     n, M, s = w.n, w.params.M, w.params.s
-    steps, last = _peel_plan(w.y, M)
+    a, b = _peel_plan(w.y, M)
     out = np.empty((size, 2 * n - 1))
     diag, off = out[:, :n], out[:, n:]
-    diag[:, M - 1] = rng.gamma(shape=s[M - 1], scale=1.0 / last, size=size)
-    for i, a, b, _ in reversed(steps):
-        j = i + 1 if i < M - 1 else i - 1
+    diag[:, M - 1] = rng.gamma(shape=s[M - 1], scale=1.0 / a[M - 1], size=size)
+    for i, j in reversed(_peel_order(n, M)):
         xjj = diag[:, j]
-        beta = rng.normal(loc=-b, scale=np.sqrt(1.0 / (2.0 * a * xjj)))
-        alpha = rng.gamma(shape=s[i] - 0.5, scale=1.0 / a, size=size)
+        beta = rng.normal(loc=-b[i], scale=np.sqrt(1.0 / (2.0 * a[i] * xjj)))
+        alpha = rng.gamma(shape=s[i] - 0.5, scale=1.0 / a[i], size=size)
         diag[:, i] = alpha + beta**2 * xjj
         off[:, min(i, j)] = beta * xjj
     return out

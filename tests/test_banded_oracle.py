@@ -1,0 +1,181 @@
+"""The O(n) banded closed forms against their dense and per-clique oracles.
+
+The mean, covariance and variance on ``Q`` are read off the peel plan of
+``y``; ``chainwishart._dense_oracle`` keeps the paper's dense formulas.  The
+clique assemblies on both cones are vectorized; the loop versions below
+invert each 2x2 block with ``np.linalg.inv``.
+"""
+
+import numpy as np
+import pytest
+
+from chainwishart import _dense_oracle as dense
+from chainwishart import wishart_p as wp
+from chainwishart import wishart_q as wq
+from chainwishart.matrix_spaces import (
+    IncompleteSym,
+    TridiagSym,
+    inverse_image,
+    is_in_P,
+    is_in_Q,
+    lauritzen_map,
+    project_pi,
+)
+from chainwishart.power_functions import ShapeParams, delta_exponents
+
+from _gen import random_pd_tridiag, random_q_elem, random_shape_p, random_shape_q
+
+CASES = [(n, M) for n in (1, 2, 3, 5, 13, 50) for M in sorted({1, (n + 1) // 2, n})]
+TOL = 1e-12
+
+
+def assert_close(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= TOL * np.max(np.abs(want), initial=0.0)
+
+
+def _case(n, M):
+    rng = np.random.default_rng([n, M])
+    y = random_pd_tridiag(rng, n)
+    w = wq.WishartQ(random_shape_q(rng, n, M), y)
+    u = TridiagSym.from_coords(rng.uniform(-1, 1, 2 * n - 1))
+    return rng, y, w, u
+
+
+@pytest.mark.parametrize("n, M", CASES)
+def test_mean_formula_any_real_shape(n, M):
+    rng, y, _, _ = _case(n, M)
+    s = rng.uniform(-2.0, 2.0, n)
+    s[rng.integers(n)] = 0.0
+    p = ShapeParams(M, s)
+    assert_close(wq.mean_formula(p, y).coords(), dense.mean_formula(p, y).coords())
+
+
+@pytest.mark.parametrize("n, M", CASES)
+def test_covariance_apply_and_matrix(n, M):
+    _, _, w, u = _case(n, M)
+    assert_close(wq.covariance_apply(w, u).coords(), dense.covariance_apply(w, u).coords())
+    if n <= 13:  # the dense operator matrix is O(n^5)
+        assert_close(wq.covariance_matrix(w), dense.covariance_matrix(w))
+
+
+@pytest.mark.parametrize("n, M", CASES)
+def test_variance_against_both_paper_formulas(n, M):
+    _, _, w, u = _case(n, M)
+    p, m = w.params, wq.mean(w)
+    got = wq.variance_apply_nice(p, m, u).coords()
+    assert_close(got, dense.variance_apply_nice(p, m, u).coords())
+    assert_close(got, dense.variance_apply_expanded(p, m, u).coords())
+
+
+@pytest.mark.parametrize("n, M", CASES)
+def test_inverse_image(n, M):
+    _, y, _, _ = _case(n, M)
+    assert_close(inverse_image(y).coords(), project_pi(np.linalg.inv(y.to_dense())).coords())
+
+
+# -- per-clique loop versions of the vectorized assemblies -------------------
+
+
+def lauritzen_map_loop(x):
+    n = x.n
+    if n == 1:
+        return TridiagSym(1, [1.0 / x.diag[0]], [])
+    diag, off = np.zeros(n), np.zeros(n - 1)
+    for i in range(n - 1):
+        b = np.linalg.inv(x.clique_block(i + 1))
+        diag[i] += b[0, 0]
+        diag[i + 1] += b[1, 1]
+        off[i] += b[0, 1]
+    diag[1 : n - 1] -= 1.0 / x.diag[1 : n - 1]
+    return TridiagSym(n, diag, off)
+
+
+def clique_sum_loop(x, cliq_e, diag_e):
+    n = x.n
+    diag, off = diag_e / x.diag, np.zeros(n - 1)
+    for b in range(n - 1):
+        binv = np.linalg.inv(x.clique_block(b + 1))
+        diag[b] += cliq_e[b] * binv[0, 0]
+        diag[b + 1] += cliq_e[b] * binv[1, 1]
+        off[b] += cliq_e[b] * binv[0, 1]
+    return TridiagSym(n, diag, off)
+
+
+def covariance_p_apply_loop(w, u):
+    x = w.x
+    cliq_e, diag_e = wp.riesz_p_exponents(w.params.s, w.params.M)
+    diag, off = -diag_e * u.diag / x.diag**2, np.zeros(x.n - 1)
+    for b in range(x.n - 1):
+        binv = np.linalg.inv(x.clique_block(b + 1))
+        ub = np.array([[u.diag[b], u.off[b]], [u.off[b], u.diag[b + 1]]])
+        q = binv @ ub @ binv
+        diag[b] -= cliq_e[b] * q[0, 0]
+        diag[b + 1] -= cliq_e[b] * q[1, 1]
+        off[b] -= cliq_e[b] * q[0, 1]
+    return TridiagSym(x.n, diag, off)
+
+
+@pytest.mark.parametrize("n, M", CASES)
+def test_clique_functions_match_their_loop_versions(n, M):
+    rng = np.random.default_rng([n, M, 1])
+    x = random_q_elem(rng, n)
+    pq, pp = random_shape_q(rng, n, M), random_shape_p(rng, n, M)
+    assert_close(lauritzen_map(x).coords(), lauritzen_map_loop(x).coords())
+    assert_close(wq.inverse_mean(pq, x).coords(), clique_sum_loop(x, *delta_exponents(pq.s, M)).coords())
+    cliq_e, diag_e = wp.riesz_p_exponents(pp.s, M)
+    assert_close(wp.mean_p_formula(pp, x).coords(), clique_sum_loop(x, -cliq_e, -diag_e).coords())
+    u = IncompleteSym.from_coords(rng.uniform(-1, 1, 2 * n - 1))
+    w = wp.WishartP(pp, x)
+    assert_close(wp.covariance_p_apply(w, u).coords(), covariance_p_apply_loop(w, u).coords())
+
+
+# -- scale invariance ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("c", [1e-150, 1e-12, 1.0, 1e12, 1e150])
+def test_cones_and_closed_forms_are_scale_invariant(c):
+    rng = np.random.default_rng(17)
+    n, M = 9, 4
+    y, x = random_pd_tridiag(rng, n), random_q_elem(rng, n)
+    bad_y = TridiagSym(n, y.diag, 3.0 * y.off)  # not positive definite
+    bad_x = IncompleteSym(n, x.diag, 1.5 * np.sqrt(x.diag[:-1] * x.diag[1:]))
+    assert is_in_P(c * y) and is_in_Q(c * x)
+    assert not is_in_P(c * bad_y) and not is_in_Q(c * bad_x)
+    p = random_shape_q(rng, n, M)
+    yc = c * y
+    back = wq.inverse_mean(p, wq.mean(wq.WishartQ(p, yc)))
+    assert np.max(np.abs(back.coords() - yc.coords())) <= 1e-12 * np.max(np.abs(yc.coords()))
+    u = TridiagSym.from_coords(rng.uniform(-1, 1, 2 * n - 1))
+    v1 = wq.covariance_apply(wq.WishartQ(p, y), u).coords()
+    vc = wq.covariance_apply(wq.WishartQ(p, yc), u).coords()
+    assert np.max(np.abs(vc * c * c - v1)) <= 1e-12 * np.max(np.abs(v1))
+
+
+# -- no dense algebra on the public path -------------------------------------
+
+
+def test_closed_forms_run_without_dense_algebra(monkeypatch):
+    n, M = 2000, 700
+    rng = np.random.default_rng(23)
+    y, x = random_pd_tridiag(rng, n), random_q_elem(rng, n)
+    w = wq.WishartQ(random_shape_q(rng, n, M), y)
+    wpp = wp.WishartP(random_shape_p(rng, n, M), x)
+    u, v = random_pd_tridiag(rng, n), random_q_elem(rng, n)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("dense algebra on the banded path")
+
+    monkeypatch.setattr(np.linalg, "inv", forbidden)
+    monkeypatch.setattr(np.linalg, "solve", forbidden)
+    monkeypatch.setattr(TridiagSym, "to_dense", forbidden)
+    m = wq.mean(w)
+    assert m.n == n
+    assert wq.covariance_apply(w, u).n == n
+    assert wq.variance_apply_nice(w.params, m, u).n == n
+    assert inverse_image(y).n == n
+    assert wq.inverse_mean(w.params, m).n == n
+    assert lauritzen_map(x).n == n
+    assert wp.mean_p(wpp).n == n
+    assert wp.covariance_p_apply(wpp, v).n == n

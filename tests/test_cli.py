@@ -349,3 +349,57 @@ def test_eval_inverse_mean_p_newton(tmp_path, capsys):
     assert got["method"] == "newton"
     assert np.allclose(got["inverse_mean"]["diag"], x["diag"], rtol=1e-6)
     assert np.allclose(got["inverse_mean"]["off"], x["off"], rtol=1e-6, atol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract
+# ---------------------------------------------------------------------------
+
+Q2 = {"M": 2, "s": [1.2, 0.8], "y": {"n": 2, "diag": [1.0, 1.0], "off": [0.2]}}
+P2 = {"M": 1, "s": [0.2, -0.3], "x": {"n": 2, "diag": [1.0, 1.3], "off": [-0.2]}}
+Z2 = {"n": 2, "diag": [0.5, -0.2], "off": [0.1]}
+
+# (case id, files to write, argv with {file} and {dir} placeholders, exit code)
+CONTRACT = [
+    ("moment-above-cap", {"q.json": Q2, "z.json": {"z_list": [Z2] * 7}},
+     ["eval", "--what", "moment", "--family", "q", "--params", "{q.json}", "--point", "{z.json}"],
+     EXIT_DOMAIN),
+    ("newton-non-pd-target", {"p.json": P2, "t.json": {"n": 2, "diag": [1.0, -1.0], "off": [0.0]}},
+     ["eval", "--what", "inverse-mean", "--family", "p", "--params", "{p.json}", "--point", "{t.json}"],
+     EXIT_DOMAIN),
+    ("eval-mean", {"q.json": Q2}, ["eval", "--what", "mean", "--family", "q", "--params", "{q.json}"], 0),
+    ("eval-variance-at-point", {"q.json": Q2, "m.json": {"n": 2, "diag": [1.0, 2.0], "off": [0.3]}},
+     ["eval", "--what", "variance", "--family", "q", "--params", "{q.json}", "--point", "{m.json}"], 0),
+    ("eval-density-needs-point", {"q.json": Q2},
+     ["eval", "--what", "density", "--family", "q", "--params", "{q.json}"], 3),
+    ("eval-inverse-mean-outside-q", {"q.json": Q2, "m.json": {"n": 2, "diag": [1.0, 1.0], "off": [2.0]}},
+     ["eval", "--what", "inverse-mean", "--family", "q", "--params", "{q.json}", "--point", "{m.json}"],
+     EXIT_DOMAIN),
+    ("sample-bad-shape", {"q.json": {**Q2, "s": [0.4, 1.0]}},
+     ["sample", "--family", "q", "--params", "{q.json}", "--n", "5", "--out", "{dir}/x.csv"], EXIT_DOMAIN),
+    ("sample-missing-params", {},
+     ["sample", "--family", "p", "--params", "{dir}/none.json", "--out", "{dir}/x.csv"], 3),
+    ("orders", {}, ["orders", "--n", "3"], 0),
+    ("lm-convert-none", {"lm.json": {"alpha": [1.0, 2.0, 3.0], "beta": [5.0, 4.0]}},
+     ["lm-convert", "--direction", "lm-to-s", "--file", "{lm.json}"], EXIT_NO_CONVERSION),
+    ("missing-stat-no-pivot", {"m.csv": "1.0,1.0,\n,,1.0\n"},
+     ["missing-stat", "--file", "{m.csv}"], EXIT_NO_PIVOT),
+]
+
+
+@pytest.mark.parametrize("case, files, argv, code", CONTRACT, ids=[c[0] for c in CONTRACT])
+def test_cli_exit_code_contract(tmp_path, capsys, case, files, argv, code):
+    names = {"dir": str(tmp_path)}
+    for name, content in files.items():
+        path = tmp_path / name
+        path.write_text(content if isinstance(content, str) else json.dumps(content))
+        names[name] = str(path)
+    for key, value in names.items():
+        argv = [a.replace("{" + key + "}", value) for a in argv]
+    rc = main(argv)  # an exception escaping here is the traceback the contract forbids
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert rc in {0, 2, 3, 4, 5, 6}
+    assert rc == code
+    if code:
+        assert len(err.strip().splitlines()) == 1

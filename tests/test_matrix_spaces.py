@@ -17,13 +17,26 @@ from chainwishart.matrix_spaces import (
     is_in_Q,
     lauritzen_map,
     leading_log_minors,
-    leading_minors,
     pairing,
     project_pi,
-    trailing_minors,
 )
 
 from _gen import random_pd_tridiag, random_q_elem
+
+
+def leading_minors(y):
+    """Plain-scale leading minors by the continuant recurrence (test oracle)."""
+    out = np.empty(y.n)
+    prev2, prev1 = 1.0, y.diag[0]
+    out[0] = prev1
+    for i in range(1, y.n):
+        prev2, prev1 = prev1, y.diag[i] * prev1 - y.off[i - 1] ** 2 * prev2
+        out[i] = prev1
+    return out
+
+
+def trailing_minors(y):
+    return leading_minors(TridiagSym(y.n, y.diag[::-1], y.off[::-1]))[::-1]
 
 
 @st.composite
