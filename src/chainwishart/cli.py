@@ -34,7 +34,13 @@ from .chain_graph import (
     first_separator,
 )
 from .letac_massam import LMParams, lm_to_sM, sM_to_lm
-from .matrix_spaces import ConeError, IncompleteSym, TridiagSym, dense_to_csv
+from .matrix_spaces import (
+    ConeError,
+    IncompleteSym,
+    TridiagSym,
+    _write_csv_rows,
+    dense_to_csv,
+)
 from .power_functions import ShapeParams
 
 __all__ = ["main", "MissingDataset", "ObservationRow", "missing_statistic"]
@@ -244,8 +250,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     try:
         with open(args.out, "w", encoding="utf-8") as f:
             f.write("\n".join(header) + "\n")
-            for row in coords:
-                f.write(",".join(repr(float(v)) for v in row) + "\n")
+            _write_csv_rows(f, coords)
     except OSError as e:
         raise CliError(EXIT_IO, f"cannot write {args.out}: {e}") from e
     print(f"wrote {args.n} draws to {args.out}")
@@ -296,12 +301,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         elif what == "variance":
             if family == "q":
                 if args.point is not None:
+                    # the variance function at m is the covariance at its inverse mean
                     m = IncompleteSym.from_json_dict(_eval_point(args))
-                    mat = wishart_q.operator_matrix(
-                        lambda u: wishart_q.variance_apply_nice(w.params, m, u), w.n
-                    )
-                else:
-                    mat = wishart_q.covariance_matrix(w)
+                    w = wishart_q.WishartQ(w.params, wishart_q.inverse_mean(w.params, m))
+                mat = wishart_q.covariance_matrix(w)
             else:
                 mat = wishart_p.covariance_p_matrix(w)
             if args.out is not None:

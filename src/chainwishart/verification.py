@@ -22,7 +22,6 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy import stats
 
 from . import _dense_oracle, wishart_p, wishart_q
 from .matrix_spaces import IncompleteSym, TridiagSym, pairing
@@ -229,6 +228,8 @@ def fd_jacobian(
 
 def ks_test_gamma(draws: NDArray[np.float64], shape: float, rate: float) -> float:
     """Kolmogorov-Smirnov p-value of draws against Gamma(shape, rate)."""
+    from scipy import stats  # deferred: slow to import, and only this check needs it
+
     draws = np.asarray(draws, dtype=float).reshape(-1)
     if draws.size == 0:
         raise ValueError("no draws")

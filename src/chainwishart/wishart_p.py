@@ -28,7 +28,6 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.special import gammaln
 
 from .chain_graph import _cycle_expansion
 from .matrix_spaces import (
@@ -111,6 +110,8 @@ def log_norm_constant_p(p: ShapeParams) -> float:
     """Log of the Riesz normalizer; raises outside the integrability domain."""
     if not p.in_p_domain():
         raise ValueError("shape out of domain: need s_i > -3/2 off the pivot and s_M > -1")
+    from scipy.special import gammaln  # deferred: keeps scipy off the CLI import path
+
     s, M, n = p.s, p.M, p.n
     log_inv = 0.5 * (n - 1) * np.log(np.pi) + gammaln(s[M - 1] + 1.0)
     for i in range(n):
@@ -421,6 +422,8 @@ def canonical_measure_check(x: IncompleteSym) -> tuple[float, float]:
     + log phi(x)``.  Right: ``log phi(x) + (n-1)/2 log(pi^2/4)``, the
     characteristic-function normalization.  They agree identically.
     """
+    from scipy.special import gammaln  # deferred: keeps scipy off the CLI import path
+
     assert_in_Q(x)
     n = x.n
     lp = log_phi(x)

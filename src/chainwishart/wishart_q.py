@@ -50,7 +50,6 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.special import gammaln
 
 from .chain_graph import _cycle_expansion
 from .lum_triangular import _hat_band
@@ -145,6 +144,8 @@ def log_norm_constant(p: ShapeParams) -> float:
     """Log of ``C_s``; raises when the shape is outside the integrability domain."""
     if not p.in_q_domain():
         raise ValueError("shape out of domain: need s_i > 1/2 off the pivot and s_M > 0")
+    from scipy.special import gammaln  # deferred: keeps scipy off the CLI import path
+
     s, M, n = p.s, p.M, p.n
     log_inv = 0.5 * (n - 1) * np.log(np.pi) + gammaln(s[M - 1])
     for i in range(n):
@@ -271,14 +272,24 @@ def operator_matrix(fn: Callable[[TridiagSym], IncompleteSym], n: int) -> NDArra
     return np.column_stack(cols)
 
 
+#: Basis directions per batched sweep in :func:`covariance_matrix`.
+COV_BLOCK = 128
+
+
 def covariance_matrix(w: WishartQ) -> NDArray[np.float64]:
     """Covariance operator in the canonical basis (columns are images of e_k).
 
-    All ``2n - 1`` basis directions run as one batched sweep, O(n^2).
+    The ``2n - 1`` basis directions run as batched sweeps of ``COV_BLOCK``
+    columns, O(n^2) in all.  Each block's columns are written into the
+    result, so memory stays at the output plus one block's sweep.
     """
-    n = w.n
-    eye = np.eye(2 * n - 1)
-    return np.vstack(_covariance_coords(w.params, w.y, eye[:n], eye[n:]))
+    n, k = w.n, 2 * w.n - 1
+    out = np.empty((k, k))
+    for lo in range(0, k, COV_BLOCK):
+        hi = min(lo + COV_BLOCK, k)
+        e = np.eye(k, hi - lo, -lo)  # columns lo..hi-1 of the identity
+        out[:n, lo:hi], out[n:, lo:hi] = _covariance_coords(w.params, w.y, e[:n], e[n:])
+    return out
 
 
 def covariance_bilinear_form(w: WishartQ) -> NDArray[np.float64]:

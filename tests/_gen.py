@@ -2,32 +2,16 @@
 
 import numpy as np
 
-from chainwishart.matrix_spaces import IncompleteSym, TridiagSym, pairing
+from chainwishart.matrix_spaces import TridiagSym
 from chainwishart.power_functions import ShapeParams
+from chainwishart.verification import _random_pd, _random_q, _random_shape_p, _random_shape_q
 
 
-def random_pd_tridiag(rng: np.random.Generator, n: int) -> TridiagSym:
-    """Well-conditioned PD banded matrix via a positive bidiagonal factor."""
-    d = rng.uniform(0.7, 1.5, n)
-    sub = rng.uniform(-0.6, 0.6, n - 1)
-    diag = d**2
-    diag[1:] += sub**2
-    return TridiagSym(n, diag, sub * d[:-1])
-
-
-def random_q_elem(rng: np.random.Generator, n: int) -> IncompleteSym:
-    """Random dual-cone element through per-clique correlations."""
-    d = rng.uniform(0.5, 2.0, n)
-    rho = rng.uniform(-0.7, 0.7, n - 1)
-    return IncompleteSym(n, d, rho * np.sqrt(d[:-1] * d[1:]))
-
-
-def random_shape_q(rng: np.random.Generator, n: int, M: int) -> ShapeParams:
-    return ShapeParams(M, rng.uniform(0.8, 2.5, n))
-
-
-def random_shape_p(rng: np.random.Generator, n: int, M: int) -> ShapeParams:
-    return ShapeParams(M, rng.uniform(-0.7, 1.5, n))
+# The verification suites' generators, shared so both draw the same streams.
+random_pd_tridiag = _random_pd
+random_q_elem = _random_q
+random_shape_q = _random_shape_q
+random_shape_p = _random_shape_p
 
 
 def random_shape_any(rng: np.random.Generator, n: int, M: int) -> ShapeParams:

@@ -6,6 +6,8 @@ clique assemblies on both cones are vectorized; the loop versions below
 invert each 2x2 block with ``np.linalg.inv``.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -58,6 +60,27 @@ def test_covariance_apply_and_matrix(n, M):
     assert_close(wq.covariance_apply(w, u).coords(), dense.covariance_apply(w, u).coords())
     if n <= 13:  # the dense operator matrix is O(n^5)
         assert_close(wq.covariance_matrix(w), dense.covariance_matrix(w))
+
+
+@pytest.mark.parametrize("M", [1, 25, 50])
+def test_covariance_matrix_in_blocks_matches_one_sweep(monkeypatch, M):
+    _, _, w, _ = _case(50, M)
+    monkeypatch.setattr(wq, "COV_BLOCK", 99)  # all 2n - 1 directions in one sweep
+    whole = wq.covariance_matrix(w)
+    monkeypatch.setattr(wq, "COV_BLOCK", 7)
+    assert np.array_equal(wq.covariance_matrix(w), whole)
+
+
+def test_covariance_matrix_peak_memory_stays_near_its_output():
+    _, _, w, _ = _case(1000, 400)
+    tracemalloc.start()
+    try:
+        out = wq.covariance_matrix(w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (1999, 1999)
+    assert peak < 3 * out.nbytes
 
 
 @pytest.mark.parametrize("n, M", CASES)

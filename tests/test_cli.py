@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,12 +14,19 @@ from chainwishart.cli import (
     missing_statistic,
     parse_missing_csv,
 )
-from chainwishart.matrix_spaces import TridiagSym, inverse_image
+from chainwishart.matrix_spaces import (
+    CSV_BLOCK_VALUES,
+    IncompleteSym,
+    TridiagSym,
+    dense_from_csv,
+    inverse_image,
+)
 from chainwishart.power_functions import ShapeParams
 from chainwishart.verification import stream_rng
+from chainwishart import wishart_p as wp
 from chainwishart import wishart_q as wq
 
-from _gen import random_pd_tridiag
+from _gen import random_pd_tridiag, random_q_elem, random_shape_p, random_shape_q
 
 
 def _write(path, obj):
@@ -89,6 +98,37 @@ def test_sample_negative_draw_count_exits_2(tmp_path, capsys, family):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("module", ["chainwishart", "chainwishart.cli"])
+def test_import_loads_no_scipy(module):
+    code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("family", ["q", "p"])
+def test_sample_csv_parses_back_to_the_draws(tmp_path, family):
+    rng = np.random.default_rng(21)
+    n, M = 3, 2
+    if family == "q":
+        params = {**random_shape_q(rng, n, M).to_json_dict(), "y": random_pd_tridiag(rng, n).to_json_dict()}
+    else:
+        params = {**random_shape_p(rng, n, M).to_json_dict(), "x": random_q_elem(rng, n).to_json_dict()}
+    draws = 2 * (CSV_BLOCK_VALUES // (2 * n - 1)) + 7  # two full write blocks and a partial one
+    out = tmp_path / "s.csv"
+    argv = ["sample", "--family", family, "--params", _write(tmp_path / "f.json", params),
+            "--n", str(draws), "--seed", "19", "--out", str(out)]
+    assert main(argv) == 0
+    if family == "q":
+        w = wq.WishartQ(ShapeParams.from_json_dict(params), TridiagSym.from_json_dict(params["y"]))
+        expect = wq.sample_many(w, stream_rng(19), draws)
+    else:
+        w = wp.WishartP(ShapeParams.from_json_dict(params), IncompleteSym.from_json_dict(params["x"]))
+        expect = wp.sample_p_many(w, stream_rng(19), draws)
+    got = dense_from_csv(str(out))
+    assert got.shape == (draws, 2 * n - 1)
+    assert np.array_equal(got, expect)
 
 
 def test_sample_p_family(tmp_path):
@@ -326,15 +366,26 @@ def test_eval_variance_csv_out(tmp_path, capsys):
     rc = main(["eval", "--what", "variance", "--family", "q", "--params", params,
                "--out", str(out)])
     assert rc == 0
-    from chainwishart.matrix_spaces import dense_from_csv
-
     mat_json = np.array(json.loads(capsys.readouterr().out)["variance_matrix"])
     mat_csv = dense_from_csv(str(out))
     assert np.array_equal(mat_json, mat_csv)
 
 
+def test_eval_variance_at_point_matches_column_by_column_operator(tmp_path, capsys):
+    rng = np.random.default_rng(23)
+    n, M = 6, 4
+    p = random_shape_q(rng, n, M)
+    params = _write(tmp_path / "p.json", {**p.to_json_dict(), "y": random_pd_tridiag(rng, n).to_json_dict()})
+    m = random_q_elem(rng, n)
+    point = _write(tmp_path / "m.json", m.to_json_dict())
+    rc = main(["eval", "--what", "variance", "--family", "q", "--params", params, "--point", point])
+    assert rc == 0
+    got = np.array(json.loads(capsys.readouterr().out)["variance_matrix"])
+    expect = wq.operator_matrix(lambda u: wq.variance_apply_nice(p, m, u), n)
+    assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
+
+
 def test_eval_inverse_mean_p_newton(tmp_path, capsys):
-    from chainwishart import wishart_p as wp
     from chainwishart.power_functions import ShapeParams as SP
 
     x = {"n": 2, "diag": [1.0, 1.3], "off": [-0.2]}

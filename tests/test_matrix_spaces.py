@@ -236,6 +236,21 @@ def test_dense_csv_round_trip(tmp_path):
     assert np.array_equal(back, a)
 
 
+@pytest.mark.parametrize("block_values", [4, 1 << 16])
+def test_csv_writer_round_trips_edge_values_exactly(tmp_path, monkeypatch, block_values):
+    from chainwishart import matrix_spaces
+    from chainwishart.matrix_spaces import dense_from_csv, dense_to_csv
+
+    monkeypatch.setattr(matrix_spaces, "CSV_BLOCK_VALUES", block_values)
+    edge = [-0.0, 5e-324, 1e-5, 1e16, 1.7976931348623157e308, -2.2250738585072014e-308]
+    a = np.array([edge, [0.1, -1.0 / 3.0, np.pi, 2.0**-1074, -1e300, 123456789.0]] * 3)
+    path = tmp_path / "edge.csv"
+    dense_to_csv(str(path), a)
+    back = dense_from_csv(str(path))
+    assert np.array_equal(back, a)
+    assert np.array_equal(np.signbit(back), np.signbit(a))
+
+
 def test_tridiag_submatrix():
     y = TridiagSym(4, [1.0, 2.0, 3.0, 4.0], [0.1, 0.2, 0.3])
     sub = y.submatrix(2, 4)
