@@ -107,6 +107,19 @@ def test_import_loads_no_scipy(module):
     assert out.stdout.strip() == "[]"
 
 
+def test_verify_all_passes_without_scipy():
+    code = (
+        "import sys; from chainwishart.cli import main; "
+        "rc = main(['verify', '--suite', 'all', '--seed', '20260810']); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); sys.exit(rc)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stdout + out.stderr
+    lines = out.stdout.strip().splitlines()
+    assert lines[-2] == "31 checks, 0 failed"
+    assert lines[-1] == "[]"
+
+
 @pytest.mark.parametrize("family", ["q", "p"])
 def test_sample_csv_parses_back_to_the_draws(tmp_path, family):
     rng = np.random.default_rng(21)

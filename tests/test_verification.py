@@ -1,12 +1,15 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from scipy import special, stats  # oracles only: the package computes KS tests without scipy
 
 from chainwishart import wishart_q as wq
 from chainwishart.matrix_spaces import TridiagSym
 from chainwishart.power_functions import ShapeParams
 from chainwishart.verification import (
+    _gamma_cdf,
     CheckResult,
     fd_jacobian,
     format_report,
@@ -95,6 +98,83 @@ def test_ks_gamma_power():
     assert ks_test_gamma(draws, 1.0, 2.0) < 1e-6
     with pytest.raises(ValueError):
         ks_test_gamma(np.array([]), 1.0, 1.0)
+
+
+@pytest.mark.parametrize("a", [0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.7, 5.0, 10.0])
+def test_gamma_cdf_matches_gammainc(a):
+    x = np.concatenate([np.geomspace(1e-12, 1e3, 2000), np.linspace(0.0, 30.0, 3001)[1:]])
+    assert np.max(np.abs(_gamma_cdf(x, a) - special.gammainc(a, x))) < 1e-13
+    assert np.array_equal(_gamma_cdf(np.array([-1.0, 0.0]), a), [0.0, 0.0])
+
+
+def test_gamma_cdf_gives_up_on_a_shape_too_large_to_converge():
+    with pytest.raises(ValueError, match="series"):
+        _gamma_cdf(np.array([1e12]), 1e12)
+    with pytest.raises(ValueError, match="continued fraction"):
+        _gamma_cdf(np.array([1e12 + 1.0]), 1e12)
+
+
+def test_ks_test_gamma_matches_scipy_kstest():
+    one_sided = 0
+    for i in range(200):
+        rng = stream_rng(31, i)
+        shape = (0.75, 1.0, 2.0)[i % 3]
+        n = int(round(10 ** rng.uniform(2.0, 4.0)))
+        rate = 1.0 + rng.uniform(0.0, 0.05)  # the draws have rate 1
+        draws = rng.gamma(shape, 1.0, size=n)
+        p = ks_test_gamma(draws, shape, rate)
+        ref = stats.kstest(draws, stats.gamma(a=shape, scale=1.0 / rate).cdf)
+        q, nd2 = ref.pvalue, n * ref.statistic**2
+        assert (p > 0.01) == (q > 0.01) and (p > 0.05) == (q > 0.05)
+        if nd2 >= 2.2 and (n > 140 or nd2 >= 4.0):
+            # both take twice the exact one-sided tail
+            assert p == pytest.approx(q, rel=1e-8, abs=0.0)
+        elif nd2 >= 2.2:
+            # scipy's exact two-sided CDF (Pomeranz) against twice the one-sided tail
+            assert p == pytest.approx(q, rel=2e-6, abs=0.0)
+        else:
+            assert abs(p - q) < 1e-3
+        one_sided += nd2 >= 2.2
+    assert 10 <= one_sided <= 190  # both branches are exercised
+    below_support = np.array([-2.0, -1.0])  # D = 1
+    assert ks_test_gamma(below_support, 1.0, 1.0) == 0.0
+    assert stats.kstest(below_support, stats.gamma(a=1.0).cdf).pvalue == 0.0
+
+
+@pytest.mark.parametrize(
+    "draws, shape, rate",
+    [
+        ([1.0, 2.0], 0.0, 1.0),
+        ([1.0, 2.0], -1.0, 1.0),
+        ([1.0, 2.0], math.nan, 1.0),
+        ([1.0, 2.0], math.inf, 1.0),
+        ([1.0, 2.0], 1.0, 0.0),
+        ([1.0, 2.0], 1.0, -2.0),
+        ([1.0, 2.0], 1.0, math.nan),
+        ([1.0, math.nan], 1.0, 1.0),
+        ([1.0, math.inf], 1.0, 1.0),
+        ([], 1.0, 1.0),
+    ],
+)
+def test_ks_test_gamma_rejects_bad_inputs(draws, shape, rate):
+    with pytest.raises(ValueError):
+        ks_test_gamma(np.array(draws), shape, rate)
+
+
+def test_checks_carry_statistics_consistent_with_their_outcome():
+    results, ok = run_suites("all", seed=20260810)
+    mutated, _ = run_suites("mean", seed=20260810, mutations=frozenset({"mean-sign"}))
+    assert ok and any(not r.passed for r in mutated)
+    for r in results + mutated:
+        assert math.isfinite(r.statistic) and math.isfinite(r.threshold), r.name
+        if r.name.startswith("ks_"):
+            assert r.threshold == 0.01 and r.passed == (r.statistic > r.threshold), r.name
+        else:
+            assert r.passed == (r.statistic < r.threshold), r.name
+    payload = json.loads(report_json(results))
+    assert isinstance(payload, list) and len(payload) == 31
+    assert payload[0].keys() == {"name", "passed", "detail", "statistic", "threshold"}
+    assert [e["statistic"] for e in payload] == [r.statistic for r in results]
 
 
 def test_single_suite_runs_and_is_deterministic():
