@@ -1,15 +1,18 @@
-"""Dense reference forms of the closed-form mean, covariance and variance on ``Q``.
+"""Dense reference forms of the closed forms: mean, covariance, variance and moments.
 
 A test oracle, not a public path: ``chainwishart.verification`` and the tests
-compare the O(n) banded evaluations of :mod:`chainwishart.wishart_q` against
-these.  They build padded dense inverses of nested principal submatrices
-(``wishart_q._mean_blocks``) and of interval blocks of the Lauritzen image,
-as the paper's formulas read, and cost O(n^4) per call.
+compare the O(n) banded evaluations of :mod:`chainwishart.wishart_q` and
+:mod:`chainwishart.wishart_p` against these.  On ``Q`` they build padded
+dense inverses of nested principal submatrices (:func:`_mean_blocks`) and of
+interval blocks of the Lauritzen image, as the paper's formulas read, and
+cost O(n^4) per call.  The higher moments on both cones are the paper's
+permutation-cycle expansions, N! cycle products each.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from itertools import permutations
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -18,13 +21,39 @@ from .matrix_spaces import (
     DenseSym,
     IncompleteSym,
     TridiagSym,
+    _clique_inverses,
     assert_in_P,
     hat_completion,
     lauritzen_map,
     project_pi,
 )
 from .power_functions import ShapeParams
-from .wishart_q import WishartQ, _mean_blocks, operator_matrix
+from .wishart_p import WishartP, riesz_p_exponents
+from .wishart_q import MomentSpec, WishartQ, operator_matrix
+
+
+def _mean_blocks(p: ShapeParams, y: TridiagSym) -> list[tuple[float, DenseSym, tuple[int, int]]]:
+    """Weighted padded inverses of the nested principal submatrices of ``y``.
+
+    Returns ``(coeff, A, (lo, hi))`` triples with ``A = [(y_{lo:hi})^{-1}]^0``
+    and coefficients ``s_i - s_{i+1}`` (prefixes), ``s_M`` (full),
+    ``s_i - s_{i-1}`` (suffixes).  The mean is ``pi`` of their sum and the
+    covariance applied to ``u`` is ``pi`` of the weighted ``A u A``; the
+    moment expansion and the dense oracle use these triples.
+    """
+    n, M, s = p.n, p.M, p.s
+    yd = y.to_dense()
+    blocks: list[tuple[float, DenseSym, tuple[int, int]]] = []
+    for i in range(1, M):
+        a = np.zeros((n, n))
+        a[:i, :i] = np.linalg.inv(yd[:i, :i])
+        blocks.append((float(s[i - 1] - s[i]), a, (1, i)))
+    blocks.append((float(s[M - 1]), np.linalg.inv(yd), (1, n)))
+    for i in range(M + 1, n + 1):
+        a = np.zeros((n, n))
+        a[i - 1 :, i - 1 :] = np.linalg.inv(yd[i - 1 :, i - 1 :])
+        blocks.append((float(s[i - 1] - s[i - 2]), a, (i, n)))
+    return blocks
 
 
 def mean_formula(p: ShapeParams, y: TridiagSym) -> IncompleteSym:
@@ -121,3 +150,101 @@ def variance_apply_expanded(p: ShapeParams, m: IncompleteSym, u: TridiagSym) -> 
             d += (1.0 / s[j - 1] - 1.0 / s[j - 2]) * m_of(j, n)
         acc += (s[i - 1] - s[i - 2]) * _quad(d, ud)
     return project_pi(acc)
+
+
+# ---------------------------------------------------------------------------
+# higher moments by the permutation-cycle expansions
+# ---------------------------------------------------------------------------
+
+
+def _cycle_expansion(n_items: int, cycle_value: Callable[[list[int]], float]) -> float:
+    """Sum over all permutations of ``range(n_items)`` of their cycle products.
+
+    Each permutation contributes the product of ``cycle_value`` over its
+    cycles, taken in order of their smallest element; this is the shape of
+    the higher-moment formulas of both Wishart families.
+    """
+    total = 0.0
+    for perm in permutations(range(n_items)):
+        seen = [False] * n_items
+        val = 1.0
+        for start in range(n_items):
+            if seen[start]:
+                continue
+            cyc = []
+            j = start
+            while not seen[j]:
+                seen[j] = True
+                cyc.append(j)
+                j = perm[j]
+            val *= cycle_value(cyc)
+        total += val
+    return total
+
+
+def moment(w: WishartQ, spec: MomentSpec) -> float:
+    """``E[ <X, z_1> ... <X, z_N> ]`` by the permutation-cycle expansion.
+
+    Each cycle contributes the weighted sum over the construction's interval
+    blocks of the trace of the cyclic product of ``(y_I)^{-1} z_I`` factors;
+    the moment is the sum of the cycle products over all permutations.
+    """
+    n_dirs = len(spec.z_list)
+    if n_dirs > spec.cap:
+        raise ValueError(f"moment order {n_dirs} above cap {spec.cap}")
+    if spec.z_list[0].n != w.n:
+        raise ValueError("size mismatch")
+    blocks = _mean_blocks(w.params, w.y)
+    zds = [z.to_dense() for z in spec.z_list]
+    # padded (y_I)^{-1} z_j per block: traces of restricted products match
+    gs = [[a @ zd for zd in zds] for _, a, _ in blocks]
+    coeffs = [c for c, _, _ in blocks]
+
+    def cycle_value(cyc: list[int]) -> float:
+        total = 0.0
+        for coeff, g in zip(coeffs, gs):
+            prod = g[cyc[0]]
+            for j in cyc[1:]:
+                prod = prod @ g[j]
+            total += coeff * float(np.trace(prod))
+        return total
+
+    return _cycle_expansion(n_dirs, cycle_value)
+
+
+def _blocks(d0: NDArray, d1: NDArray, o: NDArray) -> NDArray[np.float64]:
+    """Stack of symmetric 2x2 blocks ``[[d0, o], [o, d1]]``, shape ``(len(o), 2, 2)``."""
+    out = np.empty((o.size, 2, 2))
+    out[:, 0, 0], out[:, 1, 1] = d0, d1
+    out[:, 0, 1] = out[:, 1, 0] = o
+    return out
+
+
+def moment_p(w: WishartP, x_list: Sequence[IncompleteSym], cap: int = 6) -> float:
+    """``E[ <Y, x_1> ... <Y, x_N> ]`` by the permutation-cycle expansion.
+
+    Cycle factors sum clique-block traces with weights ``s + 3/2`` and
+    scalar powers ``theta_jj^{-|c|}`` with the separator weights; both sets
+    of weights are the negated log-Laplace exponents, so endpoint pivots are
+    covered by the same expression.
+    """
+    n_dirs = len(x_list)
+    if n_dirs > cap:
+        raise ValueError(f"moment order {n_dirs} above cap {cap}")
+    if any(x.n != w.n for x in x_list):
+        raise ValueError("size mismatch")
+    theta = w.x
+    cliq_e, diag_e = riesz_p_exponents(w.params.s, w.params.M)
+    # gs[j, b] = (theta_b)^{-1} x_b^{(j)}, one 2x2 product per clique block b
+    binv = _blocks(*_clique_inverses(theta))
+    gs = np.stack([binv @ _blocks(x.diag[:-1], x.diag[1:], x.off) for x in x_list])
+    ratios = np.stack([x.diag / theta.diag for x in x_list])
+
+    def cycle_value(cyc: list[int]) -> float:
+        prod = gs[cyc[0]]
+        for j in cyc[1:]:
+            prod = prod @ gs[j]
+        traces = prod[:, 0, 0] + prod[:, 1, 1]
+        return float(-cliq_e @ traces - diag_e @ np.prod(ratios[cyc], axis=0))
+
+    return _cycle_expansion(n_dirs, cycle_value)

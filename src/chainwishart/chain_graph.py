@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Callable, Sequence
+from typing import Sequence
 
 __all__ = [
     "ChainGraph",
@@ -187,28 +187,3 @@ def first_separator(order: CliqueOrder) -> int:
     if len(common) != 1:
         raise ValueError(f"first two cliques {sorted(c1)}, {sorted(c2)} are not adjacent")
     return common.pop()
-
-
-def _cycle_expansion(n_items: int, cycle_value: Callable[[list[int]], float]) -> float:
-    """Sum over all permutations of ``range(n_items)`` of their cycle products.
-
-    Each permutation contributes the product of ``cycle_value`` over its
-    cycles, taken in order of their smallest element; this is the shape of
-    the higher-moment formulas of both Wishart families.
-    """
-    total = 0.0
-    for perm in permutations(range(n_items)):
-        seen = [False] * n_items
-        val = 1.0
-        for start in range(n_items):
-            if seen[start]:
-                continue
-            cyc = []
-            j = start
-            while not seen[j]:
-                seen[j] = True
-                cyc.append(j)
-                j = perm[j]
-            val *= cycle_value(cyc)
-        total += val
-    return total

@@ -31,7 +31,8 @@ exponentially with ``n``, so exponentiation is left to the caller.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from functools import lru_cache
+from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -44,6 +45,7 @@ from .matrix_spaces import (
     leading_log_minors,
     trailing_log_minors,
 )
+from .peeling import _peel_order, _peel_plan
 
 __all__ = [
     "ShapeParams",
@@ -169,18 +171,15 @@ def log_delta_M(p: ShapeParams, x: IncompleteSym) -> float:
 
 
 def log_Delta_M(p: ShapeParams, y: TridiagSym) -> float:
-    """``log Delta_s^(M)(y)`` on the concentration cone."""
+    """``log Delta_s^(M)(y) = sum_i s_i log a_i`` over the peel pivots of ``y``, in O(n).
+
+    The pivots are ratios of consecutive leading (left of ``M``) and trailing
+    (right of it) minors, so the product telescopes to the minor form above.
+    """
     if p.n != y.n:
         raise ValueError("shape vector and matrix size disagree")
-    n, M, s = p.n, p.M, p.s
-    lead = leading_log_minors(y)  # lead[i-1] = log |y_{1:i}|
-    trail = trailing_log_minors(y)  # trail[i-1] = log |y_{i:n}|
-    total = s[M - 1] * lead[n - 1]
-    for i in range(1, M):
-        total += (s[i - 1] - s[i]) * lead[i - 1]
-    for i in range(M + 1, n + 1):
-        total += (s[i - 1] - s[i - 2]) * trail[i - 1]
-    return float(total)
+    a, _ = _peel_plan(y, p.M)
+    return float(p.s @ np.log(a))
 
 
 def log_phi(x: IncompleteSym) -> float:
@@ -277,20 +276,98 @@ def log_Delta_order(s: Iterable[float], order: EliminatingOrder, y: TridiagSym) 
 def homogeneity_degree(p: ShapeParams) -> float:
     """Exponent ``kappa`` with ``Delta_s^(M)(c y) = c^kappa Delta_s^(M)(y)``.
 
-    Read off the minor sizes in the defining product:
+    Each peel pivot in ``Delta_s^(M) = prod_i a_i^{s_i}`` has degree 1, so
+    ``kappa = sum_i s_i``, which is also what the minor sizes give:
 
         kappa = sum_{i<M} i (s_i - s_{i+1}) + n s_M
-                + sum_{i>M} (n - i + 1)(s_i - s_{i-1}),
+                + sum_{i>M} (n - i + 1)(s_i - s_{i-1}).
 
-    which telescopes to ``sum_i s_i``.  (A published variant of this constant
-    subtracts ``(n - M) s_M``; the scaling identity above is what the
-    functions here actually satisfy, and the test suite checks it against a
-    numerical scaling oracle.  See README, "Known discrepancies".)
+    (A published variant of this constant subtracts ``(n - M) s_M``; the
+    scaling identity above is what the functions here actually satisfy, and
+    the test suite checks it against a numerical scaling oracle.  See README,
+    "Known discrepancies".)
     """
-    n, M, s = p.n, p.M, p.s
-    total = n * s[M - 1]
-    for i in range(1, M):
-        total += i * (s[i - 1] - s[i])
-    for i in range(M + 1, n + 1):
-        total += (n - i + 1) * (s[i - 1] - s[i - 2])
-    return float(total)
+    return float(np.sum(p.s))
+
+
+# ---------------------------------------------------------------------------
+# Taylor jets in nilpotent directions ``e_j``, ``e_j^2 = 0`` (Griewank and
+# Walther, *Evaluating Derivatives*, 2008, ch. 13; Fike and Alonso, 2011): the
+# last axis holds 2^N coefficients, entry ``S`` (a bit mask) multiplying the
+# ``e_j`` with ``j`` in ``S``.
+# ---------------------------------------------------------------------------
+
+#: Elements of the pair-product temporary of one :func:`_jet_mul` chunk.
+_JET_CHUNK = 1 << 20
+
+
+@lru_cache(maxsize=None)
+def _subset_pairs(size: int) -> tuple[NDArray, NDArray, NDArray]:
+    """Pairs ``(T, S - T)`` over the subsets ``T`` of each ``S``, grouped by ``S``; group starts."""
+    masks = np.arange(size)
+    s, t = np.nonzero((masks[:, None] & masks) == masks)
+    return t, s ^ t, np.flatnonzero(np.diff(s, prepend=-1))
+
+
+def _jet_mul(a: NDArray, b: NDArray) -> NDArray[np.float64]:
+    """Product of jets of one shape (a subset convolution), in row chunks of ``_JET_CHUNK``."""
+    t, u, starts = _subset_pairs(a.shape[-1])
+    k = max(1, _JET_CHUNK // t.size)
+    if a.ndim == 1 or len(a) <= k:
+        return np.add.reduceat(a.T[t] * b.T[u], starts).T
+    return np.concatenate([_jet_mul(a[i : i + k], b[i : i + k]) for i in range(0, len(a), k)])
+
+
+def _jet_rel(x: NDArray) -> NDArray[np.float64]:
+    """The relative part ``x / x_0 - 1`` of a jet."""
+    u = x / x[..., :1]
+    u[..., 0] = 0.0
+    return u
+
+
+def _jet_poly(u: NDArray, coef: NDArray) -> NDArray[np.float64]:
+    """``sum_k coef[k-1] u^k`` for a jet with zero constant term; ``u^(N+1) = 0``."""
+    out, pw = coef[0] * u, u
+    for c in coef[1:]:
+        pw = _jet_mul(pw, u)
+        out += c * pw
+    return out
+
+
+def _jet_log(x: NDArray) -> NDArray[np.float64]:
+    """``log x - log x_0``: the series of ``log(1 + u)``."""
+    k = np.arange(1.0, x.shape[-1].bit_length())
+    return _jet_poly(_jet_rel(x), -((-1.0) ** k) / k)
+
+
+def _jet_moment(base: TridiagSym | IncompleteSym, dirs: Sequence, log_laplace) -> float:
+    """Coefficient of ``e_1 ... e_N`` in ``exp(F(base - sum_j e_j dirs[j]) - F(base))``.
+
+    ``log_laplace`` maps jet-valued (diag, off) to ``F`` minus its constant.
+    Scaling a power function's argument only shifts ``F`` by a constant, so the
+    inputs are scaled to unit size by powers of two and the result back.
+    """
+    coords = np.array([base.coords()] + [-u.coords() for u in dirs])
+    ex = np.frexp(np.max(np.abs(coords), axis=1))[1]
+    jets = np.zeros((coords.shape[1], 1 << len(dirs)))
+    jets[:, np.r_[0, 1 << np.arange(len(dirs))]] = np.ldexp(coords, -ex[:, None]).T
+    g = log_laplace(jets[: base.n], jets[base.n :])
+    top = _jet_poly(g, 1.0 / np.cumprod(np.arange(1.0, len(dirs) + 1.0)))[-1]
+    return float(np.ldexp(top, np.sum(ex[1:]) - len(dirs) * ex[0]))
+
+
+def _log_Delta_jet(p: ShapeParams, diag: NDArray, off: NDArray) -> NDArray[np.float64]:
+    """``log Delta_s^(M)`` minus its constant term at jet-valued banded entries.
+
+    The peel of :func:`log_Delta_M`, ``a_j -= o^2 / a_i``, on jets: the
+    reciprocal series costs ``N`` jet products per vertex, and the logs of
+    the pivots run batched.
+    """
+    alt = (-1.0) ** np.arange(1, diag.shape[-1].bit_length())  # 1 / (1 + u) = 1 + sum_k (-u)^k
+    a = list(diag)
+    o2 = _jet_mul(off, off)
+    for i, j in _peel_order(p.n, p.M):
+        recip = _jet_poly(_jet_rel(a[i]), alt)
+        recip[0] = 1.0
+        a[j] = a[j] - _jet_mul(o2[min(i, j)], recip / a[i][0])
+    return p.s @ _jet_log(np.array(a))

@@ -405,18 +405,14 @@ def _mutated_mean_q(w: wishart_q.WishartQ, mutations: frozenset) -> IncompleteSy
     return m
 
 
+def _z_check(name: str, z: float, fmt: str = "|z| = {:.2f}") -> CheckResult:
+    """Monte-Carlo check that passes within 4 standard errors, ``|z| < 4``."""
+    return CheckResult(name, abs(z) < 4.0, fmt.format(abs(z)), abs(z), 4.0)
+
+
 def _reports_to_checks(reports: Iterable[MCReport], label: str) -> list[CheckResult]:
     worst = max(reports, key=lambda r: abs(r.z_score) if np.isfinite(r.z_score) else np.inf)
-    ok = all(r.passed for r in reports)
-    return [
-        CheckResult(
-            label,
-            ok,
-            f"worst |z| = {abs(worst.z_score):.2f} at {worst.name}",
-            abs(worst.z_score),
-            4.0,
-        )
-    ]
+    return [_z_check(label, worst.z_score, f"worst |z| = {{:.2f}} at {worst.name}")]
 
 
 def suite_laplace(seed: int, mutations: frozenset = frozenset()) -> list[CheckResult]:
@@ -431,15 +427,7 @@ def suite_laplace(seed: int, mutations: frozenset = frozenset()) -> list[CheckRe
             w = wishart_q.WishartQ(p, y)
             z = 0.3 * _random_pd(rng, n)
             rep = mc_laplace_q(w, z, n_samples=100_000, seed=seed * 1000 + k)
-            out.append(
-                CheckResult(
-                    f"laplace_q[n={n},M={M}]",
-                    rep.passed,
-                    f"|z| = {abs(rep.z_score):.2f}",
-                    abs(rep.z_score),
-                    4.0,
-                )
-            )
+            out.append(_z_check(f"laplace_q[n={n},M={M}]", rep.z_score))
             k += 1
     for n in (2, 3):
         for M in range(1, n + 1):
@@ -449,15 +437,7 @@ def suite_laplace(seed: int, mutations: frozenset = frozenset()) -> list[CheckRe
             w = wishart_p.WishartP(p, x)
             theta = 0.3 * _random_q(rng, n)
             rep = mc_laplace_p(w, theta, n_samples=100_000, seed=seed * 1000 + k)
-            out.append(
-                CheckResult(
-                    f"laplace_p[n={n},M={M}]",
-                    rep.passed,
-                    f"|z| = {abs(rep.z_score):.2f}",
-                    abs(rep.z_score),
-                    4.0,
-                )
-            )
+            out.append(_z_check(f"laplace_p[n={n},M={M}]", rep.z_score))
             k += 1
     return out
 
@@ -597,8 +577,27 @@ def suite_variance(seed: int, mutations: frozenset = frozenset()) -> list[CheckR
     return out
 
 
+def _exact_moment_check(name: str, got: float, exact: float) -> CheckResult:
+    """``got`` against an exact value, to 1e-9 relative to ``max(1, |exact|)``."""
+    diff = abs(got - exact)
+    scale = max(1.0, abs(exact))
+    return CheckResult(name, diff <= 1e-9 * scale, f"diff = {diff:.2e}", diff / scale, 1e-9)
+
+
+def _mc_moment_check(name: str, coords: NDArray, dirs: Sequence, theory: float) -> CheckResult:
+    """Mean of ``prod_j <draw, dirs[j]>`` over coordinate rows against ``theory``, within 4 SE."""
+    weights = coordinate_weights(dirs[0].n)
+    prods = np.prod([coords @ (weights * u.coords()) for u in dirs], axis=0)
+    est, se = _mean_se(prods)
+    return _z_check(name, (est - theory) / se if se > 0 else 0.0)
+
+
 def suite_moments(seed: int, mutations: frozenset = frozenset()) -> list[CheckResult]:
-    """Cycle-expansion moments: exact at orders 1-2, Monte-Carlo at order 3."""
+    """Taylor-coefficient moments: exact at orders 1-2, Monte-Carlo at order 3.
+
+    Orders 1 and 2 are checked against the mean and covariance, order 3
+    against 100,000 draws of each exact sampler.
+    """
     out = []
     rng = stream_rng(seed, 500)
     n, M = 3, 2
@@ -609,25 +608,13 @@ def suite_moments(seed: int, mutations: frozenset = frozenset()) -> list[CheckRe
     m = wishart_q.mean(w)
     m1 = wishart_q.moment(w, wishart_q.MomentSpec(zs[:1]))
     exact1 = pairing(zs[0], m)
-    ok1 = abs(m1 - exact1) <= 1e-9 * max(1.0, abs(exact1))
-    rel1 = abs(m1 - exact1) / max(1.0, abs(exact1))
-    out.append(CheckResult("moment_q_order1", ok1, f"diff = {abs(m1 - exact1):.2e}", rel1, 1e-9))
+    out.append(_exact_moment_check("moment_q_order1", m1, exact1))
     m2 = wishart_q.moment(w, wishart_q.MomentSpec(zs[:2]))
     exact2 = pairing(zs[1], wishart_q.covariance_apply(w, zs[0])) + exact1 * pairing(zs[1], m)
-    ok2 = abs(m2 - exact2) <= 1e-9 * max(1.0, abs(exact2))
-    rel2 = abs(m2 - exact2) / max(1.0, abs(exact2))
-    out.append(CheckResult("moment_q_order2", ok2, f"diff = {abs(m2 - exact2):.2e}", rel2, 1e-9))
-
+    out.append(_exact_moment_check("moment_q_order2", m2, exact2))
     theory3 = wishart_q.moment(w, wishart_q.MomentSpec(zs))
-    rng2 = stream_rng(seed, 501)
-    coords = wishart_q.sample_many(w, rng2, 100_000)
-    weights = coordinate_weights(n)
-    prods = np.prod([coords @ (weights * z.coords()) for z in zs], axis=0)
-    est, se = _mean_se(prods)
-    zsc = (est - theory3) / se if se > 0 else 0.0
-    out.append(
-        CheckResult("moment_q_order3_mc", abs(zsc) < 4.0, f"|z| = {abs(zsc):.2f}", abs(zsc), 4.0)
-    )
+    coords = wishart_q.sample_many(w, stream_rng(seed, 501), 100_000)
+    out.append(_mc_moment_check("moment_q_order3_mc", coords, zs, theory3))
 
     rng = stream_rng(seed, 510)
     x = _random_q(rng, n)
@@ -637,35 +624,13 @@ def suite_moments(seed: int, mutations: frozenset = frozenset()) -> list[CheckRe
     mp = wishart_p.mean_p(wp)
     p1 = wishart_p.moment_p(wp, xs[:1])
     exact1p = pairing(mp, xs[0])
-    out.append(
-        CheckResult(
-            "moment_p_order1",
-            abs(p1 - exact1p) <= 1e-9 * max(1.0, abs(exact1p)),
-            f"diff = {abs(p1 - exact1p):.2e}",
-            abs(p1 - exact1p) / max(1.0, abs(exact1p)),
-            1e-9,
-        )
-    )
+    out.append(_exact_moment_check("moment_p_order1", p1, exact1p))
     p2 = wishart_p.moment_p(wp, xs[:2])
     exact2p = pairing(wishart_p.covariance_p_apply(wp, xs[0]), xs[1]) + exact1p * pairing(mp, xs[1])
-    out.append(
-        CheckResult(
-            "moment_p_order2",
-            abs(p2 - exact2p) <= 1e-9 * max(1.0, abs(exact2p)),
-            f"diff = {abs(p2 - exact2p):.2e}",
-            abs(p2 - exact2p) / max(1.0, abs(exact2p)),
-            1e-9,
-        )
-    )
+    out.append(_exact_moment_check("moment_p_order2", p2, exact2p))
     theory3p = wishart_p.moment_p(wp, xs)
-    rng2 = stream_rng(seed, 511)
-    coords = wishart_p.sample_p_many(wp, rng2, 100_000)
-    prods = np.prod([coords @ (weights * x.coords()) for x in xs], axis=0)
-    est, se = _mean_se(prods)
-    zsc = (est - theory3p) / se if se > 0 else 0.0
-    out.append(
-        CheckResult("moment_p_order3_mc", abs(zsc) < 4.0, f"|z| = {abs(zsc):.2f}", abs(zsc), 4.0)
-    )
+    coords = wishart_p.sample_p_many(wp, stream_rng(seed, 511), 100_000)
+    out.append(_mc_moment_check("moment_p_order3_mc", coords, xs, theory3p))
     return out
 
 
@@ -699,11 +664,7 @@ def suite_samplers(seed: int, mutations: frozenset = frozenset()) -> list[CheckR
         mb, sb = _mean_se(b[:, j])
         zsc = abs(ma - mb) / np.hypot(sa, sb)
         worst = max(worst, zsc)
-    out.append(
-        CheckResult(
-            "recursive_vs_quadratic_mean", worst < 4.0, f"worst |z| = {worst:.2f}", worst, 4.0
-        )
-    )
+    out.append(_z_check("recursive_vs_quadratic_mean", worst, "worst |z| = {:.2f}"))
     return out
 
 

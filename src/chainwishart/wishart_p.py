@@ -13,9 +13,10 @@ constant ``(pi^2/4)^{(n-1)/2}``, which cancels in every family ratio).
 All closed-form objects on this side flow from the exponent bookkeeping of
 ``log(delta_{-s} * phi)`` over the atomic quantities ``|x_{i,i+1}|`` and
 ``x_jj``: the mean, the covariance operator, the quadratic-construction
-parameters ``(alpha, beta)``, and the permutation-cycle moment formula all
-read off the same two exponent vectors, so chain-endpoint pivots (where the
-separator product has one extra factor) are handled uniformly.
+parameters ``(alpha, beta)``, and the higher moments (Taylor coefficients
+of that log-Laplace exponent in nilpotent directions) all read off the same
+two exponent vectors, so chain-endpoint pivots (where the separator product
+has one extra factor) are handled uniformly.
 
 No closed-form inverse mean map exists on this cone; a numerical Newton
 inversion is provided as a convenience utility only.
@@ -29,7 +30,6 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .chain_graph import _cycle_expansion
 from .matrix_spaces import (
     IncompleteSym,
     TridiagSym,
@@ -44,6 +44,9 @@ from .matrix_spaces import (
 from .peeling import _peel_order, _peel_plan
 from .power_functions import (
     ShapeParams,
+    _jet_log,
+    _jet_moment,
+    _jet_mul,
     delta_exponents,
     log_delta_M,
     log_Delta_M,
@@ -372,42 +375,29 @@ def integer_feasibility_p(
 # ---------------------------------------------------------------------------
 
 
-def _blocks(d0: NDArray, d1: NDArray, o: NDArray) -> NDArray[np.float64]:
-    """Stack of symmetric 2x2 blocks ``[[d0, o], [o, d1]]``, shape ``(len(o), 2, 2)``."""
-    out = np.empty((o.size, 2, 2))
-    out[:, 0, 0], out[:, 1, 1] = d0, d1
-    out[:, 0, 1] = out[:, 1, 0] = o
-    return out
-
-
 def moment_p(w: WishartP, x_list: Sequence[IncompleteSym], cap: int = 6) -> float:
-    """``E[ <Y, x_1> ... <Y, x_N> ]`` by the permutation-cycle expansion.
+    """``E[ <Y, x_1> ... <Y, x_N> ]`` as a Taylor coefficient of the Laplace transform.
 
-    Cycle factors sum clique-block traces with weights ``s + 3/2`` and
-    scalar powers ``theta_jj^{-|c|}`` with the separator weights; both sets
-    of weights are the negated log-Laplace exponents, so endpoint pivots are
-    covered by the same expression.
+    The moment is the coefficient of ``e_1 ... e_N`` in
+    ``exp(F(x - sum_j e_j x_j) - F(x))`` with nilpotent ``e_j`` and
+    ``F = cliq_e . log |x_b| + diag_e . log x_jj`` the log-Laplace exponent
+    (:func:`riesz_p_exponents`), evaluated on 2^N-coefficient jets for all
+    cliques at once; endpoint pivots need no special case.
     """
     n_dirs = len(x_list)
+    if n_dirs == 0:
+        raise ValueError("need at least one test direction")
     if n_dirs > cap:
         raise ValueError(f"moment order {n_dirs} above cap {cap}")
     if any(x.n != w.n for x in x_list):
         raise ValueError("size mismatch")
-    theta = w.x
     cliq_e, diag_e = riesz_p_exponents(w.params.s, w.params.M)
-    # gs[j, b] = (theta_b)^{-1} x_b^{(j)}, one 2x2 product per clique block b
-    binv = _blocks(*_clique_inverses(theta))
-    gs = np.stack([binv @ _blocks(x.diag[:-1], x.diag[1:], x.off) for x in x_list])
-    ratios = np.stack([x.diag / theta.diag for x in x_list])
 
-    def cycle_value(cyc: list[int]) -> float:
-        prod = gs[cyc[0]]
-        for j in cyc[1:]:
-            prod = prod @ gs[j]
-        traces = prod[:, 0, 0] + prod[:, 1, 1]
-        return float(-cliq_e @ traces - diag_e @ np.prod(ratios[cyc], axis=0))
+    def log_laplace(d: NDArray, o: NDArray) -> NDArray:
+        dets = _jet_mul(d[:-1], d[1:]) - _jet_mul(o, o)
+        return cliq_e @ _jet_log(dets) + diag_e @ _jet_log(d)
 
-    return _cycle_expansion(n_dirs, cycle_value)
+    return _jet_moment(w.x, x_list, log_laplace)
 
 
 # ---------------------------------------------------------------------------

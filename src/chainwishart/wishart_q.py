@@ -16,8 +16,7 @@ and Laplace transform ``Delta_{-s}(z + y) / Delta_{-s}(y)``.
 This module provides, all in closed form: the mean map and its explicit
 inverse (a family of generalized Lauritzen bijections), the covariance as an
 operator, the variance function, the intertwining of the inverse mean map
-with the reciprocal-shape mean map, higher moments through a
-permutation-cycle expansion, and two exact samplers.
+with the reciprocal-shape mean map, higher moments, and two exact samplers.
 
 The mean, covariance and variance run in O(n) per evaluation without a dense
 inverse.  With ``y = T T'`` the LU(M) factor, the mean is the band of
@@ -27,6 +26,12 @@ the derivative of that sweep, taken by complex step, and the variance
 function is the covariance at the inverse mean.  The paper's dense formulas
 (padded inverses of nested submatrices, and the compact and expanded
 variance formulas) live on as the test oracle ``chainwishart._dense_oracle``.
+
+The moment ``E[<X, z_1> ... <X, z_N>]`` is the coefficient of ``e_1 ... e_N``
+in the Laplace transform at ``y - sum_j e_j z_j``, with nilpotent ``e_j``:
+the same peel pivots that give ``log Delta_s`` run on 2^N-coefficient jets,
+in O(n 3^N).  The paper's permutation-cycle expansion (N! cycle products of
+dense inverses) is the oracle for it.
 
 The samplers:
 
@@ -51,10 +56,8 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .chain_graph import _cycle_expansion
 from .lum_triangular import _hat_band
 from .matrix_spaces import (
-    DenseSym,
     IncompleteSym,
     TridiagSym,
     _clique_assembly,
@@ -69,6 +72,8 @@ from .matrix_spaces import (
 from .peeling import _peel_core, _peel_order, _peel_plan
 from .power_functions import (
     ShapeParams,
+    _jet_moment,
+    _log_Delta_jet,
     delta_exponents,
     log_delta_M,
     log_Delta_M,
@@ -127,7 +132,7 @@ class WishartQ:
 
 @dataclass(frozen=True)
 class MomentSpec:
-    """Test directions for a higher moment; the cap bounds the N! expansion."""
+    """Test directions for a higher moment; the cap bounds the order N (O(3^N) jet products)."""
 
     z_list: Sequence[TridiagSym]
     cap: int = 6
@@ -183,30 +188,6 @@ def log_laplace(w: WishartQ, z: TridiagSym) -> float:
 # ---------------------------------------------------------------------------
 # mean, covariance, higher moments
 # ---------------------------------------------------------------------------
-
-
-def _mean_blocks(p: ShapeParams, y: TridiagSym) -> list[tuple[float, DenseSym, tuple[int, int]]]:
-    """Weighted padded inverses of the nested principal submatrices of ``y``.
-
-    Returns ``(coeff, A, (lo, hi))`` triples with ``A = [(y_{lo:hi})^{-1}]^0``
-    and coefficients ``s_i - s_{i+1}`` (prefixes), ``s_M`` (full),
-    ``s_i - s_{i-1}`` (suffixes).  The mean is ``pi`` of their sum and the
-    covariance applied to ``u`` is ``pi`` of the weighted ``A u A``; the
-    moment expansion and the dense oracle use these triples.
-    """
-    n, M, s = p.n, p.M, p.s
-    yd = y.to_dense()
-    blocks: list[tuple[float, DenseSym, tuple[int, int]]] = []
-    for i in range(1, M):
-        a = np.zeros((n, n))
-        a[:i, :i] = np.linalg.inv(yd[:i, :i])
-        blocks.append((float(s[i - 1] - s[i]), a, (1, i)))
-    blocks.append((float(s[M - 1]), np.linalg.inv(yd), (1, n)))
-    for i in range(M + 1, n + 1):
-        a = np.zeros((n, n))
-        a[i - 1 :, i - 1 :] = np.linalg.inv(yd[i - 1 :, i - 1 :])
-        blocks.append((float(s[i - 1] - s[i - 2]), a, (i, n)))
-    return blocks
 
 
 def mean_formula(p: ShapeParams, y: TridiagSym) -> IncompleteSym:
@@ -509,30 +490,16 @@ def sample_quadratic(
 
 
 def moment(w: WishartQ, spec: MomentSpec) -> float:
-    """``E[ <X, z_1> ... <X, z_N> ]`` by the permutation-cycle expansion.
+    """``E[ <X, z_1> ... <X, z_N> ]`` as a Taylor coefficient of the Laplace transform.
 
-    Each cycle contributes the weighted sum over the construction's interval
-    blocks of the trace of the cyclic product of ``(y_I)^{-1} z_I`` factors;
-    the moment is the sum of the cycle products over all permutations.
+    The moment is the coefficient of ``e_1 ... e_N`` in
+    ``Delta_{-s}(y - sum_j e_j z_j) / Delta_{-s}(y)`` with nilpotent
+    ``e_j``; ``log Delta_{-s}`` is ``-sum_i s_i log a_i`` over the peel
+    pivots, which run on 2^N-coefficient jets in O(n 3^N).
     """
     n_dirs = len(spec.z_list)
     if n_dirs > spec.cap:
         raise ValueError(f"moment order {n_dirs} above cap {spec.cap}")
     if spec.z_list[0].n != w.n:
         raise ValueError("size mismatch")
-    blocks = _mean_blocks(w.params, w.y)
-    zds = [z.to_dense() for z in spec.z_list]
-    # padded (y_I)^{-1} z_j per block: traces of restricted products match
-    gs = [[a @ zd for zd in zds] for _, a, _ in blocks]
-    coeffs = [c for c, _, _ in blocks]
-
-    def cycle_value(cyc: list[int]) -> float:
-        total = 0.0
-        for coeff, g in zip(coeffs, gs):
-            prod = g[cyc[0]]
-            for j in cyc[1:]:
-                prod = prod @ g[j]
-            total += coeff * float(np.trace(prod))
-        return total
-
-    return _cycle_expansion(n_dirs, cycle_value)
+    return _jet_moment(w.y, spec.z_list, lambda d, o: -_log_Delta_jet(w.params, d, o))

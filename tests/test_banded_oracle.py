@@ -202,3 +202,5 @@ def test_closed_forms_run_without_dense_algebra(monkeypatch):
     assert lauritzen_map(x).n == n
     assert wp.mean_p(wpp).n == n
     assert wp.covariance_p_apply(wpp, v).n == n
+    assert np.isfinite(wq.moment(w, wq.MomentSpec([u, u, u])))
+    assert np.isfinite(wp.moment_p(wpp, [v, v, v]))

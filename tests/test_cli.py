@@ -428,6 +428,9 @@ CONTRACT = [
     ("moment-above-cap", {"q.json": Q2, "z.json": {"z_list": [Z2] * 7}},
      ["eval", "--what", "moment", "--family", "q", "--params", "{q.json}", "--point", "{z.json}"],
      EXIT_DOMAIN),
+    ("moment-p-no-directions", {"p.json": P2, "x.json": {"x_list": []}},
+     ["eval", "--what", "moment", "--family", "p", "--params", "{p.json}", "--point", "{x.json}"],
+     EXIT_DOMAIN),
     ("newton-non-pd-target", {"p.json": P2, "t.json": {"n": 2, "diag": [1.0, -1.0], "off": [0.0]}},
      ["eval", "--what", "inverse-mean", "--family", "p", "--params", "{p.json}", "--point", "{t.json}"],
      EXIT_DOMAIN),
