@@ -1,12 +1,17 @@
-"""Dense reference forms of the closed forms: mean, covariance, variance and moments.
+"""Dense reference forms: closed forms, the hat completion, LU(M) algebra and the Gram sampler.
 
 A test oracle, not a public path: ``chainwishart.verification`` and the tests
-compare the O(n) banded evaluations of :mod:`chainwishart.wishart_q` and
-:mod:`chainwishart.wishart_p` against these.  On ``Q`` they build padded
+compare the O(n) banded evaluations of :mod:`chainwishart.wishart_q`,
+:mod:`chainwishart.wishart_p`, :mod:`chainwishart.matrix_spaces` and
+:mod:`chainwishart.lum_triangular` against these.  On ``Q`` they build padded
 dense inverses of nested principal submatrices (:func:`_mean_blocks`) and of
 interval blocks of the Lauritzen image, as the paper's formulas read, and
 cost O(n^4) per call.  The higher moments on both cones are the paper's
-permutation-cycle expansions, N! cycle products each.
+permutation-cycle expansions, N! cycle products each.  The hat completion is
+the dense inverse of the Lauritzen image, the LU(M) group operations act on
+dense factors, and the quadratic-construction sampler draws each interval
+through a dense Cholesky factor of ``(2 y_I)^{-1}``, on the same random
+stream as the banded sampler.
 """
 
 from __future__ import annotations
@@ -23,10 +28,10 @@ from .matrix_spaces import (
     TridiagSym,
     _clique_inverses,
     assert_in_P,
-    hat_completion,
     lauritzen_map,
     project_pi,
 )
+from .lum_triangular import LUMMatrix
 from .power_functions import ShapeParams
 from .wishart_p import WishartP, riesz_p_exponents
 from .wishart_q import MomentSpec, WishartQ, operator_matrix
@@ -81,6 +86,15 @@ def covariance_apply(w: WishartQ, u: TridiagSym) -> IncompleteSym:
 def covariance_matrix(w: WishartQ) -> NDArray[np.float64]:
     """Covariance operator in the canonical basis (columns are images of e_k)."""
     return operator_matrix(lambda u: covariance_apply(w, u), w.n)
+
+
+def hat_completion(x: IncompleteSym) -> DenseSym:
+    """Positive definite completion of ``x`` whose inverse is banded.
+
+    Computed as the dense inverse of the Lauritzen image; satisfies
+    ``pi(hat) = x`` and ``hat^{-1} in Z``.
+    """
+    return np.linalg.inv(lauritzen_map(x).to_dense())
 
 
 def _m_sets(k: DenseSym, n: int) -> Callable[[int, int], DenseSym]:
@@ -248,3 +262,69 @@ def moment_p(w: WishartP, x_list: Sequence[IncompleteSym], cap: int = 6) -> floa
         return float(-cliq_e @ traces - diag_e @ np.prod(ratios[cyc], axis=0))
 
     return _cycle_expansion(n_dirs, cycle_value)
+
+
+# ---------------------------------------------------------------------------
+# LU(M) group operations on dense factors
+# ---------------------------------------------------------------------------
+
+
+def multiply(s: LUMMatrix, t: LUMMatrix) -> DenseSym:
+    """Dense product of two factors with the same pivot; stays LU(M) shaped."""
+    if (s.n, s.M) != (t.n, t.M):
+        raise ValueError("factors must share size and pivot")
+    return s.to_dense() @ t.to_dense()
+
+
+def invert(t: LUMMatrix) -> DenseSym:
+    """Dense inverse of the factor; again LU(M) triangular (not chain patterned)."""
+    return np.linalg.inv(t.to_dense())
+
+
+def is_lum_pattern(a: DenseSym, M: int, atol: float = 1e-10) -> bool:
+    """Check the LU(M) zero pattern of a dense matrix up to ``atol``."""
+    a = np.asarray(a, dtype=float)
+    n = a.shape[0]
+    for i in range(1, n + 1):
+        for j in range(1, n + 1):
+            if i < M and j > i and abs(a[i - 1, j - 1]) > atol:
+                return False
+            if i > M and i > j and abs(a[i - 1, j - 1]) > atol:
+                return False
+    return True
+
+
+# ---------------------------------------------------------------------------
+# quadratic construction by dense Cholesky factors
+# ---------------------------------------------------------------------------
+
+
+def sample_gram_many(
+    index_sets: Sequence[tuple[int, int, int]],
+    y: TridiagSym,
+    rng: np.random.Generator,
+    size: int,
+) -> NDArray[np.float64]:
+    """Tilted Gram sampler over arbitrary interval index sets.
+
+    Each set ``I`` contributes ``multiplicity`` independent terms
+    ``pi(v v')`` with ``v`` supported on ``I`` and ``v_I ~ N(0, (2 y_I)^{-1})``.
+    Mixed patterns outside the basic family are allowed; their laws have no
+    closed-form density here (sampler-only mode).
+    """
+    assert_in_P(y)
+    n = y.n
+    yd = y.to_dense()
+    diag = np.zeros((size, n))
+    off = np.zeros((size, n - 1))
+    for lo, hi, mult in index_sets:
+        if not (1 <= lo <= hi <= n):
+            raise ValueError(f"invalid interval ({lo}, {hi})")
+        k = hi - lo + 1
+        cov = np.linalg.inv(2.0 * yd[lo - 1 : hi, lo - 1 : hi])
+        chol = np.linalg.cholesky(cov)
+        v = rng.standard_normal((size, mult, k)) @ chol.T
+        diag[:, lo - 1 : hi] += np.sum(v**2, axis=1)
+        if k >= 2:
+            off[:, lo - 1 : hi - 1] += np.sum(v[:, :, :-1] * v[:, :, 1:], axis=1)
+    return np.hstack([diag, off])

@@ -37,8 +37,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .chain_graph import CliqueOrder, first_separator
-from .matrix_spaces import IncompleteSym, assert_in_Q
-from .power_functions import ShapeParams
+from .matrix_spaces import IncompleteSym
+from .power_functions import ShapeParams, _log_atoms
 from .wishart_q import log_norm_constant
 
 __all__ = [
@@ -96,11 +96,8 @@ def log_H(lm: LMParams, x: IncompleteSym) -> float:
     """``log H(alpha, beta; x)`` on the dual cone."""
     if lm.n != x.n:
         raise ValueError("size mismatch")
-    assert_in_Q(x)
-    total = float(lm.alpha @ np.log(x.clique_dets())) if x.n >= 2 else 0.0
-    if lm.beta.size:
-        total -= float(lm.beta @ np.log(x.diag[1 : x.n - 1]))
-    return total
+    log_cliq, log_diag = _log_atoms(x)
+    return float(lm.alpha @ log_cliq - lm.beta @ log_diag[1 : x.n - 1])
 
 
 def matches_pattern(lm: LMParams, M: int) -> bool:

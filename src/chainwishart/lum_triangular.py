@@ -6,7 +6,8 @@ plain lower triangular and LU(1) plain upper triangular).  Such matrices
 form a group under multiplication.  Restricted to the chain pattern
 (``T_ij = 0`` unless ``|i - j| <= 1``) an LU(M) matrix carries only a
 positive diagonal, subdiagonal entries below the pivot and superdiagonal
-entries from the pivot on -- ``O(n)`` data.
+entries from the pivot on -- ``O(n)`` data (the dense group operations
+live in the test oracle ``chainwishart._dense_oracle``).
 
 Every positive definite banded ``y`` factors as ``y = T T'`` with ``T`` of
 this shape, for every pivot ``M``; the factor is read off the peel plan of
@@ -20,7 +21,7 @@ makes the closed-form variance function work: with ``y`` the preimage of
 
 Its band, which is the mean ``m`` itself, is read off the peel plan in one
 O(n) outward sweep from the pivot (:func:`_hat_band`); the mean, covariance
-and variance on ``Q`` and ``pi(y^{-1})`` all run on that sweep.
+and variance on ``Q``, ``pi(y^{-1})`` and the whole hat all run on it.
 """
 
 from __future__ import annotations
@@ -30,11 +31,11 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .matrix_spaces import DenseSym, IncompleteSym, TridiagSym
+from .matrix_spaces import DenseSym, IncompleteSym, TridiagSym, _hat_fill
 from .peeling import _peel_order, _peel_plan, _rows
 from .power_functions import ShapeParams
 
-__all__ = ["LUMMatrix", "decompose", "multiply", "invert", "is_lum_pattern", "hat_via_T"]
+__all__ = ["LUMMatrix", "decompose", "hat_via_T"]
 
 
 @dataclass(eq=False)
@@ -110,31 +111,6 @@ def _hat_band(s: NDArray, M: int, a: NDArray, b: NDArray) -> tuple[NDArray, NDAr
     return np.array(hd), np.array(ho).reshape((n - 1,) + np.shape(hd[0]))
 
 
-def multiply(s: LUMMatrix, t: LUMMatrix) -> DenseSym:
-    """Dense product of two factors with the same pivot; stays LU(M) shaped."""
-    if (s.n, s.M) != (t.n, t.M):
-        raise ValueError("factors must share size and pivot")
-    return s.to_dense() @ t.to_dense()
-
-
-def invert(t: LUMMatrix) -> DenseSym:
-    """Dense inverse of the factor; again LU(M) triangular (not chain patterned)."""
-    return np.linalg.inv(t.to_dense())
-
-
-def is_lum_pattern(a: DenseSym, M: int, atol: float = 1e-10) -> bool:
-    """Check the LU(M) zero pattern of a dense matrix up to ``atol``."""
-    a = np.asarray(a, dtype=float)
-    n = a.shape[0]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i < M and j > i and abs(a[i - 1, j - 1]) > atol:
-                return False
-            if i > M and i > j and abs(a[i - 1, j - 1]) > atol:
-                return False
-    return True
-
-
 def hat_via_T(p: ShapeParams, m: IncompleteSym) -> DenseSym:
     """Hat completion of ``m`` through the factorized preimage of the mean map.
 
@@ -142,11 +118,10 @@ def hat_via_T(p: ShapeParams, m: IncompleteSym) -> DenseSym:
 
         hat(m) = T^{-T} diag(s) T^{-1}.
 
-    At ``s = (1, ..., 1)`` this is the plain positive definite completion.
+    Its inverse ``T diag(1/s) T'`` is tridiagonal, so it is filled in from
+    its band (:func:`_hat_band`).  At ``s = (1, ..., 1)`` this is the plain
+    positive definite completion.
     """
     from .wishart_q import inverse_mean  # deferred: avoids a module cycle
 
-    y = inverse_mean(p, m)
-    t = decompose(y, p.M)
-    tinv = invert(t)
-    return tinv.T @ np.diag(p.s) @ tinv
+    return _hat_fill(*_hat_band(p.s, p.M, *_peel_plan(inverse_mean(p, m), p.M)))

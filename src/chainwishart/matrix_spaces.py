@@ -29,6 +29,7 @@ Vertices are labelled ``1..n`` in the public API; arrays are 0-based.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, TextIO
 
@@ -196,25 +197,42 @@ def project_pi(a: DenseSym) -> IncompleteSym:
 # ---------------------------------------------------------------------------
 
 
-def _pivots(diag: NDArray[np.float64], off: NDArray[np.float64]) -> NDArray[np.float64]:
-    """LDL pivots of the tridiagonal matrix; product of the first i is the i-th minor.
+#: Eliminations first scale data whose largest entry lies outside this range
+#: to unit size, by a power of two (exact), so that squares stay normal doubles.
+_SAFE_RANGE = (2.0**-400, 2.0**400)
 
-    Stops with a non-positive pivot left in place when the matrix is not PD.
-    """
+
+def _unit_scaled(diag: NDArray, off: NDArray) -> tuple[list, list, int]:
+    """``(d, o, e)``: the data as Python scalars times ``2^-e``, ``e = 0`` inside ``_SAFE_RANGE``."""
     d, o = diag.tolist(), off.tolist()
-    tol = PD_RTOL * float(np.max(np.abs(diag)))
-    piv = [d[0]]
-    for i in range(1, len(d)):
-        if piv[-1] <= tol:
-            return np.array(piv + [-np.inf] * (len(d) - i))
-        piv.append(d[i] - o[i - 1] ** 2 / piv[-1])
-    return np.array(piv)
+    # below about 100 entries a Python max is cheaper than numpy reductions
+    big = max(map(abs, d + o)) if len(d) < 100 else max(np.max(np.abs(diag)), np.max(np.abs(off)))
+    if _SAFE_RANGE[0] <= big <= _SAFE_RANGE[1]:
+        return d, o, 0
+    e = math.frexp(big)[1]
+    return [math.ldexp(v, -e) for v in d], [math.ldexp(v, -e) for v in o], e
 
 
 def _bad_pivots(y: TridiagSym) -> tuple[NDArray[np.float64], NDArray[np.intp]]:
-    """Pivots of ``y`` and the indices of those not above ``PD_RTOL`` times its scale."""
-    piv = _pivots(y.diag, y.off)
-    return piv, np.nonzero(piv <= PD_RTOL * float(np.max(np.abs(y.diag))))[0]
+    """LDL pivots of ``y`` and the indices of those not above ``PD_RTOL`` times its scale.
+
+    The product of the first i pivots is the i-th leading minor.  The sweep
+    stops at the first bad pivot and marks the rest ``-inf``.
+    """
+    d, o, e = _unit_scaled(y.diag, y.off)
+    tol = PD_RTOL * math.ldexp(float(np.max(np.abs(y.diag))), -e)
+    piv = [d[0]]
+    for i in range(1, len(d)):
+        if piv[-1] <= tol:
+            piv += [-math.inf] * (len(d) - i)
+            break
+        piv.append(d[i] - o[i - 1] ** 2 / piv[-1])
+    piv = np.array(piv)
+    bad = np.nonzero(piv <= tol)[0]
+    if e:  # scaled back, only a non-member's last pivot can overflow
+        with np.errstate(over="ignore"):
+            piv = np.ldexp(piv, e)
+    return piv, bad
 
 
 def is_in_P(y: TridiagSym) -> bool:
@@ -329,13 +347,29 @@ def lauritzen_map(x: IncompleteSym) -> TridiagSym:
     return _clique_assembly(x, np.ones(n - 1), 1.0 - cliques_at)
 
 
-def hat_completion(x: IncompleteSym) -> DenseSym:
-    """Positive definite completion of ``x`` whose inverse is banded.
+def _hat_fill(diag: NDArray[np.float64], off: NDArray[np.float64]) -> DenseSym:
+    """The symmetric matrix with band ``(diag, off)`` whose inverse is tridiagonal, in O(n^2).
 
-    Computed as the dense inverse of the Lauritzen image; satisfies
-    ``pi(hat) = x`` and ``hat^{-1} in Z``.
+    By the chain's Markov property (Dempster, 1972), ``h_ik = h_{i,i+1} h_{i+1,k} / h_{i+1,i+1}``
+    for ``k > i + 1``; the rows are filled from the bottom.
     """
-    return np.linalg.inv(lauritzen_map(x).to_dense())
+    n = diag.size
+    h = np.diag(diag)
+    idx = np.arange(n - 1)
+    h[idx, idx + 1] = h[idx + 1, idx] = off
+    ratio = (off / diag[1:]).tolist()
+    for i in range(n - 3, -1, -1):
+        h[i, i + 2 :] = h[i + 2 :, i] = ratio[i] * h[i + 1, i + 2 :]
+    return h
+
+
+def hat_completion(x: IncompleteSym) -> DenseSym:
+    """Positive definite completion of ``x`` whose inverse is banded (:func:`_hat_fill`).
+
+    Satisfies ``pi(hat) = x`` and ``hat^{-1} = lauritzen_map(x)`` in ``Z``.
+    """
+    assert_in_Q(x)
+    return _hat_fill(x.diag, x.off)
 
 
 # ---------------------------------------------------------------------------
@@ -359,10 +393,14 @@ def leading_log_minors(y: TridiagSym, name: str = "y") -> NDArray[np.float64]:
     return np.cumsum(np.log(piv))
 
 
+def _mirror(elem: _BandedSym) -> _BandedSym:
+    """``elem`` on the reversed chain ``n - ... - 1``; an exact relabelling."""
+    return type(elem)(elem.n, elem.diag[::-1], elem.off[::-1])
+
+
 def trailing_log_minors(y: TridiagSym, name: str = "y") -> NDArray[np.float64]:
     """``log |y_{i:n}|`` for positive definite ``y`` (index i stored 0-based)."""
-    rev = TridiagSym(y.n, y.diag[::-1].copy(), y.off[::-1].copy())
-    return leading_log_minors(rev, name=name)[::-1].copy()
+    return leading_log_minors(_mirror(y), name=name)[::-1].copy()
 
 
 # ---------------------------------------------------------------------------

@@ -7,13 +7,13 @@ banded matrix on ``n - 1`` vertices:
     y = phi(a, b, z):   y_11 = a,  y_12 = a b,  y_22 = a b^2 + z_22,
                         all other entries copied from z,
 
-and mirrored at vertex ``n`` by ``phi_tilde``.  The dual cone peels the same
-way:
+and mirrored at vertex ``n`` by ``phi_tilde`` (the same map on the reversed
+chain).  The dual cone peels the same way:
 
     eta = psi(alpha, beta, x):  eta_11 = alpha + beta^2 x_22,
                                 eta_12 = beta x_22, rest copied from x,
 
-with ``psi_tilde`` the mirror.  The coordinate changes have Jacobian ``a``
+with ``psi_tilde`` its mirror.  The coordinate changes have Jacobian ``a``
 (for ``phi``/``phi_tilde``) and ``x_22`` resp. ``x_{n-1,n-1}`` (for
 ``psi``/``psi_tilde``), and they split the trace pairing as
 
@@ -41,6 +41,8 @@ from numpy.typing import NDArray
 from .matrix_spaces import (
     IncompleteSym,
     TridiagSym,
+    _mirror,
+    _unit_scaled,
     assert_in_P,
     assert_in_Q,
     pairing,
@@ -135,56 +137,24 @@ def psi_inv(eta: IncompleteSym) -> PeelTriple:
 
 def phi_tilde(a: float, b: float, z: TridiagSym) -> TridiagSym:
     """Mirror of :func:`phi`: attach vertex ``n`` with pivot ``a``."""
-    _require_positive(a, "a")
-    assert_in_P(z, "z")
-    n = z.n + 1
-    diag = np.empty(n)
-    off = np.empty(n - 1)
-    diag[-1] = a
-    diag[-2] = a * b * b + z.diag[-1]
-    diag[: n - 2] = z.diag[:-1]
-    off[-1] = a * b
-    off[: n - 2] = z.off
-    return TridiagSym(n, diag, off)
+    return _mirror(phi(a, b, _mirror(z)))
 
 
 def phi_tilde_inv(y: TridiagSym) -> PeelTriple:
-    """Peel vertex ``n``."""
-    if y.n < 2:
-        raise ValueError("cannot peel a single-vertex matrix")
-    assert_in_P(y)
-    a = float(y.diag[-1])
-    b = float(y.off[-1] / a)
-    diag = y.diag[:-1].copy()
-    diag[-1] -= y.off[-1] ** 2 / a
-    return PeelTriple(a, b, TridiagSym(y.n - 1, diag, y.off[:-1].copy()))
+    """Peel vertex ``n``: :func:`phi_inv` on the reversed chain."""
+    t = phi_inv(_mirror(y))
+    return PeelTriple(t.a, t.b, _mirror(t.rest))
 
 
 def psi_tilde(alpha: float, beta: float, x: IncompleteSym) -> IncompleteSym:
     """Mirror of :func:`psi`: attach vertex ``n`` on the dual side."""
-    _require_positive(alpha, "alpha")
-    assert_in_Q(x)
-    n = x.n + 1
-    diag = np.empty(n)
-    off = np.empty(n - 1)
-    xnn = x.diag[-1]
-    diag[-1] = alpha + beta * beta * xnn
-    diag[: n - 1] = x.diag
-    off[-1] = beta * xnn
-    off[: n - 2] = x.off
-    return IncompleteSym(n, diag, off)
+    return _mirror(psi(alpha, beta, _mirror(x)))
 
 
 def psi_tilde_inv(eta: IncompleteSym) -> PeelTriple:
-    """Peel vertex ``n`` on the dual side."""
-    if eta.n < 2:
-        raise ValueError("cannot peel a single-vertex matrix")
-    assert_in_Q(eta)
-    xnn = float(eta.diag[-2])
-    beta = float(eta.off[-1] / xnn)
-    alpha = float(eta.diag[-1] - eta.off[-1] ** 2 / xnn)
-    rest = IncompleteSym(eta.n - 1, eta.diag[:-1].copy(), eta.off[:-1].copy())
-    return PeelTriple(alpha, beta, rest)
+    """Peel vertex ``n`` on the dual side: :func:`psi_inv` on the reversed chain."""
+    t = psi_inv(_mirror(eta))
+    return PeelTriple(t.a, t.b, _mirror(t.rest))
 
 
 def _peel_order(n: int, M: int) -> list[tuple[int, int]]:
@@ -213,8 +183,10 @@ def _peel_core(
     step, in O(n).  ``a[M-1]`` holds the one-vertex remainder at the pivot and
     ``b[M-1]`` is zero.  Entries may be complex and may carry trailing batch
     axes (``diag`` of shape ``(n, ...)``, ``off`` of shape ``(n-1, ...)``).
+    One element's data (1-D) whose largest entry lies far from unit size is
+    first scaled to it by a power of two (``_unit_scaled``), which is exact.
     """
-    d, o = _rows(diag), _rows(off)
+    d, o, scale = _unit_scaled(diag, off) if diag.ndim == 1 else (_rows(diag), _rows(off), 0)
     n = len(d)
     a = [0 * d[M - 1]] * n
     b = [0 * d[M - 1]] * n
@@ -228,7 +200,7 @@ def _peel_core(
             b[i] = o[e] / d[i]
             d[j] = d[j] - o[e] ** 2 / d[i]
     a[M - 1] = d[M - 1]
-    return np.array(a), np.array(b)
+    return np.ldexp(a, scale) if scale else np.array(a), np.array(b)
 
 
 def _peel_plan(elem: Union[TridiagSym, IncompleteSym], M: int) -> tuple[NDArray, NDArray]:
@@ -291,14 +263,5 @@ def trace_decomposition_check(y: TridiagSym, eta: IncompleteSym) -> tuple[float,
 
 
 def trace_decomposition_check_tilde(y: TridiagSym, eta: IncompleteSym) -> tuple[float, float]:
-    """Mirrored identity through the vertex-``n`` peel."""
-    if y.n != eta.n:
-        raise ValueError("size mismatch")
-    if y.n < 2:
-        raise ValueError("decomposition needs n >= 2")
-    lhs = pairing(y, eta)
-    py = phi_tilde_inv(y)
-    pe = psi_tilde_inv(eta)
-    xnn = pe.rest.diag[-1]
-    rhs = py.a * pe.a + py.a * xnn * (py.b + pe.b) ** 2 + pairing(py.rest, pe.rest)
-    return lhs, rhs
+    """Mirrored identity through the vertex-``n`` peel: the plain one on the reversed chain."""
+    return trace_decomposition_check(_mirror(y), _mirror(eta))

@@ -41,6 +41,7 @@ from .chain_graph import EliminatingOrder
 from .matrix_spaces import (
     IncompleteSym,
     TridiagSym,
+    _clique_gaps,
     assert_in_Q,
     leading_log_minors,
     trailing_log_minors,
@@ -154,11 +155,14 @@ def phi_exponents(n: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
 
 
 def _log_atoms(x: IncompleteSym) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """Logs of the clique determinants and diagonal entries of ``x`` in ``Q``."""
+    """Logs of the clique determinants and diagonal entries of ``x`` in ``Q``.
+
+    ``log |x_b| = log x_ii + log x_{i+1,i+1} + log gap_i`` with the ratio-form
+    gaps of the cone test, so no product of entries can overflow or underflow.
+    """
     assert_in_Q(x)
-    if x.n == 1:
-        return np.zeros(0), np.log(x.diag)
-    return np.log(x.clique_dets()), np.log(x.diag)
+    log_diag = np.log(x.diag)
+    return log_diag[:-1] + log_diag[1:] + np.log(_clique_gaps(x)), log_diag
 
 
 def log_delta_M(p: ShapeParams, x: IncompleteSym) -> float:
@@ -206,20 +210,16 @@ def log_delta_order(s: Iterable[float], order: EliminatingOrder, x: IncompleteSy
     n = x.n
     if s.size != n or order.n != n:
         raise ValueError("sizes disagree")
-    assert_in_Q(x)
+    log_cliq, log_diag = _log_atoms(x)
     pos = {v: i for i, v in enumerate(order.sequence)}
     total = 0.0
     for v in range(1, n + 1):
         fut = [w for w in (v - 1, v + 1) if 1 <= w <= n and pos[w] > pos[v]]
         if not fut:
-            num = np.log(x.diag[v - 1])
-            den = 0.0
+            num, den = log_diag[v - 1], 0.0
         else:
             (w,) = fut
-            i = min(v, w)
-            blk = x.diag[i - 1] * x.diag[i] - x.off[i - 1] ** 2
-            num = np.log(blk)
-            den = np.log(x.diag[w - 1])
+            num, den = log_cliq[min(v, w) - 1], log_diag[w - 1]
         total += s[v - 1] * (num - den)
     return float(total)
 

@@ -41,7 +41,8 @@ The samplers:
 * a quadratic-construction sampler that sums projected Gaussian outer
   products over prefix/suffix index sets, with multiplicities ``sigma`` tied
   to the shape by ``sigma_i/2 = s_i - s_{i+1}`` (left of the pivot),
-  ``sigma_M/2 = s_M``, ``sigma_i/2 = s_i - s_{i-1}`` (right of the pivot).
+  ``sigma_M/2 = s_M``, ``sigma_i/2 = s_i - s_{i-1}`` (right of the pivot),
+  each set's Gaussians drawn off its own peel plan.
 
 The tilt ``exp(-<y, pi(v v')>) = exp(-v' y_I v)`` makes each Gaussian factor
 ``N(0, (2 y_I)^{-1})``; the factor 2 comes from the quadratic form having no
@@ -441,19 +442,24 @@ def sample_gram_many(
     ``pi(v v')`` with ``v`` supported on ``I`` and ``v_I ~ N(0, (2 y_I)^{-1})``.
     Mixed patterns outside the basic family are allowed; their laws have no
     closed-form density here (sampler-only mode).
+
+    The peel plan of ``y_I`` toward its first vertex gives ``y_I = U U'``,
+    ``U`` upper bidiagonal with ``U_ii = sqrt(a_i)``, ``U_{i-1,i} = sqrt(a_i) b_i``;
+    ``v_I = U^{-T} g / sqrt(2)`` by forward substitution, where ``U^{-T} / sqrt(2)``
+    is the Cholesky factor of ``(2 y_I)^{-1}``.
     """
     assert_in_P(y)
     n = y.n
-    yd = y.to_dense()
     diag = np.zeros((size, n))
     off = np.zeros((size, n - 1))
     for lo, hi, mult in index_sets:
         if not (1 <= lo <= hi <= n):
             raise ValueError(f"invalid interval ({lo}, {hi})")
         k = hi - lo + 1
-        cov = np.linalg.inv(2.0 * yd[lo - 1 : hi, lo - 1 : hi])
-        chol = np.linalg.cholesky(cov)
-        v = rng.standard_normal((size, mult, k)) @ chol.T
+        a, b = _peel_core(y.diag[lo - 1 : hi], y.off[lo - 1 : hi - 1], 1, dual=False)
+        v = rng.standard_normal((size, mult, k)) / np.sqrt(2.0 * a)
+        for i in range(1, k):
+            v[..., i] -= b[i] * v[..., i - 1]
         diag[:, lo - 1 : hi] += np.sum(v**2, axis=1)
         if k >= 2:
             off[:, lo - 1 : hi - 1] += np.sum(v[:, :, :-1] * v[:, :, 1:], axis=1)

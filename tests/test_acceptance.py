@@ -21,7 +21,8 @@ from chainwishart.chain_graph import (
     enumerate_perfect_clique_orders,
 )
 from chainwishart.letac_massam import LMParams, a_p_pivot, gamma1_constant, lm_to_sM, sM_to_lm
-from chainwishart.lum_triangular import decompose, invert, is_lum_pattern, multiply
+from chainwishart._dense_oracle import invert, is_lum_pattern, multiply
+from chainwishart.lum_triangular import decompose
 from chainwishart.matrix_spaces import (
     IncompleteSym,
     TridiagSym,

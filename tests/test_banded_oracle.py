@@ -1,11 +1,14 @@
 """The O(n) banded closed forms against their dense and per-clique oracles.
 
-The mean, covariance and variance on ``Q`` are read off the peel plan of
-``y``; ``chainwishart._dense_oracle`` keeps the paper's dense formulas.  The
-clique assemblies on both cones are vectorized; the loop versions below
-invert each 2x2 block with ``np.linalg.inv``.
+The mean, covariance and variance on ``Q``, the quadratic sampler and both
+hat completions are read off the peel plan of ``y``;
+``chainwishart._dense_oracle`` keeps the paper's dense formulas, the dense
+hat and the dense Cholesky sampler.  The clique assemblies on both cones are
+vectorized; the loop versions below invert each 2x2 block with
+``np.linalg.inv``.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -14,16 +17,25 @@ import pytest
 from chainwishart import _dense_oracle as dense
 from chainwishart import wishart_p as wp
 from chainwishart import wishart_q as wq
+from chainwishart.lum_triangular import LUMMatrix, decompose, hat_via_T
 from chainwishart.matrix_spaces import (
     IncompleteSym,
     TridiagSym,
+    hat_completion,
     inverse_image,
     is_in_P,
     is_in_Q,
     lauritzen_map,
     project_pi,
 )
-from chainwishart.power_functions import ShapeParams, delta_exponents
+from chainwishart.power_functions import (
+    ShapeParams,
+    delta_exponents,
+    log_delta_M,
+    log_Delta_M,
+    log_phi,
+    phi_exponents,
+)
 
 from _gen import random_pd_tridiag, random_q_elem, random_shape_p, random_shape_q
 
@@ -98,6 +110,42 @@ def test_inverse_image(n, M):
     assert_close(inverse_image(y).coords(), project_pi(np.linalg.inv(y.to_dense())).coords())
 
 
+# -- quadratic sampler and hat completions ------------------------------------
+
+GRAM_CASES = [(n, M) for n in (1, 2, 3, 5, 13, 50, 300) for M in sorted({1, (n + 1) // 2, n})]
+MIXED_SETS = [(1, 3, 2), (2, 9, 1), (4, 6, 3), (7, 7, 1), (1, 9, 1)]
+
+
+@pytest.mark.parametrize("n, M", GRAM_CASES)
+def test_gram_sampler_matches_dense_cholesky_on_the_same_stream(n, M):
+    rng = np.random.default_rng([n, M, 3])
+    y = random_pd_tridiag(rng, n)
+    sigma = rng.integers(0, 3, n)
+    sigma[M - 1] += 1
+    sets = wq.basic_index_sets(sigma, M, n)
+    got = wq.sample_gram_many(sets, y, np.random.default_rng(n), 3)
+    assert_close(got, dense.sample_gram_many(sets, y, np.random.default_rng(n), 3))
+
+
+@pytest.mark.parametrize("c", [1e-150, 1.0, 1e150])
+def test_gram_sampler_on_mixed_intervals_matches_dense_cholesky(c):
+    y = c * random_pd_tridiag(np.random.default_rng(4), 9)
+    got = wq.sample_gram_many(MIXED_SETS, y, np.random.default_rng(5), 4)
+    assert_close(got, dense.sample_gram_many(MIXED_SETS, y, np.random.default_rng(5), 4))
+
+
+HAT_CASES = [(n, M) for n in (1, 2, 3, 5, 13, 50, 200) for M in sorted({1, (n + 1) // 2, n})]
+
+
+@pytest.mark.parametrize("n, M", HAT_CASES)
+def test_hat_completions_match_their_dense_forms(n, M):
+    rng = np.random.default_rng([n, M, 2])
+    m, p = random_q_elem(rng, n), random_shape_q(rng, n, M)
+    assert_close(hat_completion(m), dense.hat_completion(m))
+    tinv = dense.invert(decompose(wq.inverse_mean(p, m), M))
+    assert_close(hat_via_T(p, m), tinv.T @ np.diag(p.s) @ tinv)
+
+
 # -- per-clique loop versions of the vectorized assemblies -------------------
 
 
@@ -157,7 +205,10 @@ def test_clique_functions_match_their_loop_versions(n, M):
 # -- scale invariance ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("c", [1e-150, 1e-12, 1.0, 1e12, 1e150])
+SCALES = [1e-300, 1e-160, 1e-150, 1e-12, 1.0, 1e12, 1e150, 1e160, 1e300]
+
+
+@pytest.mark.parametrize("c", SCALES)
 def test_cones_and_closed_forms_are_scale_invariant(c):
     rng = np.random.default_rng(17)
     n, M = 9, 4
@@ -172,8 +223,40 @@ def test_cones_and_closed_forms_are_scale_invariant(c):
     assert np.max(np.abs(back.coords() - yc.coords())) <= 1e-12 * np.max(np.abs(yc.coords()))
     u = TridiagSym.from_coords(rng.uniform(-1, 1, 2 * n - 1))
     v1 = wq.covariance_apply(wq.WishartQ(p, y), u).coords()
-    vc = wq.covariance_apply(wq.WishartQ(p, yc), u).coords()
-    assert np.max(np.abs(vc * c * c - v1)) <= 1e-12 * np.max(np.abs(v1))
+    # the covariance has degree -2: checked where c^-2 |v| is a normal double
+    log_vc = math.log(np.max(np.abs(v1))) - 2.0 * math.log(c)
+    if math.log(np.finfo(float).tiny) < log_vc < math.log(np.finfo(float).max):
+        vc = wq.covariance_apply(wq.WishartQ(p, yc), u).coords()
+        assert np.max(np.abs(vc * c * c - v1)) <= 1e-12 * np.max(np.abs(v1))
+
+
+@pytest.mark.parametrize("c", SCALES)
+def test_factors_power_functions_and_samplers_are_scale_invariant(c):
+    rng = np.random.default_rng(19)
+    n, M = 9, 4
+    y, x = random_pd_tridiag(rng, n), random_q_elem(rng, n)
+    p, pp = random_shape_q(rng, n, M), random_shape_p(rng, n, M)
+    assert not is_in_P(TridiagSym(3, np.ones(3), [1e200, 0.5]))  # squares overflow a double
+    t1, tc = decompose(y, M), decompose(c * y, M)
+    for part in ("diag", "sub", "sup"):
+        assert_close(getattr(tc, part), math.sqrt(c) * getattr(t1, part))
+
+    def degree(cliq_e, diag_e):  # homogeneity degree of a clique/diagonal power product
+        return 2.0 * np.sum(cliq_e) + np.sum(diag_e)
+
+    log_c = math.log(c)
+    assert log_Delta_M(p, c * y) == pytest.approx(log_Delta_M(p, y) + np.sum(p.s) * log_c, rel=TOL)
+    d_kappa, phi_kappa = degree(*delta_exponents(p.s, M)), degree(*phi_exponents(n))
+    assert log_delta_M(p, c * x) == pytest.approx(log_delta_M(p, x) + d_kappa * log_c, rel=TOL)
+    assert log_phi(c * x) == pytest.approx(log_phi(x) + phi_kappa * log_c, rel=TOL)
+    # every draw has degree -1 in the natural parameter; the streams are the same
+    draws = [
+        lambda c: wq.sample_many(wq.WishartQ(p, c * y), np.random.default_rng(1), 5),
+        lambda c: wp.sample_p_many(wp.WishartP(pp, c * x), np.random.default_rng(2), 5),
+        lambda c: wq.sample_gram_many(MIXED_SETS, c * y, np.random.default_rng(3), 5),
+    ]
+    for draw in draws:
+        assert_close(c * draw(c), draw(1.0))
 
 
 # -- no dense algebra on the public path -------------------------------------
@@ -192,7 +275,9 @@ def test_closed_forms_run_without_dense_algebra(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "inv", forbidden)
     monkeypatch.setattr(np.linalg, "solve", forbidden)
+    monkeypatch.setattr(np.linalg, "cholesky", forbidden)
     monkeypatch.setattr(TridiagSym, "to_dense", forbidden)
+    monkeypatch.setattr(LUMMatrix, "to_dense", forbidden)
     m = wq.mean(w)
     assert m.n == n
     assert wq.covariance_apply(w, u).n == n
@@ -204,3 +289,10 @@ def test_closed_forms_run_without_dense_algebra(monkeypatch):
     assert wp.covariance_p_apply(wpp, v).n == n
     assert np.isfinite(wq.moment(w, wq.MomentSpec([u, u, u])))
     assert np.isfinite(wp.moment_p(wpp, [v, v, v]))
+    sigma = np.zeros(n, dtype=int)
+    sigma[[0, M - 1, n - 1]] = (1, 2, 1)
+    assert wq.sample_quadratic_many(sigma, M, y, rng, 2).shape == (2, 2 * n - 1)
+    sets = [(1, 40, 2), (300, 1700, 1), (n - 9, n, 3), (900, 900, 1)]
+    assert wq.sample_gram_many(sets, y, rng, 2).shape == (2, 2 * n - 1)
+    assert np.array_equal(np.diag(hat_completion(m)), m.diag)
+    assert hat_via_T(w.params, m).shape == (n, n)

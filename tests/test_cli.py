@@ -422,6 +422,9 @@ def test_eval_inverse_mean_p_newton(tmp_path, capsys):
 Q2 = {"M": 2, "s": [1.2, 0.8], "y": {"n": 2, "diag": [1.0, 1.0], "off": [0.2]}}
 P2 = {"M": 1, "s": [0.2, -0.3], "x": {"n": 2, "diag": [1.0, 1.3], "off": [-0.2]}}
 Z2 = {"n": 2, "diag": [0.5, -0.2], "off": [0.1]}
+# the same parameters scaled by 1e160: squares of their entries overflow a double
+Q2_BIG = {**Q2, "y": {"n": 2, "diag": [1e160, 1e160], "off": [2e159]}}
+P2_BIG = {**P2, "x": {"n": 2, "diag": [1e160, 1.3e160], "off": [-2e159]}}
 
 # (case id, files to write, argv with {file} and {dir} placeholders, exit code)
 CONTRACT = [
@@ -435,6 +438,10 @@ CONTRACT = [
      ["eval", "--what", "inverse-mean", "--family", "p", "--params", "{p.json}", "--point", "{t.json}"],
      EXIT_DOMAIN),
     ("eval-mean", {"q.json": Q2}, ["eval", "--what", "mean", "--family", "q", "--params", "{q.json}"], 0),
+    ("eval-mean-at-1e160", {"q.json": Q2_BIG},
+     ["eval", "--what", "mean", "--family", "q", "--params", "{q.json}"], 0),
+    ("sample-p-at-1e160", {"p.json": P2_BIG},
+     ["sample", "--family", "p", "--params", "{p.json}", "--n", "5", "--out", "{dir}/x.csv"], 0),
     ("eval-variance-at-point", {"q.json": Q2, "m.json": {"n": 2, "diag": [1.0, 2.0], "off": [0.3]}},
      ["eval", "--what", "variance", "--family", "q", "--params", "{q.json}", "--point", "{m.json}"], 0),
     ("eval-density-needs-point", {"q.json": Q2},
