@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .matrix_spaces import DenseSym, IncompleteSym, TridiagSym, _hat_fill
-from .peeling import _peel_order, _peel_plan, _rows
+from .matrix_spaces import DenseSym, IncompleteSym, TridiagSym, _hat_fill, _peel_order, _rows
+from .peeling import _peel_plan
 from .power_functions import ShapeParams
 
 __all__ = ["LUMMatrix", "decompose", "hat_via_T"]

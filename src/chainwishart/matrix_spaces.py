@@ -24,6 +24,10 @@ against the largest diagonal entry, clique determinants against their own
 diagonal product), so it does not change when an element is multiplied by a
 positive constant.
 
+One elimination, the peel kernel ``_peel_core``, serves the whole ``P``
+side and tests each pivot as it forms it: at ``M = n`` it is the cone test
+and the leading log-minors, and at any ``M`` the peel plan and peel maps.
+
 Vertices are labelled ``1..n`` in the public API; arrays are 0-based.
 """
 
@@ -193,7 +197,7 @@ def project_pi(a: DenseSym) -> IncompleteSym:
 
 
 # ---------------------------------------------------------------------------
-# cone membership
+# the peel kernel and cone membership
 # ---------------------------------------------------------------------------
 
 
@@ -213,41 +217,90 @@ def _unit_scaled(diag: NDArray, off: NDArray) -> tuple[list, list, int]:
     return [math.ldexp(v, -e) for v in d], [math.ldexp(v, -e) for v in o], e
 
 
-def _bad_pivots(y: TridiagSym) -> tuple[NDArray[np.float64], NDArray[np.intp]]:
-    """LDL pivots of ``y`` and the indices of those not above ``PD_RTOL`` times its scale.
+def _peel_order(n: int, M: int) -> list[tuple[int, int]]:
+    """Peeled vertices ``(i, j)`` in peeling order, ``j`` the neighbour toward the pivot.
 
-    The product of the first i pivots is the i-th leading minor.  The sweep
-    stops at the first bad pivot and marks the rest ``-inf``.
+    Vertex 1 is peeled while the pivot lies to the right, then vertex ``n``;
+    indices are 0-based.  Reversed, this is the outward order from the pivot
+    in which the inductive constructions rebuild an element.
     """
-    d, o, e = _unit_scaled(y.diag, y.off)
-    tol = PD_RTOL * math.ldexp(float(np.max(np.abs(y.diag))), -e)
-    piv = [d[0]]
-    for i in range(1, len(d)):
-        if piv[-1] <= tol:
-            piv += [-math.inf] * (len(d) - i)
-            break
-        piv.append(d[i] - o[i - 1] ** 2 / piv[-1])
-    piv = np.array(piv)
-    bad = np.nonzero(piv <= tol)[0]
-    if e:  # scaled back, only a non-member's last pivot can overflow
-        with np.errstate(over="ignore"):
-            piv = np.ldexp(piv, e)
-    return piv, bad
+    return [(i, i + 1) for i in range(M - 1)] + [(i, i - 1) for i in range(n - 1, M - 1, -1)]
+
+
+def _rows(v: NDArray) -> list:
+    # Python scalars for one element (fast, and ``**`` rounds as on numpy
+    # scalars); rows of the trailing batch axes otherwise.
+    return v.tolist() if v.ndim == 1 else list(v)
+
+
+def _not_positive(name: str, i: int, M: int, n: int, pivot: float, scale: int) -> ConeError:
+    """The error for a bad pivot at vertex ``i`` (0-based) of the peel toward ``M``."""
+    minor = (f"leading principal minor {i + 1}" if i < M - 1 or M == n
+             else f"trailing principal minor {i + 1}..{n}" if i >= M else "the determinant")
+    with np.errstate(over="ignore"):  # only a non-member's pivot can overflow
+        pivot = float(np.ldexp(pivot, scale))
+    return ConeError(f"{name} is not positive definite: {minor} (pivot {pivot:.6g}) is not positive")
+
+
+def _peel_core(
+    diag: NDArray, off: NDArray, M: int, dual: bool = False, name: str = "y"
+) -> tuple[NDArray, NDArray]:
+    """Peel coordinates ``(a, b)`` of banded data toward the pivot ``M``, indexed by vertex.
+
+    The steps of ``phi_inv`` (``dual=False``) or ``psi_inv`` (``dual=True``)
+    and their mirrors, in O(n): vertex ``i`` is peeled with pivot ``a[i]``
+    and regression ``b[i]`` toward its neighbour on the pivot's side
+    (:func:`_peel_order`); ``a[M-1]`` is the remainder and ``b[M-1] = 0``.
+    One element's data (1-D) is scaled by :func:`_unit_scaled` (exact).
+
+    On one element's real data in ``Z`` the sweep is the cone test of ``P``:
+    the first pivot (a ratio of leading, trailing or full minors) not above
+    ``PD_RTOL`` times the largest diagonal entry raises :class:`ConeError`
+    naming its minor.  At ``M = n`` these are the LDL pivots; other ``M``
+    decide alike except within ``PD_RTOL`` of the boundary.  Dual, complex
+    and batched data (trailing axes on ``diag`` and ``off``) go untested.
+    """
+    d, o, scale = _unit_scaled(diag, off) if diag.ndim == 1 else (_rows(diag), _rows(off), 0)
+    n = len(d)
+    if dual:
+        a, b = [0.0] * n, [0.0] * n
+        for i, j in _peel_order(n, M):
+            e = min(i, j)
+            b[i] = o[e] / d[j]
+            a[i] = d[i] - o[e] ** 2 / d[j]
+        a[M - 1] = d[M - 1]
+        return np.ldexp(a, scale) if scale else np.array(a), np.array(b)
+    test = diag.ndim == 1 and diag.dtype.kind != "c"
+    if test:  # the largest |diagonal entry| of the scaled data, exactly (scaling is monotone)
+        tol = PD_RTOL * (max(map(abs, d)) if n < 100 else math.ldexp(float(np.max(np.abs(diag))), -scale))
+    for i in range(M - 1):
+        if test and not d[i] > tol:
+            raise _not_positive(name, i, M, n, d[i], scale)
+        d[i + 1] = d[i + 1] - o[i] ** 2 / d[i]
+    for i in range(n - 1, M - 1, -1):
+        if test and not d[i] > tol:
+            raise _not_positive(name, i, M, n, d[i], scale)
+        d[i - 1] = d[i - 1] - o[i - 1] ** 2 / d[i]
+    if test and not d[M - 1] > tol:
+        raise _not_positive(name, M - 1, M, n, d[M - 1], scale)
+    a, o = np.array(d), np.array(o) if scale else off
+    b = np.zeros_like(a)
+    b[: M - 1] = o[: M - 1] / a[: M - 1]
+    b[M:] = o[M - 1 :] / a[M:]
+    return np.ldexp(a, scale) if scale else a, b
 
 
 def is_in_P(y: TridiagSym) -> bool:
-    """True iff ``y`` is positive definite (all leading principal minors > 0)."""
-    return _bad_pivots(y)[1].size == 0
+    """True iff ``y`` is positive definite: every LDL pivot of :func:`_peel_core` at ``M = n`` passes."""
+    try:
+        _peel_core(y.diag, y.off, y.n)
+    except ConeError:
+        return False
+    return True
 
 
 def assert_in_P(y: TridiagSym, name: str = "y") -> None:
-    piv, bad = _bad_pivots(y)
-    if bad.size:
-        i = int(bad[0]) + 1
-        raise ConeError(
-            f"{name} is not positive definite: leading principal minor {i} "
-            f"(pivot {piv[bad[0]]:.6g}) is not positive"
-        )
+    _peel_core(y.diag, y.off, y.n, name=name)
 
 
 def _clique_gaps(x: IncompleteSym) -> NDArray[np.float64]:
@@ -288,10 +341,19 @@ def assert_in_Q(x: IncompleteSym, name: str = "x") -> None:
 
 
 def pairing(y: TridiagSym, x: IncompleteSym) -> float:
-    """Trace pairing ``<y, x>``; off-diagonal entries count twice."""
+    """Trace pairing ``<y, x>``; off-diagonal entries count twice.
+
+    An overflowing sum is redone on operands scaled by powers of two (exact).
+    """
     if y.n != x.n:
         raise ValueError(f"size mismatch: {y.n} vs {x.n}")
-    return float(y.diag @ x.diag + 2.0 * (y.off @ x.off))
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(y.diag @ x.diag + 2.0 * (y.off @ x.off))
+        if math.isfinite(total):
+            return total
+        ey, ex = (int(np.frexp(np.max(np.abs(v.coords())))[1]) for v in (y, x))
+        yc, xc, n = np.ldexp(y.coords(), -ey), np.ldexp(x.coords(), -ex), y.n
+        return float(np.ldexp(yc[:n] @ xc[:n] + 2.0 * (yc[n:] @ xc[n:]), ey + ex))
 
 
 def inverse_image(y: TridiagSym) -> IncompleteSym:
@@ -300,10 +362,9 @@ def inverse_image(y: TridiagSym) -> IncompleteSym:
     Read off the peel plan of ``y`` by the O(n) sweep of the mean map at unit
     shape, without forming ``y^{-1}``.
     """
-    from .lum_triangular import _hat_band  # deferred: both import this module
-    from .peeling import _peel_plan
+    from .lum_triangular import _hat_band  # deferred: it imports this module
 
-    a, b = _peel_plan(y, y.n)
+    a, b = _peel_core(y.diag, y.off, y.n)
     return IncompleteSym(y.n, *_hat_band(np.ones(y.n), y.n, a, b))
 
 
@@ -378,19 +439,12 @@ def hat_completion(x: IncompleteSym) -> DenseSym:
 
 
 def leading_log_minors(y: TridiagSym, name: str = "y") -> NDArray[np.float64]:
-    """``log |y_{1:i}|`` for positive definite ``y``.
+    """``log |y_{1:i}|`` for positive definite ``y``, else :class:`ConeError`.
 
-    Uses LDL pivots (cumulative log products), which stay on the scale of the
-    matrix entries, so minors of any magnitude are handled without overflow.
-    Raises :class:`ConeError` if ``y`` is not positive definite.
+    Cumulative log LDL pivots (:func:`_peel_core` at ``M = n``), which stay on
+    the scale of the entries, so minors of any magnitude cannot overflow.
     """
-    piv, bad = _bad_pivots(y)
-    if bad.size:
-        raise ConeError(
-            f"{name} is not positive definite: leading principal minor {int(bad[0]) + 1} "
-            "is not positive"
-        )
-    return np.cumsum(np.log(piv))
+    return np.cumsum(np.log(_peel_core(y.diag, y.off, y.n, name=name)[0]))
 
 
 def _mirror(elem: _BandedSym) -> _BandedSym:
@@ -399,8 +453,9 @@ def _mirror(elem: _BandedSym) -> _BandedSym:
 
 
 def trailing_log_minors(y: TridiagSym, name: str = "y") -> NDArray[np.float64]:
-    """``log |y_{i:n}|`` for positive definite ``y`` (index i stored 0-based)."""
-    return leading_log_minors(_mirror(y), name=name)[::-1].copy()
+    """``log |y_{i:n}|`` for positive definite ``y`` (i stored 0-based), off the peel toward ``M = 1``."""
+    log_a = np.log(_peel_core(y.diag, y.off, 1, name=name)[0])
+    return np.cumsum(log_a[::-1])[::-1].copy()
 
 
 # ---------------------------------------------------------------------------

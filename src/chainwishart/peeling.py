@@ -24,10 +24,11 @@ the exact samplers: integrating a power function over the cone reduces, one
 vertex at a time, to a gamma integral in ``a`` (or ``alpha``) and a Gaussian
 integral in ``b`` (or ``beta``).
 
-Each public map checks its input cone.  The samplers, the ``LU(M)`` factor
-and the closed forms on ``Q`` instead use one peel plan per element: a single
-cone check, then every peel read off plain arrays in O(n) with the same
-floating-point operations as the maps (``_peel_plan``, ``_peel_core``).
+Each public map checks its input cone; the inverse maps read their step off
+the peel kernel ``matrix_spaces._peel_core``, whose sweep is the test on
+``P``.  The samplers, the ``LU(M)`` factor and the closed forms use one peel
+plan per element (``_peel_plan``): one kernel sweep, every peel read off in
+O(n) with the same floating-point operations as the maps.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .matrix_spaces import (
     IncompleteSym,
     TridiagSym,
     _mirror,
-    _unit_scaled,
+    _peel_core,
     assert_in_P,
     assert_in_Q,
     pairing,
@@ -85,42 +86,26 @@ def phi(a: float, b: float, z: TridiagSym) -> TridiagSym:
     """Attach vertex 1 with pivot ``a`` and regression ``b`` to ``z`` in ``P``."""
     _require_positive(a, "a")
     assert_in_P(z, "z")
-    n = z.n + 1
-    diag = np.empty(n)
-    off = np.empty(n - 1)
-    diag[0] = a
-    diag[1] = a * b * b + z.diag[0]
-    diag[2:] = z.diag[1:]
-    off[0] = a * b
-    off[1:] = z.off
-    return TridiagSym(n, diag, off)
+    return TridiagSym(z.n + 1, np.r_[a, a * b * b + z.diag[0], z.diag[1:]], np.r_[a * b, z.off])
 
 
 def phi_inv(y: TridiagSym) -> PeelTriple:
-    """Peel vertex 1: ``a = y_11``, ``b = y_12 / y_11``, ``z_22 = y_22 - y_12^2 / y_11``."""
+    """Peel vertex 1: ``a = y_11``, ``b = y_12 / y_11``, ``z_22 = y_22 - y_12^2 / y_11``.
+
+    ``a`` and ``z_22`` are the first two pivots of the LDL sweep, the cone test of ``y``.
+    """
     if y.n < 2:
         raise ValueError("cannot peel a single-vertex matrix")
-    assert_in_P(y)
-    a = float(y.diag[0])
-    b = float(y.off[0] / a)
-    diag = y.diag[1:].copy()
-    diag[0] -= y.off[0] ** 2 / a
-    return PeelTriple(a, b, TridiagSym(y.n - 1, diag, y.off[1:].copy()))
+    a, b = _peel_core(y.diag, y.off, y.n)
+    return PeelTriple(float(a[0]), float(b[0]), TridiagSym(y.n - 1, np.r_[a[1], y.diag[2:]], y.off[1:]))
 
 
 def psi(alpha: float, beta: float, x: IncompleteSym) -> IncompleteSym:
     """Attach vertex 1 to ``x`` in the dual cone."""
     _require_positive(alpha, "alpha")
     assert_in_Q(x)
-    n = x.n + 1
-    diag = np.empty(n)
-    off = np.empty(n - 1)
     x22 = x.diag[0]
-    diag[0] = alpha + beta * beta * x22
-    diag[1:] = x.diag
-    off[0] = beta * x22
-    off[1:] = x.off
-    return IncompleteSym(n, diag, off)
+    return IncompleteSym(x.n + 1, np.r_[alpha + beta * beta * x22, x.diag], np.r_[beta * x22, x.off])
 
 
 def psi_inv(eta: IncompleteSym) -> PeelTriple:
@@ -128,11 +113,8 @@ def psi_inv(eta: IncompleteSym) -> PeelTriple:
     if eta.n < 2:
         raise ValueError("cannot peel a single-vertex matrix")
     assert_in_Q(eta)
-    x22 = float(eta.diag[1])
-    beta = float(eta.off[0] / x22)
-    alpha = float(eta.diag[0] - eta.off[0] ** 2 / x22)
-    rest = IncompleteSym(eta.n - 1, eta.diag[1:].copy(), eta.off[1:].copy())
-    return PeelTriple(alpha, beta, rest)
+    alpha, beta = _peel_core(eta.diag[:2], eta.off[:1], 2, dual=True)
+    return PeelTriple(float(alpha[0]), float(beta[0]), IncompleteSym(eta.n - 1, eta.diag[1:], eta.off[1:]))
 
 
 def phi_tilde(a: float, b: float, z: TridiagSym) -> TridiagSym:
@@ -157,66 +139,21 @@ def psi_tilde_inv(eta: IncompleteSym) -> PeelTriple:
     return PeelTriple(t.a, t.b, _mirror(t.rest))
 
 
-def _peel_order(n: int, M: int) -> list[tuple[int, int]]:
-    """Peeled vertices ``(i, j)`` in peeling order, ``j`` the neighbour toward the pivot.
-
-    Vertex 1 is peeled while the pivot lies to the right, then vertex ``n``;
-    indices are 0-based.  Reversed, this is the outward order from the pivot
-    in which the inductive constructions rebuild an element.
-    """
-    return [(i, i + 1) for i in range(M - 1)] + [(i, i - 1) for i in range(n - 1, M - 1, -1)]
-
-
-def _rows(v: NDArray) -> list:
-    # Python scalars for one element (fast, and ``**`` rounds as on numpy
-    # scalars); rows of the trailing batch axes otherwise.
-    return v.tolist() if v.ndim == 1 else list(v)
-
-
-def _peel_core(
-    diag: NDArray, off: NDArray, M: int, dual: bool
-) -> tuple[NDArray, NDArray]:
-    """Peel coordinates ``(a, b)`` of banded data, indexed by vertex; no cone check.
-
-    Repeats the floating-point operations of ``phi_inv``/``phi_tilde_inv``
-    (``dual=False``) or ``psi_inv``/``psi_tilde_inv`` (``dual=True``) step by
-    step, in O(n).  ``a[M-1]`` holds the one-vertex remainder at the pivot and
-    ``b[M-1]`` is zero.  Entries may be complex and may carry trailing batch
-    axes (``diag`` of shape ``(n, ...)``, ``off`` of shape ``(n-1, ...)``).
-    One element's data (1-D) whose largest entry lies far from unit size is
-    first scaled to it by a power of two (``_unit_scaled``), which is exact.
-    """
-    d, o, scale = _unit_scaled(diag, off) if diag.ndim == 1 else (_rows(diag), _rows(off), 0)
-    n = len(d)
-    a = [0 * d[M - 1]] * n
-    b = [0 * d[M - 1]] * n
-    for i, j in _peel_order(n, M):
-        e = min(i, j)
-        if dual:
-            b[i] = o[e] / d[j]
-            a[i] = d[i] - o[e] ** 2 / d[j]
-        else:
-            a[i] = d[i]
-            b[i] = o[e] / d[i]
-            d[j] = d[j] - o[e] ** 2 / d[i]
-    a[M - 1] = d[M - 1]
-    return np.ldexp(a, scale) if scale else np.array(a), np.array(b)
-
-
 def _peel_plan(elem: Union[TridiagSym, IncompleteSym], M: int) -> tuple[NDArray, NDArray]:
-    """Peel ``elem`` down to its pivot vertex ``M`` after a single cone check.
+    """Peel ``elem`` down to its pivot vertex ``M``; on ``P`` the sweep is the cone test.
 
-    Checks membership in ``P`` (or ``Q``) once, then reads every peel off the
-    arrays in O(n) with the same floating-point operations as the inverse
-    maps, so seeded samplers and factors are unchanged.  Returns ``(a, b)``
-    indexed by vertex: vertex ``i`` was peeled with pivot ``a[i]`` and
-    regression ``b[i]`` toward its neighbour ``j`` on the pivot's side (see
-    :func:`_peel_order`), and ``a[M-1]`` is the one-vertex remainder.
+    On ``Q`` the vectorized :func:`assert_in_Q` runs first.  Every peel is
+    read off the arrays in O(n) with the same floating-point operations as
+    the inverse maps, so seeded samplers and factors are unchanged.  Returns
+    ``(a, b)`` indexed by vertex: vertex ``i`` was peeled with pivot ``a[i]``
+    and regression ``b[i]`` toward its neighbour ``j`` on the pivot's side
+    (``matrix_spaces._peel_order``), and ``a[M-1]`` is the remainder.
     """
-    dual = isinstance(elem, IncompleteSym)
-    (assert_in_Q if dual else assert_in_P)(elem)
     if not 1 <= M <= elem.n:
         raise ValueError(f"pivot M={M} out of range 1..{elem.n}")
+    dual = isinstance(elem, IncompleteSym)
+    if dual:
+        assert_in_Q(elem)
     return _peel_core(elem.diag, elem.off, M, dual)
 
 

@@ -42,11 +42,12 @@ from .matrix_spaces import (
     IncompleteSym,
     TridiagSym,
     _clique_gaps,
+    _peel_core,
+    _peel_order,
     assert_in_Q,
     leading_log_minors,
     trailing_log_minors,
 )
-from .peeling import _peel_order, _peel_plan
 
 __all__ = [
     "ShapeParams",
@@ -174,15 +175,16 @@ def log_delta_M(p: ShapeParams, x: IncompleteSym) -> float:
     return float(cliq_e @ log_cliq + diag_e @ log_diag)
 
 
-def log_Delta_M(p: ShapeParams, y: TridiagSym) -> float:
+def log_Delta_M(p: ShapeParams, y: TridiagSym, name: str = "y") -> float:
     """``log Delta_s^(M)(y) = sum_i s_i log a_i`` over the peel pivots of ``y``, in O(n).
 
     The pivots are ratios of consecutive leading (left of ``M``) and trailing
-    (right of it) minors, so the product telescopes to the minor form above.
+    (right of it) minors, so the product telescopes to the minor form above;
+    their sweep is the cone test of ``y`` (called ``name`` in its error).
     """
     if p.n != y.n:
         raise ValueError("shape vector and matrix size disagree")
-    a, _ = _peel_plan(y, p.M)
+    a, _ = _peel_core(y.diag, y.off, p.M, name=name)
     return float(p.s @ np.log(a))
 
 

@@ -31,17 +31,18 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .matrix_spaces import (
+    ConeError,
     IncompleteSym,
     TridiagSym,
     _clique_assembly,
     _clique_inverses,
+    _peel_order,
     assert_in_Q,
     ig_basis,
-    is_in_P,
     is_in_Q,
     pairing,
 )
-from .peeling import _peel_order, _peel_plan
+from .peeling import _peel_plan
 from .power_functions import (
     ShapeParams,
     _jet_log,
@@ -127,13 +128,15 @@ def log_density_p(w: WishartP, y: TridiagSym) -> float:
     """Log density at ``y``; ``-inf`` outside the cone."""
     if y.n != w.n:
         raise ValueError("size mismatch")
-    if not is_in_P(y):
-        return float("-inf")
     p, x = w.params, w.x
+    try:
+        log_power = log_Delta_M(p, y)  # its pivot sweep is the cone test
+    except ConeError:
+        return float("-inf")
     neg = ShapeParams(p.M, -p.s)
     return (
         log_norm_constant_p(p)
-        + log_Delta_M(p, y)
+        + log_power
         - pairing(y, x)
         - (log_delta_M(neg, x) + log_phi(x))
     )
@@ -432,17 +435,20 @@ def newton_inverse_mean_p(
     """Numerically invert the mean map on ``P``.
 
     No closed form exists on this cone; this is a damped Newton iteration on
-    the coordinate space (a convenience utility, not a family formula).
+    the coordinate space (a convenience utility, not a family formula), run
+    to ``tol`` relative at the target scaled to unit size, as ``mean_p(c x) = mean_p(x) / c``.
     """
     n = p.n
-    x = x0 if x0 is not None else IncompleteSym(n, np.ones(n), np.zeros(n - 1))
     target_c = target.coords()
-    scale = max(1.0, float(np.max(np.abs(target_c))))
+    e = int(np.frexp(np.max(np.abs(target_c)))[1])
+    target_c = np.ldexp(target_c, -e)
+    x = np.ldexp(x0.coords(), e) if x0 is not None else np.r_[np.ones(n), np.zeros(n - 1)]
+    x = IncompleteSym.from_coords(x)
     for _ in range(max_iter):
         w = WishartP(p, x)
         resid = mean_p(w).coords() - target_c
-        if np.max(np.abs(resid)) <= tol * scale:
-            return x
+        if np.max(np.abs(resid)) <= tol * np.max(np.abs(target_c)):
+            return IncompleteSym.from_coords(np.ldexp(x.coords(), -e))
         jac = -covariance_p_matrix(w)  # d mean / d x
         step = np.linalg.solve(jac, resid)
         t = 1.0

@@ -62,6 +62,8 @@ from .matrix_spaces import (
     IncompleteSym,
     TridiagSym,
     _clique_assembly,
+    _peel_core,
+    _peel_order,
     assert_in_P,
     assert_in_Q,
     inverse_image,
@@ -70,7 +72,7 @@ from .matrix_spaces import (
     pairing,
     zg_basis,
 )
-from .peeling import _peel_core, _peel_order, _peel_plan
+from .peeling import _peel_plan
 from .power_functions import (
     ShapeParams,
     _jet_moment,
@@ -180,10 +182,8 @@ def log_laplace(w: WishartQ, z: TridiagSym) -> float:
     """``log E exp(-<z, X>) = log Delta_{-s}(z + y) - log Delta_{-s}(y)``."""
     if z.n != w.n:
         raise ValueError("size mismatch")
-    shifted = z + w.y
-    assert_in_P(shifted, "z + y")
     neg = ShapeParams(w.params.M, -w.params.s)
-    return log_Delta_M(neg, shifted) - log_Delta_M(neg, w.y)
+    return log_Delta_M(neg, z + w.y, "z + y") - log_Delta_M(neg, w.y)
 
 
 # ---------------------------------------------------------------------------
@@ -234,9 +234,7 @@ def _covariance_coords(
         return np.zeros(u_diag.shape), np.zeros(u_off.shape)
     h = _STEP / u_max
     pad = (slice(None),) + (None,) * (u_diag.ndim - 1)
-    a, b = _peel_core(
-        unit * y.diag[pad] + 1j * h * u_diag, unit * y.off[pad] + 1j * h * u_off, p.M, dual=False
-    )
+    a, b = _peel_core(unit * y.diag[pad] + 1j * h * u_diag, unit * y.off[pad] + 1j * h * u_off, p.M)
     hd, ho = _hat_band(p.s, p.M, a, b)
     return -hd.imag / h * unit * unit, -ho.imag / h * unit * unit
 
@@ -456,7 +454,7 @@ def sample_gram_many(
         if not (1 <= lo <= hi <= n):
             raise ValueError(f"invalid interval ({lo}, {hi})")
         k = hi - lo + 1
-        a, b = _peel_core(y.diag[lo - 1 : hi], y.off[lo - 1 : hi - 1], 1, dual=False)
+        a, b = _peel_core(y.diag[lo - 1 : hi], y.off[lo - 1 : hi - 1], 1, name=f"y_{{{lo}..{hi}}}")
         v = rng.standard_normal((size, mult, k)) / np.sqrt(2.0 * a)
         for i in range(1, k):
             v[..., i] -= b[i] * v[..., i - 1]

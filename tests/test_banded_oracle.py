@@ -26,7 +26,16 @@ from chainwishart.matrix_spaces import (
     is_in_P,
     is_in_Q,
     lauritzen_map,
+    pairing,
     project_pi,
+)
+from chainwishart.peeling import (
+    phi_inv,
+    phi_tilde_inv,
+    psi_inv,
+    psi_tilde_inv,
+    trace_decomposition_check,
+    trace_decomposition_check_tilde,
 )
 from chainwishart.power_functions import (
     ShapeParams,
@@ -257,6 +266,32 @@ def test_factors_power_functions_and_samplers_are_scale_invariant(c):
     ]
     for draw in draws:
         assert_close(c * draw(c), draw(1.0))
+
+
+@pytest.mark.parametrize("c", [1e-300, 1e-160, 1e160, 1e300])
+def test_peel_maps_and_trace_checks_are_scale_invariant(c):
+    y = TridiagSym(3, [2.0, 3.0, 2.5], [0.5, -0.75])
+    x = IncompleteSym(3, [2.0, 3.0, 2.5], [0.5, -0.75])
+    for peel, elem in ((phi_inv, y), (phi_tilde_inv, y), (psi_inv, x), (psi_tilde_inv, x)):
+        t1, tc = peel(elem), peel(c * elem)
+        assert tc.a == pytest.approx(c * t1.a, rel=1e-15)
+        assert tc.b == pytest.approx(t1.b, rel=1e-15)
+        np.testing.assert_allclose(tc.rest.coords(), c * t1.rest.coords(), rtol=1e-15)
+    for check in (trace_decomposition_check, trace_decomposition_check_tilde):
+        np.testing.assert_allclose(check(c * y, (1.0 / c) * x), check(y, x), rtol=1e-15)
+
+
+@pytest.mark.parametrize("c", [1e160, 1e300])
+def test_pairing_and_densities_overflow_to_signed_infinities(c):
+    rng = np.random.default_rng(29)
+    n, M = 5, 3
+    y, x = random_pd_tridiag(rng, n), random_q_elem(rng, n)
+    assert pairing(c * y, c * x) == math.inf
+    assert pairing(c * y, -(c * x)) == -math.inf
+    assert wq.log_density(wq.WishartQ(random_shape_q(rng, n, M), c * y), c * x) == -math.inf
+    assert wp.log_density_p(wp.WishartP(random_shape_p(rng, n, M), c * x), c * y) == -math.inf
+    # only a partial sum overflows: the pairing is exact
+    assert pairing(TridiagSym(2, [1e308, 1e308], [0.0]), IncompleteSym(2, [10.0, -10.0], [0.0])) == 0.0
 
 
 # -- no dense algebra on the public path -------------------------------------

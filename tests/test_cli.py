@@ -425,6 +425,9 @@ Z2 = {"n": 2, "diag": [0.5, -0.2], "off": [0.1]}
 # the same parameters scaled by 1e160: squares of their entries overflow a double
 Q2_BIG = {**Q2, "y": {"n": 2, "diag": [1e160, 1e160], "off": [2e159]}}
 P2_BIG = {**P2, "x": {"n": 2, "diag": [1e160, 1.3e160], "off": [-2e159]}}
+# the mean of P2 at c x is its mean at x over c, so Newton must return c x
+P2_MEAN = wp.mean_p(wp.WishartP(ShapeParams.from_json_dict(P2), IncompleteSym.from_json_dict(P2["x"])))
+NEWTON_SCALES = {"newton-target-at-1e-12": 1e-12, "newton-target-at-1e12": 1e12}
 
 # (case id, files to write, argv with {file} and {dir} placeholders, exit code)
 CONTRACT = [
@@ -437,6 +440,11 @@ CONTRACT = [
     ("newton-non-pd-target", {"p.json": P2, "t.json": {"n": 2, "diag": [1.0, -1.0], "off": [0.0]}},
      ["eval", "--what", "inverse-mean", "--family", "p", "--params", "{p.json}", "--point", "{t.json}"],
      EXIT_DOMAIN),
+    *[
+        (case, {"p.json": P2, "t.json": ((1.0 / c) * P2_MEAN).to_json_dict()},
+         ["eval", "--what", "inverse-mean", "--family", "p", "--params", "{p.json}", "--point", "{t.json}"], 0)
+        for case, c in NEWTON_SCALES.items()
+    ],
     ("eval-mean", {"q.json": Q2}, ["eval", "--what", "mean", "--family", "q", "--params", "{q.json}"], 0),
     ("eval-mean-at-1e160", {"q.json": Q2_BIG},
      ["eval", "--what", "mean", "--family", "q", "--params", "{q.json}"], 0),
@@ -471,9 +479,13 @@ def test_cli_exit_code_contract(tmp_path, capsys, case, files, argv, code):
     for key, value in names.items():
         argv = [a.replace("{" + key + "}", value) for a in argv]
     rc = main(argv)  # an exception escaping here is the traceback the contract forbids
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert "Traceback" not in err
     assert rc in {0, 2, 3, 4, 5, 6}
     assert rc == code
     if code:
         assert len(err.strip().splitlines()) == 1
+    if case in NEWTON_SCALES:
+        got = IncompleteSym.from_json_dict(json.loads(out)["inverse_mean"])
+        want = NEWTON_SCALES[case] * IncompleteSym.from_json_dict(P2["x"])
+        np.testing.assert_allclose(got.coords(), want.coords(), rtol=1e-8)

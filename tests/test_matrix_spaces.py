@@ -1,4 +1,6 @@
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from chainwishart.matrix_spaces import (
     pairing,
     project_pi,
 )
+from chainwishart.peeling import _peel_plan
 
 from _gen import random_pd_tridiag, random_q_elem
 
@@ -63,6 +66,65 @@ def test_is_in_P_examples():
     assert not is_in_P(TridiagSym(2, [1, 1], [2]))
     with pytest.raises(ConeError, match="minor 2"):
         assert_in_P(TridiagSym(2, [1, 1], [2]))
+
+
+# (off-diagonal of a unit-diagonal y with an exact zero pivot, pivot M, the minor named)
+ZERO_PIVOTS = [
+    ([1, 0], 3, "leading principal minor 2"),
+    ([1, 0], 2, "the determinant"),
+    ([1, 0], 1, "the determinant"),
+    ([0, 1], 3, "leading principal minor 3"),
+    ([0, 1], 2, "the determinant"),
+    ([0, 1], 1, "trailing principal minor 2..3"),
+    ([1, 0, 0], 3, "leading principal minor 2"),
+    ([0, 0, 1], 2, "trailing principal minor 3..4"),
+]
+
+
+@pytest.mark.parametrize("off, M, minor", ZERO_PIVOTS)
+def test_a_zero_pivot_is_a_cone_error_naming_its_minor(off, M, minor):
+    y = TridiagSym(len(off) + 1, np.ones(len(off) + 1), off)
+    assert not is_in_P(y)
+    with pytest.raises(ConeError, match=re.escape(f"y is not positive definite: {minor} (pivot 0)")):
+        _peel_plan(y, M)
+
+
+@st.composite
+def members_and_clear_non_members(draw):
+    """``(y, member)`` with ``y`` scaled by up to 10^+-300.
+
+    Members are diagonally dominant by at least 0.01 (diagonal at most 4).  A
+    non-member has a negative diagonal entry or a clique block with
+    determinant ``-1.25`` times its diagonal product; every pivot order meets
+    either with a pivot far below zero.
+    """
+    n = draw(st.integers(min_value=1, max_value=9))
+    off = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=n - 1, max_size=n - 1)))
+    slack = np.array(draw(st.lists(st.floats(0.01, 2.0), min_size=n, max_size=n)))
+    diag = slack + np.abs(np.r_[0.0, off]) + np.abs(np.r_[off, 0.0])
+    kinds = ["member", "negative diagonal entry"] + (["indefinite clique block"] if n > 1 else [])
+    kind = draw(st.sampled_from(kinds))
+    k = draw(st.integers(min_value=0, max_value=n - 1))
+    if kind == "negative diagonal entry":
+        diag[k] = -slack[k]
+    elif kind == "indefinite clique block":
+        k = min(k, n - 2)
+        off[k] = 1.5 * math.sqrt(diag[k] * diag[k + 1])
+    c = 10.0 ** draw(st.floats(-300.0, 300.0))
+    return c * TridiagSym(n, diag, off), kind == "member"
+
+
+@settings(deadline=None, max_examples=150)
+@given(members_and_clear_non_members())
+def test_every_pivot_order_decides_membership_alike(case):
+    y, member = case
+    assert is_in_P(y) == member
+    for M in range(1, y.n + 1):
+        if member:
+            _peel_plan(y, M)
+        else:
+            with pytest.raises(ConeError):
+                _peel_plan(y, M)
 
 
 def test_is_in_Q_examples():

@@ -296,6 +296,16 @@ def test_newton_inverse_mean_p():
     assert np.allclose(back.coords(), x.coords(), rtol=1e-7, atol=1e-9)
 
 
+@pytest.mark.parametrize("c", [1e-150, 1e-12, 1e12, 1e150])
+@pytest.mark.parametrize("n, M", [(1, 1), (3, 2), (6, 1), (6, 4), (6, 6)])
+def test_newton_inverse_mean_p_is_scale_equivariant(n, M, c):
+    rng = np.random.default_rng([n, M, 86])
+    x = c * random_q_elem(rng, n)
+    p = random_shape_p(rng, n, M)
+    back = wp.newton_inverse_mean_p(p, wp.mean_p(wp.WishartP(p, x)))
+    assert np.max(np.abs(back.coords() - x.coords())) <= 1e-8 * np.max(np.abs(x.coords()))
+
+
 def test_mean_p_is_negated_log_laplace_gradient():
     # the mean must equal minus the FD gradient of x -> log(delta_{-s} phi)(x)
     from chainwishart.power_functions import log_delta_M, log_phi
