@@ -213,19 +213,25 @@ def sample_p_many(w: WishartP, rng: np.random.Generator, size: int) -> NDArray[n
     gamma draw, and each peeled vertex gets a Gamma(s_i + 3/2) pivot with
     rate its peeled dual pivot and a regression coefficient that is Gaussian
     given it, whose ``a b^2`` adds onto the neighbour's diagonal.
+
+    As in ``wishart_q.sample_many``: the plan, the shape and ``x``'s
+    diagonal are read once as Python floats, each vertex costs two
+    generator calls and a fixed handful of array operations on all draws
+    (O(n) per draw), and the Gaussian ``standard_normal * scale - b``
+    consumes the stream and rounds exactly as ``rng.normal(-b, scale)``.
     """
-    n, M, s = w.n, w.params.M, w.params.s
-    alpha, beta = _peel_plan(w.x, M)
-    xd = w.x.diag
+    n, M, s = w.n, w.params.M, w.params.s.tolist()
+    alpha, beta = (v.tolist() for v in _peel_plan(w.x, M))
+    xd = w.x.diag.tolist()
     out = np.empty((size, 2 * n - 1))
     diag, off = out[:, :n], out[:, n:]
-    diag[:, M - 1] = rng.gamma(shape=s[M - 1] + 1.0, scale=1.0 / alpha[M - 1], size=size)
+    diag[:, M - 1] = rng.gamma(s[M - 1] + 1.0, 1.0 / alpha[M - 1], size)
     for i, j in reversed(_peel_order(n, M)):
-        a = rng.gamma(shape=s[i] + 1.5, scale=1.0 / alpha[i], size=size)
-        b = rng.normal(loc=-beta[i], scale=np.sqrt(1.0 / (2.0 * a * xd[j])))
+        a = rng.gamma(s[i] + 1.5, 1.0 / alpha[i], size)
+        b = rng.standard_normal(size) * np.sqrt(1.0 / (2.0 * a * xd[j])) - beta[i]
         diag[:, i] = a
         diag[:, j] += a * b**2
-        off[:, min(i, j)] = a * b
+        np.multiply(a, b, out=off[:, min(i, j)])
     return out
 
 

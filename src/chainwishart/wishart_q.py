@@ -44,6 +44,10 @@ The samplers:
   ``sigma_M/2 = s_M``, ``sigma_i/2 = s_i - s_{i-1}`` (right of the pivot),
   each set's Gaussians drawn off its own peel plan.
 
+Both loop in Python over vertices, never over draws: each step works on all
+``size`` draws at once, so a draw costs O(n) on the peeling sampler and
+O(sum over the sets of ``|I| * multiplicity``) on the quadratic one.
+
 The tilt ``exp(-<y, pi(v v')>) = exp(-v' y_I v)`` makes each Gaussian factor
 ``N(0, (2 y_I)^{-1})``; the factor 2 comes from the quadratic form having no
 1/2 and is the convention every moment identity here is checked against.
@@ -226,6 +230,8 @@ def _covariance_coords(
     derivative up to ``O(h^2)``, with no cancellation.  ``y`` is first scaled
     by a power of two to unit size (exact; the covariance is homogeneous of
     degree -2).  ``u`` arrays may carry a trailing batch axis of directions.
+    A covariance past the largest double (``y`` below about 1e-154 in scale)
+    raises ``ValueError``.
     """
     assert_in_P(y)
     unit = np.ldexp(1.0, -int(np.frexp(np.max(np.abs(y.coords())))[1]))
@@ -236,7 +242,13 @@ def _covariance_coords(
     pad = (slice(None),) + (None,) * (u_diag.ndim - 1)
     a, b = _peel_core(unit * y.diag[pad] + 1j * h * u_diag, unit * y.off[pad] + 1j * h * u_off, p.M)
     hd, ho = _hat_band(p.s, p.M, a, b)
-    return -hd.imag / h * unit * unit, -ho.imag / h * unit * unit
+    try:
+        with np.errstate(over="raise"):
+            return -hd.imag / h * unit * unit, -ho.imag / h * unit * unit
+    except FloatingPointError:
+        raise ValueError(
+            "the covariance is outside the double range: it has degree -2 and y is too small in scale"
+        ) from None
 
 
 def covariance_apply(w: WishartQ, u: TridiagSym) -> IncompleteSym:
@@ -353,18 +365,25 @@ def sample_many(w: WishartQ, rng: np.random.Generator, size: int) -> NDArray[np.
     Gaussian given its already drawn neighbour and an independent gamma
     pivot coordinate, exactly inverting the integration steps behind the
     Laplace transform.
+
+    The plan and the shape are read once as Python floats.  Each vertex then
+    costs two generator calls (``size`` normals, then ``size`` gammas) and
+    a fixed handful of array operations on all draws at once, O(n) per
+    draw.  The Gaussian is formed as ``standard_normal * scale - b``, which
+    consumes the stream and rounds exactly as ``rng.normal(-b, scale)``
+    does; ``tests/test_peel_plan.py`` pins seeded draws by digest.
     """
-    n, M, s = w.n, w.params.M, w.params.s
-    a, b = _peel_plan(w.y, M)
+    n, M, s = w.n, w.params.M, w.params.s.tolist()
+    a, b = (v.tolist() for v in _peel_plan(w.y, M))
     out = np.empty((size, 2 * n - 1))
     diag, off = out[:, :n], out[:, n:]
-    diag[:, M - 1] = rng.gamma(shape=s[M - 1], scale=1.0 / a[M - 1], size=size)
+    diag[:, M - 1] = rng.gamma(s[M - 1], 1.0 / a[M - 1], size)
     for i, j in reversed(_peel_order(n, M)):
         xjj = diag[:, j]
-        beta = rng.normal(loc=-b[i], scale=np.sqrt(1.0 / (2.0 * a[i] * xjj)))
-        alpha = rng.gamma(shape=s[i] - 0.5, scale=1.0 / a[i], size=size)
-        diag[:, i] = alpha + beta**2 * xjj
-        off[:, min(i, j)] = beta * xjj
+        beta = rng.standard_normal(size) * np.sqrt(1.0 / (2.0 * a[i] * xjj)) - b[i]
+        alpha = rng.gamma(s[i] - 0.5, 1.0 / a[i], size)
+        np.add(alpha, beta**2 * xjj, out=diag[:, i])
+        np.multiply(beta, xjj, out=off[:, min(i, j)])
     return out
 
 
@@ -409,12 +428,12 @@ def basic_index_sets(sigma: Iterable[int], M: int, n: int) -> list[tuple[int, in
     Prefixes ``{1..i}`` for ``i < M``, the full set for the pivot slot, and
     suffixes ``{i..n}`` for ``i > M``.
     """
-    sigma = np.asarray(sigma)
-    if sigma.size != n:
+    sigma = np.asarray(sigma).reshape(-1).tolist()
+    if len(sigma) != n:
         raise ValueError("sigma must have one entry per vertex")
-    if np.any(sigma < 0) or np.any(sigma != np.floor(sigma)):
+    if not all(v >= 0 and v % 1 == 0 for v in sigma):
         raise ValueError("sigma must be a vector of nonnegative integers")
-    if not np.any(sigma > 0):
+    if not any(v > 0 for v in sigma):
         raise ValueError("sigma must have at least one positive entry")
     sets = []
     for i in range(1, M):
@@ -439,29 +458,39 @@ def sample_gram_many(
     Each set ``I`` contributes ``multiplicity`` independent terms
     ``pi(v v')`` with ``v`` supported on ``I`` and ``v_I ~ N(0, (2 y_I)^{-1})``.
     Mixed patterns outside the basic family are allowed; their laws have no
-    closed-form density here (sampler-only mode).
+    closed-form density here (sampler-only mode).  Bounds are 1-based and
+    inclusive; bounds and multiplicities must be integers, multiplicities
+    nonnegative.
 
     The peel plan of ``y_I`` toward its first vertex gives ``y_I = U U'``,
     ``U`` upper bidiagonal with ``U_ii = sqrt(a_i)``, ``U_{i-1,i} = sqrt(a_i) b_i``;
     ``v_I = U^{-T} g / sqrt(2)`` by forward substitution, where ``U^{-T} / sqrt(2)``
-    is the Cholesky factor of ``(2 y_I)^{-1}``.
+    is the Cholesky factor of ``(2 y_I)^{-1}``.  Each set costs one normal
+    draw of ``size * multiplicity * |I|`` values and one in-place update per
+    vertex of ``I``, on all draws and terms at once.
     """
     assert_in_P(y)
     n = y.n
-    diag = np.zeros((size, n))
-    off = np.zeros((size, n - 1))
+    out = np.zeros((size, 2 * n - 1))
+    diag, off = out[:, :n], out[:, n:]
+    ints = (int, np.integer)
     for lo, hi, mult in index_sets:
-        if not (1 <= lo <= hi <= n):
+        if not (isinstance(lo, ints) and isinstance(hi, ints) and 1 <= lo <= hi <= n):
             raise ValueError(f"invalid interval ({lo}, {hi})")
+        if not (isinstance(mult, ints) and mult >= 0):
+            raise ValueError(f"multiplicity {mult!r} of interval ({lo}, {hi}) is not a nonnegative integer")
         k = hi - lo + 1
         a, b = _peel_core(y.diag[lo - 1 : hi], y.off[lo - 1 : hi - 1], 1, name=f"y_{{{lo}..{hi}}}")
         v = rng.standard_normal((size, mult, k)) / np.sqrt(2.0 * a)
+        vt, b = v.reshape(-1, k).T, b.tolist()  # vt[i]: vertex i of every draw and term
         for i in range(1, k):
-            v[..., i] -= b[i] * v[..., i - 1]
-        diag[:, lo - 1 : hi] += np.sum(v**2, axis=1)
+            vt[i] -= b[i] * vt[i - 1]
+        # summed over the terms on the (size, mult, k) layout: numpy's order
+        # of addition depends on the layout, and the seeded draws on the order
+        diag[:, lo - 1 : hi] += (v**2).sum(axis=1)
         if k >= 2:
-            off[:, lo - 1 : hi - 1] += np.sum(v[:, :, :-1] * v[:, :, 1:], axis=1)
-    return np.hstack([diag, off])
+            off[:, lo - 1 : hi - 1] += (v[:, :, :-1] * v[:, :, 1:]).sum(axis=1)
+    return out
 
 
 def sample_quadratic_many(
@@ -476,9 +505,7 @@ def sample_quadratic_many(
     When the shape solving the multiplicity relations lies in the
     integrability domain, the law coincides with the recursive sampler's.
     """
-    sigma = np.asarray(sigma)
-    sets = basic_index_sets(sigma, M, y.n)
-    return sample_gram_many(sets, y, rng, size)
+    return sample_gram_many(basic_index_sets(sigma, M, y.n), y, rng, size)
 
 
 def sample_quadratic(

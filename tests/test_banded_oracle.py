@@ -239,6 +239,21 @@ def test_cones_and_closed_forms_are_scale_invariant(c):
         assert np.max(np.abs(vc * c * c - v1)) <= 1e-12 * np.max(np.abs(v1))
 
 
+def test_covariance_past_the_double_range_is_a_domain_error():
+    # degree -2: with y scaled by 1e-200 the covariance is near 1e400; the
+    # error says so, and no numpy overflow warning escapes (pytest turns a
+    # RuntimeWarning into an error here)
+    rng = np.random.default_rng(17)
+    n, M = 9, 4
+    w = wq.WishartQ(random_shape_q(rng, n, M), 1e-200 * random_pd_tridiag(rng, n))
+    u = TridiagSym.from_coords(rng.uniform(-1, 1, 2 * n - 1))
+    m = wq.mean(w)
+    for call in (lambda: wq.covariance_apply(w, u), lambda: wq.covariance_matrix(w),
+                 lambda: wq.variance_apply_nice(w.params, m, u)):
+        with pytest.raises(ValueError, match="outside the double range"):
+            call()
+
+
 @pytest.mark.parametrize("c", SCALES)
 def test_factors_power_functions_and_samplers_are_scale_invariant(c):
     rng = np.random.default_rng(19)

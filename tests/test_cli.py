@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -98,6 +99,32 @@ def test_sample_negative_draw_count_exits_2(tmp_path, capsys, family):
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+# sha256 of the 20,000-draw CSVs at --seed 7, recorded before the samplers'
+# inner loops were rewritten for speed; any change to a seeded draw fails them
+CSV_Y = {"n": 4, "diag": [2.0, 2.5, 1.8, 2.2], "off": [0.3, -0.4, 0.5]}
+CSV_X = {"n": 4, "diag": [1.0, 1.5, 0.8, 1.2], "off": [0.2, -0.3, 0.4]}
+CSV_RUNS = {
+    "q": ({"M": 2, "s": [1.2, 0.9, 1.6, 1.1], "y": CSV_Y}, ["--family", "q"],
+          "17030280bf4f4f2adb3e0f98303cf0b8f3dfde19830bf6ccac4fed9916183fda"),
+    "p": ({"M": 3, "s": [0.3, -0.2, 0.8, 0.1], "x": CSV_X}, ["--family", "p"],
+          "bd417e98b86c96e452418d6b2929c7f1268c419e8c06376ab3d693240b38469a"),
+    "sigma": ({"M": 2, "s": [1.2, 0.9, 1.6, 1.1], "y": CSV_Y}, ["--family", "q", "--sigma", "2,2,1,1"],
+              "99b748a8ce140cf7155dd624d75e81c47fc41c0f8e1d57953f67f4e62f7b956e"),
+}
+
+
+@pytest.mark.parametrize("run", list(CSV_RUNS))
+def test_sample_csv_bytes_are_pinned(tmp_path, run):
+    params, flags, digest = CSV_RUNS[run]
+    out = tmp_path / "draws.csv"
+    argv = [sys.executable, "-m", "chainwishart.cli", "sample", *flags,
+            "--params", _write(tmp_path / "params.json", params),
+            "--n", "20000", "--seed", "7", "--out", str(out)]
+    done = subprocess.run(argv, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("module", ["chainwishart", "chainwishart.cli"])
@@ -425,6 +452,8 @@ Z2 = {"n": 2, "diag": [0.5, -0.2], "off": [0.1]}
 # the same parameters scaled by 1e160: squares of their entries overflow a double
 Q2_BIG = {**Q2, "y": {"n": 2, "diag": [1e160, 1e160], "off": [2e159]}}
 P2_BIG = {**P2, "x": {"n": 2, "diag": [1e160, 1.3e160], "off": [-2e159]}}
+# Q2 scaled by 1e-200: its covariance (degree -2) is past the largest double
+Q2_TINY = {**Q2, "y": {"n": 2, "diag": [1e-200, 1e-200], "off": [2e-201]}}
 # the mean of P2 at c x is its mean at x over c, so Newton must return c x
 P2_MEAN = wp.mean_p(wp.WishartP(ShapeParams.from_json_dict(P2), IncompleteSym.from_json_dict(P2["x"])))
 NEWTON_SCALES = {"newton-target-at-1e-12": 1e-12, "newton-target-at-1e12": 1e12}
@@ -450,6 +479,8 @@ CONTRACT = [
      ["eval", "--what", "mean", "--family", "q", "--params", "{q.json}"], 0),
     ("sample-p-at-1e160", {"p.json": P2_BIG},
      ["sample", "--family", "p", "--params", "{p.json}", "--n", "5", "--out", "{dir}/x.csv"], 0),
+    ("eval-variance-at-1e-200", {"q.json": Q2_TINY},
+     ["eval", "--what", "variance", "--family", "q", "--params", "{q.json}"], EXIT_DOMAIN),
     ("eval-variance-at-point", {"q.json": Q2, "m.json": {"n": 2, "diag": [1.0, 2.0], "off": [0.3]}},
      ["eval", "--what", "variance", "--family", "q", "--params", "{q.json}", "--point", "{m.json}"], 0),
     ("eval-density-needs-point", {"q.json": Q2},

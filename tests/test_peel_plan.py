@@ -2,8 +2,16 @@
 
 The pinned values were recorded from the recursive implementation that the
 plan replaced; seeded draws and factors must stay bit-identical to them.
+
+The sha256 digests pin the draw stream of ``sample_many``, ``sample_p_many``
+and ``sample_gram_many`` across chain lengths, pivots and draw counts.  They
+were recorded from the samplers as they stood before their inner loops were
+rewritten for speed (vertex rows read as Python floats, ``standard_normal``
+scaled and shifted by hand), so any change in a seeded draw, down to its
+last bit, fails them.
 """
 
+import hashlib
 import sys
 
 import numpy as np
@@ -15,7 +23,7 @@ from chainwishart.lum_triangular import decompose
 from chainwishart.matrix_spaces import IncompleteSym, TridiagSym, is_in_P, is_in_Q
 from chainwishart.power_functions import ShapeParams
 
-from _gen import random_pd_tridiag, random_q_elem
+from _gen import random_pd_tridiag, random_q_elem, random_shape_p, random_shape_q
 
 Y = TridiagSym(4, [2.0, 2.5, 1.8, 2.2], [0.3, -0.4, 0.5])
 X = IncompleteSym(4, [1.0, 1.5, 0.8, 1.2], [0.2, -0.3, 0.4])
@@ -76,3 +84,55 @@ def test_chains_longer_than_the_recursion_limit():
     assert all(is_in_P(TridiagSym.from_coords(row)) for row in p)
     t = decompose(y, M).to_dense()
     assert np.allclose(t @ t.T, y.to_dense(), rtol=0.0, atol=1e-12)
+
+
+# (sampler, n) -> sha256 over every pivot in {1, (n+1)//2, n} and every draw
+# count of _digest_sizes, in that order (see _draw_digest)
+DIGESTS = {
+    ("q", 1): "eab546d6687de36983530df32443bbf20120258db280e6992e289c67e2906849",
+    ("q", 2): "02705b29d70efafc7d28e132230ceca0ad4894edf4e0b35fcbf3e9e5035276ba",
+    ("q", 13): "9ac3cd39664460da6f617180035bed8695a025aef35906672b2c027ce93f222b",
+    ("q", 300): "893c2a17d5998ef972d133460fd4565c9e6c60f7727c4e846e60f7f8dcfa97c6",
+    ("q", 1500): "c14fbc810443b62edeab8dbe7638b260da04930d908a62781b3e141ded59178b",
+    ("p", 1): "29c1aa0b7a5c4cf8e2ea41388731c67254cda7622c49af3f2218b0019225cdf6",
+    ("p", 2): "6b261d8fc76c6ccc68196ffe4fbc5dd363c3bee72e882de3442f3c202d27c731",
+    ("p", 13): "39d6eb946944370f3ebd057eef6e0b6e44c5d130ebfdad00f4e1ca5efb79f07f",
+    ("p", 300): "369f05c8a27c6b7e71094e4e40d73edd3c4f2fed4b0b72297f39b51212a7d82f",
+    ("p", 1500): "61c2d3be2700e0512ea681e9d040586c9899910916c568fda0b40f6e28fe441a",
+    ("gram", 1): "d44e7b00712133970e16e0b16d540512e301a54f5d3f91be0757f1192ab0b9c8",
+    ("gram", 2): "38633374b4c6e63c52d19894cd3d5ee499b9c6cadf0ef2b62479bb5a29641361",
+    ("gram", 13): "0f6d502acf0ad0526d047cb65f6537dd32c7859e38da29580b765a1c60154d6c",
+    ("gram", 300): "4964249a454dc9c15b7a26b798d83c082ad696bc07017f7a314e9e1b5dcca41e",
+}
+
+
+def _digest_sizes(kind, n):
+    # the quadratic construction draws O(n^2) normals per draw, so it is
+    # capped at 16 draws for n = 300 and skipped at n = 1500
+    return [1, 16] if kind == "gram" and n >= 300 else [1, 16, 500]
+
+
+def _draw_digest(kind, n):
+    h = hashlib.sha256()
+    rng = np.random.default_rng(n)
+    y, x = random_pd_tridiag(rng, n), random_q_elem(rng, n)
+    # multiplicities 0 to 3, and 9: numpy adds 9 or more contiguous terms in another order
+    sigma = [(i + 1) % 4 for i in range(n - 1)] + [9]
+    for M in sorted({1, (n + 1) // 2, n}):
+        s_q, s_p = random_shape_q(rng, n, M), random_shape_p(rng, n, M)
+        for size in _digest_sizes(kind, n):
+            draw = np.random.default_rng([n, M, size])
+            if kind == "q":
+                out = wq.sample_many(wq.WishartQ(s_q, y), draw, size)
+            elif kind == "p":
+                out = wp.sample_p_many(wp.WishartP(s_p, x), draw, size)
+            else:
+                out = wq.sample_gram_many(wq.basic_index_sets(sigma, M, n), y, draw, size)
+            assert out.shape == (size, 2 * n - 1) and out.dtype == np.float64
+            h.update(np.ascontiguousarray(out).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("kind, n", list(DIGESTS), ids=[f"{k}-{n}" for k, n in DIGESTS])
+def test_seeded_draw_stream_is_pinned_by_digest(kind, n):
+    assert _draw_digest(kind, n) == DIGESTS[kind, n]

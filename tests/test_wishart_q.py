@@ -281,10 +281,25 @@ def test_sigma_shape_link():
     assert p.s == pytest.approx([1.0, 1.0, 1.0])
     sigma = wq.shape_to_sigma(wq.sigma_to_shape([2, 2, 1], 2))
     assert sigma == pytest.approx([2, 2, 1])
-    with pytest.raises(ValueError):
-        wq.basic_index_sets([0, 0, 0], 2, 3)
-    with pytest.raises(ValueError):
-        wq.basic_index_sets([1, -1, 0], 2, 3)
+    for bad in ([0, 0, 0], [1, -1, 0], [1, 1.5, 0], [1, np.nan, 0], [1, np.inf, 0], [1, 1]):
+        with pytest.raises(ValueError):
+            wq.basic_index_sets(bad, 2, 3)
+    assert wq.basic_index_sets(np.array([2.0, 0.0, 1.0]), 2, 3) == [(1, 1, 2), (3, 3, 1)]
+
+
+GRAM_Y = TridiagSym(3, [2.0, 2.0, 2.0], [0.5, 0.5])
+
+
+@pytest.mark.parametrize("mult", [-1, 1.5, "2", None])
+def test_gram_sampler_rejects_a_multiplicity_that_is_no_nonnegative_integer(mult):
+    with pytest.raises(ValueError, match=r"multiplicity .* of interval \(1, 2\)"):
+        wq.sample_gram_many([(1, 2, mult)], GRAM_Y, np.random.default_rng(0), 4)
+
+
+@pytest.mark.parametrize("interval", [(1.5, 2), (1, 2.0), (2, 1), (0, 2), (1, 4)])
+def test_gram_sampler_rejects_an_interval_outside_the_chain(interval):
+    with pytest.raises(ValueError, match="invalid interval"):
+        wq.sample_gram_many([(*interval, 1)], GRAM_Y, np.random.default_rng(0), 4)
 
 
 def test_quadratic_sampler_saturated_case():
