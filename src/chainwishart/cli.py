@@ -204,8 +204,12 @@ def _load_family(params: dict, family: str):
 
 
 def _print_json(obj) -> None:
-    json.dump(obj, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    """Write ``obj`` as strict JSON; a non-finite number is a domain error and nothing is written."""
+    try:
+        text = json.dumps(obj, indent=2, allow_nan=False)
+    except ValueError as e:
+        raise CliError(EXIT_DOMAIN, f"result is not a finite number: {e}") from e
+    sys.stdout.write(text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +291,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
                 val = wishart_q.log_density(w, IncompleteSym.from_json_dict(point))
             else:
                 val = wishart_p.log_density_p(w, TridiagSym.from_json_dict(point))
-            _print_json({"log_density": val})
+            # outside the support the log density is -inf, which JSON cannot hold
+            _print_json({"log_density": None if val == float("-inf") else val})
         elif what == "laplace":
             point = _eval_point(args)
             if family == "q":

@@ -27,6 +27,9 @@ positive constant.
 One elimination, the peel kernel ``_peel_core``, serves the whole ``P``
 side and tests each pivot as it forms it: at ``M = n`` it is the cone test
 and the leading log-minors, and at any ``M`` the peel plan and peel maps.
+On the ``Q`` side one vectorized test, ``_dual_gaps``, forms the ratio-form
+clique gaps, which the atoms of the power functions and the clique inverses
+reuse, so each closed form reads an element of ``Q`` once.
 
 Vertices are labelled ``1..n`` in the public API; arrays are 0-based.
 """
@@ -310,7 +313,38 @@ def _clique_gaps(x: IncompleteSym) -> NDArray[np.float64]:
 
 def _bad_diagonal(x: IncompleteSym) -> NDArray[np.intp]:
     """Indices of diagonal entries not above ``PD_RTOL`` times the largest one."""
-    return np.nonzero(x.diag <= PD_RTOL * float(np.max(np.abs(x.diag))))[0]
+    return np.nonzero(x.diag <= PD_RTOL * float(np.abs(x.diag).max()))[0]
+
+
+def _dual_gaps(x: IncompleteSym) -> NDArray[np.float64] | None:
+    """The cone test of ``Q``: the ratio-form clique gaps of ``x`` if it is a member, else ``None``.
+
+    The one kernel behind :func:`is_in_Q` and :func:`assert_in_Q`; the atoms
+    of the power functions and the clique inverses reuse the gaps it returns.
+    """
+    if _bad_diagonal(x).size:
+        return None
+    g = _clique_gaps(x)
+    return g if (g > PD_RTOL).all() else None
+
+
+def _q_gaps(x: IncompleteSym, name: str = "x") -> NDArray[np.float64]:
+    """:func:`_dual_gaps` of a member of ``Q``, else :class:`ConeError` naming ``x`` as ``name``.
+
+    The message names the first failed condition: a diagonal entry, else a clique block.
+    """
+    g = _dual_gaps(x)
+    if g is not None:
+        return g
+    bad = _bad_diagonal(x)
+    if bad.size:
+        raise ConeError(f"{name} is outside the dual cone: diagonal entry {int(bad[0]) + 1} is not positive")
+    i = int(np.nonzero(_clique_gaps(x) <= PD_RTOL)[0][0])
+    with np.errstate(over="ignore", invalid="ignore"):  # only a non-member's determinant can overflow
+        det = x.clique_dets()[i]
+    raise ConeError(
+        f"{name} is outside the dual cone: clique block ({i + 1},{i + 2}) has non-positive determinant {det:.6g}"
+    )
 
 
 def is_in_Q(x: IncompleteSym) -> bool:
@@ -318,21 +352,11 @@ def is_in_Q(x: IncompleteSym) -> bool:
 
     For ``n = 1`` the condition degenerates to ``x_11 > 0``.
     """
-    return _bad_diagonal(x).size == 0 and bool(np.all(_clique_gaps(x) > PD_RTOL))
+    return _dual_gaps(x) is not None
 
 
 def assert_in_Q(x: IncompleteSym, name: str = "x") -> None:
-    bad = _bad_diagonal(x)
-    if bad.size:
-        i = int(bad[0]) + 1
-        raise ConeError(f"{name} is outside the dual cone: diagonal entry {i} is not positive")
-    bad = np.nonzero(_clique_gaps(x) <= PD_RTOL)[0]
-    if bad.size:
-        i = int(bad[0]) + 1
-        raise ConeError(
-            f"{name} is outside the dual cone: clique block ({i},{i + 1}) has "
-            f"non-positive determinant {x.clique_dets()[bad[0]]:.6g}"
-        )
+    _q_gaps(x, name)
 
 
 # ---------------------------------------------------------------------------
@@ -369,24 +393,28 @@ def inverse_image(y: TridiagSym) -> IncompleteSym:
 
 
 def _clique_inverses(
-    x: IncompleteSym,
+    x: IncompleteSym, g: NDArray[np.float64] | None = None
 ) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
     """Entries ``(i00, i11, i01)`` of the inverse of every 2x2 clique block of ``x``.
 
     Closed form ``[[x_{i+1,i+1}, -x_{i,i+1}], [-x_{i,i+1}, x_ii]] / det``,
-    vectorized over the blocks and written through :func:`_clique_gaps` so
-    that no product of two diagonal entries is formed.
+    vectorized over the blocks and written through the ratio-form gaps ``g``
+    (:func:`_clique_gaps`, formed here when not given) so that no product of
+    two diagonal entries is formed.
     """
     d0, d1 = x.diag[:-1], x.diag[1:]
-    g = _clique_gaps(x)
+    g = _clique_gaps(x) if g is None else g
     return 1.0 / (d0 * g), 1.0 / (d1 * g), -(x.off / d0) / (d1 * g)
 
 
 def _clique_assembly(
     x: IncompleteSym, cliq_w: NDArray[np.float64], diag_w: NDArray[np.float64]
 ) -> TridiagSym:
-    """``sum_b cliq_w[b] ((x_b)^{-1})^0 + sum_j diag_w[j] / x_jj E_jj`` over the cliques ``b``."""
-    i00, i11, i01 = _clique_inverses(x)
+    """``sum_b cliq_w[b] ((x_b)^{-1})^0 + sum_j diag_w[j] / x_jj E_jj`` over the cliques ``b``.
+
+    Tests ``x`` in ``Q`` first and builds the inverses from the gaps of that test.
+    """
+    i00, i11, i01 = _clique_inverses(x, _q_gaps(x))
     diag = diag_w / x.diag
     diag[:-1] += cliq_w * i00
     diag[1:] += cliq_w * i11
@@ -400,7 +428,6 @@ def lauritzen_map(x: IncompleteSym) -> TridiagSym:
 
         y = sum_i ((x_{i,i+1} block)^{-1})^0  -  sum separators (1/x_ii)^0.
     """
-    assert_in_Q(x)
     n = x.n
     cliques_at = np.zeros(n)
     cliques_at[:-1] += 1.0

@@ -41,10 +41,9 @@ from .chain_graph import EliminatingOrder
 from .matrix_spaces import (
     IncompleteSym,
     TridiagSym,
-    _clique_gaps,
     _peel_core,
     _peel_order,
-    assert_in_Q,
+    _q_gaps,
     leading_log_minors,
     trailing_log_minors,
 )
@@ -107,11 +106,6 @@ class ShapeParams:
         return cls(int(d["M"]), d["s"])
 
 
-def _s_ext(s: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Shape vector padded with the convention s_0 = s_{n+1} = 0 (1-based access)."""
-    return np.concatenate([[0.0], s, [0.0]])
-
-
 def delta_exponents(s: Iterable[float], M: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Exponent vectors of ``delta_s^(M)`` over its atoms.
 
@@ -128,16 +122,14 @@ def delta_exponents(s: Iterable[float], M: int) -> tuple[NDArray[np.float64], ND
     n = s.size
     if not 1 <= M <= n:
         raise ValueError(f"pivot M={M} out of range 1..{n}")
-    se = _s_ext(s)
-    cliq = np.zeros(max(n - 1, 0))
-    for b in range(1, n):  # block {b, b+1}
-        cliq[b - 1] = se[b] if b <= M - 1 else se[b + 1]
-    diag = np.zeros(n)
-    for j in range(2, M):
-        diag[j - 1] = -se[j - 1]
-    diag[M - 1] = -(se[M - 1] - se[M] + se[M + 1])
-    for j in range(M + 1, n):
-        diag[j - 1] = -se[j + 1]
+    # block {b, b+1} carries s_b left of the pivot and s_{b+1} right of it;
+    # x_jj carries -s_{j-1} left of the pivot and -s_{j+1} right of it
+    cliq, diag = np.empty(n - 1), np.zeros(n)
+    cliq[: M - 1] = s[: M - 1]
+    cliq[M - 1 :] = s[M:]
+    diag[1 : M - 1] = -s[: max(M - 2, 0)]
+    diag[M - 1] = -((s[M - 2] if M >= 2 else 0.0) - s[M - 1] + (s[M] if M < n else 0.0))
+    diag[M : n - 1] = -s[M + 1 :]
     return cliq, diag
 
 
@@ -155,24 +147,34 @@ def phi_exponents(n: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     return cliq, diag
 
 
-def _log_atoms(x: IncompleteSym) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+def _log_atoms(x: IncompleteSym, name: str = "x") -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Logs of the clique determinants and diagonal entries of ``x`` in ``Q``.
 
     ``log |x_b| = log x_ii + log x_{i+1,i+1} + log gap_i`` with the ratio-form
-    gaps of the cone test, so no product of entries can overflow or underflow.
+    gaps of the cone test (:class:`ConeError` naming ``x`` as ``name`` outside
+    ``Q``), so no product of entries can overflow or underflow.
     """
-    assert_in_Q(x)
+    g = _q_gaps(x, name)
     log_diag = np.log(x.diag)
-    return log_diag[:-1] + log_diag[1:] + np.log(_clique_gaps(x)), log_diag
+    return log_diag[:-1] + log_diag[1:] + np.log(g), log_diag
+
+
+def _log_power(exps: tuple[NDArray, NDArray], atoms: tuple[NDArray, NDArray]) -> float:
+    """``cliq_e . log |x_b| + diag_e . log x_jj`` for exponents ``exps`` over :func:`_log_atoms`."""
+    return float(exps[0] @ atoms[0] + exps[1] @ atoms[1])
 
 
 def log_delta_M(p: ShapeParams, x: IncompleteSym) -> float:
     """``log delta_s^(M)(x)`` on the dual cone."""
     if p.n != x.n:
         raise ValueError("shape vector and matrix size disagree")
-    cliq_e, diag_e = delta_exponents(p.s, p.M)
-    log_cliq, log_diag = _log_atoms(x)
-    return float(cliq_e @ log_cliq + diag_e @ log_diag)
+    return _log_power(delta_exponents(p.s, p.M), _log_atoms(x))
+
+
+def _log_Delta(s: NDArray, M: int, y: TridiagSym, name: str = "y") -> float:
+    """``sum_i s_i log a_i`` over the peel pivots of ``y`` toward ``M``, whose sweep is its cone test."""
+    a, _ = _peel_core(y.diag, y.off, M, name=name)
+    return float(s @ np.log(a))
 
 
 def log_Delta_M(p: ShapeParams, y: TridiagSym, name: str = "y") -> float:
@@ -184,15 +186,27 @@ def log_Delta_M(p: ShapeParams, y: TridiagSym, name: str = "y") -> float:
     """
     if p.n != y.n:
         raise ValueError("shape vector and matrix size disagree")
-    a, _ = _peel_core(y.diag, y.off, p.M, name=name)
-    return float(p.s @ np.log(a))
+    return _log_Delta(p.s, p.M, y, name)
 
 
 def log_phi(x: IncompleteSym) -> float:
     """Log of the characteristic function of the dual cone."""
-    cliq_e, diag_e = phi_exponents(x.n)
-    log_cliq, log_diag = _log_atoms(x)
-    return float(cliq_e @ log_cliq + diag_e @ log_diag)
+    return _log_power(phi_exponents(x.n), _log_atoms(x))
+
+
+def _log_gamma_normalizer(args: NDArray, M: int) -> float:
+    """``-log(pi^{(n-1)/2} prod_i Gamma(args_i))`` from one ``gammaln`` call on ``args``.
+
+    The terms are added one at a time (``np.add.accumulate``): ``pi``'s and
+    the pivot's first, then the others by index.
+    """
+    from scipy.special import gammaln  # deferred: keeps scipy off the CLI import path
+
+    n, g = args.size, gammaln(args)
+    head = 0.5 * (n - 1) * np.log(np.pi) + g[M - 1]
+    g[1:M] = g[: M - 1]  # the pivot's slot goes, the terms before it shift up one
+    g[0] = head
+    return float(-np.add.accumulate(g)[-1])
 
 
 # ---------------------------------------------------------------------------

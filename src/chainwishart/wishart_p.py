@@ -38,7 +38,6 @@ from .matrix_spaces import (
     _clique_inverses,
     _peel_order,
     assert_in_Q,
-    ig_basis,
     is_in_Q,
     pairing,
 )
@@ -48,8 +47,10 @@ from .power_functions import (
     _jet_log,
     _jet_moment,
     _jet_mul,
+    _log_atoms,
+    _log_gamma_normalizer,
+    _log_power,
     delta_exponents,
-    log_delta_M,
     log_Delta_M,
     log_phi,
     phi_exponents,
@@ -114,14 +115,16 @@ def log_norm_constant_p(p: ShapeParams) -> float:
     """Log of the Riesz normalizer; raises outside the integrability domain."""
     if not p.in_p_domain():
         raise ValueError("shape out of domain: need s_i > -3/2 off the pivot and s_M > -1")
-    from scipy.special import gammaln  # deferred: keeps scipy off the CLI import path
+    args = p.s + 1.5
+    args[p.M - 1] = p.s[p.M - 1] + 1.0
+    return _log_gamma_normalizer(args, p.M)
 
-    s, M, n = p.s, p.M, p.n
-    log_inv = 0.5 * (n - 1) * np.log(np.pi) + gammaln(s[M - 1] + 1.0)
-    for i in range(n):
-        if i != M - 1:
-            log_inv += gammaln(s[i] + 1.5)
-    return float(-log_inv)
+
+def _log_laplace_exponent(
+    delta_e: tuple[NDArray, NDArray], phi_e: tuple[NDArray, NDArray], atoms: tuple[NDArray, NDArray]
+) -> float:
+    """``log delta_{-s}^(M) + log phi`` off one set of atoms, each factor its own dot product."""
+    return _log_power(delta_e, atoms) + _log_power(phi_e, atoms)
 
 
 def log_density_p(w: WishartP, y: TridiagSym) -> float:
@@ -133,12 +136,11 @@ def log_density_p(w: WishartP, y: TridiagSym) -> float:
         log_power = log_Delta_M(p, y)  # its pivot sweep is the cone test
     except ConeError:
         return float("-inf")
-    neg = ShapeParams(p.M, -p.s)
     return (
         log_norm_constant_p(p)
         + log_power
         - pairing(y, x)
-        - (log_delta_M(neg, x) + log_phi(x))
+        - _log_laplace_exponent(delta_exponents(-p.s, p.M), phi_exponents(x.n), _log_atoms(x))
     )
 
 
@@ -146,12 +148,9 @@ def log_laplace_p(w: WishartP, theta: IncompleteSym) -> float:
     """``log E exp(-<theta, Y>)`` as a ratio of dual power functions."""
     if theta.n != w.n:
         raise ValueError("size mismatch")
-    shifted = theta + w.x
-    assert_in_Q(shifted, "theta + x")
-    neg = ShapeParams(w.params.M, -w.params.s)
-    return (log_delta_M(neg, shifted) + log_phi(shifted)) - (
-        log_delta_M(neg, w.x) + log_phi(w.x)
-    )
+    shifted = _log_atoms(theta + w.x, "theta + x")
+    exps = delta_exponents(-w.params.s, w.params.M), phi_exponents(w.n)
+    return _log_laplace_exponent(*exps, shifted) - _log_laplace_exponent(*exps, _log_atoms(w.x))
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +167,6 @@ def mean_p_formula(p: ShapeParams, x: IncompleteSym) -> TridiagSym:
     """
     if p.n != x.n:
         raise ValueError("size mismatch")
-    assert_in_Q(x)
     cliq_e, diag_e = riesz_p_exponents(p.s, p.M)
     return _clique_assembly(x, -cliq_e, -diag_e)
 
@@ -195,10 +193,28 @@ def covariance_p_apply(w: WishartP, u: IncompleteSym) -> TridiagSym:
 
 
 def covariance_p_matrix(w: WishartP) -> NDArray[np.float64]:
-    """Covariance operator in the canonical basis."""
-    n = w.n
-    cols = [covariance_p_apply(w, ig_basis(n, k)).coords() for k in range(2 * n - 1)]
-    return np.column_stack(cols)
+    """Covariance operator in the canonical basis, from one sweep of clique inverses.
+
+    Column ``k`` is :func:`covariance_p_apply` at the basis element ``e_k``,
+    each entry formed by the same operations; only zeros may differ in sign.
+    """
+    x, n = w.x, w.n
+    cliq_e, diag_e = riesz_p_exponents(w.params.s, w.params.M)
+    i00, i11, i01 = _clique_inverses(x)
+    d, b = np.arange(n), np.arange(n - 1)
+    o = n + b  # coordinates of the off entries
+    out = np.zeros((2 * n - 1, 2 * n - 1))
+    diag = -diag_e / x.diag / x.diag
+    diag[:-1] -= cliq_e * (i00 * i00)
+    diag[1:] -= cliq_e * (i11 * i11)
+    out[d, d] = diag
+    out[b, b + 1] = out[b + 1, b] = -(cliq_e * (i01 * i01))
+    out[b, o] = -(cliq_e * (2.0 * i00 * i01))
+    out[b + 1, o] = -(cliq_e * (2.0 * i01 * i11))
+    out[o, b] = -cliq_e * (i00 * i01)
+    out[o, b + 1] = -cliq_e * (i01 * i11)
+    out[o, o] = -cliq_e * (i00 * i11 + i01 * i01)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -423,9 +439,8 @@ def canonical_measure_check(x: IncompleteSym) -> tuple[float, float]:
     """
     from scipy.special import gammaln  # deferred: keeps scipy off the CLI import path
 
-    assert_in_Q(x)
     n = x.n
-    lp = log_phi(x)
+    lp = log_phi(x)  # its atom sweep is the cone test
     lhs = 0.5 * (n - 1) * np.log(np.pi) + (n - 1) * float(gammaln(1.5)) + lp
     rhs = lp + 0.5 * (n - 1) * np.log(np.pi**2 / 4.0)
     return float(lhs), float(rhs)

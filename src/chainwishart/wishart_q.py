@@ -63,15 +63,14 @@ from numpy.typing import NDArray
 
 from .lum_triangular import _hat_band
 from .matrix_spaces import (
+    ConeError,
     IncompleteSym,
     TridiagSym,
     _clique_assembly,
     _peel_core,
     _peel_order,
     assert_in_P,
-    assert_in_Q,
     inverse_image,
-    is_in_Q,
     lauritzen_map,
     pairing,
     zg_basis,
@@ -80,11 +79,14 @@ from .peeling import _peel_plan
 from .power_functions import (
     ShapeParams,
     _jet_moment,
+    _log_atoms,
+    _log_Delta,
     _log_Delta_jet,
+    _log_gamma_normalizer,
+    _log_power,
     delta_exponents,
-    log_delta_M,
     log_Delta_M,
-    log_phi,
+    phi_exponents,
 )
 
 __all__ = [
@@ -156,29 +158,30 @@ def log_norm_constant(p: ShapeParams) -> float:
     """Log of ``C_s``; raises when the shape is outside the integrability domain."""
     if not p.in_q_domain():
         raise ValueError("shape out of domain: need s_i > 1/2 off the pivot and s_M > 0")
-    from scipy.special import gammaln  # deferred: keeps scipy off the CLI import path
-
-    s, M, n = p.s, p.M, p.n
-    log_inv = 0.5 * (n - 1) * np.log(np.pi) + gammaln(s[M - 1])
-    for i in range(n):
-        if i != M - 1:
-            log_inv += gammaln(s[i] - 0.5)
-    return float(-log_inv)
+    args = p.s - 0.5
+    args[p.M - 1] = p.s[p.M - 1]
+    return _log_gamma_normalizer(args, p.M)
 
 
 def log_density(w: WishartQ, x: IncompleteSym) -> float:
-    """Log density at ``x``; ``-inf`` outside the cone."""
+    """Log density at ``x``; ``-inf`` outside the cone.
+
+    ``delta_s^(M)`` and ``phi`` are read off one set of atoms of ``x``, whose
+    sweep is its cone test.
+    """
     if x.n != w.n:
         raise ValueError("size mismatch")
-    if not is_in_Q(x):
+    try:
+        atoms = _log_atoms(x)
+    except ConeError:
         return float("-inf")
     p, y = w.params, w.y
     return (
         log_norm_constant(p)
         - pairing(y, x)
         + log_Delta_M(p, y)
-        + log_delta_M(p, x)
-        + log_phi(x)
+        + _log_power(delta_exponents(p.s, p.M), atoms)
+        + _log_power(phi_exponents(x.n), atoms)
     )
 
 
@@ -186,8 +189,8 @@ def log_laplace(w: WishartQ, z: TridiagSym) -> float:
     """``log E exp(-<z, X>) = log Delta_{-s}(z + y) - log Delta_{-s}(y)``."""
     if z.n != w.n:
         raise ValueError("size mismatch")
-    neg = ShapeParams(w.params.M, -w.params.s)
-    return log_Delta_M(neg, z + w.y, "z + y") - log_Delta_M(neg, w.y)
+    neg, M = -w.params.s, w.params.M
+    return _log_Delta(neg, M, z + w.y, "z + y") - _log_Delta(neg, M, w.y)
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +308,7 @@ def inverse_mean(p: ShapeParams, m: IncompleteSym) -> TridiagSym:
     """
     if p.n != m.n:
         raise ValueError("size mismatch")
-    assert_in_Q(m)
-    cliq_e, diag_e = delta_exponents(p.s, p.M)
-    return _clique_assembly(m, cliq_e, diag_e)
+    return _clique_assembly(m, *delta_exponents(p.s, p.M))
 
 
 # ---------------------------------------------------------------------------

@@ -346,3 +346,46 @@ def test_closed_forms_run_without_dense_algebra(monkeypatch):
     assert wq.sample_gram_many(sets, y, rng, 2).shape == (2, 2 * n - 1)
     assert np.array_equal(np.diag(hat_completion(m)), m.diag)
     assert hat_via_T(w.params, m).shape == (n, n)
+
+
+# -- one dual-cone sweep per element -----------------------------------------
+
+
+def test_dual_cone_closed_forms_sweep_each_element_once(monkeypatch):
+    """Each closed form forms the clique gaps of each element of ``Q`` it reads once.
+
+    The gap kernel is wrapped wherever a module holds it, so a second cone
+    test, atom sweep or clique-inverse sweep of the same element counts.
+    """
+    from chainwishart import matrix_spaces, power_functions
+
+    n, M = 6, 3
+    rng = np.random.default_rng(31)
+    x, theta = random_q_elem(rng, n), random_q_elem(rng, n)
+    w = wq.WishartQ(random_shape_q(rng, n, M), random_pd_tridiag(rng, n))
+    wpp = wp.WishartP(random_shape_p(rng, n, M), x)
+    sweeps = []
+    kernel = matrix_spaces._clique_gaps
+
+    def counted(elem):
+        sweeps.append(elem)
+        return kernel(elem)
+
+    for mod in (matrix_spaces, power_functions, wq, wp):
+        if hasattr(mod, "_clique_gaps"):
+            monkeypatch.setattr(mod, "_clique_gaps", counted)
+    calls = {
+        "log_density": (lambda: wq.log_density(w, x), 1),
+        "log_density_p": (lambda: wp.log_density_p(wpp, random_pd_tridiag(rng, n)), 1),
+        "log_laplace_p": (lambda: wp.log_laplace_p(wpp, theta), 2),
+        "canonical_measure_check": (lambda: wp.canonical_measure_check(x), 1),
+        "inverse_mean": (lambda: wq.inverse_mean(w.params, x), 1),
+        "mean_p": (lambda: wp.mean_p(wpp), 1),
+        "lauritzen_map": (lambda: lauritzen_map(x), 1),
+        "covariance_p_apply": (lambda: wp.covariance_p_apply(wpp, theta), 1),
+        "covariance_p_matrix": (lambda: wp.covariance_p_matrix(wpp), 1),
+    }
+    for name, (call, expected) in calls.items():
+        sweeps.clear()
+        call()
+        assert len(sweeps) == expected, name

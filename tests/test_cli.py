@@ -221,6 +221,38 @@ def test_eval_density_cone_violation_names_minor(tmp_path, capsys):
     assert "minor" in err
 
 
+def _strict_json(text):
+    """``json.loads`` that rejects the non-standard ``NaN``/``Infinity`` tokens, as ``jq`` does."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("family", ["q", "p"])
+def test_eval_density_is_strict_json_inside_and_outside_the_support(tmp_path, capsys, family):
+    eye = {"n": 3, "diag": [1.0, 1.0, 1.0], "off": [0.0, 0.0]}
+    params = _write(tmp_path / "p.json", {"M": 2, "s": [1.0, 1.0, 1.0], "yx"[family == "p"]: eye})
+    outside = _write(tmp_path / "out.json", {"n": 3, "diag": [1.0, 1.0, 1.0], "off": [2.0, 0.1]})
+    inside = _write(tmp_path / "in.json", {"n": 3, "diag": [1.0, 1.0, 1.0], "off": [0.2, 0.1]})
+    argv = ["eval", "--what", "density", "--family", family, "--params", params, "--point"]
+    assert main(argv + [outside]) == 0
+    assert _strict_json(capsys.readouterr().out) == {"log_density": None}
+    assert main(argv + [inside]) == 0
+    val = _strict_json(capsys.readouterr().out)["log_density"]
+    assert isinstance(val, float) and np.isfinite(val)
+
+
+def test_non_finite_json_output_is_a_domain_error_with_nothing_written(capsys):
+    from chainwishart.cli import CliError, _print_json
+
+    for bad in (float("nan"), float("inf"), [1.0, float("-inf")]):
+        with pytest.raises(CliError) as err:
+            _print_json({"value": bad})
+        assert err.value.code == EXIT_DOMAIN
+    assert capsys.readouterr().out == ""
+
+
 def test_eval_moment_and_variance(tmp_path, capsys):
     rng = np.random.default_rng(9)
     y = random_pd_tridiag(rng, 2)
