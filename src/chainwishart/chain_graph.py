@@ -20,7 +20,6 @@ the ``n - 1`` cliques, so there are ``2^(n-2)`` perfect clique orders.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Sequence
 
 __all__ = [
@@ -33,7 +32,6 @@ __all__ = [
     "future_neighbors",
     "predecessors",
     "enumerate_perfect_clique_orders",
-    "enumerate_all_eliminating_orders_bruteforce",
     "first_separator",
 ]
 
@@ -138,11 +136,6 @@ def is_eliminating(g: ChainGraph, seq: Sequence[int]) -> bool:
         if len(fut) == 2:  # {v-1, v+1} is never an edge of the chain
             return False
     return True
-
-
-def enumerate_all_eliminating_orders_bruteforce(g: ChainGraph) -> list[tuple[int, ...]]:
-    """Exhaustive filter over all n! permutations; cross-check for small n."""
-    return [p for p in permutations(range(1, g.n + 1)) if is_eliminating(g, p)]
 
 
 def future_neighbors(order: EliminatingOrder, v: int) -> set[int]:

@@ -10,7 +10,8 @@ parameters.  The default seed comes from ``CHAINWISHART_SEED``.
 
 Exit codes: 0 success; 1 verification failure; 2 parameter-domain or cone
 violation (the diagnostic names the failed minor), a moment order above its
-cap, or a Newton inversion that cannot reach its target; 3 I/O failure; 4
+cap, or a Newton inversion that cannot reach its target; 3 I/O failure or a
+malformed input file (a missing or mistyped field, a non-finite cell); 4
 inconvertible clique/separator parameters; 5 non-monotone missing-data
 pattern; 6 no consistent pivot for a missing-data pattern.
 """
@@ -22,7 +23,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -54,6 +55,8 @@ EXIT_NOT_MONOTONE = 5
 EXIT_NO_PIVOT = 6
 
 DEFAULT_SEED = int(os.environ.get("CHAINWISHART_SEED", "20260810"))
+
+T = TypeVar("T")
 
 
 class CliError(Exception):
@@ -100,7 +103,12 @@ def _classify_row(cells: Sequence[str], n: int, row_no: int) -> ObservationRow:
             f"row {row_no}: observed set {{{lo}..{hi}}} is neither a left prefix "
             f"nor a right suffix of 1..{n}",
         )
-    values = tuple(float(cells[j - 1]) for j in range(lo, hi + 1))
+    try:
+        values = tuple(float(cells[j - 1]) for j in range(lo, hi + 1))
+    except ValueError as e:
+        raise CliError(EXIT_IO, f"row {row_no}: {e}") from e
+    if not np.isfinite(values).all():
+        raise CliError(EXIT_IO, f"row {row_no}: values must be finite")
     return ObservationRow(lo, hi, values)
 
 
@@ -186,21 +194,34 @@ def missing_statistic(ds: MissingDataset) -> tuple[IncompleteSym, np.ndarray, in
 def _read_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as f:
-            return json.load(f)
+            data = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         raise CliError(EXIT_IO, f"cannot read {path}: {e}") from e
+    if not isinstance(data, dict):
+        raise CliError(EXIT_IO, f"cannot read {path}: expected a JSON object, got {type(data).__name__}")
+    return data
 
 
-def _load_family(params: dict, family: str):
+def _decode(decode: Callable[[dict], T], data: dict, path: str) -> T:
+    """``decode(data)`` of the object read from ``path``: a bad field exits 3, a bad value 2."""
     try:
-        p = ShapeParams.from_json_dict(params)
-        if family == "q":
-            return wishart_q.WishartQ(p, TridiagSym.from_json_dict(params["y"]))
-        return wishart_p.WishartP(p, IncompleteSym.from_json_dict(params["x"]))
+        return decode(data)
     except KeyError as e:
-        raise CliError(EXIT_IO, f"missing parameter field {e}") from e
-    except (ConeError, ValueError) as e:
-        raise CliError(EXIT_DOMAIN, str(e)) from e
+        raise CliError(EXIT_IO, f"{path}: missing field {e}") from e
+    except TypeError as e:
+        raise CliError(EXIT_IO, f"{path}: mistyped field: {e}") from e
+    except ValueError as e:
+        raise CliError(EXIT_DOMAIN, " ".join(str(e).split())) from e
+
+
+def _load_family(params: dict, path: str, family: str):
+    def build(d: dict):
+        p = ShapeParams.from_json_dict(d)
+        if family == "q":
+            return wishart_q.WishartQ(p, TridiagSym.from_json_dict(d["y"]))
+        return wishart_p.WishartP(p, IncompleteSym.from_json_dict(d["x"]))
+
+    return _decode(build, params, path)
 
 
 def _print_json(obj) -> None:
@@ -224,17 +245,16 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     if args.sigma is not None:
         if args.family != "q":
             raise CliError(EXIT_DOMAIN, "--sigma applies to the dual-cone family only")
+        y, m_pivot = _decode(lambda d: (TridiagSym.from_json_dict(d["y"]), int(d["M"])), params, args.params)
         try:
             sigma = np.asarray([int(t) for t in args.sigma.split(",")])
-            y = TridiagSym.from_json_dict(params["y"])
-            m_pivot = int(params["M"])
             coords = wishart_q.sample_quadratic_many(sigma, m_pivot, y, rng, args.n)
         except (ConeError, ValueError) as e:
             raise CliError(EXIT_DOMAIN, str(e)) from e
         meta = {"family": "q-quadratic", "sigma": sigma.tolist(), "M": m_pivot}
         n = y.n
     else:
-        w = _load_family(params, args.family)
+        w = _load_family(params, args.params, args.family)
         n = w.n
         try:
             if args.family == "q":
@@ -261,10 +281,10 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _eval_point(args: argparse.Namespace) -> dict:
+def _eval_point(args: argparse.Namespace, decode: Callable[[dict], T]) -> T:
     if args.point is None:
         raise CliError(EXIT_IO, f"--what {args.what} needs --point")
-    return _read_json(args.point)
+    return _decode(decode, _read_json(args.point), args.point)
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
@@ -273,32 +293,28 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     what = args.what
     try:
         if what == "inverse-mean":
-            p = ShapeParams.from_json_dict(params)
-            point = _eval_point(args)
+            p = _decode(ShapeParams.from_json_dict, params, args.params)
             if family == "q":
-                m = IncompleteSym.from_json_dict(point)
-                y = wishart_q.inverse_mean(p, m)
+                y = wishart_q.inverse_mean(p, _eval_point(args, IncompleteSym.from_json_dict))
                 _print_json({"inverse_mean": y.to_json_dict()})
             else:
-                target = TridiagSym.from_json_dict(point)
+                target = _eval_point(args, TridiagSym.from_json_dict)
                 x = wishart_p.newton_inverse_mean_p(p, target)
                 _print_json({"inverse_mean": x.to_json_dict(), "method": "newton"})
             return EXIT_OK
-        w = _load_family(params, family)
+        w = _load_family(params, args.params, family)
         if what == "density":
-            point = _eval_point(args)
             if family == "q":
-                val = wishart_q.log_density(w, IncompleteSym.from_json_dict(point))
+                val = wishart_q.log_density(w, _eval_point(args, IncompleteSym.from_json_dict))
             else:
-                val = wishart_p.log_density_p(w, TridiagSym.from_json_dict(point))
+                val = wishart_p.log_density_p(w, _eval_point(args, TridiagSym.from_json_dict))
             # outside the support the log density is -inf, which JSON cannot hold
             _print_json({"log_density": None if val == float("-inf") else val})
         elif what == "laplace":
-            point = _eval_point(args)
             if family == "q":
-                val = wishart_q.log_laplace(w, TridiagSym.from_json_dict(point))
+                val = wishart_q.log_laplace(w, _eval_point(args, TridiagSym.from_json_dict))
             else:
-                val = wishart_p.log_laplace_p(w, IncompleteSym.from_json_dict(point))
+                val = wishart_p.log_laplace_p(w, _eval_point(args, IncompleteSym.from_json_dict))
             _print_json({"log_laplace": val})
         elif what == "mean":
             m = wishart_q.mean(w) if family == "q" else wishart_p.mean_p(w)
@@ -307,7 +323,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             if family == "q":
                 if args.point is not None:
                     # the variance function at m is the covariance at its inverse mean
-                    m = IncompleteSym.from_json_dict(_eval_point(args))
+                    m = _eval_point(args, IncompleteSym.from_json_dict)
                     w = wishart_q.WishartQ(w.params, wishart_q.inverse_mean(w.params, m))
                 mat = wishart_q.covariance_matrix(w)
             else:
@@ -319,12 +335,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
                     raise CliError(EXIT_IO, f"cannot write {args.out}: {e}") from e
             _print_json({"variance_matrix": mat.tolist()})
         elif what == "moment":
-            point = _eval_point(args)
             if family == "q":
-                zs = [TridiagSym.from_json_dict(d) for d in point["z_list"]]
+                zs = _eval_point(args, lambda d: [TridiagSym.from_json_dict(z) for z in d["z_list"]])
                 val = wishart_q.moment(w, wishart_q.MomentSpec(zs))
             else:
-                xs = [IncompleteSym.from_json_dict(d) for d in point["x_list"]]
+                xs = _eval_point(args, lambda d: [IncompleteSym.from_json_dict(x) for x in d["x_list"]])
                 val = wishart_p.moment_p(w, xs)
             _print_json({"moment": val})
         else:  # pragma: no cover - argparse restricts choices
@@ -359,7 +374,7 @@ def _cmd_orders(args: argparse.Namespace) -> int:
 def _cmd_lm_convert(args: argparse.Namespace) -> int:
     data = _read_json(args.file)
     if args.direction == "lm-to-s":
-        lm = LMParams.from_json_dict(data)
+        lm = _decode(LMParams.from_json_dict, data, args.file)
         p = lm_to_sM(lm)
         if p is None:
             raise CliError(
@@ -369,7 +384,7 @@ def _cmd_lm_convert(args: argparse.Namespace) -> int:
             )
         _print_json(p.to_json_dict())
     else:
-        p = ShapeParams.from_json_dict(data)
+        p = _decode(ShapeParams.from_json_dict, data, args.file)
         try:
             lm = sM_to_lm(p)
         except ValueError as e:

@@ -7,7 +7,7 @@ form a group under multiplication.  Restricted to the chain pattern
 (``T_ij = 0`` unless ``|i - j| <= 1``) an LU(M) matrix carries only a
 positive diagonal, subdiagonal entries below the pivot and superdiagonal
 entries from the pivot on -- ``O(n)`` data (the dense group operations
-live in the test oracle ``chainwishart._dense_oracle``).
+live in the dense test oracle under ``tests/``).
 
 Every positive definite banded ``y`` factors as ``y = T T'`` with ``T`` of
 this shape, for every pivot ``M``; the factor is read off the peel plan of

@@ -340,10 +340,18 @@ def _q_gaps(x: IncompleteSym, name: str = "x") -> NDArray[np.float64]:
     if bad.size:
         raise ConeError(f"{name} is outside the dual cone: diagonal entry {int(bad[0]) + 1} is not positive")
     i = int(np.nonzero(_clique_gaps(x) <= PD_RTOL)[0][0])
-    with np.errstate(over="ignore", invalid="ignore"):  # only a non-member's determinant can overflow
-        det = x.clique_dets()[i]
+    # det = m * 2^(2e) with m that of the block scaled by 2^-e (exact), printable past the double range
+    d0, d1, o = float(x.diag[i]), float(x.diag[i + 1]), float(x.off[i])
+    e = math.frexp(max(d0, d1, abs(o)))[1]
+    m = math.ldexp(d0, -e) * math.ldexp(d1, -e) - math.ldexp(o, -e) ** 2
+    if -1021 <= math.frexp(m)[1] + 2 * e <= 1024:  # det is a normal double
+        det = f"{math.ldexp(m, 2 * e):.6g}"
+    else:
+        from decimal import Context, Decimal  # deferred: only a determinant past the double range
+
+        det = f"{Context(prec=6).create_decimal(Decimal(m) * Decimal(2) ** (2 * e)).normalize():g}"
     raise ConeError(
-        f"{name} is outside the dual cone: clique block ({i + 1},{i + 2}) has non-positive determinant {det:.6g}"
+        f"{name} is outside the dual cone: clique block ({i + 1},{i + 2}) has non-positive determinant {det}"
     )
 
 

@@ -1,5 +1,8 @@
 """Monte-Carlo and brute-force oracles backing the acceptance checks.
 
+The ``variance`` suite also holds the paper's compact and expanded variance
+formulas, on dense padded inverses, as the oracle of the banded variance.
+
 Tolerance policy, by error class:
 
 * deterministic identities: relative 1e-9 .. 1e-12,
@@ -24,8 +27,8 @@ from typing import Callable, Iterable, Optional, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from . import _dense_oracle, wishart_p, wishart_q
-from .matrix_spaces import IncompleteSym, TridiagSym, pairing
+from . import wishart_p, wishart_q
+from .matrix_spaces import DenseSym, IncompleteSym, TridiagSym, lauritzen_map, pairing, project_pi
 from .power_functions import ShapeParams
 
 __all__ = [
@@ -495,6 +498,84 @@ def suite_mean(seed: int, mutations: frozenset = frozenset()) -> list[CheckResul
     return out
 
 
+def _hat_completion(x: IncompleteSym) -> DenseSym:
+    """Positive definite completion of ``x`` whose inverse is banded.
+
+    Computed as the dense inverse of the Lauritzen image; satisfies
+    ``pi(hat) = x`` and ``hat^{-1} in Z``.
+    """
+    return np.linalg.inv(lauritzen_map(x).to_dense())
+
+
+def _m_sets(k: DenseSym, n: int) -> Callable[[int, int], DenseSym]:
+    """``M_I = [((hat^{-1})_I)^{-1}]^0`` for interval index sets, from ``K = hat^{-1}``."""
+
+    def m_interval(lo: int, hi: int) -> DenseSym:
+        a = np.zeros((n, n))
+        a[lo - 1 : hi, lo - 1 : hi] = np.linalg.inv(k[lo - 1 : hi, lo - 1 : hi])
+        return a
+
+    return m_interval
+
+
+def _quad(a: DenseSym, ud: DenseSym) -> DenseSym:
+    return a @ ud @ a
+
+
+def _variance_apply_nice(p: ShapeParams, m: IncompleteSym, u: TridiagSym) -> IncompleteSym:
+    """Compact variance formula
+
+        V(m)u = (1/s_1 + 1/s_n - 1/s_M) P(hat)u
+                + sum_{i<M} (1/s_{i+1} - 1/s_i) P(hat - M_{1:i})u
+                + sum_{i>M} (1/s_{i-1} - 1/s_i) P(hat - M_{i:n})u
+
+    with ``P(A)u = pi(A u A)`` and ``M_I`` the padded interval inverses of
+    the Lauritzen image of ``m``.
+    """
+    if not (p.n == m.n == u.n):
+        raise ValueError("size mismatch")
+    n, M, s = p.n, p.M, p.s
+    mhat = _hat_completion(m)
+    k = lauritzen_map(m).to_dense()
+    m_of = _m_sets(k, n)
+    ud = u.to_dense()
+    acc = (1.0 / s[0] + 1.0 / s[n - 1] - 1.0 / s[M - 1]) * _quad(mhat, ud)
+    for i in range(1, M):
+        acc += (1.0 / s[i] - 1.0 / s[i - 1]) * _quad(mhat - m_of(1, i), ud)
+    for i in range(M + 1, n + 1):
+        acc += (1.0 / s[i - 2] - 1.0 / s[i - 1]) * _quad(mhat - m_of(i, n), ud)
+    return project_pi(acc)
+
+
+def _variance_apply_expanded(p: ShapeParams, m: IncompleteSym, u: TridiagSym) -> IncompleteSym:
+    """Expanded three-sum variance formula; algebraically equal to the compact one."""
+    if not (p.n == m.n == u.n):
+        raise ValueError("size mismatch")
+    n, M, s = p.n, p.M, p.s
+    mhat = _hat_completion(m)
+    k = lauritzen_map(m).to_dense()
+    m_of = _m_sets(k, n)
+    ud = u.to_dense()
+    acc = np.zeros((n, n))
+    for i in range(1, M):
+        b = m_of(1, i) / s[i - 1]
+        for j in range(1, i):
+            b += (1.0 / s[j - 1] - 1.0 / s[j]) * m_of(1, j)
+        acc += (s[i - 1] - s[i]) * _quad(b, ud)
+    c = mhat / s[M - 1]
+    for j in range(1, M):
+        c += (1.0 / s[j - 1] - 1.0 / s[j]) * m_of(1, j)
+    for kk in range(M + 1, n + 1):
+        c += (1.0 / s[kk - 1] - 1.0 / s[kk - 2]) * m_of(kk, n)
+    acc += s[M - 1] * _quad(c, ud)
+    for i in range(M + 1, n + 1):
+        d = m_of(i, n) / s[i - 1]
+        for j in range(i + 1, n + 1):
+            d += (1.0 / s[j - 1] - 1.0 / s[j - 2]) * m_of(j, n)
+        acc += (s[i - 1] - s[i - 2]) * _quad(d, ud)
+    return project_pi(acc)
+
+
 def suite_variance(seed: int, mutations: frozenset = frozenset()) -> list[CheckResult]:
     """Variance formulas against finite differences, the dense oracle, and sampling."""
     out = []
@@ -517,8 +598,8 @@ def suite_variance(seed: int, mutations: frozenset = frozenset()) -> list[CheckR
     # the banded variance operator against the paper's two dense formulas
     m = wishart_q.mean(w)
     v_band = wishart_q.operator_matrix(lambda u: wishart_q.variance_apply_nice(p, m, u), n)
-    v_nice = wishart_q.operator_matrix(lambda u: _dense_oracle.variance_apply_nice(p, m, u), n)
-    v_exp = wishart_q.operator_matrix(lambda u: _dense_oracle.variance_apply_expanded(p, m, u), n)
+    v_nice = wishart_q.operator_matrix(lambda u: _variance_apply_nice(p, m, u), n)
+    v_exp = wishart_q.operator_matrix(lambda u: _variance_apply_expanded(p, m, u), n)
     scale = float(np.max(np.abs(v)))
     err_triple = float(
         max(np.max(np.abs(v_band - other)) for other in (v_nice, v_exp, v)) / scale

@@ -23,9 +23,9 @@ inverse.  With ``y = T T'`` the LU(M) factor, the mean is the band of
 ``T^{-T} diag(s) T^{-1}``, read off the peel plan of ``y`` in one outward
 sweep from the pivot (``lum_triangular._hat_band``).  The covariance is minus
 the derivative of that sweep, taken by complex step, and the variance
-function is the covariance at the inverse mean.  The paper's dense formulas
-(padded inverses of nested submatrices, and the compact and expanded
-variance formulas) live on as the test oracle ``chainwishart._dense_oracle``.
+function is the covariance at the inverse mean.  The paper's dense mean and
+covariance live on in the dense test oracle under ``tests/``, its compact
+and expanded variance formulas in :mod:`chainwishart.verification`.
 
 The moment ``E[<X, z_1> ... <X, z_N>]`` is the coefficient of ``e_1 ... e_N``
 in the Laplace transform at ``y - sum_j e_j z_j``, with nilpotent ``e_j``:
@@ -100,7 +100,6 @@ __all__ = [
     "pairing_with_parameter",
     "covariance_apply",
     "covariance_matrix",
-    "covariance_bilinear_form",
     "operator_matrix",
     "inverse_mean",
     "variance_apply_nice",
@@ -287,17 +286,6 @@ def covariance_matrix(w: WishartQ) -> NDArray[np.float64]:
     return out
 
 
-def covariance_bilinear_form(w: WishartQ) -> NDArray[np.float64]:
-    """Matrix of ``Cov(<X, e_j>, <X, e_k>)`` over the canonical basis of ``Z``.
-
-    Off-diagonal coordinates enter the pairing with weight 2, so this equals
-    ``W V`` with ``V`` = :func:`covariance_matrix` and ``W = diag(1,..,1,2,..,2)``.
-    """
-    n = w.n
-    weights = np.concatenate([np.ones(n), 2.0 * np.ones(n - 1)])
-    return weights[:, None] * covariance_matrix(w)
-
-
 def inverse_mean(p: ShapeParams, m: IncompleteSym) -> TridiagSym:
     """Explicit inverse of the mean map: the gradient of ``log delta_s^(M)``.
 
@@ -328,7 +316,8 @@ def variance_apply_nice(p: ShapeParams, m: IncompleteSym, u: TridiagSym) -> Inco
 
     with ``P(A)u = pi(A u A)`` and ``M_I`` the padded interval inverses of
     the Lauritzen image of ``m``, and its expanded three-sum form; both stay
-    as dense oracles in ``chainwishart._dense_oracle``.
+    as dense oracles, ``verification._variance_apply_nice`` and
+    ``verification._variance_apply_expanded``.
     """
     if not (p.n == m.n == u.n):
         raise ValueError("size mismatch")

@@ -1,17 +1,18 @@
-"""Dense reference forms: closed forms, the hat completion, LU(M) algebra and the Gram sampler.
+"""Dense reference forms: closed forms, LU(M) algebra, the Gram sampler and order enumeration.
 
-A test oracle, not a public path: ``chainwishart.verification`` and the tests
-compare the O(n) banded evaluations of :mod:`chainwishart.wishart_q`,
-:mod:`chainwishart.wishart_p`, :mod:`chainwishart.matrix_spaces` and
-:mod:`chainwishart.lum_triangular` against these.  On ``Q`` they build padded
-dense inverses of nested principal submatrices (:func:`_mean_blocks`) and of
-interval blocks of the Lauritzen image, as the paper's formulas read, and
-cost O(n^4) per call.  The higher moments on both cones are the paper's
-permutation-cycle expansions, N! cycle products each.  The hat completion is
-the dense inverse of the Lauritzen image, the LU(M) group operations act on
-dense factors, and the quadratic-construction sampler draws each interval
-through a dense Cholesky factor of ``(2 y_I)^{-1}``, on the same random
-stream as the banded sampler.
+A test oracle, not a public path: the tests compare the O(n) banded
+evaluations of :mod:`chainwishart.wishart_q`, :mod:`chainwishart.wishart_p`
+and :mod:`chainwishart.lum_triangular` against these.  On ``Q`` they build
+padded dense inverses of nested principal submatrices (:func:`_mean_blocks`),
+as the paper's formulas read, and cost O(n^4) per call.  The higher moments
+on both cones are the paper's permutation-cycle expansions, N! cycle products
+each.  The LU(M) group operations act on dense factors, the
+quadratic-construction sampler draws each interval through a dense Cholesky
+factor of ``(2 y_I)^{-1}``, on the same random stream as the banded sampler,
+and the eliminating orders of a chain are found by filtering all n!
+permutations.  The paper's compact and expanded variance formulas and the
+dense hat completion live in :mod:`chainwishart.verification`, whose
+``variance`` suite checks the banded variance against them.
 """
 
 from __future__ import annotations
@@ -22,19 +23,19 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .matrix_spaces import (
+from chainwishart.chain_graph import ChainGraph, is_eliminating
+from chainwishart.matrix_spaces import (
     DenseSym,
     IncompleteSym,
     TridiagSym,
     _clique_inverses,
     assert_in_P,
-    lauritzen_map,
     project_pi,
 )
-from .lum_triangular import LUMMatrix
-from .power_functions import ShapeParams
-from .wishart_p import WishartP, riesz_p_exponents
-from .wishart_q import MomentSpec, WishartQ, operator_matrix
+from chainwishart.lum_triangular import LUMMatrix
+from chainwishart.power_functions import ShapeParams
+from chainwishart.wishart_p import WishartP, riesz_p_exponents
+from chainwishart.wishart_q import MomentSpec, WishartQ, operator_matrix
 
 
 def _mean_blocks(p: ShapeParams, y: TridiagSym) -> list[tuple[float, DenseSym, tuple[int, int]]]:
@@ -86,84 +87,6 @@ def covariance_apply(w: WishartQ, u: TridiagSym) -> IncompleteSym:
 def covariance_matrix(w: WishartQ) -> NDArray[np.float64]:
     """Covariance operator in the canonical basis (columns are images of e_k)."""
     return operator_matrix(lambda u: covariance_apply(w, u), w.n)
-
-
-def hat_completion(x: IncompleteSym) -> DenseSym:
-    """Positive definite completion of ``x`` whose inverse is banded.
-
-    Computed as the dense inverse of the Lauritzen image; satisfies
-    ``pi(hat) = x`` and ``hat^{-1} in Z``.
-    """
-    return np.linalg.inv(lauritzen_map(x).to_dense())
-
-
-def _m_sets(k: DenseSym, n: int) -> Callable[[int, int], DenseSym]:
-    """``M_I = [((hat^{-1})_I)^{-1}]^0`` for interval index sets, from ``K = hat^{-1}``."""
-
-    def m_interval(lo: int, hi: int) -> DenseSym:
-        a = np.zeros((n, n))
-        a[lo - 1 : hi, lo - 1 : hi] = np.linalg.inv(k[lo - 1 : hi, lo - 1 : hi])
-        return a
-
-    return m_interval
-
-
-def _quad(a: DenseSym, ud: DenseSym) -> DenseSym:
-    return a @ ud @ a
-
-
-def variance_apply_nice(p: ShapeParams, m: IncompleteSym, u: TridiagSym) -> IncompleteSym:
-    """Compact variance formula
-
-        V(m)u = (1/s_1 + 1/s_n - 1/s_M) P(hat)u
-                + sum_{i<M} (1/s_{i+1} - 1/s_i) P(hat - M_{1:i})u
-                + sum_{i>M} (1/s_{i-1} - 1/s_i) P(hat - M_{i:n})u
-
-    with ``P(A)u = pi(A u A)`` and ``M_I`` the padded interval inverses of
-    the Lauritzen image of ``m``.
-    """
-    if not (p.n == m.n == u.n):
-        raise ValueError("size mismatch")
-    n, M, s = p.n, p.M, p.s
-    mhat = hat_completion(m)
-    k = lauritzen_map(m).to_dense()
-    m_of = _m_sets(k, n)
-    ud = u.to_dense()
-    acc = (1.0 / s[0] + 1.0 / s[n - 1] - 1.0 / s[M - 1]) * _quad(mhat, ud)
-    for i in range(1, M):
-        acc += (1.0 / s[i] - 1.0 / s[i - 1]) * _quad(mhat - m_of(1, i), ud)
-    for i in range(M + 1, n + 1):
-        acc += (1.0 / s[i - 2] - 1.0 / s[i - 1]) * _quad(mhat - m_of(i, n), ud)
-    return project_pi(acc)
-
-
-def variance_apply_expanded(p: ShapeParams, m: IncompleteSym, u: TridiagSym) -> IncompleteSym:
-    """Expanded three-sum variance formula; algebraically equal to the compact one."""
-    if not (p.n == m.n == u.n):
-        raise ValueError("size mismatch")
-    n, M, s = p.n, p.M, p.s
-    mhat = hat_completion(m)
-    k = lauritzen_map(m).to_dense()
-    m_of = _m_sets(k, n)
-    ud = u.to_dense()
-    acc = np.zeros((n, n))
-    for i in range(1, M):
-        b = m_of(1, i) / s[i - 1]
-        for j in range(1, i):
-            b += (1.0 / s[j - 1] - 1.0 / s[j]) * m_of(1, j)
-        acc += (s[i - 1] - s[i]) * _quad(b, ud)
-    c = mhat / s[M - 1]
-    for j in range(1, M):
-        c += (1.0 / s[j - 1] - 1.0 / s[j]) * m_of(1, j)
-    for kk in range(M + 1, n + 1):
-        c += (1.0 / s[kk - 1] - 1.0 / s[kk - 2]) * m_of(kk, n)
-    acc += s[M - 1] * _quad(c, ud)
-    for i in range(M + 1, n + 1):
-        d = m_of(i, n) / s[i - 1]
-        for j in range(i + 1, n + 1):
-            d += (1.0 / s[j - 1] - 1.0 / s[j - 2]) * m_of(j, n)
-        acc += (s[i - 1] - s[i - 2]) * _quad(d, ud)
-    return project_pi(acc)
 
 
 # ---------------------------------------------------------------------------
@@ -328,3 +251,13 @@ def sample_gram_many(
         if k >= 2:
             off[:, lo - 1 : hi - 1] += np.sum(v[:, :, :-1] * v[:, :, 1:], axis=1)
     return np.hstack([diag, off])
+
+
+# ---------------------------------------------------------------------------
+# eliminating orders by exhaustive filtering
+# ---------------------------------------------------------------------------
+
+
+def enumerate_all_eliminating_orders_bruteforce(g: ChainGraph) -> list[tuple[int, ...]]:
+    """Exhaustive filter over all n! permutations; cross-check for small n."""
+    return [p for p in permutations(range(1, g.n + 1)) if is_eliminating(g, p)]

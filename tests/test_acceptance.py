@@ -16,12 +16,10 @@ from chainwishart import wishart_p as wp
 from chainwishart import wishart_q as wq
 from chainwishart.chain_graph import (
     build_chain,
-    enumerate_all_eliminating_orders_bruteforce,
     enumerate_eliminating_orders,
     enumerate_perfect_clique_orders,
 )
 from chainwishart.letac_massam import LMParams, a_p_pivot, gamma1_constant, lm_to_sM, sM_to_lm
-from chainwishart._dense_oracle import invert, is_lum_pattern, multiply
 from chainwishart.lum_triangular import decompose
 from chainwishart.matrix_spaces import (
     IncompleteSym,
@@ -49,6 +47,7 @@ from chainwishart.verification import (
     stream_rng,
 )
 
+from _dense_oracle import enumerate_all_eliminating_orders_bruteforce, invert, is_lum_pattern, multiply
 from _gen import (
     random_pd_tridiag,
     random_q_elem,

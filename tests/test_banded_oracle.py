@@ -2,10 +2,11 @@
 
 The mean, covariance and variance on ``Q``, the quadratic sampler and both
 hat completions are read off the peel plan of ``y``;
-``chainwishart._dense_oracle`` keeps the paper's dense formulas, the dense
-hat and the dense Cholesky sampler.  The clique assemblies on both cones are
-vectorized; the loop versions below invert each 2x2 block with
-``np.linalg.inv``.
+``tests/_dense_oracle.py`` keeps the paper's dense mean and covariance and
+the dense Cholesky sampler, and ``chainwishart.verification`` the paper's
+two dense variance formulas and the dense hat.  The clique assemblies on
+both cones are vectorized; the loop versions below invert each 2x2 block
+with ``np.linalg.inv``.
 """
 
 import math
@@ -14,7 +15,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from chainwishart import _dense_oracle as dense
 from chainwishart import wishart_p as wp
 from chainwishart import wishart_q as wq
 from chainwishart.lum_triangular import LUMMatrix, decompose, hat_via_T
@@ -45,7 +45,9 @@ from chainwishart.power_functions import (
     log_phi,
     phi_exponents,
 )
+from chainwishart.verification import _hat_completion, _variance_apply_expanded, _variance_apply_nice
 
+import _dense_oracle as dense
 from _gen import random_pd_tridiag, random_q_elem, random_shape_p, random_shape_q
 
 CASES = [(n, M) for n in (1, 2, 3, 5, 13, 50) for M in sorted({1, (n + 1) // 2, n})]
@@ -109,8 +111,8 @@ def test_variance_against_both_paper_formulas(n, M):
     _, _, w, u = _case(n, M)
     p, m = w.params, wq.mean(w)
     got = wq.variance_apply_nice(p, m, u).coords()
-    assert_close(got, dense.variance_apply_nice(p, m, u).coords())
-    assert_close(got, dense.variance_apply_expanded(p, m, u).coords())
+    assert_close(got, _variance_apply_nice(p, m, u).coords())
+    assert_close(got, _variance_apply_expanded(p, m, u).coords())
 
 
 @pytest.mark.parametrize("n, M", CASES)
@@ -150,7 +152,7 @@ HAT_CASES = [(n, M) for n in (1, 2, 3, 5, 13, 50, 200) for M in sorted({1, (n + 
 def test_hat_completions_match_their_dense_forms(n, M):
     rng = np.random.default_rng([n, M, 2])
     m, p = random_q_elem(rng, n), random_shape_q(rng, n, M)
-    assert_close(hat_completion(m), dense.hat_completion(m))
+    assert_close(hat_completion(m), _hat_completion(m))
     tinv = dense.invert(decompose(wq.inverse_mean(p, m), M))
     assert_close(hat_via_T(p, m), tinv.T @ np.diag(p.s) @ tinv)
 

@@ -6,7 +6,6 @@ from chainwishart.chain_graph import (
     CliqueOrder,
     EliminatingOrder,
     build_chain,
-    enumerate_all_eliminating_orders_bruteforce,
     enumerate_eliminating_orders,
     enumerate_perfect_clique_orders,
     first_separator,
@@ -14,6 +13,8 @@ from chainwishart.chain_graph import (
     is_eliminating,
     predecessors,
 )
+
+from _dense_oracle import enumerate_all_eliminating_orders_bruteforce
 
 
 def test_build_chain_basic():

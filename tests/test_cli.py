@@ -8,6 +8,7 @@ import pytest
 
 from chainwishart.cli import (
     EXIT_DOMAIN,
+    EXIT_IO,
     EXIT_NO_CONVERSION,
     EXIT_NO_PIVOT,
     EXIT_NOT_MONOTONE,
@@ -529,6 +530,31 @@ CONTRACT = [
      ["lm-convert", "--direction", "lm-to-s", "--file", "{lm.json}"], EXIT_NO_CONVERSION),
     ("missing-stat-no-pivot", {"m.csv": "1.0,1.0,\n,,1.0\n"},
      ["missing-stat", "--file", "{m.csv}"], EXIT_NO_PIVOT),
+    # malformed input files
+    *[
+        (f"{what}-{family}-point-without-diag", {"f.json": fam, "pt.json": {"n": 2, "off": [0.1]}},
+         ["eval", "--what", what, "--family", family, "--params", "{f.json}", "--point", "{pt.json}"], EXIT_IO)
+        for what in ("density", "inverse-mean")
+        for family, fam in (("q", Q2), ("p", P2))
+    ],
+    ("moment-without-z-list", {"q.json": Q2, "z.json": {"x_list": [Z2]}},
+     ["eval", "--what", "moment", "--family", "q", "--params", "{q.json}", "--point", "{z.json}"], EXIT_IO),
+    ("eval-params-is-a-list", {"q.json": [Q2]},
+     ["eval", "--what", "mean", "--family", "q", "--params", "{q.json}"], EXIT_IO),
+    ("eval-point-is-a-list", {"q.json": Q2, "pt.json": [Z2]},
+     ["eval", "--what", "laplace", "--family", "q", "--params", "{q.json}", "--point", "{pt.json}"], EXIT_IO),
+    ("sample-params-is-a-list", {"q.json": [Q2]},
+     ["sample", "--family", "q", "--params", "{q.json}", "--n", "5", "--out", "{dir}/x.csv"], EXIT_IO),
+    ("sample-sigma-without-y", {"q.json": {"M": 2, "s": [1.2, 0.8]}},
+     ["sample", "--family", "q", "--params", "{q.json}", "--n", "5", "--out", "{dir}/x.csv", "--sigma", "1,1"], EXIT_IO),
+    ("lm-convert-without-alpha", {"lm.json": {"beta": []}},
+     ["lm-convert", "--direction", "lm-to-s", "--file", "{lm.json}"], EXIT_IO),
+    ("lm-convert-without-M", {"s.json": {"s": [1.0, 1.0]}},
+     ["lm-convert", "--direction", "s-to-lm", "--file", "{s.json}"], EXIT_IO),
+    ("missing-stat-non-numeric-cell", {"m.csv": "1.0,x\n1.0,2.0\n"},
+     ["missing-stat", "--file", "{m.csv}"], EXIT_IO),
+    ("missing-stat-nan-cell", {"m.csv": "1.0,nan\n1.0,2.0\n"},
+     ["missing-stat", "--file", "{m.csv}"], EXIT_IO),
 ]
 
 
@@ -547,6 +573,7 @@ def test_cli_exit_code_contract(tmp_path, capsys, case, files, argv, code):
     assert rc in {0, 2, 3, 4, 5, 6}
     assert rc == code
     if code:
+        assert err.startswith("error:")
         assert len(err.strip().splitlines()) == 1
     if case in NEWTON_SCALES:
         got = IncompleteSym.from_json_dict(json.loads(out)["inverse_mean"])

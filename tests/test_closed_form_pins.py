@@ -125,6 +125,11 @@ CONE_ERRORS = [
      "x is outside the dual cone: clique block (2,3) has non-positive determinant -0.25"),
     (IncompleteSym(3, [1e150, 2e150, 1e150], [-1e150, 1.5e150]), "theta + x",
      "theta + x is outside the dual cone: clique block (2,3) has non-positive determinant -2.5e+299"),
+    # past the double range: the determinant itself overflows or underflows a double
+    (IncompleteSym(3, [1e200, 2e200, 1e200], [-1e200, 1.5e200]), "x",
+     "x is outside the dual cone: clique block (2,3) has non-positive determinant -2.5e+399"),
+    (IncompleteSym(3, [1e-200, 2e-200, 1e-200], [-1e-200, 1.5e-200]), "x",
+     "x is outside the dual cone: clique block (2,3) has non-positive determinant -2.5e-401"),
 ]
 
 

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainwishart._dense_oracle import invert, is_lum_pattern, multiply
 from chainwishart.lum_triangular import LUMMatrix, decompose, hat_via_T
 from chainwishart.matrix_spaces import (
     ConeError,
@@ -14,6 +13,7 @@ from chainwishart.matrix_spaces import (
 from chainwishart.power_functions import ShapeParams
 from chainwishart.wishart_q import WishartQ, mean
 
+from _dense_oracle import invert, is_lum_pattern, multiply
 from _gen import random_pd_tridiag, random_q_elem
 
 

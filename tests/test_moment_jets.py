@@ -2,7 +2,7 @@
 
 ``wishart_q.moment`` and ``wishart_p.moment_p`` read the coefficient of
 ``e_1 ... e_N`` off 2^N-coefficient jets.  They are checked against the
-paper's permutation-cycle expansions kept in ``chainwishart._dense_oracle``,
+paper's permutation-cycle expansions kept in ``tests/_dense_oracle.py``,
 against the Gamma law of ``<X, y>``, which needs no oracle, and against
 degree ``-N`` homogeneity.
 """
@@ -12,12 +12,12 @@ from math import prod
 import numpy as np
 import pytest
 
-from chainwishart import _dense_oracle as dense
 from chainwishart import power_functions
 from chainwishart import wishart_p as wp
 from chainwishart import wishart_q as wq
 from chainwishart.matrix_spaces import IncompleteSym, TridiagSym
 
+import _dense_oracle as dense
 from _gen import random_pd_tridiag, random_q_elem, random_shape_p, random_shape_q
 
 CASES = [

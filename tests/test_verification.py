@@ -1,10 +1,14 @@
+import importlib
+import inspect
 import json
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 from scipy import special, stats  # oracles only: the package computes KS tests without scipy
 
+import chainwishart
 from chainwishart import wishart_q as wq
 from chainwishart.matrix_spaces import TridiagSym
 from chainwishart.power_functions import ShapeParams
@@ -228,3 +232,12 @@ def test_fd_jacobian_propagates_cone_boundary():
 
     with pytest.raises(ConeError):
         fd_jacobian(mean_map, y_edge.coords(), step=1e-5)
+
+
+def test_the_package_ships_no_dense_oracle():
+    # the dense reference forms are a test oracle under tests/, not part of the package
+    names = [m.name for m in pkgutil.iter_modules(chainwishart.__path__)]
+    assert names and "_dense_oracle" not in names
+    for name in names:
+        source = inspect.getsource(importlib.import_module(f"chainwishart.{name}"))
+        assert "_dense_oracle" not in source, name
