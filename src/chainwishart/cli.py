@@ -10,7 +10,8 @@ parameters.  The default seed comes from ``CHAINWISHART_SEED``.
 
 Exit codes: 0 success; 1 verification failure; 2 parameter-domain or cone
 violation (the diagnostic names the failed minor), a moment order above its
-cap, or a Newton inversion that cannot reach its target; 3 I/O failure or a
+cap, a Newton inversion that cannot reach its target, or a result past the
+double range; 3 I/O failure or a
 malformed input file (a missing or mistyped field, a non-finite cell); 4
 inconvertible clique/separator parameters; 5 non-monotone missing-data
 pattern; 6 no consistent pivot for a missing-data pattern.
@@ -178,11 +179,17 @@ def missing_statistic(ds: MissingDataset) -> tuple[IncompleteSym, np.ndarray, in
         sigma[k - 1] += 1
     diag = np.zeros(n)
     off = np.zeros(n - 1)
-    for r in ds.rows:
-        v = np.asarray(r.values)
-        diag[r.lo - 1 : r.hi] += v**2
-        if v.size >= 2:
-            off[r.lo - 1 : r.hi - 1] += v[:-1] * v[1:]
+    try:
+        with np.errstate(over="raise"):
+            for r in ds.rows:
+                v = np.asarray(r.values)
+                diag[r.lo - 1 : r.hi] += v**2
+                if v.size >= 2:
+                    off[r.lo - 1 : r.hi - 1] += v[:-1] * v[1:]
+    except FloatingPointError:
+        raise CliError(
+            EXIT_DOMAIN, "the statistic T is not a finite double: a square or product of the data overflows"
+        ) from None
     return IncompleteSym(n, diag, off), sigma, m
 
 
@@ -344,15 +351,17 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             _print_json({"moment": val})
         else:  # pragma: no cover - argparse restricts choices
             raise CliError(EXIT_IO, f"unknown eval target {what}")
-    except (ValueError, RuntimeError, np.linalg.LinAlgError) as e:
-        # cone, shape and moment-order violations, and a Newton inversion that
-        # cannot reach the target: all are domain errors of the input
+    except (ValueError, RuntimeError) as e:
+        # cone, shape, moment-order and double-range violations, and a Newton inversion that fails
         raise CliError(EXIT_DOMAIN, " ".join(str(e).split())) from e
     return EXIT_OK
 
 
 def _cmd_orders(args: argparse.Namespace) -> int:
-    g = build_chain(args.n)
+    try:
+        g = build_chain(args.n)
+    except ValueError as e:
+        raise CliError(EXIT_DOMAIN, str(e)) from e
     elim = [
         {"sequence": list(o.sequence), "max_vertex": o.max_vertex}
         for o in enumerate_eliminating_orders(g)

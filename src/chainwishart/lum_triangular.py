@@ -20,8 +20,8 @@ makes the closed-form variance function work: with ``y`` the preimage of
     hat(m) = T^{-T} diag(s) T^{-1}.
 
 Its band, which is the mean ``m`` itself, is read off the peel plan in one
-O(n) outward sweep from the pivot (:func:`_hat_band`); the mean, covariance
-and variance on ``Q``, ``pi(y^{-1})`` and the whole hat all run on it.
+O(n) outward sweep from the pivot (:func:`_hat_band`); the mean on ``Q``,
+``pi(y^{-1})`` and the whole hat run on it.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .matrix_spaces import DenseSym, IncompleteSym, TridiagSym, _hat_fill, _peel_order, _rows
+from .matrix_spaces import DenseSym, IncompleteSym, TridiagSym, _hat_fill, _peel_order
 from .peeling import _peel_plan
 from .power_functions import ShapeParams
 
@@ -97,18 +97,16 @@ def _hat_band(s: NDArray, M: int, a: NDArray, b: NDArray) -> tuple[NDArray, NDAr
 
         hd_i = s_i / a_i + b_i^2 hd_j,    ho_{ij} = -b_i hd_j.
 
-    ``s`` is any real vector; ``a``, ``b`` come from the peel core and may be
-    complex with trailing batch axes.  At ``s = 1`` this is ``pi(y^{-1})``.
+    ``s`` is any real vector and ``(a, b)`` one element's plan.  At ``s = 1`` this is ``pi(y^{-1})``.
     """
     n = len(a)
-    s, a, b = s.tolist(), _rows(a), _rows(b)
-    hd = [0 * a[M - 1]] * n
-    ho = [0 * a[M - 1]] * (n - 1)
+    s, a, b = s.tolist(), a.tolist(), b.tolist()
+    hd, ho = [0.0] * n, [0.0] * (n - 1)
     hd[M - 1] = s[M - 1] / a[M - 1]
     for i, j in reversed(_peel_order(n, M)):
         hd[i] = s[i] / a[i] + b[i] ** 2 * hd[j]
         ho[min(i, j)] = -b[i] * hd[j]
-    return np.array(hd), np.array(ho).reshape((n - 1,) + np.shape(hd[0]))
+    return np.array(hd), np.array(ho)
 
 
 def hat_via_T(p: ShapeParams, m: IncompleteSym) -> DenseSym:

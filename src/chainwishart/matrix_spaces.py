@@ -29,7 +29,8 @@ side and tests each pivot as it forms it: at ``M = n`` it is the cone test
 and the leading log-minors, and at any ``M`` the peel plan and peel maps.
 On the ``Q`` side one vectorized test, ``_dual_gaps``, forms the ratio-form
 clique gaps, which the atoms of the power functions and the clique inverses
-reuse, so each closed form reads an element of ``Q`` once.
+reuse, so each closed form reads an element of ``Q`` once.  The covariance on
+both cones is the banded derivative of the clique assembly, ``_clique_form``.
 
 Vertices are labelled ``1..n`` in the public API; arrays are 0-based.
 """
@@ -230,12 +231,6 @@ def _peel_order(n: int, M: int) -> list[tuple[int, int]]:
     return [(i, i + 1) for i in range(M - 1)] + [(i, i - 1) for i in range(n - 1, M - 1, -1)]
 
 
-def _rows(v: NDArray) -> list:
-    # Python scalars for one element (fast, and ``**`` rounds as on numpy
-    # scalars); rows of the trailing batch axes otherwise.
-    return v.tolist() if v.ndim == 1 else list(v)
-
-
 def _not_positive(name: str, i: int, M: int, n: int, pivot: float, scale: int) -> ConeError:
     """The error for a bad pivot at vertex ``i`` (0-based) of the peel toward ``M``."""
     minor = (f"leading principal minor {i + 1}" if i < M - 1 or M == n
@@ -254,16 +249,15 @@ def _peel_core(
     and their mirrors, in O(n): vertex ``i`` is peeled with pivot ``a[i]``
     and regression ``b[i]`` toward its neighbour on the pivot's side
     (:func:`_peel_order`); ``a[M-1]`` is the remainder and ``b[M-1] = 0``.
-    One element's data (1-D) is scaled by :func:`_unit_scaled` (exact).
+    The data, one element's real band, are scaled by :func:`_unit_scaled` (exact).
 
-    On one element's real data in ``Z`` the sweep is the cone test of ``P``:
-    the first pivot (a ratio of leading, trailing or full minors) not above
-    ``PD_RTOL`` times the largest diagonal entry raises :class:`ConeError`
-    naming its minor.  At ``M = n`` these are the LDL pivots; other ``M``
-    decide alike except within ``PD_RTOL`` of the boundary.  Dual, complex
-    and batched data (trailing axes on ``diag`` and ``off``) go untested.
+    On data in ``Z`` the sweep is the cone test of ``P``: the first pivot (a
+    ratio of leading, trailing or full minors) not above ``PD_RTOL`` times
+    the largest diagonal entry raises :class:`ConeError` naming its minor.
+    At ``M = n`` these are the LDL pivots; other ``M`` decide alike except
+    within ``PD_RTOL`` of the boundary.  Dual data (``P`` samplers, ``psi_inv``) go untested.
     """
-    d, o, scale = _unit_scaled(diag, off) if diag.ndim == 1 else (_rows(diag), _rows(off), 0)
+    d, o, scale = _unit_scaled(diag, off)
     n = len(d)
     if dual:
         a, b = [0.0] * n, [0.0] * n
@@ -273,18 +267,17 @@ def _peel_core(
             a[i] = d[i] - o[e] ** 2 / d[j]
         a[M - 1] = d[M - 1]
         return np.ldexp(a, scale) if scale else np.array(a), np.array(b)
-    test = diag.ndim == 1 and diag.dtype.kind != "c"
-    if test:  # the largest |diagonal entry| of the scaled data, exactly (scaling is monotone)
-        tol = PD_RTOL * (max(map(abs, d)) if n < 100 else math.ldexp(float(np.max(np.abs(diag))), -scale))
+    # the largest |diagonal entry| of the scaled data, exactly (scaling is monotone)
+    tol = PD_RTOL * (max(map(abs, d)) if n < 100 else math.ldexp(float(np.max(np.abs(diag))), -scale))
     for i in range(M - 1):
-        if test and not d[i] > tol:
+        if not d[i] > tol:
             raise _not_positive(name, i, M, n, d[i], scale)
         d[i + 1] = d[i + 1] - o[i] ** 2 / d[i]
     for i in range(n - 1, M - 1, -1):
-        if test and not d[i] > tol:
+        if not d[i] > tol:
             raise _not_positive(name, i, M, n, d[i], scale)
         d[i - 1] = d[i - 1] - o[i - 1] ** 2 / d[i]
-    if test and not d[M - 1] > tol:
+    if not d[M - 1] > tol:
         raise _not_positive(name, M - 1, M, n, d[M - 1], scale)
     a, o = np.array(d), np.array(o) if scale else off
     b = np.zeros_like(a)
@@ -427,6 +420,53 @@ def _clique_assembly(
     diag[:-1] += cliq_w * i00
     diag[1:] += cliq_w * i11
     return TridiagSym(x.n, diag, cliq_w * i01)
+
+
+def _clique_form(x: IncompleteSym, exps: tuple, g: NDArray | None = None) -> tuple[NDArray, ...]:
+    """Nonzero entries of the derivative ``D`` of ``x -> _clique_assembly(x, *exps)``, in O(n).
+
+    ``D[d_j,d_j]``, ``D[d_b,d_{b+1}] = D[d_{b+1},d_b]``, ``D[d_b,o_b]``, ``D[d_{b+1},o_b]``,
+    ``D[o_b,o_b]``; ``D[o_b,d]`` is half of ``D[d,o_b]``, as the pairing counts ``o_b`` twice.
+    """
+    cliq_e, diag_e = exps
+    i00, i11, i01 = _clique_inverses(x, g)
+    dd = -diag_e / x.diag / x.diag
+    dd[:-1] -= cliq_e * (i00 * i00)
+    dd[1:] -= cliq_e * (i11 * i11)
+    return (dd, -(cliq_e * (i01 * i01)), -(cliq_e * (2.0 * i00 * i01)), -(cliq_e * (2.0 * i01 * i11)),
+            -cliq_e * (i00 * i11 + i01 * i01))
+
+
+def _form_solve(form: tuple[NDArray, ...], r: NDArray) -> NDArray:
+    """``D^{-1} r`` into ``r``, for a definite clique form; one right-hand side per column of ``r``.
+
+    Weighted by the pairing, ``D`` is symmetric, so LDL' needs no pivoting: each ``o_b`` goes first,
+    vectorized, leaving a tridiagonal system on the ``d``, one float loop each way (rows if 2-D).
+    """
+    dd, dd1, do0, do1, oo = form
+    n = dd.size
+    col = (slice(None),) + (None,) * (r.ndim - 1)  # per-clique factors broadcast over the columns
+    h0, h1 = 0.5 * do0 / oo, 0.5 * do1 / oo  # row o_b gives z_o = r_o / oo - h0 z_b - h1 z_{b+1}
+    p, t1, mult = dd.copy(), (dd1 - do0 * h1).tolist(), [0.0] * (n - 1)  # the Schur complement on the d
+    p[:-1] -= do0 * h0
+    p[1:] -= do1 * h1
+    r[n:] /= oo[col]
+    r[: n - 1] -= do0[col] * r[n:]
+    r[1:n] -= do1[col] * r[n:]
+    z, p = r[:n].tolist() if r.ndim == 1 else list(r[:n]), p.tolist()
+    for b in range(n - 1):
+        mult[b] = t1[b] / p[b]
+        p[b + 1] -= mult[b] * t1[b]
+        z[b + 1] -= mult[b] * z[b]
+        z[b] /= p[b]
+    z[n - 1] /= p[n - 1]
+    for b in range(n - 2, -1, -1):
+        z[b] -= mult[b] * z[b + 1]
+    if r.ndim == 1:
+        r[:n] = z
+    r[n:] -= h0[col] * r[: n - 1]
+    r[n:] -= h1[col] * r[1:n]
+    return r
 
 
 def lauritzen_map(x: IncompleteSym) -> TridiagSym:

@@ -18,8 +18,8 @@ of that log-Laplace exponent in nilpotent directions) all read off the same
 two exponent vectors, so chain-endpoint pivots (where the separator product
 has one extra factor) are handled uniformly.
 
-No closed-form inverse mean map exists on this cone; a numerical Newton
-inversion is provided as a convenience utility only.
+The inverse mean is found by Newton steps, each one solve of the banded
+covariance (``matrix_spaces._form_solve``).
 """
 
 from __future__ import annotations
@@ -35,7 +35,9 @@ from .matrix_spaces import (
     IncompleteSym,
     TridiagSym,
     _clique_assembly,
+    _clique_form,
     _clique_inverses,
+    _form_solve,
     _peel_order,
     assert_in_Q,
     is_in_Q,
@@ -193,27 +195,19 @@ def covariance_p_apply(w: WishartP, u: IncompleteSym) -> TridiagSym:
 
 
 def covariance_p_matrix(w: WishartP) -> NDArray[np.float64]:
-    """Covariance operator in the canonical basis, from one sweep of clique inverses.
+    """Covariance operator in the canonical basis: the clique form, minus the mean Jacobian.
 
     Column ``k`` is :func:`covariance_p_apply` at the basis element ``e_k``,
     each entry formed by the same operations; only zeros may differ in sign.
     """
-    x, n = w.x, w.n
-    cliq_e, diag_e = riesz_p_exponents(w.params.s, w.params.M)
-    i00, i11, i01 = _clique_inverses(x)
-    d, b = np.arange(n), np.arange(n - 1)
-    o = n + b  # coordinates of the off entries
-    out = np.zeros((2 * n - 1, 2 * n - 1))
-    diag = -diag_e / x.diag / x.diag
-    diag[:-1] -= cliq_e * (i00 * i00)
-    diag[1:] -= cliq_e * (i11 * i11)
-    out[d, d] = diag
-    out[b, b + 1] = out[b + 1, b] = -(cliq_e * (i01 * i01))
-    out[b, o] = -(cliq_e * (2.0 * i00 * i01))
-    out[b + 1, o] = -(cliq_e * (2.0 * i01 * i11))
-    out[o, b] = -cliq_e * (i00 * i01)
-    out[o, b + 1] = -cliq_e * (i01 * i11)
-    out[o, o] = -cliq_e * (i00 * i11 + i01 * i01)
+    dd, dd1, do0, do1, oo = _clique_form(w.x, riesz_p_exponents(w.params.s, w.params.M))
+    d, b = np.arange(w.n), np.arange(w.n - 1)
+    o = w.n + b  # coordinates of the off entries
+    out = np.zeros((2 * w.n - 1, 2 * w.n - 1))
+    out[d, d], out[o, o] = dd, oo
+    out[b, b + 1] = out[b + 1, b] = dd1
+    out[b, o], out[b + 1, o] = do0, do1
+    out[o, b], out[o, b + 1] = do0 / 2.0, do1 / 2.0
     return out
 
 
@@ -453,11 +447,9 @@ def newton_inverse_mean_p(
     tol: float = 1e-10,
     max_iter: int = 100,
 ) -> IncompleteSym:
-    """Numerically invert the mean map on ``P``.
+    """Invert the mean map on ``P`` by damped Newton steps, each one banded solve in O(n).
 
-    No closed form exists on this cone; this is a damped Newton iteration on
-    the coordinate space (a convenience utility, not a family formula), run
-    to ``tol`` relative at the target scaled to unit size, as ``mean_p(c x) = mean_p(x) / c``.
+    The steps stop at ``tol`` relative, at the target scaled to unit size, as ``mean_p(c x) = mean_p(x) / c``.
     """
     n = p.n
     target_c = target.coords()
@@ -466,12 +458,10 @@ def newton_inverse_mean_p(
     x = np.ldexp(x0.coords(), e) if x0 is not None else np.r_[np.ones(n), np.zeros(n - 1)]
     x = IncompleteSym.from_coords(x)
     for _ in range(max_iter):
-        w = WishartP(p, x)
-        resid = mean_p(w).coords() - target_c
+        resid = mean_p(WishartP(p, x)).coords() - target_c
         if np.max(np.abs(resid)) <= tol * np.max(np.abs(target_c)):
             return IncompleteSym.from_coords(np.ldexp(x.coords(), -e))
-        jac = -covariance_p_matrix(w)  # d mean / d x
-        step = np.linalg.solve(jac, resid)
+        step = -_form_solve(_clique_form(x, riesz_p_exponents(p.s, p.M)), resid)  # jacobian^{-1} resid
         t = 1.0
         while t > 1e-8:
             trial = IncompleteSym.from_coords(x.coords() - t * step)

@@ -21,9 +21,9 @@ with the reciprocal-shape mean map, higher moments, and two exact samplers.
 The mean, covariance and variance run in O(n) per evaluation without a dense
 inverse.  With ``y = T T'`` the LU(M) factor, the mean is the band of
 ``T^{-T} diag(s) T^{-1}``, read off the peel plan of ``y`` in one outward
-sweep from the pivot (``lum_triangular._hat_band``).  The covariance is minus
-the derivative of that sweep, taken by complex step, and the variance
-function is the covariance at the inverse mean.  The paper's dense mean and
+sweep from the pivot (``lum_triangular._hat_band``).  The variance function
+inverts the banded derivative of the inverse mean, one banded solve, and the
+covariance is the variance function at the mean.  The paper's dense mean and
 covariance live on in the dense test oracle under ``tests/``, its compact
 and expanded variance formulas in :mod:`chainwishart.verification`.
 
@@ -67,8 +67,11 @@ from .matrix_spaces import (
     IncompleteSym,
     TridiagSym,
     _clique_assembly,
+    _clique_form,
+    _form_solve,
     _peel_core,
     _peel_order,
+    _q_gaps,
     assert_in_P,
     inverse_image,
     lauritzen_map,
@@ -218,35 +221,20 @@ def pairing_with_parameter(w: WishartQ) -> float:
     return pairing(w.y, mean(w))
 
 
-#: Complex step, relative to ``y`` scaled to unit size: far below the square
-#: root of the rounding unit, far above underflow.
-_STEP = 1e-20
+def _variance_coords(p: ShapeParams, m: IncompleteSym, u: NDArray, g: NDArray | None = None) -> NDArray:
+    """``V(m) u = -D^{-1} u`` into ``u``, with ``D`` the clique form of :func:`inverse_mean`.
 
-
-def _covariance_coords(
-    p: ShapeParams, y: TridiagSym, u_diag: NDArray, u_off: NDArray
-) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-    """``-d/dt mean_formula(p, y + t u)`` at ``t = 0`` by complex step, O(n) per direction.
-
-    The mean sweep is rational in ``y``, so ``Im mean(y + i h u) / h`` is its
-    derivative up to ``O(h^2)``, with no cancellation.  ``y`` is first scaled
-    by a power of two to unit size (exact; the covariance is homogeneous of
-    degree -2).  ``u`` arrays may carry a trailing batch axis of directions.
-    A covariance past the largest double (``y`` below about 1e-154 in scale)
-    raises ``ValueError``.
+    ``m`` and ``u`` (one direction per column) are scaled to unit size by
+    powers of two (exact; ``V`` has degree 2 in ``m``), reusing the scale-free
+    gaps ``g`` of ``m`` if given; a covariance past the largest double is a ``ValueError``.
     """
-    assert_in_P(y)
-    unit = np.ldexp(1.0, -int(np.frexp(np.max(np.abs(y.coords())))[1]))
-    u_max = max(np.max(np.abs(u_diag)), np.max(np.abs(u_off), initial=0.0))
-    if u_max == 0.0:
-        return np.zeros(u_diag.shape), np.zeros(u_off.shape)
-    h = _STEP / u_max
-    pad = (slice(None),) + (None,) * (u_diag.ndim - 1)
-    a, b = _peel_core(unit * y.diag[pad] + 1j * h * u_diag, unit * y.off[pad] + 1j * h * u_off, p.M)
-    hd, ho = _hat_band(p.s, p.M, a, b)
+    e, f = (int(np.frexp(max(v.max(), -v.min()))[1]) for v in (m.coords(), u))  # no |u| temporary
+    unit = IncompleteSym(m.n, np.ldexp(m.diag, -e), np.ldexp(m.off, -e))
+    np.negative(np.ldexp(u, -f, out=u), out=u)
+    _form_solve(_clique_form(unit, delta_exponents(p.s, p.M), g), u)
     try:
         with np.errstate(over="raise"):
-            return -hd.imag / h * unit * unit, -ho.imag / h * unit * unit
+            return np.ldexp(u, 2 * e + f, out=u)
     except FloatingPointError:
         raise ValueError(
             "the covariance is outside the double range: it has degree -2 and y is too small in scale"
@@ -254,10 +242,10 @@ def _covariance_coords(
 
 
 def covariance_apply(w: WishartQ, u: TridiagSym) -> IncompleteSym:
-    """Covariance operator applied to ``u``: minus the derivative of the mean along ``u``."""
+    """Covariance operator applied to ``u``: the variance function at the mean, ``V(mean(w)) u``."""
     if u.n != w.n:
         raise ValueError("size mismatch")
-    return IncompleteSym(w.n, *_covariance_coords(w.params, w.y, u.diag, u.off))
+    return IncompleteSym.from_coords(_variance_coords(w.params, mean(w), u.coords()))
 
 
 def operator_matrix(fn: Callable[[TridiagSym], IncompleteSym], n: int) -> NDArray[np.float64]:
@@ -266,24 +254,9 @@ def operator_matrix(fn: Callable[[TridiagSym], IncompleteSym], n: int) -> NDArra
     return np.column_stack(cols)
 
 
-#: Basis directions per batched sweep in :func:`covariance_matrix`.
-COV_BLOCK = 128
-
-
 def covariance_matrix(w: WishartQ) -> NDArray[np.float64]:
-    """Covariance operator in the canonical basis (columns are images of e_k).
-
-    The ``2n - 1`` basis directions run as batched sweeps of ``COV_BLOCK``
-    columns, O(n^2) in all.  Each block's columns are written into the
-    result, so memory stays at the output plus one block's sweep.
-    """
-    n, k = w.n, 2 * w.n - 1
-    out = np.empty((k, k))
-    for lo in range(0, k, COV_BLOCK):
-        hi = min(lo + COV_BLOCK, k)
-        e = np.eye(k, hi - lo, -lo)  # columns lo..hi-1 of the identity
-        out[:n, lo:hi], out[n:, lo:hi] = _covariance_coords(w.params, w.y, e[:n], e[n:])
-    return out
+    """Covariance operator in the canonical basis: ``V(mean(w))`` solved in place on the identity."""
+    return _variance_coords(w.params, mean(w), np.eye(2 * w.n - 1))
 
 
 def inverse_mean(p: ShapeParams, m: IncompleteSym) -> TridiagSym:
@@ -307,8 +280,8 @@ def inverse_mean(p: ShapeParams, m: IncompleteSym) -> TridiagSym:
 def variance_apply_nice(p: ShapeParams, m: IncompleteSym, u: TridiagSym) -> IncompleteSym:
     """Variance function ``V(m)u``: the covariance at the natural parameter with mean ``m``.
 
-    Evaluated as the banded covariance at ``y = inverse_mean(p, m)``, in O(n).
-    It equals the paper's compact formula
+    Evaluated straight from ``m`` in ``Q`` by one banded solve, O(n).  It
+    equals the paper's compact formula
 
         V(m)u = (1/s_1 + 1/s_n - 1/s_M) P(hat)u
                 + sum_{i<M} (1/s_{i+1} - 1/s_i) P(hat - M_{1:i})u
@@ -321,7 +294,7 @@ def variance_apply_nice(p: ShapeParams, m: IncompleteSym, u: TridiagSym) -> Inco
     """
     if not (p.n == m.n == u.n):
         raise ValueError("size mismatch")
-    return IncompleteSym(p.n, *_covariance_coords(p, inverse_mean(p, m), u.diag, u.off))
+    return IncompleteSym.from_coords(_variance_coords(p, m, u.coords(), _q_gaps(m)))
 
 
 #: The expanded three-sum formula is algebraically the compact one.

@@ -85,15 +85,6 @@ def test_covariance_apply_and_matrix(n, M):
         assert_close(wq.covariance_matrix(w), dense.covariance_matrix(w))
 
 
-@pytest.mark.parametrize("M", [1, 25, 50])
-def test_covariance_matrix_in_blocks_matches_one_sweep(monkeypatch, M):
-    _, _, w, _ = _case(50, M)
-    monkeypatch.setattr(wq, "COV_BLOCK", 99)  # all 2n - 1 directions in one sweep
-    whole = wq.covariance_matrix(w)
-    monkeypatch.setattr(wq, "COV_BLOCK", 7)
-    assert np.array_equal(wq.covariance_matrix(w), whole)
-
-
 def test_covariance_matrix_peak_memory_stays_near_its_output():
     _, _, w, _ = _case(1000, 400)
     tracemalloc.start()
@@ -348,6 +339,13 @@ def test_closed_forms_run_without_dense_algebra(monkeypatch):
     assert wq.sample_gram_many(sets, y, rng, 2).shape == (2, 2 * n - 1)
     assert np.array_equal(np.diag(hat_completion(m)), m.diag)
     assert hat_via_T(w.params, m).shape == (n, n)
+    back = wp.newton_inverse_mean_p(wpp.params, wp.mean_p(wpp))
+    assert np.max(np.abs(back.coords() - x.coords())) <= 1e-8 * np.max(np.abs(x.coords()))
+    # the operator matrices are O(n^2) in size: a shorter chain
+    k = 150
+    w_k = wq.WishartQ(random_shape_q(rng, k, k // 3), random_pd_tridiag(rng, k))
+    wp_k = wp.WishartP(random_shape_p(rng, k, k // 3), random_q_elem(rng, k))
+    assert wq.covariance_matrix(w_k).shape == wp.covariance_p_matrix(wp_k).shape == (2 * k - 1, 2 * k - 1)
 
 
 # -- one dual-cone sweep per element -----------------------------------------

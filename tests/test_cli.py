@@ -526,10 +526,15 @@ CONTRACT = [
     ("sample-missing-params", {},
      ["sample", "--family", "p", "--params", "{dir}/none.json", "--out", "{dir}/x.csv"], 3),
     ("orders", {}, ["orders", "--n", "3"], 0),
+    ("orders-no-vertex", {}, ["orders", "--n", "0"], EXIT_DOMAIN),
+    ("orders-negative-size", {}, ["orders", "--n", "-2"], EXIT_DOMAIN),
     ("lm-convert-none", {"lm.json": {"alpha": [1.0, 2.0, 3.0], "beta": [5.0, 4.0]}},
      ["lm-convert", "--direction", "lm-to-s", "--file", "{lm.json}"], EXIT_NO_CONVERSION),
     ("missing-stat-no-pivot", {"m.csv": "1.0,1.0,\n,,1.0\n"},
      ["missing-stat", "--file", "{m.csv}"], EXIT_NO_PIVOT),
+    # the squares of the data, and so the statistic, pass the largest double
+    ("missing-stat-past-the-double-range", {"m.csv": "1e200,1e200\n"},
+     ["missing-stat", "--file", "{m.csv}"], EXIT_DOMAIN),
     # malformed input files
     *[
         (f"{what}-{family}-point-without-diag", {"f.json": fam, "pt.json": {"n": 2, "off": [0.1]}},

@@ -241,3 +241,13 @@ def test_the_package_ships_no_dense_oracle():
     for name in names:
         source = inspect.getsource(importlib.import_module(f"chainwishart.{name}"))
         assert "_dense_oracle" not in source, name
+
+
+def test_only_the_verification_oracle_names_dense_linear_algebra():
+    # the paper's two dense variance formulas in verification are the one use
+    # of np.linalg the package keeps; every other module runs banded
+    names = [m.name for m in pkgutil.iter_modules(chainwishart.__path__)]
+    assert "verification" in names
+    for name in names:
+        source = inspect.getsource(importlib.import_module(f"chainwishart.{name}"))
+        assert ("np.linalg" in source) == (name == "verification"), name
