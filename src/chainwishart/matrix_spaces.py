@@ -30,7 +30,8 @@ and the leading log-minors, and at any ``M`` the peel plan and peel maps.
 On the ``Q`` side one vectorized test, ``_dual_gaps``, forms the ratio-form
 clique gaps, which the atoms of the power functions and the clique inverses
 reuse, so each closed form reads an element of ``Q`` once.  The covariance on
-both cones is the banded derivative of the clique assembly, ``_clique_form``.
+both cones is the banded derivative of the clique assembly, ``_clique_form``,
+which ``_covariance_coords`` alone applies or solves, at unit scale.
 
 Vertices are labelled ``1..n`` in the public API; arrays are 0-based.
 """
@@ -174,13 +175,6 @@ class TridiagSym(_BandedSym):
         a[idx, idx + 1] = self.off
         a[idx + 1, idx] = self.off
         return a
-
-    @classmethod
-    def from_dense(cls, a: DenseSym) -> "TridiagSym":
-        """Band part of a dense symmetric matrix (off-band entries dropped)."""
-        a = np.asarray(a, dtype=float)
-        n = a.shape[0]
-        return cls(n, np.diag(a).copy(), np.diag(a, 1).copy())
 
     def submatrix(self, lo: int, hi: int) -> "TridiagSym":
         """Principal submatrix on the contiguous vertex set ``{lo..hi}`` (1-based)."""
@@ -467,6 +461,45 @@ def _form_solve(form: tuple[NDArray, ...], r: NDArray) -> NDArray:
     r[n:] -= h0[col] * r[: n - 1]
     r[n:] -= h1[col] * r[1:n]
     return r
+
+
+def _form_apply(form: tuple[NDArray, ...], u: NDArray) -> NDArray:
+    """``D u`` for a clique form; one direction per column of ``u``, as in :func:`_form_solve`."""
+    dd, dd1, do0, do1, oo = form
+    n = dd.size
+    col = (slice(None),) + (None,) * (u.ndim - 1)
+    ud, uo = u[:n], u[n:]
+    out = np.empty_like(u)
+    out[:n] = dd[col] * ud
+    out[: n - 1] += dd1[col] * ud[1:] + do0[col] * uo
+    out[1:n] += dd1[col] * ud[:-1] + do1[col] * uo
+    out[n:] = 0.5 * (do0[col] * ud[:-1] + do1[col] * ud[1:]) + oo[col] * uo
+    return out
+
+
+def _covariance_coords(
+    x: IncompleteSym, exps: tuple, u: NDArray, inverse: bool, name: str, g: NDArray | None = None
+) -> NDArray:
+    """``D u``, or ``-D^{-1} u`` into ``u`` if ``inverse``, with ``D`` the clique form of ``x`` at ``exps``.
+
+    The covariance on ``P`` (``D``), the variance function on ``Q`` and the
+    Newton step on ``P`` (``-D^{-1}``).  ``x`` and ``u`` (one direction per
+    column) are scaled to unit size by powers of two (exact; ``D`` has degree
+    -2 in ``x``), reusing the scale-free gaps ``g`` of ``x`` if given; a
+    result past the largest double is a ``ValueError`` naming ``x`` as ``name``.
+    """
+    e, f = (int(np.frexp(max(v.max(), -v.min()))[1]) for v in (x.coords(), u))  # no |u| temporary
+    unit = IncompleteSym(x.n, np.ldexp(x.diag, -e), np.ldexp(x.off, -e))
+    form = _clique_form(unit, exps, g)
+    np.ldexp(u, -f, out=u)
+    u = _form_solve(form, np.negative(u, out=u)) if inverse else _form_apply(form, u)
+    try:
+        with np.errstate(over="raise"):
+            return np.ldexp(u, (2 if inverse else -2) * e + f, out=u)
+    except FloatingPointError:
+        raise ValueError(
+            f"the covariance is outside the double range: it has degree -2 and {name} is too small in scale"
+        ) from None
 
 
 def lauritzen_map(x: IncompleteSym) -> TridiagSym:

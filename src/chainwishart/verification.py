@@ -13,8 +13,8 @@ Tolerance policy, by error class:
   configuration stays passing).
 
 Randomness follows a counter-based contract: ``stream_rng(seed, k)`` yields
-the ``k``-th independent deterministic stream of a root seed, so sharded
-estimators stay reproducible.
+the ``k``-th independent deterministic stream of a root seed, so every
+estimate is reproducible.
 """
 
 from __future__ import annotations
@@ -126,34 +126,15 @@ def _mean_se(vals: NDArray[np.float64]) -> tuple[float, float]:
     return float(np.mean(vals)), se
 
 
-def _sharded_draws(
-    draw: Callable[[np.random.Generator, int], NDArray[np.float64]],
-    n_samples: int,
-    seed: int,
-    shards: int,
-) -> NDArray[np.float64]:
-    """Draw across independent deterministic streams, one per shard.
-
-    Shards are reduced in sorted index order, so the result is independent of
-    how the shards were scheduled.
-    """
-    sizes = [n_samples // shards + (1 if i < n_samples % shards else 0) for i in range(shards)]
-    parts = [draw(stream_rng(seed, i), sz) for i, sz in enumerate(sizes) if sz > 0]
-    return np.vstack(parts)
-
-
 def mc_laplace_q(
     w: wishart_q.WishartQ,
     z: TridiagSym,
     n_samples: int = 100_000,
     seed: int = 0,
-    shards: int = 1,
 ) -> MCReport:
     """Estimate ``E exp(-<z, X>)`` by exact sampling; theory from the closed form."""
     theory = float(np.exp(wishart_q.log_laplace(w, z)))
-    coords = _sharded_draws(
-        lambda rng, sz: wishart_q.sample_many(w, rng, sz), n_samples, seed, shards
-    )
+    coords = wishart_q.sample_many(w, stream_rng(seed), n_samples)
     t = coords @ (coordinate_weights(w.n) * z.coords())
     est, se = _mean_se(np.exp(-t))
     return _make_report(est, se, theory, n_samples, seed, "laplace_q")
@@ -164,13 +145,10 @@ def mc_laplace_p(
     theta: IncompleteSym,
     n_samples: int = 100_000,
     seed: int = 0,
-    shards: int = 1,
 ) -> MCReport:
     """Estimate ``E exp(-<theta, Y>)`` on the concentration-cone family."""
     theory = float(np.exp(wishart_p.log_laplace_p(w, theta)))
-    coords = _sharded_draws(
-        lambda rng, sz: wishart_p.sample_p_many(w, rng, sz), n_samples, seed, shards
-    )
+    coords = wishart_p.sample_p_many(w, stream_rng(seed), n_samples)
     t = coords @ (coordinate_weights(w.n) * theta.coords())
     est, se = _mean_se(np.exp(-t))
     return _make_report(est, se, theory, n_samples, seed, "laplace_p")
@@ -182,12 +160,11 @@ def mc_mean_cov(
     theory_cov: Optional[NDArray[np.float64]],
     n_samples: int = 100_000,
     seed: int = 0,
-    n_batches: int = 50,
     name: str = "",
 ) -> list[MCReport]:
     """Per-coordinate mean reports and per-entry covariance reports.
 
-    Covariance entries use batch means for their standard errors.
+    Covariance entries use the means of 50 batches for their standard errors.
     """
     rng = stream_rng(seed)
     coords = draw(rng, n_samples)
@@ -199,7 +176,7 @@ def mc_mean_cov(
             _make_report(est, se, float(theory_mean[j]), n_samples, seed, f"{name}.mean[{j}]")
         )
     if theory_cov is not None:
-        batches = np.array_split(coords, n_batches, axis=0)
+        batches = np.array_split(coords, 50, axis=0)
         covs = np.stack([np.atleast_2d(np.cov(b, rowvar=False)) for b in batches])
         for j in range(d):
             for k in range(j, d):

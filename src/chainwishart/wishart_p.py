@@ -18,8 +18,8 @@ of that log-Laplace exponent in nilpotent directions) all read off the same
 two exponent vectors, so chain-endpoint pivots (where the separator product
 has one extra factor) are handled uniformly.
 
-The inverse mean is found by Newton steps, each one solve of the banded
-covariance (``matrix_spaces._form_solve``).
+The covariance is the banded clique form of the mean map, applied in O(n);
+the inverse mean is found by Newton steps, each one solve of that form.
 """
 
 from __future__ import annotations
@@ -35,9 +35,7 @@ from .matrix_spaces import (
     IncompleteSym,
     TridiagSym,
     _clique_assembly,
-    _clique_form,
-    _clique_inverses,
-    _form_solve,
+    _covariance_coords,
     _peel_order,
     assert_in_Q,
     is_in_Q,
@@ -179,36 +177,17 @@ def mean_p(w: WishartP) -> TridiagSym:
 
 
 def covariance_p_apply(w: WishartP, u: IncompleteSym) -> TridiagSym:
-    """Covariance operator ``I -> Z`` applied to ``u`` (negated mean Jacobian)."""
+    """Covariance operator ``I -> Z`` applied to ``u``: minus the mean Jacobian, a banded clique form."""
     if u.n != w.n:
         raise ValueError("size mismatch")
-    x = w.x
-    cliq_e, diag_e = riesz_p_exponents(w.params.s, w.params.M)
-    # B u_b B per clique block, with B = [[i00, i01], [i01, i11]] its inverse
-    i00, i11, i01 = _clique_inverses(x)
-    u0, u1, uo = u.diag[:-1], u.diag[1:], u.off
-    diag = -diag_e * u.diag / x.diag / x.diag
-    diag[:-1] -= cliq_e * (i00 * i00 * u0 + 2.0 * i00 * i01 * uo + i01 * i01 * u1)
-    diag[1:] -= cliq_e * (i01 * i01 * u0 + 2.0 * i01 * i11 * uo + i11 * i11 * u1)
-    off = -cliq_e * (i00 * i01 * u0 + (i00 * i11 + i01 * i01) * uo + i01 * i11 * u1)
-    return TridiagSym(x.n, diag, off)
+    exps = riesz_p_exponents(w.params.s, w.params.M)
+    return TridiagSym.from_coords(_covariance_coords(w.x, exps, u.coords(), False, "x"))
 
 
 def covariance_p_matrix(w: WishartP) -> NDArray[np.float64]:
-    """Covariance operator in the canonical basis: the clique form, minus the mean Jacobian.
-
-    Column ``k`` is :func:`covariance_p_apply` at the basis element ``e_k``,
-    each entry formed by the same operations; only zeros may differ in sign.
-    """
-    dd, dd1, do0, do1, oo = _clique_form(w.x, riesz_p_exponents(w.params.s, w.params.M))
-    d, b = np.arange(w.n), np.arange(w.n - 1)
-    o = w.n + b  # coordinates of the off entries
-    out = np.zeros((2 * w.n - 1, 2 * w.n - 1))
-    out[d, d], out[o, o] = dd, oo
-    out[b, b + 1] = out[b + 1, b] = dd1
-    out[b, o], out[b + 1, o] = do0, do1
-    out[o, b], out[o, b + 1] = do0 / 2.0, do1 / 2.0
-    return out
+    """Covariance operator in the canonical basis: :func:`covariance_p_apply` on the identity."""
+    exps = riesz_p_exponents(w.params.s, w.params.M)
+    return _covariance_coords(w.x, exps, np.eye(2 * w.n - 1), False, "x")
 
 
 # ---------------------------------------------------------------------------
@@ -440,28 +419,21 @@ def canonical_measure_check(x: IncompleteSym) -> tuple[float, float]:
     return float(lhs), float(rhs)
 
 
-def newton_inverse_mean_p(
-    p: ShapeParams,
-    target: TridiagSym,
-    x0: Optional[IncompleteSym] = None,
-    tol: float = 1e-10,
-    max_iter: int = 100,
-) -> IncompleteSym:
+def newton_inverse_mean_p(p: ShapeParams, target: TridiagSym) -> IncompleteSym:
     """Invert the mean map on ``P`` by damped Newton steps, each one banded solve in O(n).
 
-    The steps stop at ``tol`` relative, at the target scaled to unit size, as ``mean_p(c x) = mean_p(x) / c``.
+    From the identity, at most 100 steps, stopping at 1e-10 relative, at the
+    target scaled to unit size, as ``mean_p(c x) = mean_p(x) / c``.
     """
-    n = p.n
     target_c = target.coords()
     e = int(np.frexp(np.max(np.abs(target_c)))[1])
     target_c = np.ldexp(target_c, -e)
-    x = np.ldexp(x0.coords(), e) if x0 is not None else np.r_[np.ones(n), np.zeros(n - 1)]
-    x = IncompleteSym.from_coords(x)
-    for _ in range(max_iter):
+    x, exps = IncompleteSym(p.n, np.ones(p.n)), riesz_p_exponents(p.s, p.M)
+    for _ in range(100):
         resid = mean_p(WishartP(p, x)).coords() - target_c
-        if np.max(np.abs(resid)) <= tol * np.max(np.abs(target_c)):
+        if np.max(np.abs(resid)) <= 1e-10 * np.max(np.abs(target_c)):
             return IncompleteSym.from_coords(np.ldexp(x.coords(), -e))
-        step = -_form_solve(_clique_form(x, riesz_p_exponents(p.s, p.M)), resid)  # jacobian^{-1} resid
+        step = _covariance_coords(x, exps, resid, True, "x")  # jacobian^{-1} resid
         t = 1.0
         while t > 1e-8:
             trial = IncompleteSym.from_coords(x.coords() - t * step)

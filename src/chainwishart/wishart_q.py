@@ -67,8 +67,7 @@ from .matrix_spaces import (
     IncompleteSym,
     TridiagSym,
     _clique_assembly,
-    _clique_form,
-    _form_solve,
+    _covariance_coords,
     _peel_core,
     _peel_order,
     _q_gaps,
@@ -222,23 +221,8 @@ def pairing_with_parameter(w: WishartQ) -> float:
 
 
 def _variance_coords(p: ShapeParams, m: IncompleteSym, u: NDArray, g: NDArray | None = None) -> NDArray:
-    """``V(m) u = -D^{-1} u`` into ``u``, with ``D`` the clique form of :func:`inverse_mean`.
-
-    ``m`` and ``u`` (one direction per column) are scaled to unit size by
-    powers of two (exact; ``V`` has degree 2 in ``m``), reusing the scale-free
-    gaps ``g`` of ``m`` if given; a covariance past the largest double is a ``ValueError``.
-    """
-    e, f = (int(np.frexp(max(v.max(), -v.min()))[1]) for v in (m.coords(), u))  # no |u| temporary
-    unit = IncompleteSym(m.n, np.ldexp(m.diag, -e), np.ldexp(m.off, -e))
-    np.negative(np.ldexp(u, -f, out=u), out=u)
-    _form_solve(_clique_form(unit, delta_exponents(p.s, p.M), g), u)
-    try:
-        with np.errstate(over="raise"):
-            return np.ldexp(u, 2 * e + f, out=u)
-    except FloatingPointError:
-        raise ValueError(
-            "the covariance is outside the double range: it has degree -2 and y is too small in scale"
-        ) from None
+    """``V(m) u = -D^{-1} u`` into ``u``, with ``D`` the clique form of :func:`inverse_mean`."""
+    return _covariance_coords(m, delta_exponents(p.s, p.M), u, True, "y", g)
 
 
 def covariance_apply(w: WishartQ, u: TridiagSym) -> IncompleteSym:

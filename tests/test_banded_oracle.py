@@ -21,6 +21,9 @@ from chainwishart.lum_triangular import LUMMatrix, decompose, hat_via_T
 from chainwishart.matrix_spaces import (
     IncompleteSym,
     TridiagSym,
+    _clique_form,
+    _form_apply,
+    _form_solve,
     hat_completion,
     inverse_image,
     is_in_P,
@@ -204,6 +207,19 @@ def test_clique_functions_match_their_loop_versions(n, M):
     assert_close(wp.covariance_p_apply(w, u).coords(), covariance_p_apply_loop(w, u).coords())
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 13, 1000])
+@pytest.mark.parametrize("c", [1e-150, 1.0, 1e150])
+def test_clique_form_solve_inverts_apply_on_both_cones(n, c):
+    rng = np.random.default_rng([n, 3])
+    x = c * random_q_elem(rng, n)
+    for M in sorted({1, (n + 1) // 2, n}):
+        for exps in (wp.riesz_p_exponents(random_shape_p(rng, n, M).s, M),
+                     delta_exponents(random_shape_q(rng, n, M).s, M)):
+            form = _clique_form(x, exps)
+            for r in (rng.normal(size=2 * n - 1), rng.normal(size=(2 * n - 1, 3))):
+                assert_close(_form_apply(form, _form_solve(form, r.copy())), r)
+
+
 # -- scale invariance ---------------------------------------------------------
 
 
@@ -230,6 +246,13 @@ def test_cones_and_closed_forms_are_scale_invariant(c):
     if math.log(np.finfo(float).tiny) < log_vc < math.log(np.finfo(float).max):
         vc = wq.covariance_apply(wq.WishartQ(p, yc), u).coords()
         assert np.max(np.abs(vc * c * c - v1)) <= 1e-12 * np.max(np.abs(v1))
+    # the covariance on P has degree -2 in x alike
+    pp, v = random_shape_p(rng, n, M), IncompleteSym.from_coords(rng.uniform(-1, 1, 2 * n - 1))
+    v1 = wp.covariance_p_apply(wp.WishartP(pp, x), v).coords()
+    log_vc = math.log(np.max(np.abs(v1))) - 2.0 * math.log(c)
+    if math.log(np.finfo(float).tiny) < log_vc < math.log(np.finfo(float).max):
+        vc = wp.covariance_p_apply(wp.WishartP(pp, c * x), v).coords()
+        assert np.max(np.abs(vc * c * c - v1)) <= 1e-12 * np.max(np.abs(v1))
 
 
 def test_covariance_past_the_double_range_is_a_domain_error():
@@ -241,8 +264,11 @@ def test_covariance_past_the_double_range_is_a_domain_error():
     w = wq.WishartQ(random_shape_q(rng, n, M), 1e-200 * random_pd_tridiag(rng, n))
     u = TridiagSym.from_coords(rng.uniform(-1, 1, 2 * n - 1))
     m = wq.mean(w)
+    wpp = wp.WishartP(random_shape_p(rng, n, M), 1e-200 * random_q_elem(rng, n))
+    v = IncompleteSym.from_coords(rng.uniform(-1, 1, 2 * n - 1))
     for call in (lambda: wq.covariance_apply(w, u), lambda: wq.covariance_matrix(w),
-                 lambda: wq.variance_apply_nice(w.params, m, u)):
+                 lambda: wq.variance_apply_nice(w.params, m, u),
+                 lambda: wp.covariance_p_apply(wpp, v), lambda: wp.covariance_p_matrix(wpp)):
         with pytest.raises(ValueError, match="outside the double range"):
             call()
 

@@ -487,6 +487,8 @@ Q2_BIG = {**Q2, "y": {"n": 2, "diag": [1e160, 1e160], "off": [2e159]}}
 P2_BIG = {**P2, "x": {"n": 2, "diag": [1e160, 1.3e160], "off": [-2e159]}}
 # Q2 scaled by 1e-200: its covariance (degree -2) is past the largest double
 Q2_TINY = {**Q2, "y": {"n": 2, "diag": [1e-200, 1e-200], "off": [2e-201]}}
+# P2 scaled by 1e-200: its covariance (degree -2) is past the largest double
+P2_TINY = {**P2, "x": {"n": 2, "diag": [1e-200, 1.3e-200], "off": [-2e-201]}}
 # the mean of P2 at c x is its mean at x over c, so Newton must return c x
 P2_MEAN = wp.mean_p(wp.WishartP(ShapeParams.from_json_dict(P2), IncompleteSym.from_json_dict(P2["x"])))
 NEWTON_SCALES = {"newton-target-at-1e-12": 1e-12, "newton-target-at-1e12": 1e12}
@@ -514,6 +516,8 @@ CONTRACT = [
      ["sample", "--family", "p", "--params", "{p.json}", "--n", "5", "--out", "{dir}/x.csv"], 0),
     ("eval-variance-at-1e-200", {"q.json": Q2_TINY},
      ["eval", "--what", "variance", "--family", "q", "--params", "{q.json}"], EXIT_DOMAIN),
+    ("eval-variance-p-past-the-double-range", {"p.json": P2_TINY},
+     ["eval", "--what", "variance", "--family", "p", "--params", "{p.json}"], EXIT_DOMAIN),
     ("eval-variance-at-point", {"q.json": Q2, "m.json": {"n": 2, "diag": [1.0, 2.0], "off": [0.3]}},
      ["eval", "--what", "variance", "--family", "q", "--params", "{q.json}", "--point", "{m.json}"], 0),
     ("eval-density-needs-point", {"q.json": Q2},

@@ -5,11 +5,14 @@ n in {1, 2, 3, 13, 10^4}, pivots M in {1, (n+1)//2, n} and elements scaled by
 c in {1e-150, 1, 1e150}, in that order (see ``_digest``).  The digests were
 recorded from the implementation as it stood before the dual-cone closed
 forms were rewritten to read each element in one sweep, so any change in a
-returned value, down to its last bit, fails them.
+returned value, down to its last bit, fails them.  Two exceptions:
+``covariance_apply`` and ``variance_apply_nice`` were recorded later, and
+``covariance_p_apply`` was re-recorded when it became the clique form applied
+at unit scale (its values moved by at most 2.7e-16 of the largest entry).
 
 ``covariance_p_matrix`` is compared with ``np.array_equal`` against the
-stacked ``covariance_p_apply`` columns instead: the two assemblies may give
-zeros of different sign, which equality ignores and a digest would not.
+stacked ``covariance_p_apply`` columns instead: it is the same clique-form
+operator, applied to the identity in place of one basis element at a time.
 """
 
 import hashlib
@@ -38,7 +41,7 @@ def _cases():
         for M in sorted({1, (n + 1) // 2, n}):
             s_q, s_p = random_shape_q(rng, n, M), random_shape_p(rng, n, M)
             for c in SCALES:
-                yield n, M, c, dict(s_q=s_q, s_p=s_p, y=c * y, z=c * z, x=c * x, theta=c * theta,
+                yield n, M, c, dict(c=c, s_q=s_q, s_p=s_p, y=c * y, z=c * z, x=c * x, theta=c * theta,
                                     u=c * u, v=c * v, wq=wq.WishartQ(s_q, c * y), wp=wp.WishartP(s_p, c * x))
 
 
@@ -75,6 +78,10 @@ def _values(name, d):
         return lauritzen_map(d["x"]).coords()
     if name == "covariance_p_apply":
         return wp.covariance_p_apply(d["wp"], d["v"]).coords()
+    if name == "covariance_apply":
+        return wq.covariance_apply(d["wq"], d["u"]).coords()
+    if name == "variance_apply_nice":  # degree 2 in m: u at unit scale keeps the value in range
+        return wq.variance_apply_nice(d["s_q"], d["x"], (1.0 / d["c"]) * d["u"]).coords()
     raise KeyError(name)
 
 
@@ -97,7 +104,9 @@ DIGESTS = {
     "inverse_mean": "84d63a0539aa44fdcfbf251be49cb1b37d11c9825533cdb34b81624d160c3f9a",
     "mean_p": "45d69f92a84e3f03fc73b63f83cfdbbbe826095ffe1569617c723acd02e57c1a",
     "lauritzen_map": "090a8805cdef5db61c0ad666eff5f619bea7bc78eb4fa57e42d910d4c00bc907",
-    "covariance_p_apply": "be7b76a6649aeb16c53d185feffbe32325845a85000b40695e6b33b724ab313f",
+    "covariance_p_apply": "d822e46670020035c3283ffa2d77ed945025c523dc7a8aff996a55a9fea2f503",
+    "covariance_apply": "b9bf59c53b05542b3762054e87663c751fa0af542313d9e42fc4aa2499b1bdea",
+    "variance_apply_nice": "dd6b9ae62eafbb3c63530f9dcc4cd757957de3dc0be1f0970b2da818642f88fa",
 }
 
 

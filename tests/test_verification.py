@@ -207,19 +207,6 @@ def test_report_formats():
     assert payload[1]["passed"] is False
 
 
-def test_sharded_estimator_is_deterministic_and_passes():
-    rng = np.random.default_rng(102)
-    w = wq.WishartQ(random_shape_q(rng, 3, 2), random_pd_tridiag(rng, 3))
-    z = 0.3 * random_pd_tridiag(rng, 3)
-    r1 = mc_laplace_q(w, z, n_samples=20_000, seed=13, shards=4)
-    r2 = mc_laplace_q(w, z, n_samples=20_000, seed=13, shards=4)
-    assert r1.estimate == r2.estimate
-    assert abs(r1.z_score) < 4.0
-    # shard count changes the stream layout but not correctness
-    r3 = mc_laplace_q(w, z, n_samples=20_000, seed=13, shards=1)
-    assert abs(r3.z_score) < 4.0
-
-
 def test_fd_jacobian_propagates_cone_boundary():
     from chainwishart.matrix_spaces import ConeError
 
@@ -251,3 +238,13 @@ def test_only_the_verification_oracle_names_dense_linear_algebra():
     for name in names:
         source = inspect.getsource(importlib.import_module(f"chainwishart.{name}"))
         assert ("np.linalg" in source) == (name == "verification"), name
+
+
+def test_only_matrix_spaces_names_the_clique_form():
+    # the layout and unit scaling of the banded clique form live in one module
+    names = [m.name for m in pkgutil.iter_modules(chainwishart.__path__)]
+    assert "matrix_spaces" in names
+    for name in names:
+        source = inspect.getsource(importlib.import_module(f"chainwishart.{name}"))
+        for kernel in ("_clique_inverses", "_clique_form", "_form_apply", "_form_solve"):
+            assert (kernel in source) == (name == "matrix_spaces"), (name, kernel)
