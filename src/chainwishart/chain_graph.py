@@ -103,23 +103,17 @@ def build_chain(n: int) -> ChainGraph:
     return ChainGraph(n)
 
 
-def _order_from_mask(n: int, mask: int) -> tuple[int, ...]:
-    left, right = 1, n
-    seq = []
-    for k in range(n - 1):
-        if (mask >> k) & 1:
-            seq.append(left)
-            left += 1
-        else:
-            seq.append(right)
-            right -= 1
-    seq.append(left)  # left == right == max vertex
-    return tuple(seq)
-
-
 def enumerate_eliminating_orders(g: ChainGraph) -> list[EliminatingOrder]:
-    """All ``2^(n-1)`` eliminating orders, one per intertwining mask."""
-    return [EliminatingOrder(_order_from_mask(g.n, m)) for m in range(1 << (g.n - 1))]
+    """All ``2^(n-1)`` eliminating orders, one per intertwining mask, in mask order.
+
+    Built by prefix doubling: step ``k`` extends every prefix from the right
+    run (bit ``k`` clear), then every prefix from the left run (bit ``k``
+    set), so each list of prefixes stays in the order of their masks.
+    """
+    runs = [((), 1, g.n)]  # (prefix, next vertex of the left run, of the right run)
+    for _ in range(g.n - 1):
+        runs = [(seq + (r,), l, r - 1) for seq, l, r in runs] + [(seq + (l,), l + 1, r) for seq, l, r in runs]
+    return [EliminatingOrder(seq + (l,)) for seq, l, _ in runs]  # l is the max vertex
 
 
 def is_eliminating(g: ChainGraph, seq: Sequence[int]) -> bool:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .matrix_spaces import DenseSym, IncompleteSym, TridiagSym, _hat_fill, _peel_order
+from .matrix_spaces import DenseSym, IncompleteSym, TridiagSym, _hat_fill, _out_of_range, _peel_order, _peel_unit
 from .peeling import _peel_plan
 from .power_functions import ShapeParams
 
@@ -89,8 +89,8 @@ def decompose(y: TridiagSym, M: int) -> LUMMatrix:
     return LUMMatrix(y.n, M, diag, diag[: M - 1] * b[: M - 1], diag[M:] * b[M:])
 
 
-def _hat_band(s: NDArray, M: int, a: NDArray, b: NDArray) -> tuple[NDArray, NDArray]:
-    """Band ``(diag, off)`` of ``T^{-T} diag(s) T^{-1}`` from the peel plan of ``y = T T'``.
+def _hat_band(s: NDArray, M: int, a: NDArray, b: NDArray) -> NDArray:
+    """Band of ``T^{-T} diag(s) T^{-1}`` from the peel plan of ``y = T T'``, diag then off in one array.
 
     One outward sweep from the pivot, O(n): ``hd_M = s_M / a_M``, then for
     each peeled vertex ``i`` with neighbour ``j`` toward the pivot
@@ -106,7 +106,27 @@ def _hat_band(s: NDArray, M: int, a: NDArray, b: NDArray) -> tuple[NDArray, NDAr
     for i, j in reversed(_peel_order(n, M)):
         hd[i] = s[i] / a[i] + b[i] ** 2 * hd[j]
         ho[min(i, j)] = -b[i] * hd[j]
-    return np.array(hd), np.array(ho)
+    return np.array(hd + ho)
+
+
+def _hat_element(s: NDArray, M: int, y: TridiagSym, what: str) -> IncompleteSym:
+    """:func:`_hat_band` of ``y`` in ``P`` (peeled toward ``M``) as an element of ``I``.
+
+    The band has degree -1 in ``y``.  It is formed at the unit scale of the
+    peel (exact powers of two) and scaled back; a band past the largest
+    double there or after scaling is a ``ValueError`` calling it ``what``.
+    """
+    a, b, e = _peel_unit(y.diag, y.off, M)
+    band = _hat_band(s, M, a, b)
+    try:
+        if not np.isfinite(band).all():
+            raise FloatingPointError
+        if e:
+            with np.errstate(over="raise"):
+                np.ldexp(band, -e, out=band)
+    except FloatingPointError:
+        raise _out_of_range(what, -1, "y") from None
+    return IncompleteSym._trusted(y.n, band[: y.n], band[y.n :])
 
 
 def hat_via_T(p: ShapeParams, m: IncompleteSym) -> DenseSym:
@@ -122,4 +142,5 @@ def hat_via_T(p: ShapeParams, m: IncompleteSym) -> DenseSym:
     """
     from .wishart_q import inverse_mean  # deferred: avoids a module cycle
 
-    return _hat_fill(*_hat_band(p.s, p.M, *_peel_plan(inverse_mean(p, m), p.M)))
+    band = _hat_band(p.s, p.M, *_peel_plan(inverse_mean(p, m), p.M))
+    return _hat_fill(band[: m.n], band[m.n :])

@@ -31,7 +31,10 @@ On the ``Q`` side one vectorized test, ``_dual_gaps``, forms the ratio-form
 clique gaps, which the atoms of the power functions and the clique inverses
 reuse, so each closed form reads an element of ``Q`` once.  The covariance on
 both cones is the banded derivative of the clique assembly, ``_clique_form``,
-which ``_covariance_coords`` alone applies or solves, at unit scale.
+which ``_covariance_coords`` alone applies or solves, at unit scale.  The
+clique assembly itself (degree -1) is formed at unit scale too, with the
+same range error, and its fresh, finite arrays are stored by the trusted
+constructor ``_BandedSym._trusted`` without a second validation.
 
 Vertices are labelled ``1..n`` in the public API; arrays are 0-based.
 """
@@ -111,6 +114,17 @@ class _BandedSym:
     def coords(self) -> NDArray[np.float64]:
         """Canonical (2n-1)-vector: diagonal entries followed by off entries."""
         return np.concatenate([self.diag, self.off])
+
+    @classmethod
+    def _trusted(cls, n: int, diag: NDArray[np.float64], off: NDArray[np.float64]):
+        """An element stored without validation or copy, for kernel outputs only.
+
+        ``diag`` and ``off`` must be fresh float arrays of lengths ``n`` and
+        ``n - 1``, owned by the result and finite by construction.
+        """
+        elem = object.__new__(cls)
+        elem.n, elem.diag, elem.off = n, diag, off
+        return elem
 
     @classmethod
     def from_coords(cls, vec: Iterable[float]):
@@ -204,15 +218,24 @@ def project_pi(a: DenseSym) -> IncompleteSym:
 _SAFE_RANGE = (2.0**-400, 2.0**400)
 
 
+def _unit_exponent(big: float) -> int:
+    """``e`` with ``big * 2^-e`` of unit size, or 0 when ``big`` lies inside ``_SAFE_RANGE``."""
+    return 0 if _SAFE_RANGE[0] <= big <= _SAFE_RANGE[1] else math.frexp(big)[1]
+
+
 def _unit_scaled(diag: NDArray, off: NDArray) -> tuple[list, list, int]:
     """``(d, o, e)``: the data as Python scalars times ``2^-e``, ``e = 0`` inside ``_SAFE_RANGE``."""
     d, o = diag.tolist(), off.tolist()
     # below about 100 entries a Python max is cheaper than numpy reductions
-    big = max(map(abs, d + o)) if len(d) < 100 else max(np.max(np.abs(diag)), np.max(np.abs(off)))
-    if _SAFE_RANGE[0] <= big <= _SAFE_RANGE[1]:
+    e = _unit_exponent(max(map(abs, d + o)) if len(d) < 100 else max(np.max(np.abs(diag)), np.max(np.abs(off))))
+    if not e:
         return d, o, 0
-    e = math.frexp(big)[1]
     return [math.ldexp(v, -e) for v in d], [math.ldexp(v, -e) for v in o], e
+
+
+def _out_of_range(what: str, degree: int, name: str) -> ValueError:
+    """The error for a result past the largest double, of negative ``degree`` in the input ``name``."""
+    return ValueError(f"{what} is outside the double range: it has degree {degree} and {name} is too small in scale")
 
 
 def _peel_order(n: int, M: int) -> list[tuple[int, int]]:
@@ -251,6 +274,14 @@ def _peel_core(
     At ``M = n`` these are the LDL pivots; other ``M`` decide alike except
     within ``PD_RTOL`` of the boundary.  Dual data (``P`` samplers, ``psi_inv``) go untested.
     """
+    a, b, scale = _peel_unit(diag, off, M, dual, name)
+    return np.ldexp(a, scale) if scale else a, b
+
+
+def _peel_unit(
+    diag: NDArray, off: NDArray, M: int, dual: bool = False, name: str = "y"
+) -> tuple[NDArray, NDArray, int]:
+    """The peel of :func:`_peel_core` with the pivots left at unit scale: ``(a * 2^-e, b, e)``."""
     d, o, scale = _unit_scaled(diag, off)
     n = len(d)
     if dual:
@@ -260,7 +291,7 @@ def _peel_core(
             b[i] = o[e] / d[j]
             a[i] = d[i] - o[e] ** 2 / d[j]
         a[M - 1] = d[M - 1]
-        return np.ldexp(a, scale) if scale else np.array(a), np.array(b)
+        return np.array(a), np.array(b), scale
     # the largest |diagonal entry| of the scaled data, exactly (scaling is monotone)
     tol = PD_RTOL * (max(map(abs, d)) if n < 100 else math.ldexp(float(np.max(np.abs(diag))), -scale))
     for i in range(M - 1):
@@ -277,7 +308,7 @@ def _peel_core(
     b = np.zeros_like(a)
     b[: M - 1] = o[: M - 1] / a[: M - 1]
     b[M:] = o[M - 1 :] / a[M:]
-    return np.ldexp(a, scale) if scale else a, b
+    return a, b, scale
 
 
 def is_in_P(y: TridiagSym) -> bool:
@@ -381,10 +412,9 @@ def inverse_image(y: TridiagSym) -> IncompleteSym:
     Read off the peel plan of ``y`` by the O(n) sweep of the mean map at unit
     shape, without forming ``y^{-1}``.
     """
-    from .lum_triangular import _hat_band  # deferred: it imports this module
+    from .lum_triangular import _hat_element  # deferred: it imports this module
 
-    a, b = _peel_core(y.diag, y.off, y.n)
-    return IncompleteSym(y.n, *_hat_band(np.ones(y.n), y.n, a, b))
+    return _hat_element(np.ones(y.n), y.n, y, "pi(y^{-1})")
 
 
 def _clique_inverses(
@@ -403,17 +433,33 @@ def _clique_inverses(
 
 
 def _clique_assembly(
-    x: IncompleteSym, cliq_w: NDArray[np.float64], diag_w: NDArray[np.float64]
+    x: IncompleteSym, cliq_w: NDArray[np.float64], diag_w: NDArray[np.float64], what: str,
+    g: NDArray | None = None,
 ) -> TridiagSym:
     """``sum_b cliq_w[b] ((x_b)^{-1})^0 + sum_j diag_w[j] / x_jj E_jj`` over the cliques ``b``.
 
-    Tests ``x`` in ``Q`` first and builds the inverses from the gaps of that test.
+    Builds the inverses from the gaps ``g`` of the cone test of ``x``, run
+    here when not given.  The result has degree -1 in ``x``: outside
+    ``_SAFE_RANGE`` it is formed on ``x`` scaled to unit size by a power of
+    two (exact; a member's largest entry is on its diagonal) and scaled
+    back.  A result past the largest double is a ``ValueError`` calling it
+    ``what``.
     """
-    i00, i11, i01 = _clique_inverses(x, _q_gaps(x))
-    diag = diag_w / x.diag
-    diag[:-1] += cliq_w * i00
-    diag[1:] += cliq_w * i11
-    return TridiagSym(x.n, diag, cliq_w * i01)
+    g = _q_gaps(x) if g is None else g
+    e = _unit_exponent(float(x.diag.max()))
+    unit = IncompleteSym._trusted(x.n, np.ldexp(x.diag, -e), np.ldexp(x.off, -e)) if e else x
+    try:
+        with np.errstate(over="raise"):
+            i00, i11, i01 = _clique_inverses(unit, g)
+            diag, off = diag_w / unit.diag, cliq_w * i01
+            diag[:-1] += cliq_w * i00
+            diag[1:] += cliq_w * i11
+            if e:
+                np.ldexp(diag, -e, out=diag)
+                np.ldexp(off, -e, out=off)
+    except FloatingPointError:
+        raise _out_of_range(what, -1, "x") from None
+    return TridiagSym._trusted(x.n, diag, off)
 
 
 def _clique_form(x: IncompleteSym, exps: tuple, g: NDArray | None = None) -> tuple[NDArray, ...]:
@@ -497,9 +543,7 @@ def _covariance_coords(
         with np.errstate(over="raise"):
             return np.ldexp(u, (2 if inverse else -2) * e + f, out=u)
     except FloatingPointError:
-        raise ValueError(
-            f"the covariance is outside the double range: it has degree -2 and {name} is too small in scale"
-        ) from None
+        raise _out_of_range("the covariance", -2, name) from None
 
 
 def lauritzen_map(x: IncompleteSym) -> TridiagSym:
@@ -513,7 +557,7 @@ def lauritzen_map(x: IncompleteSym) -> TridiagSym:
     cliques_at = np.zeros(n)
     cliques_at[:-1] += 1.0
     cliques_at[1:] += 1.0
-    return _clique_assembly(x, np.ones(n - 1), 1.0 - cliques_at)
+    return _clique_assembly(x, np.ones(n - 1), 1.0 - cliques_at, "the Lauritzen map")
 
 
 def _hat_fill(diag: NDArray[np.float64], off: NDArray[np.float64]) -> DenseSym:

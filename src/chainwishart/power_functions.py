@@ -30,6 +30,7 @@ exponentially with ``n``, so exponentiation is left to the caller.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -147,14 +148,17 @@ def phi_exponents(n: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     return cliq, diag
 
 
-def _log_atoms(x: IncompleteSym, name: str = "x") -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+def _log_atoms(
+    x: IncompleteSym, name: str = "x", g: NDArray | None = None
+) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     """Logs of the clique determinants and diagonal entries of ``x`` in ``Q``.
 
     ``log |x_b| = log x_ii + log x_{i+1,i+1} + log gap_i`` with the ratio-form
-    gaps of the cone test (:class:`ConeError` naming ``x`` as ``name`` outside
-    ``Q``), so no product of entries can overflow or underflow.
+    gaps ``g`` of the cone test, run here when not given (:class:`ConeError`
+    naming ``x`` as ``name`` outside ``Q``), so no product of entries can
+    overflow or underflow.
     """
-    g = _q_gaps(x, name)
+    g = _q_gaps(x, name) if g is None else g
     log_diag = np.log(x.diag)
     return log_diag[:-1] + log_diag[1:] + np.log(g), log_diag
 
@@ -195,18 +199,20 @@ def log_phi(x: IncompleteSym) -> float:
 
 
 def _log_gamma_normalizer(args: NDArray, M: int) -> float:
-    """``-log(pi^{(n-1)/2} prod_i Gamma(args_i))`` from one ``gammaln`` call on ``args``.
+    """``-log(pi^{(n-1)/2} prod_i Gamma(args_i))`` from ``math.lgamma`` of each of ``args``.
 
-    The terms are added one at a time (``np.add.accumulate``): ``pi``'s and
-    the pivot's first, then the others by index.
+    The terms are added one at a time: ``pi``'s and the pivot's first, then
+    the others by index.  A term past the largest double (shapes around
+    1e306) makes the normalizer ``-inf``.
     """
-    from scipy.special import gammaln  # deferred: keeps scipy off the CLI import path
-
-    n, g = args.size, gammaln(args)
-    head = 0.5 * (n - 1) * np.log(np.pi) + g[M - 1]
-    g[1:M] = g[: M - 1]  # the pivot's slot goes, the terms before it shift up one
-    g[0] = head
-    return float(-np.add.accumulate(g)[-1])
+    n, args = args.size, args.tolist()
+    try:
+        total = 0.5 * (n - 1) * math.log(math.pi) + math.lgamma(args[M - 1])
+        for a in args[: M - 1] + args[M:]:
+            total += math.lgamma(a)
+    except OverflowError:
+        return float("-inf")
+    return -total
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +317,12 @@ def homogeneity_degree(p: ShapeParams) -> float:
 # Walther, *Evaluating Derivatives*, 2008, ch. 13; Fike and Alonso, 2011): the
 # last axis holds 2^N coefficients, entry ``S`` (a bit mask) multiplying the
 # ``e_j`` with ``j`` in ``S``.
+#
+# Products of whole arrays of jets run batched in numpy (``_jet_mul``, and
+# the log series over them).  The two sequential steps run on Python floats,
+# subset by subset, off tables cached per jet size: the quotient of the peel
+# (``_jet_div``, ``q a = c`` solved for ``q``) and the one coefficient of
+# ``exp`` a moment needs (``_exp_top``, a sum over set partitions).
 # ---------------------------------------------------------------------------
 
 #: Elements of the pair-product temporary of one :func:`_jet_mul` chunk.
@@ -325,6 +337,18 @@ def _subset_pairs(size: int) -> tuple[NDArray, NDArray, NDArray]:
     return t, s ^ t, np.flatnonzero(np.diff(s, prepend=-1))
 
 
+@lru_cache(maxsize=None)
+def _quotient_pairs(size: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per mask ``S``, the pairs ``(T, S - T)`` over the proper subsets ``T`` of ``S``."""
+    return tuple(tuple((t, s ^ t) for t in range(s) if t & s == t) for s in range(size))
+
+
+@lru_cache(maxsize=None)
+def _partition_pairs(size: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per mask ``S``, the pairs ``(T, S - T)`` over the subsets ``T`` of ``S`` that hold its lowest bit."""
+    return tuple(tuple((t, s ^ t) for t in range(1, s + 1) if t & s == t and t & s & -s) for s in range(size))
+
+
 def _jet_mul(a: NDArray, b: NDArray) -> NDArray[np.float64]:
     """Product of jets of one shape (a subset convolution), in row chunks of ``_JET_CHUNK``."""
     t, u, starts = _subset_pairs(a.shape[-1])
@@ -334,26 +358,47 @@ def _jet_mul(a: NDArray, b: NDArray) -> NDArray[np.float64]:
     return np.concatenate([_jet_mul(a[i : i + k], b[i : i + k]) for i in range(0, len(a), k)])
 
 
-def _jet_rel(x: NDArray) -> NDArray[np.float64]:
-    """The relative part ``x / x_0 - 1`` of a jet."""
-    u = x / x[..., :1]
-    u[..., 0] = 0.0
-    return u
+def _jet_div(c: list[float], a: list[float]) -> list[float]:
+    """The jet ``q`` with ``q a = c``, for one jet each as Python floats (``a_0 != 0``).
+
+    Coefficient ``S`` of ``q a`` is ``q_S a_0`` plus the products over the
+    proper subsets of ``S``, all of them solved before ``S``.
+    """
+    a0, q = a[0], [0.0] * len(c)
+    for s, pairs in enumerate(_quotient_pairs(len(c))):
+        acc = c[s]
+        for t, u in pairs:
+            acc -= q[t] * a[u]
+        q[s] = acc / a0
+    return q
 
 
-def _jet_poly(u: NDArray, coef: NDArray) -> NDArray[np.float64]:
-    """``sum_k coef[k-1] u^k`` for a jet with zero constant term; ``u^(N+1) = 0``."""
-    out, pw = coef[0] * u, u
-    for c in coef[1:]:
-        pw = _jet_mul(pw, u)
-        out += c * pw
-    return out
+def _exp_top(g: NDArray) -> float:
+    """Coefficient of ``e_1 ... e_N`` in ``exp(g)`` for a jet with zero constant term.
+
+    It is the sum over the set partitions of ``{1..N}`` of the products of
+    ``g`` over their blocks, built up over every subset ``S`` by splitting
+    off the block that holds the lowest element of ``S``.
+    """
+    g = g.tolist()
+    e = [1.0] * len(g)
+    for s, pairs in enumerate(_partition_pairs(len(g))[1:], 1):
+        acc = 0.0
+        for t, u in pairs:
+            acc += g[t] * e[u]
+        e[s] = acc
+    return e[-1]
 
 
 def _jet_log(x: NDArray) -> NDArray[np.float64]:
-    """``log x - log x_0``: the series of ``log(1 + u)``."""
-    k = np.arange(1.0, x.shape[-1].bit_length())
-    return _jet_poly(_jet_rel(x), -((-1.0) ** k) / k)
+    """``log x - log x_0``: the series of ``log(1 + u)`` in the relative part ``u = x / x_0 - 1``."""
+    u = x / x[..., :1]
+    u[..., 0] = 0.0
+    out, pw = u.copy(), u
+    for k in range(2, x.shape[-1].bit_length()):
+        pw = _jet_mul(pw, u)
+        out += -((-1.0) ** k) / k * pw
+    return out
 
 
 def _jet_moment(base: TridiagSym | IncompleteSym, dirs: Sequence, log_laplace) -> float:
@@ -363,27 +408,23 @@ def _jet_moment(base: TridiagSym | IncompleteSym, dirs: Sequence, log_laplace) -
     Scaling a power function's argument only shifts ``F`` by a constant, so the
     inputs are scaled to unit size by powers of two and the result back.
     """
+    k = len(dirs)
     coords = np.array([base.coords()] + [-u.coords() for u in dirs])
-    ex = np.frexp(np.max(np.abs(coords), axis=1))[1]
-    jets = np.zeros((coords.shape[1], 1 << len(dirs)))
-    jets[:, np.r_[0, 1 << np.arange(len(dirs))]] = np.ldexp(coords, -ex[:, None]).T
-    g = log_laplace(jets[: base.n], jets[base.n :])
-    top = _jet_poly(g, 1.0 / np.cumprod(np.arange(1.0, len(dirs) + 1.0)))[-1]
-    return float(np.ldexp(top, np.sum(ex[1:]) - len(dirs) * ex[0]))
+    ex = np.frexp(np.abs(coords).max(axis=1))[1]
+    jets = np.zeros((coords.shape[1], 1 << k))
+    jets[:, [0] + [1 << j for j in range(k)]] = np.ldexp(coords.T, -ex)
+    top = _exp_top(log_laplace(jets[: base.n], jets[base.n :]))
+    return math.ldexp(top, int(ex[1:].sum()) - k * int(ex[0]))
 
 
 def _log_Delta_jet(p: ShapeParams, diag: NDArray, off: NDArray) -> NDArray[np.float64]:
     """``log Delta_s^(M)`` minus its constant term at jet-valued banded entries.
 
-    The peel of :func:`log_Delta_M`, ``a_j -= o^2 / a_i``, on jets: the
-    reciprocal series costs ``N`` jet products per vertex, and the logs of
-    the pivots run batched.
+    The peel of :func:`log_Delta_M`, ``a_j -= o^2 / a_i``, with the quotient
+    solved by :func:`_jet_div` on Python floats; the squares ``o^2`` and the
+    logs of the pivots run batched.
     """
-    alt = (-1.0) ** np.arange(1, diag.shape[-1].bit_length())  # 1 / (1 + u) = 1 + sum_k (-u)^k
-    a = list(diag)
-    o2 = _jet_mul(off, off)
+    a, o2 = diag.tolist(), _jet_mul(off, off).tolist()
     for i, j in _peel_order(p.n, p.M):
-        recip = _jet_poly(_jet_rel(a[i]), alt)
-        recip[0] = 1.0
-        a[j] = a[j] - _jet_mul(o2[min(i, j)], recip / a[i][0])
+        a[j] = [v - q for v, q in zip(a[j], _jet_div(o2[min(i, j)], a[i]))]
     return p.s @ _jet_log(np.array(a))

@@ -24,7 +24,9 @@ the inverse mean is found by Newton steps, each one solve of that form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -37,7 +39,7 @@ from .matrix_spaces import (
     _clique_assembly,
     _covariance_coords,
     _peel_order,
-    assert_in_Q,
+    _q_gaps,
     is_in_Q,
     pairing,
 )
@@ -79,7 +81,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WishartP:
-    """Family member on ``P``: shape ``(M, s)`` and natural parameter ``x`` in ``Q``."""
+    """Family member on ``P``: shape ``(M, s)`` and natural parameter ``x`` in ``Q``.
+
+    Construction tests the shape's domain and ``x``'s membership of ``Q``
+    once, and nothing tests them again: the clique gaps of that cone test
+    are kept for every later reading of ``x``, so a family sweeps ``x`` once
+    in its lifetime.  The constants that depend only on the family (the
+    normalizer, ``log(delta_{-s} phi)(x)``, the exponent vectors) are
+    likewise computed once each, on first use, and kept.
+    """
 
     params: ShapeParams
     x: IncompleteSym
@@ -91,11 +101,32 @@ class WishartP:
             raise ValueError(
                 "shape out of domain: need s_i > -3/2 off the pivot and s_M > -1"
             )
-        assert_in_Q(self.x)
+        object.__setattr__(self, "_x_gaps", _q_gaps(self.x))
 
     @property
     def n(self) -> int:
         return self.params.n
+
+    @cached_property
+    def _log_norm(self) -> float:
+        return log_norm_constant_p(self.params)
+
+    @cached_property
+    def _delta_exps(self) -> tuple[NDArray, NDArray]:
+        return delta_exponents(-self.params.s, self.params.M)
+
+    @cached_property
+    def _phi_exps(self) -> tuple[NDArray, NDArray]:
+        return phi_exponents(self.n)
+
+    @cached_property
+    def _riesz_exps(self) -> tuple[NDArray, NDArray]:
+        return riesz_p_exponents(self.params.s, self.params.M)
+
+    @cached_property
+    def _log_laplace_x(self) -> float:
+        atoms = _log_atoms(self.x, g=self._x_gaps)
+        return _log_laplace_exponent(self._delta_exps, self._phi_exps, atoms)
 
 
 def riesz_p_exponents(s: Iterable[float], M: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
@@ -131,17 +162,11 @@ def log_density_p(w: WishartP, y: TridiagSym) -> float:
     """Log density at ``y``; ``-inf`` outside the cone."""
     if y.n != w.n:
         raise ValueError("size mismatch")
-    p, x = w.params, w.x
     try:
-        log_power = log_Delta_M(p, y)  # its pivot sweep is the cone test
+        log_power = log_Delta_M(w.params, y)  # its pivot sweep is the cone test
     except ConeError:
         return float("-inf")
-    return (
-        log_norm_constant_p(p)
-        + log_power
-        - pairing(y, x)
-        - _log_laplace_exponent(delta_exponents(-p.s, p.M), phi_exponents(x.n), _log_atoms(x))
-    )
+    return w._log_norm + log_power - pairing(y, w.x) - w._log_laplace_x
 
 
 def log_laplace_p(w: WishartP, theta: IncompleteSym) -> float:
@@ -149,8 +174,7 @@ def log_laplace_p(w: WishartP, theta: IncompleteSym) -> float:
     if theta.n != w.n:
         raise ValueError("size mismatch")
     shifted = _log_atoms(theta + w.x, "theta + x")
-    exps = delta_exponents(-w.params.s, w.params.M), phi_exponents(w.n)
-    return _log_laplace_exponent(*exps, shifted) - _log_laplace_exponent(*exps, _log_atoms(w.x))
+    return _log_laplace_exponent(w._delta_exps, w._phi_exps, shifted) - w._log_laplace_x
 
 
 # ---------------------------------------------------------------------------
@@ -168,26 +192,25 @@ def mean_p_formula(p: ShapeParams, x: IncompleteSym) -> TridiagSym:
     if p.n != x.n:
         raise ValueError("size mismatch")
     cliq_e, diag_e = riesz_p_exponents(p.s, p.M)
-    return _clique_assembly(x, -cliq_e, -diag_e)
+    return _clique_assembly(x, -cliq_e, -diag_e, "the mean")
 
 
 def mean_p(w: WishartP) -> TridiagSym:
-    """Mean of the family; lies in ``P``."""
-    return mean_p_formula(w.params, w.x)
+    """Mean of the family; lies in ``P``.  :func:`mean_p_formula` off the family's constants."""
+    cliq_e, diag_e = w._riesz_exps
+    return _clique_assembly(w.x, -cliq_e, -diag_e, "the mean", w._x_gaps)
 
 
 def covariance_p_apply(w: WishartP, u: IncompleteSym) -> TridiagSym:
     """Covariance operator ``I -> Z`` applied to ``u``: minus the mean Jacobian, a banded clique form."""
     if u.n != w.n:
         raise ValueError("size mismatch")
-    exps = riesz_p_exponents(w.params.s, w.params.M)
-    return TridiagSym.from_coords(_covariance_coords(w.x, exps, u.coords(), False, "x"))
+    return TridiagSym.from_coords(_covariance_coords(w.x, w._riesz_exps, u.coords(), False, "x", w._x_gaps))
 
 
 def covariance_p_matrix(w: WishartP) -> NDArray[np.float64]:
     """Covariance operator in the canonical basis: :func:`covariance_p_apply` on the identity."""
-    exps = riesz_p_exponents(w.params.s, w.params.M)
-    return _covariance_coords(w.x, exps, np.eye(2 * w.n - 1), False, "x")
+    return _covariance_coords(w.x, w._riesz_exps, np.eye(2 * w.n - 1), False, "x", w._x_gaps)
 
 
 # ---------------------------------------------------------------------------
@@ -389,11 +412,13 @@ def moment_p(w: WishartP, x_list: Sequence[IncompleteSym], cap: int = 6) -> floa
         raise ValueError(f"moment order {n_dirs} above cap {cap}")
     if any(x.n != w.n for x in x_list):
         raise ValueError("size mismatch")
-    cliq_e, diag_e = riesz_p_exponents(w.params.s, w.params.M)
+    cliq_e, diag_e = w._riesz_exps
+    k = w.n - 1
 
     def log_laplace(d: NDArray, o: NDArray) -> NDArray:
         dets = _jet_mul(d[:-1], d[1:]) - _jet_mul(o, o)
-        return cliq_e @ _jet_log(dets) + diag_e @ _jet_log(d)
+        logs = _jet_log(np.concatenate([dets, d]))
+        return cliq_e @ logs[:k] + diag_e @ logs[k:]
 
     return _jet_moment(w.x, x_list, log_laplace)
 
@@ -410,11 +435,9 @@ def canonical_measure_check(x: IncompleteSym) -> tuple[float, float]:
     + log phi(x)``.  Right: ``log phi(x) + (n-1)/2 log(pi^2/4)``, the
     characteristic-function normalization.  They agree identically.
     """
-    from scipy.special import gammaln  # deferred: keeps scipy off the CLI import path
-
     n = x.n
     lp = log_phi(x)  # its atom sweep is the cone test
-    lhs = 0.5 * (n - 1) * np.log(np.pi) + (n - 1) * float(gammaln(1.5)) + lp
+    lhs = 0.5 * (n - 1) * np.log(np.pi) + (n - 1) * math.lgamma(1.5) + lp
     rhs = lp + 0.5 * (n - 1) * np.log(np.pi**2 / 4.0)
     return float(lhs), float(rhs)
 

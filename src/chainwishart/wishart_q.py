@@ -56,12 +56,13 @@ The tilt ``exp(-<y, pi(v v')>) = exp(-v' y_I v)`` makes each Gaussian factor
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .lum_triangular import _hat_band
+from .lum_triangular import _hat_element
 from .matrix_spaces import (
     ConeError,
     IncompleteSym,
@@ -121,7 +122,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class WishartQ:
-    """Wishart family member on ``Q``: shape ``(M, s)`` and natural parameter ``y``."""
+    """Wishart family member on ``Q``: shape ``(M, s)`` and natural parameter ``y``.
+
+    Construction tests the shape's domain and ``y``'s membership of ``P``
+    once, and nothing tests them again; the constants that depend only on
+    the family (the normalizer, ``log Delta_{+-s}(y)``, the exponent
+    vectors) are likewise computed once each, on first use, and kept.
+    """
 
     params: ShapeParams
     y: TridiagSym
@@ -138,6 +145,26 @@ class WishartQ:
     @property
     def n(self) -> int:
         return self.params.n
+
+    @cached_property
+    def _log_norm(self) -> float:
+        return log_norm_constant(self.params)
+
+    @cached_property
+    def _log_Delta_y(self) -> float:
+        return log_Delta_M(self.params, self.y)
+
+    @cached_property
+    def _log_Delta_neg_y(self) -> float:
+        return _log_Delta(-self.params.s, self.params.M, self.y)
+
+    @cached_property
+    def _delta_exps(self) -> tuple[NDArray, NDArray]:
+        return delta_exponents(self.params.s, self.params.M)
+
+    @cached_property
+    def _phi_exps(self) -> tuple[NDArray, NDArray]:
+        return phi_exponents(self.n)
 
 
 @dataclass(frozen=True)
@@ -176,13 +203,12 @@ def log_density(w: WishartQ, x: IncompleteSym) -> float:
         atoms = _log_atoms(x)
     except ConeError:
         return float("-inf")
-    p, y = w.params, w.y
     return (
-        log_norm_constant(p)
-        - pairing(y, x)
-        + log_Delta_M(p, y)
-        + _log_power(delta_exponents(p.s, p.M), atoms)
-        + _log_power(phi_exponents(x.n), atoms)
+        w._log_norm
+        - pairing(w.y, x)
+        + w._log_Delta_y
+        + _log_power(w._delta_exps, atoms)
+        + _log_power(w._phi_exps, atoms)
     )
 
 
@@ -190,8 +216,7 @@ def log_laplace(w: WishartQ, z: TridiagSym) -> float:
     """``log E exp(-<z, X>) = log Delta_{-s}(z + y) - log Delta_{-s}(y)``."""
     if z.n != w.n:
         raise ValueError("size mismatch")
-    neg, M = -w.params.s, w.params.M
-    return _log_Delta(neg, M, z + w.y, "z + y") - _log_Delta(neg, M, w.y)
+    return _log_Delta(-w.params.s, w.params.M, z + w.y, "z + y") - w._log_Delta_neg_y
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +229,12 @@ def mean_formula(p: ShapeParams, y: TridiagSym) -> IncompleteSym:
 
     With ``y = T T'`` the LU(M) factor, the mean is the band of
     ``T^{-T} diag(s) T^{-1}``, read off the peel plan of ``y`` in one O(n)
-    outward sweep (no dense inverse).
+    outward sweep (no dense inverse).  It has degree -1 in ``y``; a mean past
+    the largest double is a ``ValueError``.
     """
-    a, b = _peel_plan(y, p.M)
-    return IncompleteSym(p.n, *_hat_band(p.s, p.M, a, b))
+    if p.n != y.n:
+        raise ValueError("size mismatch")
+    return _hat_element(p.s, p.M, y, "the mean")
 
 
 def mean(w: WishartQ) -> IncompleteSym:
@@ -220,16 +247,14 @@ def pairing_with_parameter(w: WishartQ) -> float:
     return pairing(w.y, mean(w))
 
 
-def _variance_coords(p: ShapeParams, m: IncompleteSym, u: NDArray, g: NDArray | None = None) -> NDArray:
-    """``V(m) u = -D^{-1} u`` into ``u``, with ``D`` the clique form of :func:`inverse_mean`."""
-    return _covariance_coords(m, delta_exponents(p.s, p.M), u, True, "y", g)
-
-
 def covariance_apply(w: WishartQ, u: TridiagSym) -> IncompleteSym:
-    """Covariance operator applied to ``u``: the variance function at the mean, ``V(mean(w)) u``."""
+    """Covariance operator applied to ``u``: the variance function at the mean, ``V(mean(w)) u``.
+
+    ``V(m) u = -D^{-1} u`` with ``D`` the clique form of :func:`inverse_mean` at ``m``.
+    """
     if u.n != w.n:
         raise ValueError("size mismatch")
-    return IncompleteSym.from_coords(_variance_coords(w.params, mean(w), u.coords()))
+    return IncompleteSym.from_coords(_covariance_coords(mean(w), w._delta_exps, u.coords(), True, "y"))
 
 
 def operator_matrix(fn: Callable[[TridiagSym], IncompleteSym], n: int) -> NDArray[np.float64]:
@@ -240,7 +265,7 @@ def operator_matrix(fn: Callable[[TridiagSym], IncompleteSym], n: int) -> NDArra
 
 def covariance_matrix(w: WishartQ) -> NDArray[np.float64]:
     """Covariance operator in the canonical basis: ``V(mean(w))`` solved in place on the identity."""
-    return _variance_coords(w.params, mean(w), np.eye(2 * w.n - 1))
+    return _covariance_coords(mean(w), w._delta_exps, np.eye(2 * w.n - 1), True, "y")
 
 
 def inverse_mean(p: ShapeParams, m: IncompleteSym) -> TridiagSym:
@@ -253,7 +278,7 @@ def inverse_mean(p: ShapeParams, m: IncompleteSym) -> TridiagSym:
     """
     if p.n != m.n:
         raise ValueError("size mismatch")
-    return _clique_assembly(m, *delta_exponents(p.s, p.M))
+    return _clique_assembly(m, *delta_exponents(p.s, p.M), "the inverse mean")
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +303,8 @@ def variance_apply_nice(p: ShapeParams, m: IncompleteSym, u: TridiagSym) -> Inco
     """
     if not (p.n == m.n == u.n):
         raise ValueError("size mismatch")
-    return IncompleteSym.from_coords(_variance_coords(p, m, u.coords(), _q_gaps(m)))
+    exps = delta_exponents(p.s, p.M)
+    return IncompleteSym.from_coords(_covariance_coords(m, exps, u.coords(), True, "y", _q_gaps(m)))
 
 
 #: The expanded three-sum formula is algebraically the compact one.

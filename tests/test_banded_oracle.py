@@ -273,6 +273,37 @@ def test_covariance_past_the_double_range_is_a_domain_error():
             call()
 
 
+def _degree_minus_one_outputs(rng, n, M, c):
+    """The closed forms of degree -1 in their argument, at arguments scaled by ``c``, by name."""
+    p, pp = random_shape_q(rng, n, M), random_shape_p(rng, n, M)
+    x, y = c * random_q_elem(rng, n), c * random_pd_tridiag(rng, n)
+    return {
+        "inverse_mean": lambda: wq.inverse_mean(p, x),
+        "lauritzen_map": lambda: lauritzen_map(x),
+        "mean_p": lambda: wp.mean_p(wp.WishartP(pp, x)),
+        "mean": lambda: wq.mean(wq.WishartQ(p, y)),
+        "inverse_image": lambda: inverse_image(y),
+    }
+
+
+@pytest.mark.parametrize("name", ["inverse_mean", "lauritzen_map", "mean_p", "mean", "inverse_image"])
+def test_degree_minus_one_outputs_past_the_double_range_are_domain_errors(name):
+    # at 1e-310 the argument is subnormal and the output near 1e310: the
+    # error says so, and no numpy overflow warning escapes (pytest turns a
+    # RuntimeWarning into an error here)
+    call = _degree_minus_one_outputs(np.random.default_rng(29), 9, 4, 1e-310)[name]
+    with pytest.raises(ValueError, match="outside the double range: it has degree -1 and [xy] is too small in scale"):
+        call()
+
+
+@pytest.mark.parametrize("name", ["inverse_mean", "lauritzen_map", "mean_p", "mean", "inverse_image"])
+def test_degree_minus_one_outputs_scale_exactly_by_powers_of_two(name):
+    # formed at unit scale and scaled back: 2^-1000 in, exactly 2^1000 out
+    unit = _degree_minus_one_outputs(np.random.default_rng(37), 9, 4, 1.0)[name]()
+    tiny = _degree_minus_one_outputs(np.random.default_rng(37), 9, 4, 2.0**-1000)[name]()
+    assert np.array_equal(tiny.coords(), np.ldexp(unit.coords(), 1000))
+
+
 @pytest.mark.parametrize("c", SCALES)
 def test_factors_power_functions_and_samplers_are_scale_invariant(c):
     rng = np.random.default_rng(19)
@@ -378,18 +409,19 @@ def test_closed_forms_run_without_dense_algebra(monkeypatch):
 
 
 def test_dual_cone_closed_forms_sweep_each_element_once(monkeypatch):
-    """Each closed form forms the clique gaps of each element of ``Q`` it reads once.
+    """A call sweeps each element of ``Q`` it reads at most once, and a family its own ``x`` once in its lifetime.
 
     The gap kernel is wrapped wherever a module holds it, so a second cone
     test, atom sweep or clique-inverse sweep of the same element counts.
+    Both families are built under the wrap, so the cone test of their
+    construction counts too, and each closed form runs twice on them: the
+    family's own ``x`` is swept by that test alone.
     """
     from chainwishart import matrix_spaces, power_functions
 
     n, M = 6, 3
     rng = np.random.default_rng(31)
-    x, theta = random_q_elem(rng, n), random_q_elem(rng, n)
-    w = wq.WishartQ(random_shape_q(rng, n, M), random_pd_tridiag(rng, n))
-    wpp = wp.WishartP(random_shape_p(rng, n, M), x)
+    x, theta, x_fam = random_q_elem(rng, n), random_q_elem(rng, n), random_q_elem(rng, n)
     sweeps = []
     kernel = matrix_spaces._clique_gaps
 
@@ -400,18 +432,51 @@ def test_dual_cone_closed_forms_sweep_each_element_once(monkeypatch):
     for mod in (matrix_spaces, power_functions, wq, wp):
         if hasattr(mod, "_clique_gaps"):
             monkeypatch.setattr(mod, "_clique_gaps", counted)
+    w = wq.WishartQ(random_shape_q(rng, n, M), random_pd_tridiag(rng, n))
+    wpp = wp.WishartP(random_shape_p(rng, n, M), x_fam)
+    assert len(sweeps) == 1 and sweeps[0] is x_fam
+    # the number of elements of Q each call sweeps: none of the family's own
     calls = {
         "log_density": (lambda: wq.log_density(w, x), 1),
-        "log_density_p": (lambda: wp.log_density_p(wpp, random_pd_tridiag(rng, n)), 1),
-        "log_laplace_p": (lambda: wp.log_laplace_p(wpp, theta), 2),
+        "log_density_p": (lambda: wp.log_density_p(wpp, random_pd_tridiag(rng, n)), 0),
+        "log_laplace_p": (lambda: wp.log_laplace_p(wpp, theta), 1),  # theta + x
         "canonical_measure_check": (lambda: wp.canonical_measure_check(x), 1),
         "inverse_mean": (lambda: wq.inverse_mean(w.params, x), 1),
-        "mean_p": (lambda: wp.mean_p(wpp), 1),
+        "mean_p": (lambda: wp.mean_p(wpp), 0),
+        "moment_p": (lambda: wp.moment_p(wpp, [theta, x]), 0),
         "lauritzen_map": (lambda: lauritzen_map(x), 1),
-        "covariance_p_apply": (lambda: wp.covariance_p_apply(wpp, theta), 1),
-        "covariance_p_matrix": (lambda: wp.covariance_p_matrix(wpp), 1),
+        "covariance_p_apply": (lambda: wp.covariance_p_apply(wpp, theta), 0),
+        "covariance_p_matrix": (lambda: wp.covariance_p_matrix(wpp), 0),
     }
     for name, (call, expected) in calls.items():
-        sweeps.clear()
-        call()
-        assert len(sweeps) == expected, name
+        for _ in range(2):
+            sweeps.clear()
+            call()
+            assert len(sweeps) == expected, name
+            assert len({id(e) for e in sweeps}) == len(sweeps), name
+            assert not any(e is x_fam for e in sweeps), name
+
+
+def test_kernel_outputs_skip_the_validating_constructor(monkeypatch):
+    # the means, inverse means and Lauritzen map are stored as the kernels
+    # form them, finite by construction: no copy, reshape or finite check
+    from chainwishart import matrix_spaces
+
+    n, M = 6, 3
+    rng = np.random.default_rng(41)
+    w = wq.WishartQ(random_shape_q(rng, n, M), random_pd_tridiag(rng, n))
+    wpp = wp.WishartP(random_shape_p(rng, n, M), random_q_elem(rng, n))
+    x = random_q_elem(rng, n)
+    validated = []
+    kernel = matrix_spaces._as_vector
+
+    def counted(*args):
+        validated.append(args[2])
+        return kernel(*args)
+
+    monkeypatch.setattr(matrix_spaces, "_as_vector", counted)
+    for call in (lambda: wq.mean(w), lambda: wp.mean_p(wpp), lambda: wq.inverse_mean(w.params, x),
+                 lambda: lauritzen_map(x)):
+        out = call()
+        assert np.all(np.isfinite(out.coords()))
+    assert validated == []

@@ -129,3 +129,22 @@ def test_first_separator_examples():
     assert first_separator(CliqueOrder((3, 2, 1))) == 3
     with pytest.raises(ValueError):
         first_separator(CliqueOrder((1,)))
+
+
+def _mask_rule(n, mask):
+    """The module docstring's rule: bit ``k`` of ``mask`` set takes the ``k``-th element from the left run."""
+    left, right, seq = 1, n, []
+    for k in range(n - 1):
+        if (mask >> k) & 1:
+            seq.append(left)
+            left += 1
+        else:
+            seq.append(right)
+            right -= 1
+    return tuple(seq + [left])
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_enumeration_lists_the_orders_in_mask_order(n):
+    got = [o.sequence for o in enumerate_eliminating_orders(build_chain(n))]
+    assert got == [_mask_rule(n, m) for m in range(1 << (n - 1))]

@@ -135,6 +135,46 @@ def test_import_loads_no_scipy(module):
     assert out.stdout.strip() == "[]"
 
 
+# each closed form that reads a normalizer or a log-gamma term, by itself in a fresh process
+NO_SCIPY_CALLS = {
+    "log_density": "wq.log_density(wq.WishartQ(p, y), x)",
+    "log_density_p": "wp.log_density_p(wp.WishartP(pp, x), y)",
+    "log_norm_constant": "wq.log_norm_constant(p)",
+    "log_norm_constant_p": "wp.log_norm_constant_p(pp)",
+    "canonical_measure_check": "wp.canonical_measure_check(x)",
+}
+
+
+@pytest.mark.parametrize("call", list(NO_SCIPY_CALLS))
+def test_densities_and_normalizers_load_no_scipy(call):
+    code = (
+        "import sys\n"
+        "from chainwishart import wishart_p as wp, wishart_q as wq\n"
+        "from chainwishart.matrix_spaces import IncompleteSym, TridiagSym\n"
+        "from chainwishart.power_functions import ShapeParams\n"
+        "p, pp = ShapeParams(2, [1.2, 0.8, 1.5]), ShapeParams(2, [0.2, -0.3, 0.5])\n"
+        "y, x = TridiagSym(3, [2.0, 2.0, 2.0], [0.3, 0.2]), IncompleteSym(3, [1.0, 1.5, 1.2], [0.2, -0.3])\n"
+        f"print(repr({NO_SCIPY_CALLS[call]}))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_eval_density_loads_no_scipy(tmp_path):
+    params = _write(tmp_path / "q.json", Q2)
+    point = _write(tmp_path / "x.json", {"n": 2, "diag": [1.0, 2.0], "off": [0.3]})
+    code = (
+        "import sys; from chainwishart.cli import main; "
+        f"rc = main(['eval', '--what', 'density', '--family', 'q', '--params', {params!r}, '--point', {point!r}]); "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); sys.exit(rc)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+
+
 def test_verify_all_passes_without_scipy():
     code = (
         "import sys; from chainwishart.cli import main; "
@@ -285,6 +325,14 @@ def test_orders_counts(capsys):
     got = json.loads(capsys.readouterr().out)
     assert len(got["eliminating_orders"]) == 1
     assert got["perfect_clique_orders"] == []
+
+
+def test_orders_output_bytes_are_pinned(capsys):
+    # sha256 of the stdout of `chainwishart orders --n 5`, recorded before the
+    # eliminating orders were built by prefix doubling
+    assert main(["orders", "--n", "5"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == "f758b62251c330899eb0e6fed49ecdf79f028ce1a312304c4fb4ac0ca87fd8de"
 
 
 def test_orders_counts_match_powers_of_two(capsys):
@@ -487,6 +535,9 @@ Q2_BIG = {**Q2, "y": {"n": 2, "diag": [1e160, 1e160], "off": [2e159]}}
 P2_BIG = {**P2, "x": {"n": 2, "diag": [1e160, 1.3e160], "off": [-2e159]}}
 # Q2 scaled by 1e-200: its covariance (degree -2) is past the largest double
 Q2_TINY = {**Q2, "y": {"n": 2, "diag": [1e-200, 1e-200], "off": [2e-201]}}
+# a point of Q at 1e-310: its inverse mean (degree -1) is past the largest double
+Q3 = {"M": 2, "s": [1.0, 1.0, 1.0], "y": {"n": 3, "diag": [2.0, 2.0, 2.0], "off": [0.3, 0.2]}}
+M3_TINY = {"n": 3, "diag": [1e-310, 2e-310, 1e-310], "off": [3e-311, 2e-311]}
 # P2 scaled by 1e-200: its covariance (degree -2) is past the largest double
 P2_TINY = {**P2, "x": {"n": 2, "diag": [1e-200, 1.3e-200], "off": [-2e-201]}}
 # the mean of P2 at c x is its mean at x over c, so Newton must return c x
@@ -518,6 +569,9 @@ CONTRACT = [
      ["eval", "--what", "variance", "--family", "q", "--params", "{q.json}"], EXIT_DOMAIN),
     ("eval-variance-p-past-the-double-range", {"p.json": P2_TINY},
      ["eval", "--what", "variance", "--family", "p", "--params", "{p.json}"], EXIT_DOMAIN),
+    ("eval-inverse-mean-past-the-double-range", {"q.json": Q3, "m.json": M3_TINY},
+     ["eval", "--what", "inverse-mean", "--family", "q", "--params", "{q.json}", "--point", "{m.json}"],
+     EXIT_DOMAIN),
     ("eval-variance-at-point", {"q.json": Q2, "m.json": {"n": 2, "diag": [1.0, 2.0], "off": [0.3]}},
      ["eval", "--what", "variance", "--family", "q", "--params", "{q.json}", "--point", "{m.json}"], 0),
     ("eval-density-needs-point", {"q.json": Q2},

@@ -99,3 +99,28 @@ def test_chunked_jet_product_matches_one_pass(monkeypatch):
     assert power_functions._jet_mul(one_plus[0], one_plus[1]).tolist() == [1.0, 1.0, 1.0, 1.0]
     e1 = np.array([0.0, 1.0, 0.0, 0.0])
     assert not np.any(power_functions._jet_mul(e1, e1))
+
+
+@pytest.mark.parametrize("N", range(1, 7))
+def test_jet_quotient_times_its_divisor_is_the_dividend(N):
+    rng = np.random.default_rng([53, N])
+    c, a = rng.uniform(-1.0, 1.0, (2, 1 << N))
+    a[0] = 1.5  # a unit constant term, as the peel pivots have at unit scale
+    q = power_functions._jet_div(c.tolist(), a.tolist())
+    got = power_functions._jet_mul(np.array(q), a)
+    assert np.max(np.abs(got - c)) <= 1e-14 * np.max(np.abs(c))
+
+
+@pytest.mark.parametrize("N", range(1, 7))
+def test_partition_sum_is_the_top_coefficient_of_the_exp_series(N):
+    # exp(g) = sum_k g^k / k!, which stops at k = N for a g with zero constant term
+    rng = np.random.default_rng([59, N])
+    g = rng.uniform(-1.0, 1.0, 1 << N)
+    g[0] = 0.0
+    series, power = np.zeros_like(g), np.zeros_like(g)
+    power[0] = 1.0
+    for k in range(1, N + 1):
+        power = power_functions._jet_mul(power, g) / k
+        series += power
+    top = power_functions._exp_top(g)
+    assert abs(top - series[-1]) <= 1e-14 * abs(series[-1])

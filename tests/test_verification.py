@@ -1,7 +1,9 @@
+import ast
 import importlib
 import inspect
 import json
 import math
+import pathlib
 import pkgutil
 
 import numpy as np
@@ -238,6 +240,19 @@ def test_only_the_verification_oracle_names_dense_linear_algebra():
     for name in names:
         source = inspect.getsource(importlib.import_module(f"chainwishart.{name}"))
         assert ("np.linalg" in source) == (name == "verification"), name
+
+
+def test_no_package_module_imports_scipy():
+    # scipy is a test dependency only: the KS and quadrature oracles use it
+    for path in pathlib.Path(chainwishart.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                roots = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                roots = [(node.module or "").split(".")[0]]
+            else:
+                continue
+            assert "scipy" not in roots, (path.name, node.lineno)
 
 
 def test_only_matrix_spaces_names_the_clique_form():
