@@ -16,10 +16,10 @@ import numpy as np
 
 from chainwishart import wishart_p as wp
 from chainwishart import wishart_q as wq
-from chainwishart.power_functions import ShapeParams
 from chainwishart.verification import (
+    _family_p,
+    _family_q,
     _random_pd,
-    _random_q,
     cov_coords_from_operator,
     stream_rng,
 )
@@ -48,15 +48,13 @@ def main() -> None:
     print("recursive sampler on the dual cone:")
     print(f"{'pivot':>6}  {'mean |z|':>9}  {'cov |z|':>8}  {'round-trip err':>14}")
     for m in range(1, n + 1):
-        y = _random_pd(rng, n)
-        p = ShapeParams(m, rng.uniform(0.8, 2.5, n))
-        w = wq.WishartQ(p, y)
+        w = _family_q(rng, n, m)
         coords = wq.sample_many(w, stream_rng(args.seed, 10 + m), args.draws)
         zm, zc = worst_z(
             coords, wq.mean(w).coords(), cov_coords_from_operator(wq.covariance_matrix(w), n)
         )
-        back = wq.inverse_mean(p, wq.mean(w))
-        rt = np.max(np.abs(back.coords() - y.coords()))
+        back = wq.inverse_mean(w.params, wq.mean(w))
+        rt = np.max(np.abs(back.coords() - w.y.coords()))
         print(f"{m:>6}  {zm:>9.2f}  {zc:>8.2f}  {rt:>14.2e}")
 
     print("\nquadratic construction (integer multiplicities):")
@@ -77,9 +75,7 @@ def main() -> None:
     print("\nconcentration-cone sampler:")
     print(f"{'pivot':>6}  {'mean |z|':>9}  {'cov |z|':>8}")
     for m in range(1, n + 1):
-        x = _random_q(rng, n)
-        p = ShapeParams(m, rng.uniform(-0.7, 1.5, n))
-        w = wp.WishartP(p, x)
+        w = _family_p(rng, n, m)
         coords = wp.sample_p_many(w, stream_rng(args.seed, 40 + m), args.draws)
         zm, zc = worst_z(
             coords, wp.mean_p(w).coords(), cov_coords_from_operator(wp.covariance_p_matrix(w), n)

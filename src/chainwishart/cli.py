@@ -12,7 +12,8 @@ Exit codes: 0 success; 1 verification failure; 2 parameter-domain or cone
 violation (the diagnostic names the failed minor), a moment order above its
 cap, a Newton inversion that cannot reach its target, or a result past the
 double range; 3 I/O failure or a
-malformed input file (a missing or mistyped field, a non-finite cell); 4
+malformed input file (not UTF-8, a missing or mistyped field, a fraction
+where an integer belongs, a non-finite cell); 4
 inconvertible clique/separator parameters; 5 non-monotone missing-data
 pattern; 6 no consistent pivot for a missing-data pattern.
 """
@@ -40,6 +41,7 @@ from .matrix_spaces import (
     ConeError,
     IncompleteSym,
     TridiagSym,
+    _integral,
     _write_csv_rows,
     dense_to_csv,
 )
@@ -202,7 +204,7 @@ def _read_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as f:
             data = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:  # ValueError: not JSON, or not UTF-8
         raise CliError(EXIT_IO, f"cannot read {path}: {e}") from e
     if not isinstance(data, dict):
         raise CliError(EXIT_IO, f"cannot read {path}: expected a JSON object, got {type(data).__name__}")
@@ -252,7 +254,9 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     if args.sigma is not None:
         if args.family != "q":
             raise CliError(EXIT_DOMAIN, "--sigma applies to the dual-cone family only")
-        y, m_pivot = _decode(lambda d: (TridiagSym.from_json_dict(d["y"]), int(d["M"])), params, args.params)
+        y, m_pivot = _decode(
+            lambda d: (TridiagSym.from_json_dict(d["y"]), _integral(d["M"], "pivot M")), params, args.params
+        )
         try:
             sigma = np.asarray([int(t) for t in args.sigma.split(",")])
             coords = wishart_q.sample_quadratic_many(sigma, m_pivot, y, rng, args.n)
@@ -406,7 +410,7 @@ def _cmd_missing_stat(args: argparse.Namespace) -> int:
     try:
         with open(args.file, "r", encoding="utf-8") as f:
             text = f.read()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise CliError(EXIT_IO, f"cannot read {args.file}: {e}") from e
     ds = parse_missing_csv(text)
     t, sigma, m = missing_statistic(ds)

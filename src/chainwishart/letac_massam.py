@@ -55,12 +55,13 @@ __all__ = [
 _TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LMParams:
     """Clique exponents ``alpha`` (length n-1) and separator exponents ``beta``.
 
     ``beta[k]`` is the exponent of the separator ``k + 2``; no range
-    restriction applies at construction.
+    restriction applies at construction.  Two parameter sets are equal, and
+    hash alike, when their exponent vectors are.
     """
 
     alpha: NDArray[np.float64]
@@ -73,6 +74,14 @@ class LMParams:
             raise ValueError("alpha needs at least one clique exponent")
         if self.beta.size != self.alpha.size - 1:
             raise ValueError("beta must have one entry per separator (len(alpha) - 1)")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, LMParams):
+            return NotImplemented
+        return (tuple(self.alpha), tuple(self.beta)) == (tuple(other.alpha), tuple(other.beta))
+
+    def __hash__(self) -> int:
+        return hash((tuple(self.alpha), tuple(self.beta)))
 
     @property
     def n(self) -> int:

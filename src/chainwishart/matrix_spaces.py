@@ -93,6 +93,19 @@ def _as_vector(v: Iterable[float], length: int, name: str) -> NDArray[np.float64
     return arr
 
 
+def _integral(value, name: str) -> int:
+    """``value`` as an int when it is an integral number (2, 2.0, ``np.int64(2)``).
+
+    A fraction, a boolean or a string raises ``TypeError``, so that no
+    input field is truncated silently.
+    """
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise TypeError(f"{name} must be an integral number, got {value!r}")
+
+
 @dataclass(eq=False)
 class _BandedSym:
     """Shared storage for banded symmetric data: diagonal plus off-diagonal."""
@@ -170,7 +183,7 @@ class _BandedSym:
 
     @classmethod
     def from_json_dict(cls, d: dict):
-        return cls(int(d["n"]), d["diag"], d.get("off", []))
+        return cls(_integral(d["n"], "n"), d["diag"], d.get("off", []))
 
     def allclose(self, other, rtol: float = 1e-12, atol: float = 1e-12) -> bool:
         return (

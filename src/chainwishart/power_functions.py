@@ -42,6 +42,7 @@ from .chain_graph import EliminatingOrder
 from .matrix_spaces import (
     IncompleteSym,
     TridiagSym,
+    _integral,
     _peel_core,
     _peel_order,
     _q_gaps,
@@ -62,19 +63,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ShapeParams:
     """Pivot vertex ``M`` (1-based) and shape vector ``s``.
 
     The domain flags are advisory: the power functions are defined for every
     real ``s``; only densities, normalizing constants and samplers restrict
-    to the integrability domains.
+    to the integrability domains.  Two shapes are equal, and hash alike,
+    when their pivots and shape vectors are.
     """
 
     M: int
     s: NDArray[np.float64]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "M", _integral(self.M, "pivot M"))
         object.__setattr__(self, "s", np.asarray(self.s, dtype=float).reshape(-1).copy())
         if self.s.size < 1:
             raise ValueError("shape vector must be non-empty")
@@ -82,6 +85,14 @@ class ShapeParams:
             raise ValueError("shape vector must be finite")
         if not 1 <= self.M <= self.s.size:
             raise ValueError(f"pivot M={self.M} out of range 1..{self.s.size}")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ShapeParams):
+            return NotImplemented
+        return (self.M, tuple(self.s)) == (other.M, tuple(other.s))
+
+    def __hash__(self) -> int:
+        return hash((self.M, tuple(self.s)))
 
     @property
     def n(self) -> int:
@@ -104,7 +115,7 @@ class ShapeParams:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "ShapeParams":
-        return cls(int(d["M"]), d["s"])
+        return cls(d["M"], d["s"])
 
 
 def delta_exponents(s: Iterable[float], M: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:

@@ -15,6 +15,19 @@ Tolerance policy, by error class:
 Randomness follows a counter-based contract: ``stream_rng(seed, k)`` yields
 the ``k``-th independent deterministic stream of a root seed, so every
 estimate is reproducible.
+
+The five suites are built from a few private pieces, each check keeping
+its name, stream, seed, sample count and threshold:
+
+* ``_family_q`` and ``_family_p`` draw a random family on ``Q`` or ``P``
+  (the natural parameter, then the shape) from a stream;
+* ``_z_check`` turns Monte-Carlo reports into one check on the worst
+  ``|z|``, every ``z`` coming from ``_make_report``, and ``_sample_check``
+  runs ``mc_mean_cov`` into it;
+* ``_rel_check`` compares matrices by relative error, with
+  ``_fd_covariance`` giving the finite-difference covariance of a mean map;
+* one loop body checks the moments of both cones, as ``pairing`` gives the
+  same bits with its arguments in either order.
 """
 
 from __future__ import annotations
@@ -22,7 +35,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from functools import partial
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -126,6 +140,15 @@ def _mean_se(vals: NDArray[np.float64]) -> tuple[float, float]:
     return float(np.mean(vals)), se
 
 
+def _mc_laplace(w, z, log_laplace, sample_many, n_samples: int, seed: int, name: str) -> MCReport:
+    """``E exp(-<z, draw>)`` over ``n_samples`` draws of ``w`` against ``exp(log_laplace(w, z))``."""
+    theory = float(np.exp(log_laplace(w, z)))
+    coords = sample_many(w, stream_rng(seed), n_samples)
+    t = coords @ (coordinate_weights(w.n) * z.coords())
+    est, se = _mean_se(np.exp(-t))
+    return _make_report(est, se, theory, n_samples, seed, name)
+
+
 def mc_laplace_q(
     w: wishart_q.WishartQ,
     z: TridiagSym,
@@ -133,11 +156,7 @@ def mc_laplace_q(
     seed: int = 0,
 ) -> MCReport:
     """Estimate ``E exp(-<z, X>)`` by exact sampling; theory from the closed form."""
-    theory = float(np.exp(wishart_q.log_laplace(w, z)))
-    coords = wishart_q.sample_many(w, stream_rng(seed), n_samples)
-    t = coords @ (coordinate_weights(w.n) * z.coords())
-    est, se = _mean_se(np.exp(-t))
-    return _make_report(est, se, theory, n_samples, seed, "laplace_q")
+    return _mc_laplace(w, z, wishart_q.log_laplace, wishart_q.sample_many, n_samples, seed, "laplace_q")
 
 
 def mc_laplace_p(
@@ -147,11 +166,7 @@ def mc_laplace_p(
     seed: int = 0,
 ) -> MCReport:
     """Estimate ``E exp(-<theta, Y>)`` on the concentration-cone family."""
-    theory = float(np.exp(wishart_p.log_laplace_p(w, theta)))
-    coords = wishart_p.sample_p_many(w, stream_rng(seed), n_samples)
-    t = coords @ (coordinate_weights(w.n) * theta.coords())
-    est, se = _mean_se(np.exp(-t))
-    return _make_report(est, se, theory, n_samples, seed, "laplace_p")
+    return _mc_laplace(w, theta, wishart_p.log_laplace_p, wishart_p.sample_p_many, n_samples, seed, "laplace_p")
 
 
 def mc_mean_cov(
@@ -367,14 +382,16 @@ def _random_q(rng: np.random.Generator, n: int) -> IncompleteSym:
     return IncompleteSym(n, d, off)
 
 
-def _random_shape_q(rng: np.random.Generator, n: int, M: int) -> ShapeParams:
-    s = rng.uniform(0.8, 2.5, size=n)
-    return ShapeParams(M, s)
+def _family_q(rng: np.random.Generator, n: int, M: int) -> wishart_q.WishartQ:
+    """A family on ``Q``: ``y`` in ``P``, then a shape in the ``Q`` domain, drawn in that order."""
+    y = _random_pd(rng, n)
+    return wishart_q.WishartQ(ShapeParams(M, rng.uniform(0.8, 2.5, size=n)), y)
 
 
-def _random_shape_p(rng: np.random.Generator, n: int, M: int) -> ShapeParams:
-    s = rng.uniform(-0.7, 1.5, size=n)
-    return ShapeParams(M, s)
+def _family_p(rng: np.random.Generator, n: int, M: int) -> wishart_p.WishartP:
+    """A family on ``P``: ``x`` in ``Q``, then a shape in the ``P`` domain, drawn in that order."""
+    x = _random_q(rng, n)
+    return wishart_p.WishartP(ShapeParams(M, rng.uniform(-0.7, 1.5, size=n)), x)
 
 
 def _mutated_mean_q(w: wishart_q.WishartQ, mutations: frozenset) -> IncompleteSym:
@@ -385,93 +402,81 @@ def _mutated_mean_q(w: wishart_q.WishartQ, mutations: frozenset) -> IncompleteSy
     return m
 
 
-def _z_check(name: str, z: float, fmt: str = "|z| = {:.2f}") -> CheckResult:
-    """Monte-Carlo check that passes within 4 standard errors, ``|z| < 4``."""
-    return CheckResult(name, abs(z) < 4.0, fmt.format(abs(z)), abs(z), 4.0)
+def _z_check(name: str, reports: Sequence[MCReport], fmt: str = "|z| = {:.2f}") -> CheckResult:
+    """Monte-Carlo check that passes within 4 standard errors, ``|z| < 4``, on its worst report.
 
-
-def _reports_to_checks(reports: Iterable[MCReport], label: str) -> list[CheckResult]:
+    ``fmt`` receives the worst ``|z|`` (a non-finite one first) and that report's name.
+    """
     worst = max(reports, key=lambda r: abs(r.z_score) if np.isfinite(r.z_score) else np.inf)
-    return [_z_check(label, worst.z_score, f"worst |z| = {{:.2f}} at {worst.name}")]
+    z = abs(worst.z_score)
+    return CheckResult(name, z < 4.0, fmt.format(z, worst.name), z, 4.0)
+
+
+def _sample_check(
+    name: str, prefix: str, draw: Callable, mean: IncompleteSym | TridiagSym, cov: Optional[NDArray], seed: int
+) -> CheckResult:
+    """Worst ``|z|`` of 100,000 draws' coordinate means (and, given the operator ``cov``, covariances).
+
+    ``prefix`` starts the name of each report, as in ``mc_mean_cov``.
+    """
+    theory_cov = None if cov is None else cov_coords_from_operator(cov, mean.n)
+    reports = mc_mean_cov(draw, mean.coords(), theory_cov, n_samples=100_000, seed=seed, name=prefix)
+    return _z_check(name, reports, "worst |z| = {:.2f} at {}")
+
+
+def _rel_check(name: str, got: NDArray, wants: Sequence[NDArray], ref: NDArray, tol: float) -> CheckResult:
+    """Largest ``|got - want|`` over ``wants``, relative to the largest ``|ref|``, below ``tol``."""
+    err = float(max(np.max(np.abs(got - want)) for want in wants) / np.max(np.abs(ref)))
+    return CheckResult(name, err < tol, f"rel err = {err:.2e}", err, tol)
+
+
+def _fd_covariance(mean_formula: Callable, p: ShapeParams, x: IncompleteSym | TridiagSym) -> NDArray:
+    """Minus the finite-difference Jacobian of the mean map ``mean_formula(p, .)`` at ``x``."""
+    return -fd_jacobian(lambda c: mean_formula(p, type(x).from_coords(c)).coords(), x.coords())
 
 
 def suite_laplace(seed: int, mutations: frozenset = frozenset()) -> list[CheckResult]:
     """Monte-Carlo checks of both closed-form Laplace transforms (n = 2, 3)."""
     out = []
     k = 0
-    for n in (2, 3):
-        for M in range(1, n + 1):
-            rng = stream_rng(seed, 100 + k)
-            y = _random_pd(rng, n)
-            p = _random_shape_q(rng, n, M)
-            w = wishart_q.WishartQ(p, y)
-            z = 0.3 * _random_pd(rng, n)
-            rep = mc_laplace_q(w, z, n_samples=100_000, seed=seed * 1000 + k)
-            out.append(_z_check(f"laplace_q[n={n},M={M}]", rep.z_score))
-            k += 1
-    for n in (2, 3):
-        for M in range(1, n + 1):
-            rng = stream_rng(seed, 200 + k)
-            x = _random_q(rng, n)
-            p = _random_shape_p(rng, n, M)
-            w = wishart_p.WishartP(p, x)
-            theta = 0.3 * _random_q(rng, n)
-            rep = mc_laplace_p(w, theta, n_samples=100_000, seed=seed * 1000 + k)
-            out.append(_z_check(f"laplace_p[n={n},M={M}]", rep.z_score))
-            k += 1
+    for stream, family, natural, mc_laplace in (
+        (100, _family_q, _random_pd, mc_laplace_q),
+        (200, _family_p, _random_q, mc_laplace_p),
+    ):
+        for n in (2, 3):
+            for M in range(1, n + 1):
+                rng = stream_rng(seed, stream + k)
+                w = family(rng, n, M)
+                rep = mc_laplace(w, 0.3 * natural(rng, n), n_samples=100_000, seed=seed * 1000 + k)
+                out.append(_z_check(f"{rep.name}[n={n},M={M}]", [rep]))
+                k += 1
     return out
+
+
+def _quadratic_family(rng: np.random.Generator) -> tuple[wishart_q.WishartQ, Callable]:
+    """The ``Q`` family of multiplicities ``(2, 2, 1)`` at pivot 2, ``y`` from ``rng``, and its quadratic draw."""
+    sigma, M, y = np.array([2, 2, 1]), 2, _random_pd(rng, 3)
+    w = wishart_q.WishartQ(wishart_q.sigma_to_shape(sigma, M), y)
+    return w, lambda r, size: wishart_q.sample_quadratic_many(sigma, M, y, r, size)
 
 
 def suite_mean(seed: int, mutations: frozenset = frozenset()) -> list[CheckResult]:
     """Empirical means of all three samplers against the closed forms."""
     out = []
-    n = 4
     for M in (1, 2, 4):
-        rng = stream_rng(seed, 300 + M)
-        y = _random_pd(rng, n)
-        p = _random_shape_q(rng, n, M)
-        w = wishart_q.WishartQ(p, y)
-        theory = _mutated_mean_q(w, mutations).coords()
-        reports = mc_mean_cov(
-            lambda r, sz: wishart_q.sample_many(w, r, sz),
-            theory,
-            None,
-            n_samples=100_000,
-            seed=seed * 100 + M,
-            name=f"q[n={n},M={M}]",
-        )
-        out.extend(_reports_to_checks(reports, f"mean_q[n={n},M={M}]"))
+        w = _family_q(stream_rng(seed, 300 + M), 4, M)
+        draw = partial(wishart_q.sample_many, w)
+        mean = _mutated_mean_q(w, mutations)
+        out.append(_sample_check(f"mean_q[n=4,M={M}]", f"q[n=4,M={M}]", draw, mean, None, seed * 100 + M))
     for M in (1, 3):
-        rng = stream_rng(seed, 320 + M)
-        x = _random_q(rng, 3)
-        p = _random_shape_p(rng, 3, M)
-        w = wishart_p.WishartP(p, x)
-        reports = mc_mean_cov(
-            lambda r, sz: wishart_p.sample_p_many(w, r, sz),
-            wishart_p.mean_p(w).coords(),
-            None,
-            n_samples=100_000,
-            seed=seed * 100 + 10 + M,
-            name=f"p[n=3,M={M}]",
-        )
-        out.extend(_reports_to_checks(reports, f"mean_p[n=3,M={M}]"))
+        w = _family_p(stream_rng(seed, 320 + M), 3, M)
+        draw = partial(wishart_p.sample_p_many, w)
+        mean = wishart_p.mean_p(w)
+        out.append(_sample_check(f"mean_p[n=3,M={M}]", f"p[n=3,M={M}]", draw, mean, None, seed * 100 + 10 + M))
     # quadratic construction, integer multiplicities
-    rng = stream_rng(seed, 340)
-    y = _random_pd(rng, 3)
-    sigma = np.array([2, 2, 1])
-    M = 2
-    p = wishart_q.sigma_to_shape(sigma, M)
-    w = wishart_q.WishartQ(p, y)
-    theory = _mutated_mean_q(w, mutations).coords()
-    reports = mc_mean_cov(
-        lambda r, sz: wishart_q.sample_quadratic_many(sigma, M, y, r, sz),
-        theory,
-        None,
-        n_samples=100_000,
-        seed=seed * 100 + 40,
-        name="quad[n=3,M=2]",
-    )
-    out.extend(_reports_to_checks(reports, "mean_quadratic[n=3,M=2]"))
+    w, draw = _quadratic_family(stream_rng(seed, 340))
+    mean = _mutated_mean_q(w, mutations)
+    out.append(_sample_check("mean_quadratic[n=3,M=2]", "quad[n=3,M=2]", draw, mean, None, seed * 100 + 40))
     return out
 
 
@@ -555,83 +560,31 @@ def _variance_apply_expanded(p: ShapeParams, m: IncompleteSym, u: TridiagSym) ->
 
 def suite_variance(seed: int, mutations: frozenset = frozenset()) -> list[CheckResult]:
     """Variance formulas against finite differences, the dense oracle, and sampling."""
-    out = []
-    rng = stream_rng(seed, 400)
-    n, M = 5, 3
-    y = _random_pd(rng, n)
-    p = _random_shape_q(rng, n, M)
-    w = wishart_q.WishartQ(p, y)
-
-    def mean_map(coords: NDArray[np.float64]) -> NDArray[np.float64]:
-        return wishart_q.mean_formula(p, TridiagSym.from_coords(coords)).coords()
-
-    jac = fd_jacobian(mean_map, y.coords())
+    w = _family_q(stream_rng(seed, 400), 5, 3)
     v = wishart_q.covariance_matrix(w)
-    err = float(np.max(np.abs(v + jac)) / np.max(np.abs(v)))
-    out.append(
-        CheckResult("covariance_q_vs_fd[n=5]", err < 1e-5, f"rel err = {err:.2e}", err, 1e-5)
-    )
+    fd = _fd_covariance(wishart_q.mean_formula, w.params, w.y)
+    out = [_rel_check("covariance_q_vs_fd[n=5]", v, [fd], v, 1e-5)]
 
     # the banded variance operator against the paper's two dense formulas
     m = wishart_q.mean(w)
-    v_band = wishart_q.operator_matrix(lambda u: wishart_q.variance_apply_nice(p, m, u), n)
-    v_nice = wishart_q.operator_matrix(lambda u: _variance_apply_nice(p, m, u), n)
-    v_exp = wishart_q.operator_matrix(lambda u: _variance_apply_expanded(p, m, u), n)
-    scale = float(np.max(np.abs(v)))
-    err_triple = float(
-        max(np.max(np.abs(v_band - other)) for other in (v_nice, v_exp, v)) / scale
+    v_band, v_nice, v_exp = (
+        wishart_q.operator_matrix(lambda u: apply(w.params, m, u), 5)
+        for apply in (wishart_q.variance_apply_nice, _variance_apply_nice, _variance_apply_expanded)
     )
-    out.append(
-        CheckResult(
-            "variance_triple_agreement[n=5]",
-            err_triple < 1e-8,
-            f"rel err = {err_triple:.2e}",
-            err_triple,
-            1e-8,
-        )
-    )
+    out.append(_rel_check("variance_triple_agreement[n=5]", v_band, [v_nice, v_exp, v], v, 1e-8))
 
-    rng = stream_rng(seed, 410)
-    x = _random_q(rng, 3)
-    pp = _random_shape_p(rng, 3, 2)
-    wp = wishart_p.WishartP(pp, x)
-
-    def mean_map_p(coords: NDArray[np.float64]) -> NDArray[np.float64]:
-        return wishart_p.mean_p_formula(pp, IncompleteSym.from_coords(coords)).coords()
-
-    jac_p = fd_jacobian(mean_map_p, x.coords())
+    wp = _family_p(stream_rng(seed, 410), 3, 2)
     v_p = wishart_p.covariance_p_matrix(wp)
-    err_p = float(np.max(np.abs(v_p + jac_p)) / np.max(np.abs(v_p)))
-    out.append(
-        CheckResult("covariance_p_vs_fd[n=3]", err_p < 1e-5, f"rel err = {err_p:.2e}", err_p, 1e-5)
-    )
+    fd_p = _fd_covariance(wishart_p.mean_p_formula, wp.params, wp.x)
+    out.append(_rel_check("covariance_p_vs_fd[n=3]", v_p, [fd_p], v_p, 1e-5))
 
     # empirical coordinate covariance, both families
-    rng = stream_rng(seed, 420)
-    y3 = _random_pd(rng, 3)
-    p3 = _random_shape_q(rng, 3, 2)
-    w3 = wishart_q.WishartQ(p3, y3)
-    theory_mean = _mutated_mean_q(w3, mutations).coords()
-    theory_cov = cov_coords_from_operator(wishart_q.covariance_matrix(w3), 3)
-    reports = mc_mean_cov(
-        lambda r, sz: wishart_q.sample_many(w3, r, sz),
-        theory_mean,
-        theory_cov,
-        n_samples=100_000,
-        seed=seed * 100 + 42,
-        name="q_cov[n=3,M=2]",
-    )
-    out.extend(_reports_to_checks(reports, "cov_empirical_q[n=3,M=2]"))
-    theory_cov_p = cov_coords_from_operator(wishart_p.covariance_p_matrix(wp), 3)
-    reports = mc_mean_cov(
-        lambda r, sz: wishart_p.sample_p_many(wp, r, sz),
-        wishart_p.mean_p(wp).coords(),
-        theory_cov_p,
-        n_samples=100_000,
-        seed=seed * 100 + 43,
-        name="p_cov[n=3,M=2]",
-    )
-    out.extend(_reports_to_checks(reports, "cov_empirical_p[n=3,M=2]"))
+    w3 = _family_q(stream_rng(seed, 420), 3, 2)
+    draw, mean = partial(wishart_q.sample_many, w3), _mutated_mean_q(w3, mutations)
+    cov = wishart_q.covariance_matrix(w3)
+    out.append(_sample_check("cov_empirical_q[n=3,M=2]", "q_cov[n=3,M=2]", draw, mean, cov, seed * 100 + 42))
+    draw, mean = partial(wishart_p.sample_p_many, wp), wishart_p.mean_p(wp)
+    out.append(_sample_check("cov_empirical_p[n=3,M=2]", "p_cov[n=3,M=2]", draw, mean, v_p, seed * 100 + 43))
     return out
 
 
@@ -642,53 +595,36 @@ def _exact_moment_check(name: str, got: float, exact: float) -> CheckResult:
     return CheckResult(name, diff <= 1e-9 * scale, f"diff = {diff:.2e}", diff / scale, 1e-9)
 
 
-def _mc_moment_check(name: str, coords: NDArray, dirs: Sequence, theory: float) -> CheckResult:
-    """Mean of ``prod_j <draw, dirs[j]>`` over coordinate rows against ``theory``, within 4 SE."""
-    weights = coordinate_weights(dirs[0].n)
-    prods = np.prod([coords @ (weights * u.coords()) for u in dirs], axis=0)
-    est, se = _mean_se(prods)
-    return _z_check(name, (est - theory) / se if se > 0 else 0.0)
-
-
 def suite_moments(seed: int, mutations: frozenset = frozenset()) -> list[CheckResult]:
     """Taylor-coefficient moments: exact at orders 1-2, Monte-Carlo at order 3.
 
     Orders 1 and 2 are checked against the mean and covariance, order 3
-    against 100,000 draws of each exact sampler.
+    against 100,000 draws of each exact sampler.  ``pairing`` gives the same
+    bits with its arguments in either order, so one body serves both cones.
     """
-    out = []
-    rng = stream_rng(seed, 500)
-    n, M = 3, 2
-    y = _random_pd(rng, n)
-    p = _random_shape_q(rng, n, M)
-    w = wishart_q.WishartQ(p, y)
-    zs = [TridiagSym.from_coords(rng.uniform(-1, 1, size=2 * n - 1)) for _ in range(3)]
-    m = wishart_q.mean(w)
-    m1 = wishart_q.moment(w, wishart_q.MomentSpec(zs[:1]))
-    exact1 = pairing(zs[0], m)
-    out.append(_exact_moment_check("moment_q_order1", m1, exact1))
-    m2 = wishart_q.moment(w, wishart_q.MomentSpec(zs[:2]))
-    exact2 = pairing(zs[1], wishart_q.covariance_apply(w, zs[0])) + exact1 * pairing(zs[1], m)
-    out.append(_exact_moment_check("moment_q_order2", m2, exact2))
-    theory3 = wishart_q.moment(w, wishart_q.MomentSpec(zs))
-    coords = wishart_q.sample_many(w, stream_rng(seed, 501), 100_000)
-    out.append(_mc_moment_check("moment_q_order3_mc", coords, zs, theory3))
 
-    rng = stream_rng(seed, 510)
-    x = _random_q(rng, n)
-    pp = _random_shape_p(rng, n, M)
-    wp = wishart_p.WishartP(pp, x)
-    xs = [IncompleteSym.from_coords(rng.uniform(-1, 1, size=2 * n - 1)) for _ in range(3)]
-    mp = wishart_p.mean_p(wp)
-    p1 = wishart_p.moment_p(wp, xs[:1])
-    exact1p = pairing(mp, xs[0])
-    out.append(_exact_moment_check("moment_p_order1", p1, exact1p))
-    p2 = wishart_p.moment_p(wp, xs[:2])
-    exact2p = pairing(wishart_p.covariance_p_apply(wp, xs[0]), xs[1]) + exact1p * pairing(mp, xs[1])
-    out.append(_exact_moment_check("moment_p_order2", p2, exact2p))
-    theory3p = wishart_p.moment_p(wp, xs)
-    coords = wishart_p.sample_p_many(wp, stream_rng(seed, 511), 100_000)
-    out.append(_mc_moment_check("moment_p_order3_mc", coords, xs, theory3p))
+    def moment_q(w: wishart_q.WishartQ, dirs: Sequence[TridiagSym]) -> float:
+        return wishart_q.moment(w, wishart_q.MomentSpec(dirs))
+
+    out = []
+    for cone, stream, family, direction, moment, mean, cov_apply, sample_many in (
+        ("q", 500, _family_q, TridiagSym, moment_q, wishart_q.mean, wishart_q.covariance_apply,
+         wishart_q.sample_many),
+        ("p", 510, _family_p, IncompleteSym, wishart_p.moment_p, wishart_p.mean_p, wishart_p.covariance_p_apply,
+         wishart_p.sample_p_many),
+    ):
+        rng = stream_rng(seed, stream)
+        w = family(rng, 3, 2)
+        dirs = [direction.from_coords(rng.uniform(-1, 1, size=5)) for _ in range(3)]
+        m = mean(w)
+        exact1 = pairing(m, dirs[0])
+        exact2 = pairing(cov_apply(w, dirs[0]), dirs[1]) + exact1 * pairing(m, dirs[1])
+        out.append(_exact_moment_check(f"moment_{cone}_order1", moment(w, dirs[:1]), exact1))
+        out.append(_exact_moment_check(f"moment_{cone}_order2", moment(w, dirs[:2]), exact2))
+        coords = sample_many(w, stream_rng(seed, stream + 1), 100_000)
+        prods = np.prod([coords @ (coordinate_weights(3) * u.coords()) for u in dirs], axis=0)
+        rep = _make_report(*_mean_se(prods), moment(w, dirs), 100_000, seed, "")
+        out.append(_z_check(f"moment_{cone}_order3_mc", [rep]))
     return out
 
 
@@ -708,21 +644,14 @@ def suite_samplers(seed: int, mutations: frozenset = frozenset()) -> list[CheckR
     out.append(CheckResult("ks_p_base[exp1]", pval > 0.01, f"p = {pval:.4f}", pval, 0.01))
 
     # recursive vs quadratic: same law, so means must agree within joint error
-    rng = stream_rng(seed, 610)
-    y = _random_pd(rng, 3)
-    sigma = np.array([2, 2, 1])
-    M = 2
-    p = wishart_q.sigma_to_shape(sigma, M)
-    w = wishart_q.WishartQ(p, y)
+    w, draw = _quadratic_family(stream_rng(seed, 610))
     a = wishart_q.sample_many(w, stream_rng(seed, 611), 100_000)
-    b = wishart_q.sample_quadratic_many(sigma, M, y, stream_rng(seed, 612), 100_000)
-    worst = 0.0
+    b = draw(stream_rng(seed, 612), 100_000)
+    reports = []
     for j in range(a.shape[1]):
-        ma, sa = _mean_se(a[:, j])
-        mb, sb = _mean_se(b[:, j])
-        zsc = abs(ma - mb) / np.hypot(sa, sb)
-        worst = max(worst, zsc)
-    out.append(_z_check("recursive_vs_quadratic_mean", worst, "worst |z| = {:.2f}"))
+        (ma, sa), (mb, sb) = _mean_se(a[:, j]), _mean_se(b[:, j])
+        reports.append(_make_report(ma, np.hypot(sa, sb), mb, 100_000, seed, ""))
+    out.append(_z_check("recursive_vs_quadratic_mean", reports, "worst |z| = {:.2f}"))
     return out
 
 

@@ -4,14 +4,22 @@ import numpy as np
 
 from chainwishart.matrix_spaces import TridiagSym
 from chainwishart.power_functions import ShapeParams
-from chainwishart.verification import _random_pd, _random_q, _random_shape_p, _random_shape_q
+from chainwishart.verification import _random_pd, _random_q
 
 
 # The verification suites' generators, shared so both draw the same streams.
 random_pd_tridiag = _random_pd
 random_q_elem = _random_q
-random_shape_q = _random_shape_q
-random_shape_p = _random_shape_p
+
+
+def random_shape_q(rng: np.random.Generator, n: int, M: int) -> ShapeParams:
+    """A shape in the ``Q`` domain, drawn as ``verification._family_q`` draws it."""
+    return ShapeParams(M, rng.uniform(0.8, 2.5, size=n))
+
+
+def random_shape_p(rng: np.random.Generator, n: int, M: int) -> ShapeParams:
+    """A shape in the ``P`` domain, drawn as ``verification._family_p`` draws it."""
+    return ShapeParams(M, rng.uniform(-0.7, 1.5, size=n))
 
 
 def random_shape_any(rng: np.random.Generator, n: int, M: int) -> ShapeParams:

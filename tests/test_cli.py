@@ -175,17 +175,24 @@ def test_eval_density_loads_no_scipy(tmp_path):
     assert out.stdout.strip().splitlines()[-1] == "[]"
 
 
-def test_verify_all_passes_without_scipy():
+def test_verify_all_passes_without_scipy(tmp_path):
+    report = tmp_path / "verify.json"
     code = (
         "import sys; from chainwishart.cli import main; "
-        "rc = main(['verify', '--suite', 'all', '--seed', '20260810']); "
+        f"rc = main(['verify', '--suite', 'all', '--seed', '20260810', '--json', {str(report)!r}]); "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')); sys.exit(rc)"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert out.returncode == 0, out.stdout + out.stderr
-    lines = out.stdout.strip().splitlines()
-    assert lines[-2] == "31 checks, 0 failed"
-    assert lines[-1] == "[]"
+    lines = out.stdout.splitlines(keepends=True)
+    assert lines[-2] == "31 checks, 0 failed\n"
+    assert lines[-1] == "[]\n"
+    # the report, text and JSON, is pinned bit for bit: every check keeps its draws and its detail
+    text = "".join(lines[:-1]).encode()
+    assert hashlib.sha256(text).hexdigest() == "ac98f4f3222c038792d5bdc2edf3f0321f533855a19dca6676d7107e7a152725"
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+        "33c4d8e4b3d0142349c1d59bb5c4677ded6fd723faffc5233f7c5ba23ce8e8dd"
+    )
 
 
 @pytest.mark.parametrize("family", ["q", "p"])
@@ -543,6 +550,7 @@ P2_TINY = {**P2, "x": {"n": 2, "diag": [1e-200, 1.3e-200], "off": [-2e-201]}}
 # the mean of P2 at c x is its mean at x over c, so Newton must return c x
 P2_MEAN = wp.mean_p(wp.WishartP(ShapeParams.from_json_dict(P2), IncompleteSym.from_json_dict(P2["x"])))
 NEWTON_SCALES = {"newton-target-at-1e-12": 1e-12, "newton-target-at-1e12": 1e12}
+NOT_UTF8 = b"\xff\xfe\x00bad"
 
 # (case id, files to write, argv with {file} and {dir} placeholders, exit code)
 CONTRACT = [
@@ -618,6 +626,32 @@ CONTRACT = [
      ["missing-stat", "--file", "{m.csv}"], EXIT_IO),
     ("missing-stat-nan-cell", {"m.csv": "1.0,nan\n1.0,2.0\n"},
      ["missing-stat", "--file", "{m.csv}"], EXIT_IO),
+    # a file that is not UTF-8, at each place the CLI reads one
+    ("eval-params-not-utf8", {"bad.bin": NOT_UTF8},
+     ["eval", "--what", "mean", "--family", "q", "--params", "{bad.bin}"], EXIT_IO),
+    ("eval-point-not-utf8", {"q.json": Q2, "bad.bin": NOT_UTF8},
+     ["eval", "--what", "density", "--family", "q", "--params", "{q.json}", "--point", "{bad.bin}"], EXIT_IO),
+    ("sample-params-not-utf8", {"bad.bin": NOT_UTF8},
+     ["sample", "--family", "q", "--params", "{bad.bin}", "--n", "5", "--out", "{dir}/x.csv"], EXIT_IO),
+    ("lm-convert-not-utf8", {"bad.bin": NOT_UTF8},
+     ["lm-convert", "--direction", "lm-to-s", "--file", "{bad.bin}"], EXIT_IO),
+    ("missing-stat-not-utf8", {"bad.bin": NOT_UTF8}, ["missing-stat", "--file", "{bad.bin}"], EXIT_IO),
+    # integer fields take integral numbers only (2 or 2.0): nothing is truncated
+    *[
+        (f"eval-pivot-{label}", {"q.json": {**Q2, "M": pivot}},
+         ["eval", "--what", "mean", "--family", "q", "--params", "{q.json}"], EXIT_IO)
+        for label, pivot in (("2.7", 2.7), ("true", True), ("string", "2"))
+    ],
+    *[
+        (f"eval-size-{label}", {"q.json": {**Q2, "y": {**Q2["y"], "n": size}}},
+         ["eval", "--what", "mean", "--family", "q", "--params", "{q.json}"], EXIT_IO)
+        for label, size in (("2.9", 2.9), ("true", True))
+    ],
+    ("sample-sigma-pivot-2.5", {"q.json": {**Q2, "M": 2.5}},
+     ["sample", "--family", "q", "--params", "{q.json}", "--n", "5", "--out", "{dir}/x.csv", "--sigma", "1,1"],
+     EXIT_IO),
+    ("lm-convert-pivot-1.5", {"s.json": {"M": 1.5, "s": [1.0, 1.0, 1.0]}},
+     ["lm-convert", "--direction", "s-to-lm", "--file", "{s.json}"], EXIT_IO),
 ]
 
 
@@ -626,7 +660,10 @@ def test_cli_exit_code_contract(tmp_path, capsys, case, files, argv, code):
     names = {"dir": str(tmp_path)}
     for name, content in files.items():
         path = tmp_path / name
-        path.write_text(content if isinstance(content, str) else json.dumps(content))
+        if isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(content if isinstance(content, str) else json.dumps(content))
         names[name] = str(path)
     for key, value in names.items():
         argv = [a.replace("{" + key + "}", value) for a in argv]

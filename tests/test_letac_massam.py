@@ -30,6 +30,14 @@ def test_lm_params_validation():
         lm.beta_at(4)
 
 
+def test_lm_params_compare_and_hash_by_value():
+    a, b = LMParams([1.0, 2.0, 3.0], [0.1, 0.2]), LMParams(np.array([1.0, 2.0, 3.0]), (0.1, 0.2))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != LMParams([1.0, 2.0, 3.0], [0.1, 0.3])
+    assert a != LMParams([1.0, 2.5, 3.0], [0.1, 0.2])
+    assert a != LMParams([1.0, 2.0], [0.1])
+
+
 def test_log_H_examples():
     eye = IncompleteSym(3, np.ones(3), np.zeros(2))
     assert log_H(LMParams([1.0, 1.0], [1.0]), eye) == pytest.approx(0.0)

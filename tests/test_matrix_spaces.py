@@ -276,6 +276,15 @@ def test_json_round_trip_bitwise():
     assert np.array_equal(back_x.coords(), x.coords())
 
 
+@pytest.mark.parametrize("cls", [TridiagSym, IncompleteSym])
+def test_json_size_must_be_an_integral_number(cls):
+    d = {"n": 2, "diag": [1.0, 1.0], "off": [0.1]}
+    assert cls.from_json_dict({**d, "n": 2.0}).n == 2
+    for bad in (2.9, True, "2"):
+        with pytest.raises(TypeError):
+            cls.from_json_dict({**d, "n": bad})
+
+
 def test_coords_round_trip_and_arithmetic():
     y = TridiagSym(3, [1, 2, 3], [0.5, -0.5])
     assert TridiagSym.from_coords(y.coords()).allclose(y)

@@ -13,6 +13,9 @@ from chainwishart.power_functions import (
     log_phi,
 )
 
+from chainwishart import wishart_p as wp
+from chainwishart import wishart_q as wq
+
 from _gen import random_pd_tridiag, random_shape_any
 
 
@@ -28,6 +31,34 @@ def test_shape_params_validation_and_domains():
         ShapeParams(4, [1.0, 2.0, 1.0])
     with pytest.raises(ValueError):
         ShapeParams(0, [1.0])
+
+
+@pytest.mark.parametrize("pivot", [2.5, True, "2"])
+def test_shape_params_pivot_must_be_an_integral_number(pivot):
+    with pytest.raises(TypeError):
+        ShapeParams(pivot, [1.0, 2.0, 1.0])
+    with pytest.raises(TypeError):
+        ShapeParams.from_json_dict({"M": pivot, "s": [1.0, 2.0, 1.0]})
+
+
+@pytest.mark.parametrize("pivot", [2, 2.0, np.int64(2), np.float64(2.0)])
+def test_shape_params_takes_an_integral_pivot_of_any_numeric_type(pivot):
+    p = ShapeParams(pivot, [1.0, 2.0, 1.0])
+    assert p.M == 2 and type(p.M) is int
+    assert ShapeParams.from_json_dict({"M": pivot, "s": [1.0, 2.0, 1.0]}) == p
+
+
+def test_shape_params_and_families_compare_and_hash_by_value():
+    a, b = ShapeParams(2, [1.0, 1.0, 1.0]), ShapeParams(np.int64(2), np.ones(3))
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != ShapeParams(1, [1.0, 1.0, 1.0])
+    assert a != ShapeParams(2, [1.0, 1.0, 1.5])
+    assert a != ShapeParams(2, [1.0, 1.0])
+    y = TridiagSym(3, [1.0, 1.0, 1.0], [0.1, 0.2])
+    assert wq.WishartQ(a, y) == wq.WishartQ(b, y)
+    assert wq.WishartQ(a, y) != wq.WishartQ(ShapeParams(3, [1.0, 1.0, 1.0]), y)
+    x = IncompleteSym(3, [1.0, 1.0, 1.0], [0.1, 0.2])
+    assert wp.WishartP(a, x) == wp.WishartP(b, x)
 
 
 def test_log_Delta_M_examples():
