@@ -38,7 +38,6 @@ from .chain_graph import (
 )
 from .letac_massam import LMParams, lm_to_sM, sM_to_lm
 from .matrix_spaces import (
-    ConeError,
     IncompleteSym,
     TridiagSym,
     _integral,
@@ -212,15 +211,13 @@ def _read_json(path: str) -> dict:
 
 
 def _decode(decode: Callable[[dict], T], data: dict, path: str) -> T:
-    """``decode(data)`` of the object read from ``path``: a bad field exits 3, a bad value 2."""
+    """``decode(data)`` of the object read from ``path``: a bad field exits 3 (a bad value 2, in :func:`main`)."""
     try:
         return decode(data)
     except KeyError as e:
         raise CliError(EXIT_IO, f"{path}: missing field {e}") from e
     except TypeError as e:
         raise CliError(EXIT_IO, f"{path}: mistyped field: {e}") from e
-    except ValueError as e:
-        raise CliError(EXIT_DOMAIN, " ".join(str(e).split())) from e
 
 
 def _load_family(params: dict, path: str, family: str):
@@ -257,23 +254,16 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         y, m_pivot = _decode(
             lambda d: (TridiagSym.from_json_dict(d["y"]), _integral(d["M"], "pivot M")), params, args.params
         )
-        try:
-            sigma = np.asarray([int(t) for t in args.sigma.split(",")])
-            coords = wishart_q.sample_quadratic_many(sigma, m_pivot, y, rng, args.n)
-        except (ConeError, ValueError) as e:
-            raise CliError(EXIT_DOMAIN, str(e)) from e
-        meta = {"family": "q-quadratic", "sigma": sigma.tolist(), "M": m_pivot}
+        coords = wishart_q.sample_quadratic_many(args.sigma, m_pivot, y, rng, args.n)
+        meta = {"family": "q-quadratic", "sigma": args.sigma.tolist(), "M": m_pivot}
         n = y.n
     else:
         w = _load_family(params, args.params, args.family)
         n = w.n
-        try:
-            if args.family == "q":
-                coords = wishart_q.sample_many(w, rng, args.n)
-            else:
-                coords = wishart_p.sample_p_many(w, rng, args.n)
-        except (ConeError, ValueError) as e:
-            raise CliError(EXIT_DOMAIN, str(e)) from e
+        if args.family == "q":
+            coords = wishart_q.sample_many(w, rng, args.n)
+        else:
+            coords = wishart_p.sample_p_many(w, rng, args.n)
         meta = {"family": args.family}
     header = [
         "# chainwishart sample",
@@ -302,70 +292,63 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     params = _read_json(args.params)
     family = args.family
     what = args.what
-    try:
-        if what == "inverse-mean":
-            p = _decode(ShapeParams.from_json_dict, params, args.params)
-            if family == "q":
-                y = wishart_q.inverse_mean(p, _eval_point(args, IncompleteSym.from_json_dict))
-                _print_json({"inverse_mean": y.to_json_dict()})
-            else:
-                target = _eval_point(args, TridiagSym.from_json_dict)
-                x = wishart_p.newton_inverse_mean_p(p, target)
-                _print_json({"inverse_mean": x.to_json_dict(), "method": "newton"})
-            return EXIT_OK
-        w = _load_family(params, args.params, family)
-        if what == "density":
-            if family == "q":
-                val = wishart_q.log_density(w, _eval_point(args, IncompleteSym.from_json_dict))
-            else:
-                val = wishart_p.log_density_p(w, _eval_point(args, TridiagSym.from_json_dict))
-            # outside the support the log density is -inf, which JSON cannot hold
-            _print_json({"log_density": None if val == float("-inf") else val})
-        elif what == "laplace":
-            if family == "q":
-                val = wishart_q.log_laplace(w, _eval_point(args, TridiagSym.from_json_dict))
-            else:
-                val = wishart_p.log_laplace_p(w, _eval_point(args, IncompleteSym.from_json_dict))
-            _print_json({"log_laplace": val})
-        elif what == "mean":
-            m = wishart_q.mean(w) if family == "q" else wishart_p.mean_p(w)
-            _print_json({"mean": m.to_json_dict()})
-        elif what == "variance":
-            if family == "q":
-                if args.point is not None:
-                    # the variance function at m is the covariance at its inverse mean
-                    m = _eval_point(args, IncompleteSym.from_json_dict)
-                    w = wishart_q.WishartQ(w.params, wishart_q.inverse_mean(w.params, m))
-                mat = wishart_q.covariance_matrix(w)
-            else:
-                mat = wishart_p.covariance_p_matrix(w)
-            if args.out is not None:
-                try:
-                    dense_to_csv(args.out, mat)
-                except OSError as e:
-                    raise CliError(EXIT_IO, f"cannot write {args.out}: {e}") from e
-            _print_json({"variance_matrix": mat.tolist()})
-        elif what == "moment":
-            if family == "q":
-                zs = _eval_point(args, lambda d: [TridiagSym.from_json_dict(z) for z in d["z_list"]])
-                val = wishart_q.moment(w, wishart_q.MomentSpec(zs))
-            else:
-                xs = _eval_point(args, lambda d: [IncompleteSym.from_json_dict(x) for x in d["x_list"]])
-                val = wishart_p.moment_p(w, xs)
-            _print_json({"moment": val})
-        else:  # pragma: no cover - argparse restricts choices
-            raise CliError(EXIT_IO, f"unknown eval target {what}")
-    except (ValueError, RuntimeError) as e:
-        # cone, shape, moment-order and double-range violations, and a Newton inversion that fails
-        raise CliError(EXIT_DOMAIN, " ".join(str(e).split())) from e
+    if what == "inverse-mean":
+        p = _decode(ShapeParams.from_json_dict, params, args.params)
+        if family == "q":
+            y = wishart_q.inverse_mean(p, _eval_point(args, IncompleteSym.from_json_dict))
+            _print_json({"inverse_mean": y.to_json_dict()})
+        else:
+            target = _eval_point(args, TridiagSym.from_json_dict)
+            x = wishart_p.newton_inverse_mean_p(p, target)
+            _print_json({"inverse_mean": x.to_json_dict(), "method": "newton"})
+        return EXIT_OK
+    w = _load_family(params, args.params, family)
+    if what == "density":
+        if family == "q":
+            val = wishart_q.log_density(w, _eval_point(args, IncompleteSym.from_json_dict))
+        else:
+            val = wishart_p.log_density_p(w, _eval_point(args, TridiagSym.from_json_dict))
+        # outside the support the log density is -inf, which JSON cannot hold
+        _print_json({"log_density": None if val == float("-inf") else val})
+    elif what == "laplace":
+        if family == "q":
+            val = wishart_q.log_laplace(w, _eval_point(args, TridiagSym.from_json_dict))
+        else:
+            val = wishart_p.log_laplace_p(w, _eval_point(args, IncompleteSym.from_json_dict))
+        _print_json({"log_laplace": val})
+    elif what == "mean":
+        m = wishart_q.mean(w) if family == "q" else wishart_p.mean_p(w)
+        _print_json({"mean": m.to_json_dict()})
+    elif what == "variance":
+        if family == "q":
+            if args.point is not None:
+                # the variance function at m is the covariance at its inverse mean
+                m = _eval_point(args, IncompleteSym.from_json_dict)
+                w = wishart_q.WishartQ(w.params, wishart_q.inverse_mean(w.params, m))
+            mat = wishart_q.covariance_matrix(w)
+        else:
+            mat = wishart_p.covariance_p_matrix(w)
+        if args.out is not None:
+            try:
+                dense_to_csv(args.out, mat)
+            except OSError as e:
+                raise CliError(EXIT_IO, f"cannot write {args.out}: {e}") from e
+        _print_json({"variance_matrix": mat.tolist()})
+    elif what == "moment":
+        if family == "q":
+            zs = _eval_point(args, lambda d: [TridiagSym.from_json_dict(z) for z in d["z_list"]])
+            val = wishart_q.moment(w, wishart_q.MomentSpec(zs))
+        else:
+            xs = _eval_point(args, lambda d: [IncompleteSym.from_json_dict(x) for x in d["x_list"]])
+            val = wishart_p.moment_p(w, xs)
+        _print_json({"moment": val})
+    else:  # pragma: no cover - argparse restricts choices
+        raise CliError(EXIT_IO, f"unknown eval target {what}")
     return EXIT_OK
 
 
 def _cmd_orders(args: argparse.Namespace) -> int:
-    try:
-        g = build_chain(args.n)
-    except ValueError as e:
-        raise CliError(EXIT_DOMAIN, str(e)) from e
+    g = build_chain(args.n)
     elim = [
         {"sequence": list(o.sequence), "max_vertex": o.max_vertex}
         for o in enumerate_eliminating_orders(g)
@@ -444,6 +427,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _sigma_list(text: str) -> np.ndarray:
+    """The integer multiplicities of ``--sigma``; argparse rejects any other entry, as it does ``--n 1.5``."""
+    try:
+        return np.asarray([int(t) for t in text.split(",")])
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chainwishart",
@@ -459,6 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument(
         "--sigma",
+        type=_sigma_list,
         default=None,
         help="comma-separated multiplicities; routes to the quadratic sampler",
     )
@@ -510,6 +502,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
+    except (ValueError, RuntimeError) as e:
+        # cone, shape, moment-order and double-range violations, and a Newton inversion that fails
+        print("error:", " ".join(str(e).split()), file=sys.stderr)
+        return EXIT_DOMAIN
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .matrix_spaces import DenseSym, IncompleteSym, TridiagSym, _hat_fill, _out_of_range, _peel_order, _peel_unit
+from .matrix_spaces import DenseSym, IncompleteSym, TridiagSym, _from_unit, _hat_fill, _peel_order, _peel_unit
 from .peeling import _peel_plan
 from .power_functions import ShapeParams
 
@@ -113,19 +113,11 @@ def _hat_element(s: NDArray, M: int, y: TridiagSym, what: str) -> IncompleteSym:
     """:func:`_hat_band` of ``y`` in ``P`` (peeled toward ``M``) as an element of ``I``.
 
     The band has degree -1 in ``y``.  It is formed at the unit scale of the
-    peel (exact powers of two) and scaled back; a band past the largest
-    double there or after scaling is a ``ValueError`` calling it ``what``.
+    peel (exact powers of two) and scaled back by :func:`_from_unit`, which
+    calls it ``what``.
     """
     a, b, e = _peel_unit(y.diag, y.off, M)
-    band = _hat_band(s, M, a, b)
-    try:
-        if not np.isfinite(band).all():
-            raise FloatingPointError
-        if e:
-            with np.errstate(over="raise"):
-                np.ldexp(band, -e, out=band)
-    except FloatingPointError:
-        raise _out_of_range(what, -1, "y") from None
+    band = _from_unit(_hat_band(s, M, a, b), -e, what, -1, "y")
     return IncompleteSym._trusted(y.n, band[: y.n], band[y.n :])
 
 

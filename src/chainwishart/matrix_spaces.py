@@ -27,14 +27,14 @@ positive constant.
 One elimination, the peel kernel ``_peel_core``, serves the whole ``P``
 side and tests each pivot as it forms it: at ``M = n`` it is the cone test
 and the leading log-minors, and at any ``M`` the peel plan and peel maps.
-On the ``Q`` side one vectorized test, ``_dual_gaps``, forms the ratio-form
+On the ``Q`` side one vectorized test, ``_q_gaps``, forms the ratio-form
 clique gaps, which the atoms of the power functions and the clique inverses
 reuse, so each closed form reads an element of ``Q`` once.  The covariance on
 both cones is the banded derivative of the clique assembly, ``_clique_form``,
-which ``_covariance_coords`` alone applies or solves, at unit scale.  The
-clique assembly itself (degree -1) is formed at unit scale too, with the
-same range error, and its fresh, finite arrays are stored by the trusted
-constructor ``_BandedSym._trusted`` without a second validation.
+which ``_covariance_coords`` alone applies or solves.  Every closed form of
+nonzero degree is formed at unit scale and scaled back by ``_from_unit``, the
+one place that raises the range error for a result past the double range;
+fresh, finite kernel outputs are stored by ``_BandedSym._trusted`` unchecked.
 
 Vertices are labelled ``1..n`` in the public API; arrays are 0-based.
 """
@@ -115,6 +115,7 @@ class _BandedSym:
     off: NDArray[np.float64] = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
+        self.n = _integral(self.n, "n")
         if self.n < 1:
             raise ValueError("size must be at least 1")
         self.diag = _as_vector(self.diag, self.n, "diag")
@@ -183,7 +184,7 @@ class _BandedSym:
 
     @classmethod
     def from_json_dict(cls, d: dict):
-        return cls(_integral(d["n"], "n"), d["diag"], d.get("off", []))
+        return cls(d["n"], d["diag"], d.get("off", []))
 
     def allclose(self, other, rtol: float = 1e-12, atol: float = 1e-12) -> bool:
         return (
@@ -246,9 +247,27 @@ def _unit_scaled(diag: NDArray, off: NDArray) -> tuple[list, list, int]:
     return [math.ldexp(v, -e) for v in d], [math.ldexp(v, -e) for v in o], e
 
 
-def _out_of_range(what: str, degree: int, name: str) -> ValueError:
-    """The error for a result past the largest double, of negative ``degree`` in the input ``name``."""
-    return ValueError(f"{what} is outside the double range: it has degree {degree} and {name} is too small in scale")
+def _to_unit(v: NDArray, out: NDArray | None = None, axis: int | None = None) -> tuple[NDArray, NDArray]:
+    """``(v * 2^-e, e)`` with the largest ``|v * 2^-e|`` (in each slice along ``axis``) in ``[1/2, 1)``, exactly."""
+    keep = axis is not None
+    e = np.frexp(np.maximum(v.max(axis, keepdims=keep), -v.min(axis, keepdims=keep)))[1]  # no |v| temporary
+    return np.ldexp(v, -e, out=out), e
+
+
+def _from_unit(v: NDArray | float, e: int, what: str, degree: int, name: str) -> NDArray | float:
+    """``v * 2^e``, an array in place: a result formed at unit size, scaled back by its power of two (exact).
+
+    A result that is not a finite double, at unit size or scaled back, is a
+    ``ValueError`` calling it ``what``, of negative ``degree`` in the input ``name``.
+    """
+    big = abs(v) if isinstance(v, float) else max(v.max(), -v.min())
+    if not math.isfinite(big) or (big > 0 and math.frexp(big)[1] + e > 1024):
+        raise ValueError(
+            f"{what} is outside the double range: it has degree {degree} and {name} is too small in scale"
+        )
+    if isinstance(v, float):
+        return math.ldexp(v, e)
+    return np.ldexp(v, e, out=v) if e else v
 
 
 def _peel_order(n: int, M: int) -> list[tuple[int, int]]:
@@ -342,35 +361,22 @@ def _clique_gaps(x: IncompleteSym) -> NDArray[np.float64]:
     return 1.0 - (x.off / x.diag[:-1]) * (x.off / x.diag[1:])
 
 
-def _bad_diagonal(x: IncompleteSym) -> NDArray[np.intp]:
-    """Indices of diagonal entries not above ``PD_RTOL`` times the largest one."""
-    return np.nonzero(x.diag <= PD_RTOL * float(np.abs(x.diag).max()))[0]
-
-
-def _dual_gaps(x: IncompleteSym) -> NDArray[np.float64] | None:
-    """The cone test of ``Q``: the ratio-form clique gaps of ``x`` if it is a member, else ``None``.
-
-    The one kernel behind :func:`is_in_Q` and :func:`assert_in_Q`; the atoms
-    of the power functions and the clique inverses reuse the gaps it returns.
-    """
-    if _bad_diagonal(x).size:
-        return None
-    g = _clique_gaps(x)
-    return g if (g > PD_RTOL).all() else None
-
-
 def _q_gaps(x: IncompleteSym, name: str = "x") -> NDArray[np.float64]:
-    """:func:`_dual_gaps` of a member of ``Q``, else :class:`ConeError` naming ``x`` as ``name``.
+    """The cone test of ``Q``: the ratio-form clique gaps of a member ``x``, else :class:`ConeError`.
 
-    The message names the first failed condition: a diagonal entry, else a clique block.
+    The one test behind :func:`is_in_Q` and :func:`assert_in_Q`; the atoms
+    of the power functions and the clique inverses reuse the gaps it returns.
+    The error names ``x`` as ``name`` and the first failed condition: a
+    diagonal entry, else a clique block.
     """
-    g = _dual_gaps(x)
-    if g is not None:
+    bad = x.diag <= PD_RTOL * float(np.abs(x.diag).max())
+    if bad.any():
+        raise ConeError(f"{name} is outside the dual cone: diagonal entry {int(bad.argmax()) + 1} is not positive")
+    g = _clique_gaps(x)
+    inside = g > PD_RTOL
+    if inside.all():
         return g
-    bad = _bad_diagonal(x)
-    if bad.size:
-        raise ConeError(f"{name} is outside the dual cone: diagonal entry {int(bad[0]) + 1} is not positive")
-    i = int(np.nonzero(_clique_gaps(x) <= PD_RTOL)[0][0])
+    i = int(inside.argmin())
     # det = m * 2^(2e) with m that of the block scaled by 2^-e (exact), printable past the double range
     d0, d1, o = float(x.diag[i]), float(x.diag[i + 1]), float(x.off[i])
     e = math.frexp(max(d0, d1, abs(o)))[1]
@@ -387,11 +393,15 @@ def _q_gaps(x: IncompleteSym, name: str = "x") -> NDArray[np.float64]:
 
 
 def is_in_Q(x: IncompleteSym) -> bool:
-    """True iff every 2x2 clique block of ``x`` is positive definite.
+    """True iff every 2x2 clique block of ``x`` is positive definite: :func:`_q_gaps` passes.
 
     For ``n = 1`` the condition degenerates to ``x_11 > 0``.
     """
-    return _dual_gaps(x) is not None
+    try:
+        _q_gaps(x)
+    except ConeError:
+        return False
+    return True
 
 
 def assert_in_Q(x: IncompleteSym, name: str = "x") -> None:
@@ -414,8 +424,7 @@ def pairing(y: TridiagSym, x: IncompleteSym) -> float:
         total = float(y.diag @ x.diag + 2.0 * (y.off @ x.off))
         if math.isfinite(total):
             return total
-        ey, ex = (int(np.frexp(np.max(np.abs(v.coords())))[1]) for v in (y, x))
-        yc, xc, n = np.ldexp(y.coords(), -ey), np.ldexp(x.coords(), -ex), y.n
+        (yc, ey), (xc, ex), n = _to_unit(y.coords()), _to_unit(x.coords()), y.n
         return float(np.ldexp(yc[:n] @ xc[:n] + 2.0 * (yc[n:] @ xc[n:]), ey + ex))
 
 
@@ -455,24 +464,18 @@ def _clique_assembly(
     here when not given.  The result has degree -1 in ``x``: outside
     ``_SAFE_RANGE`` it is formed on ``x`` scaled to unit size by a power of
     two (exact; a member's largest entry is on its diagonal) and scaled
-    back.  A result past the largest double is a ``ValueError`` calling it
-    ``what``.
+    back by :func:`_from_unit`, which calls it ``what``.
     """
     g = _q_gaps(x) if g is None else g
     e = _unit_exponent(float(x.diag.max()))
     unit = IncompleteSym._trusted(x.n, np.ldexp(x.diag, -e), np.ldexp(x.off, -e)) if e else x
-    try:
-        with np.errstate(over="raise"):
-            i00, i11, i01 = _clique_inverses(unit, g)
-            diag, off = diag_w / unit.diag, cliq_w * i01
-            diag[:-1] += cliq_w * i00
-            diag[1:] += cliq_w * i11
-            if e:
-                np.ldexp(diag, -e, out=diag)
-                np.ldexp(off, -e, out=off)
-    except FloatingPointError:
-        raise _out_of_range(what, -1, "x") from None
-    return TridiagSym._trusted(x.n, diag, off)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite band fails in _from_unit
+        i00, i11, i01 = _clique_inverses(unit, g)
+        diag, off = diag_w / unit.diag, cliq_w * i01
+        diag[:-1] += cliq_w * i00
+        diag[1:] += cliq_w * i11
+    band = _from_unit(np.concatenate([diag, off]), -e, what, -1, "x")
+    return TridiagSym._trusted(x.n, band[: x.n], band[x.n :])
 
 
 def _clique_form(x: IncompleteSym, exps: tuple, g: NDArray | None = None) -> tuple[NDArray, ...]:
@@ -543,20 +546,15 @@ def _covariance_coords(
 
     The covariance on ``P`` (``D``), the variance function on ``Q`` and the
     Newton step on ``P`` (``-D^{-1}``).  ``x`` and ``u`` (one direction per
-    column) are scaled to unit size by powers of two (exact; ``D`` has degree
-    -2 in ``x``), reusing the scale-free gaps ``g`` of ``x`` if given; a
-    result past the largest double is a ``ValueError`` naming ``x`` as ``name``.
+    column) are scaled to unit size by :func:`_to_unit` (``D`` has degree -2
+    in ``x``), reusing the scale-free gaps ``g`` of ``x`` if given, and the
+    result back by :func:`_from_unit`, naming ``x`` as ``name``.
     """
-    e, f = (int(np.frexp(max(v.max(), -v.min()))[1]) for v in (x.coords(), u))  # no |u| temporary
-    unit = IncompleteSym(x.n, np.ldexp(x.diag, -e), np.ldexp(x.off, -e))
-    form = _clique_form(unit, exps, g)
-    np.ldexp(u, -f, out=u)
+    c, e = _to_unit(x.coords())
+    form = _clique_form(IncompleteSym._trusted(x.n, c[: x.n], c[x.n :]), exps, g)
+    u, f = _to_unit(u, out=u)
     u = _form_solve(form, np.negative(u, out=u)) if inverse else _form_apply(form, u)
-    try:
-        with np.errstate(over="raise"):
-            return np.ldexp(u, (2 if inverse else -2) * e + f, out=u)
-    except FloatingPointError:
-        raise _out_of_range("the covariance", -2, name) from None
+    return _from_unit(u, (2 if inverse else -2) * e + f, "the covariance", -2, name)
 
 
 def lauritzen_map(x: IncompleteSym) -> TridiagSym:

@@ -42,10 +42,12 @@ from .chain_graph import EliminatingOrder
 from .matrix_spaces import (
     IncompleteSym,
     TridiagSym,
+    _from_unit,
     _integral,
     _peel_core,
     _peel_order,
     _q_gaps,
+    _to_unit,
     leading_log_minors,
     trailing_log_minors,
 )
@@ -412,20 +414,21 @@ def _jet_log(x: NDArray) -> NDArray[np.float64]:
     return out
 
 
-def _jet_moment(base: TridiagSym | IncompleteSym, dirs: Sequence, log_laplace) -> float:
+def _jet_moment(base: TridiagSym | IncompleteSym, dirs: Sequence, log_laplace, name: str) -> float:
     """Coefficient of ``e_1 ... e_N`` in ``exp(F(base - sum_j e_j dirs[j]) - F(base))``.
 
     ``log_laplace`` maps jet-valued (diag, off) to ``F`` minus its constant.
-    Scaling a power function's argument only shifts ``F`` by a constant, so the
-    inputs are scaled to unit size by powers of two and the result back.
+    Scaling a power function's argument only shifts ``F`` by a constant, so
+    ``base`` and each direction are scaled to unit size by :func:`_to_unit`
+    and the moment, of degree ``-N`` in ``base`` (named ``name``), back by
+    :func:`_from_unit`.
     """
     k = len(dirs)
-    coords = np.array([base.coords()] + [-u.coords() for u in dirs])
-    ex = np.frexp(np.abs(coords).max(axis=1))[1]
+    coords, ex = _to_unit(np.array([base.coords()] + [-u.coords() for u in dirs]), axis=1)
     jets = np.zeros((coords.shape[1], 1 << k))
-    jets[:, [0] + [1 << j for j in range(k)]] = np.ldexp(coords.T, -ex)
+    jets[:, [0] + [1 << j for j in range(k)]] = coords.T
     top = _exp_top(log_laplace(jets[: base.n], jets[base.n :]))
-    return math.ldexp(top, int(ex[1:].sum()) - k * int(ex[0]))
+    return _from_unit(top, int(ex[1:].sum()) - k * int(ex[0, 0]), "the moment", -k, name)
 
 
 def _log_Delta_jet(p: ShapeParams, diag: NDArray, off: NDArray) -> NDArray[np.float64]:

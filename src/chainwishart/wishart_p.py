@@ -38,8 +38,10 @@ from .matrix_spaces import (
     TridiagSym,
     _clique_assembly,
     _covariance_coords,
+    _from_unit,
     _peel_order,
     _q_gaps,
+    _to_unit,
     is_in_Q,
     pairing,
 )
@@ -420,7 +422,7 @@ def moment_p(w: WishartP, x_list: Sequence[IncompleteSym], cap: int = 6) -> floa
         logs = _jet_log(np.concatenate([dets, d]))
         return cliq_e @ logs[:k] + diag_e @ logs[k:]
 
-    return _jet_moment(w.x, x_list, log_laplace)
+    return _jet_moment(w.x, x_list, log_laplace, "x")
 
 
 # ---------------------------------------------------------------------------
@@ -446,16 +448,15 @@ def newton_inverse_mean_p(p: ShapeParams, target: TridiagSym) -> IncompleteSym:
     """Invert the mean map on ``P`` by damped Newton steps, each one banded solve in O(n).
 
     From the identity, at most 100 steps, stopping at 1e-10 relative, at the
-    target scaled to unit size, as ``mean_p(c x) = mean_p(x) / c``.
+    target scaled to unit size, as ``mean_p(c x) = mean_p(x) / c``; the
+    answer, of degree -1 in the target, is scaled back by :func:`_from_unit`.
     """
-    target_c = target.coords()
-    e = int(np.frexp(np.max(np.abs(target_c)))[1])
-    target_c = np.ldexp(target_c, -e)
+    target_c, e = _to_unit(target.coords())
     x, exps = IncompleteSym(p.n, np.ones(p.n)), riesz_p_exponents(p.s, p.M)
     for _ in range(100):
         resid = mean_p(WishartP(p, x)).coords() - target_c
         if np.max(np.abs(resid)) <= 1e-10 * np.max(np.abs(target_c)):
-            return IncompleteSym.from_coords(np.ldexp(x.coords(), -e))
+            return IncompleteSym.from_coords(_from_unit(x.coords(), -e, "the inverse mean", -1, "y"))
         step = _covariance_coords(x, exps, resid, True, "x")  # jacobian^{-1} resid
         t = 1.0
         while t > 1e-8:

@@ -506,4 +506,4 @@ def moment(w: WishartQ, spec: MomentSpec) -> float:
         raise ValueError(f"moment order {n_dirs} above cap {spec.cap}")
     if spec.z_list[0].n != w.n:
         raise ValueError("size mismatch")
-    return _jet_moment(w.y, spec.z_list, lambda d, o: -_log_Delta_jet(w.params, d, o))
+    return _jet_moment(w.y, spec.z_list, lambda d, o: -_log_Delta_jet(w.params, d, o), "y")

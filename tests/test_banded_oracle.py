@@ -296,6 +296,26 @@ def test_degree_minus_one_outputs_past_the_double_range_are_domain_errors(name):
         call()
 
 
+def _moments_and_newton_past_the_double_range():
+    """The moments (degree -3) at parameters scaled by 1e-200 and the Newton inverse mean at a 1e-310 target."""
+    p, pp = ShapeParams(2, [1.2, 0.8]), ShapeParams(1, [0.2, -0.3])
+    y, x = TridiagSym(2, [1e-200, 1e-200], [2e-201]), IncompleteSym(2, [1e-200, 1.3e-200], [-2e-201])
+    z, x_unit = TridiagSym(2, [0.5, -0.2], [0.1]), IncompleteSym(2, [1.0, 1.3], [-0.2])
+    target = 1e-310 * wp.mean_p(wp.WishartP(pp, x_unit))
+    return {
+        "moment": lambda: wq.moment(wq.WishartQ(p, y), wq.MomentSpec([z] * 3)),
+        "moment_p": lambda: wp.moment_p(wp.WishartP(pp, x), [x_unit] * 3),
+        "newton_inverse_mean_p": lambda: wp.newton_inverse_mean_p(pp, target),
+    }
+
+
+@pytest.mark.parametrize("name", ["moment", "moment_p", "newton_inverse_mean_p"])
+def test_moments_and_newton_past_the_double_range_are_domain_errors(name):
+    # the one range error, not an OverflowError or a numpy overflow warning (pytest makes it an error here)
+    with pytest.raises(ValueError, match="outside the double range: it has degree -[13] and [xy] is too small"):
+        _moments_and_newton_past_the_double_range()[name]()
+
+
 @pytest.mark.parametrize("name", ["inverse_mean", "lauritzen_map", "mean_p", "mean", "inverse_image"])
 def test_degree_minus_one_outputs_scale_exactly_by_powers_of_two(name):
     # formed at unit scale and scaled back: 2^-1000 in, exactly 2^1000 out

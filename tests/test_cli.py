@@ -580,6 +580,14 @@ CONTRACT = [
     ("eval-inverse-mean-past-the-double-range", {"q.json": Q3, "m.json": M3_TINY},
      ["eval", "--what", "inverse-mean", "--family", "q", "--params", "{q.json}", "--point", "{m.json}"],
      EXIT_DOMAIN),
+    # moments (degree -3) and the Newton inverse mean (degree -1) past the double range
+    ("eval-moment-at-1e-200", {"q.json": Q2_TINY, "z.json": {"z_list": [Z2] * 3}},
+     ["eval", "--what", "moment", "--family", "q", "--params", "{q.json}", "--point", "{z.json}"], EXIT_DOMAIN),
+    ("eval-moment-p-at-1e-200", {"p.json": P2_TINY, "x.json": {"x_list": [P2["x"]] * 3}},
+     ["eval", "--what", "moment", "--family", "p", "--params", "{p.json}", "--point", "{x.json}"], EXIT_DOMAIN),
+    ("newton-target-at-1e-310", {"p.json": P2, "t.json": (1e-310 * P2_MEAN).to_json_dict()},
+     ["eval", "--what", "inverse-mean", "--family", "p", "--params", "{p.json}", "--point", "{t.json}"],
+     EXIT_DOMAIN),
     ("eval-variance-at-point", {"q.json": Q2, "m.json": {"n": 2, "diag": [1.0, 2.0], "off": [0.3]}},
      ["eval", "--what", "variance", "--family", "q", "--params", "{q.json}", "--point", "{m.json}"], 0),
     ("eval-density-needs-point", {"q.json": Q2},
@@ -679,3 +687,24 @@ def test_cli_exit_code_contract(tmp_path, capsys, case, files, argv, code):
         got = IncompleteSym.from_json_dict(json.loads(out)["inverse_mean"])
         want = NEWTON_SCALES[case] * IncompleteSym.from_json_dict(P2["x"])
         np.testing.assert_allclose(got.coords(), want.coords(), rtol=1e-8)
+
+
+def test_newton_past_the_double_range_prints_one_line(tmp_path):
+    # in a fresh process, so that no warning filter hides a numpy RuntimeWarning line
+    argv = [sys.executable, "-m", "chainwishart.cli", "eval", "--what", "inverse-mean", "--family", "p",
+            "--params", _write(tmp_path / "p.json", P2),
+            "--point", _write(tmp_path / "t.json", (1e-310 * P2_MEAN).to_json_dict())]
+    done = subprocess.run(argv, capture_output=True, text=True)
+    assert done.returncode == EXIT_DOMAIN
+    assert done.stderr.splitlines() == [
+        "error: the inverse mean is outside the double range: it has degree -1 and y is too small in scale"
+    ]
+
+
+@pytest.mark.parametrize("sigma", ["1.5,1", "2,x", ""])
+def test_a_non_integer_sigma_is_a_malformed_argument(tmp_path, capsys, sigma):
+    params = q_params(tmp_path)
+    with pytest.raises(SystemExit) as done:
+        main(["sample", "--family", "q", "--params", params, "--out", str(tmp_path / "x.csv"), "--sigma", sigma])
+    assert done.value.code == 2
+    assert "argument --sigma" in capsys.readouterr().err

@@ -285,6 +285,15 @@ def test_json_size_must_be_an_integral_number(cls):
             cls.from_json_dict({**d, "n": bad})
 
 
+@pytest.mark.parametrize("cls", [TridiagSym, IncompleteSym])
+def test_size_is_checked_as_an_integral_number_at_construction(cls):
+    two = cls(2.0, [1.0, 1.0], [0.0])
+    assert type(two.n) is int and two.to_json_dict()["n"] == 2
+    for bad in (2.5, True, "2"):
+        with pytest.raises(TypeError, match="n must be an integral number"):
+            cls(bad, [1.0] * 2, [0.0])
+
+
 def test_coords_round_trip_and_arithmetic():
     y = TridiagSym(3, [1, 2, 3], [0.5, -0.5])
     assert TridiagSym.from_coords(y.coords()).allclose(y)

@@ -263,3 +263,13 @@ def test_only_matrix_spaces_names_the_clique_form():
         source = inspect.getsource(importlib.import_module(f"chainwishart.{name}"))
         for kernel in ("_clique_inverses", "_clique_form", "_form_apply", "_form_solve"):
             assert (kernel in source) == (name == "matrix_spaces"), (name, kernel)
+
+
+def test_only_matrix_spaces_decides_the_double_range_and_the_q_cone():
+    # unit scaling and the range error live in matrix_spaces alone, and _q_gaps is the one Q cone test
+    for name in (m.name for m in pkgutil.iter_modules(chainwishart.__path__)):
+        source = inspect.getsource(importlib.import_module(f"chainwishart.{name}"))
+        for word in ("ldexp", "frexp", "_out_of_range"):
+            assert name == "matrix_spaces" or word not in source, (name, word)
+        for gone in ("_dual_gaps", "_bad_diagonal"):
+            assert gone not in source, (name, gone)

@@ -133,6 +133,13 @@ def test_sampler_p_base_case_and_cone():
         assert np.max(np.abs(coords.mean(axis=0) - th) / se) < 4.0
 
 
+def test_sample_p_is_the_row_of_a_one_draw_sample_p_many():
+    w = wp.WishartP(ShapeParams(2, [0.3, -0.2, 0.8]), IncompleteSym(3, [1.0, 1.5, 0.8], [0.2, -0.3]))
+    one = wp.sample_p(w, stream_rng(47))
+    assert type(one) is TridiagSym
+    assert np.array_equal(one.coords(), wp.sample_p_many(w, stream_rng(47), 1)[0])
+
+
 def test_covariance_p_matches_empirical():
     rng = np.random.default_rng(75)
     x = random_q_elem(rng, 3)

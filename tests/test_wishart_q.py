@@ -276,6 +276,20 @@ def test_sample_single_draw_and_determinism():
     assert is_in_Q(a)
 
 
+def test_sample_is_the_row_of_a_one_draw_sample_many():
+    w = wq.WishartQ(ShapeParams(2, [1.2, 0.9, 1.6]), TridiagSym(3, [2.0, 2.5, 1.8], [0.3, -0.4]))
+    one = wq.sample(w, stream_rng(41))
+    assert type(one) is IncompleteSym
+    assert np.array_equal(one.coords(), wq.sample_many(w, stream_rng(41), 1)[0])
+
+
+def test_sample_quadratic_is_the_row_of_a_one_draw_sample_quadratic_many():
+    y = TridiagSym(3, [2.0, 2.5, 1.8], [0.3, -0.4])
+    one = wq.sample_quadratic([2, 2, 1], 2, y, stream_rng(43))
+    assert type(one) is IncompleteSym
+    assert np.array_equal(one.coords(), wq.sample_quadratic_many([2, 2, 1], 2, y, stream_rng(43), 1)[0])
+
+
 def test_sigma_shape_link():
     p = wq.sigma_to_shape([0, 0, 2], 3)
     assert p.s == pytest.approx([1.0, 1.0, 1.0])
