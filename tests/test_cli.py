@@ -128,6 +128,33 @@ def test_sample_csv_bytes_are_pinned(tmp_path, run):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# sha256 of the n = 40 variance CSVs of `eval --what variance --out`, recorded
+# before the writer was vectorized: the Q form is mostly exponent notation
+# (the per-value fallback), the P form mostly exact zeros
+VAR_N = 40
+VAR_RUNS = {
+    "q": ({"M": 20, "s": [round(0.9 + 0.04 * i, 2) for i in range(VAR_N)],
+           "y": {"n": VAR_N, "diag": [round(2.0 + 0.1 * (i % 7), 2) for i in range(VAR_N)],
+                 "off": [round(0.3 * (-1) ** i, 2) for i in range(VAR_N - 1)]}},
+          "4a6638b01c1bb23ed92f4d20ef5b421ac67677de618894747dae3883d000b292"),
+    "p": ({"M": 20, "s": [round(-0.5 + 0.05 * i, 2) for i in range(VAR_N)],
+           "x": {"n": VAR_N, "diag": [round(1.0 + 0.1 * (i % 5), 2) for i in range(VAR_N)],
+                 "off": [round(0.2 * (-1) ** i, 2) for i in range(VAR_N - 1)]}},
+          "bc09ab58b5a2dcb06171f00b1c7686203d2633aeaf73f7d78b867516f2a4a26a"),
+}
+
+
+@pytest.mark.parametrize("family", list(VAR_RUNS))
+def test_variance_csv_bytes_are_pinned(tmp_path, capsys, family):
+    params, digest = VAR_RUNS[family]
+    out = tmp_path / "variance.csv"
+    argv = ["eval", "--what", "variance", "--family", family,
+            "--params", _write(tmp_path / "params.json", params), "--out", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("module", ["chainwishart", "chainwishart.cli"])
 def test_import_loads_no_scipy(module):
     code = f"import sys, {module}; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
@@ -549,6 +576,7 @@ M3_TINY = {"n": 3, "diag": [1e-310, 2e-310, 1e-310], "off": [3e-311, 2e-311]}
 P2_TINY = {**P2, "x": {"n": 2, "diag": [1e-200, 1.3e-200], "off": [-2e-201]}}
 # the mean of P2 at c x is its mean at x over c, so Newton must return c x
 P2_MEAN = wp.mean_p(wp.WishartP(ShapeParams.from_json_dict(P2), IncompleteSym.from_json_dict(P2["x"])))
+BIG_DIRECTION = {"n": 2, "diag": [1e200, 1e200], "off": [1e199]}
 NEWTON_SCALES = {"newton-target-at-1e-12": 1e-12, "newton-target-at-1e12": 1e12}
 NOT_UTF8 = b"\xff\xfe\x00bad"
 
@@ -584,6 +612,11 @@ CONTRACT = [
     ("eval-moment-at-1e-200", {"q.json": Q2_TINY, "z.json": {"z_list": [Z2] * 3}},
      ["eval", "--what", "moment", "--family", "q", "--params", "{q.json}", "--point", "{z.json}"], EXIT_DOMAIN),
     ("eval-moment-p-at-1e-200", {"p.json": P2_TINY, "x.json": {"x_list": [P2["x"]] * 3}},
+     ["eval", "--what", "moment", "--family", "p", "--params", "{p.json}", "--point", "{x.json}"], EXIT_DOMAIN),
+    # unit-size parameters, directions near 1e200: the moment (degree 3 in them) is past the largest double
+    ("eval-moment-at-directions-1e200", {"q.json": Q2, "z.json": {"z_list": [BIG_DIRECTION] * 3}},
+     ["eval", "--what", "moment", "--family", "q", "--params", "{q.json}", "--point", "{z.json}"], EXIT_DOMAIN),
+    ("eval-moment-p-at-directions-1e200", {"p.json": P2, "x.json": {"x_list": [BIG_DIRECTION] * 3}},
      ["eval", "--what", "moment", "--family", "p", "--params", "{p.json}", "--point", "{x.json}"], EXIT_DOMAIN),
     ("newton-target-at-1e-310", {"p.json": P2, "t.json": (1e-310 * P2_MEAN).to_json_dict()},
      ["eval", "--what", "inverse-mean", "--family", "p", "--params", "{p.json}", "--point", "{t.json}"],
@@ -697,7 +730,7 @@ def test_newton_past_the_double_range_prints_one_line(tmp_path):
     done = subprocess.run(argv, capture_output=True, text=True)
     assert done.returncode == EXIT_DOMAIN
     assert done.stderr.splitlines() == [
-        "error: the inverse mean is outside the double range: it has degree -1 and y is too small in scale"
+        "error: the inverse mean is outside the double range: it has degree -1 in y"
     ]
 
 

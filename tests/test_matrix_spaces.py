@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import re
@@ -7,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chainwishart import matrix_spaces
 from chainwishart.matrix_spaces import (
+    CSV_BLOCK_VALUES,
     ConeError,
     IncompleteSym,
     TridiagSym,
@@ -329,6 +332,78 @@ def test_csv_writer_round_trips_edge_values_exactly(tmp_path, monkeypatch, block
     back = dense_from_csv(str(path))
     assert np.array_equal(back, a)
     assert np.array_equal(np.signbit(back), np.signbit(a))
+
+
+def _percent_g_csv(a):
+    """The writer's specification: each value as ``%.17g``, "," between, "\\n" after each row."""
+    return "".join(",".join("%.17g" % v for v in row) + "\n" for row in a.tolist())
+
+
+def _csv_text(a, block_values):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matrix_spaces, "CSV_BLOCK_VALUES", block_values)
+        f = io.StringIO()
+        matrix_spaces._write_csv_rows(f, a)
+    return f.getvalue()
+
+
+def _ulps_around(x, count):
+    """``x`` and the ``count`` doubles on each side of it."""
+    out = [x]
+    lo = hi = x
+    for _ in range(count):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        out += [lo, hi]
+    return out
+
+
+def _csv_grid():
+    rng = np.random.default_rng(20261019)
+    pows = np.array([float(f"1e{e}") for e in range(-6, 19)])
+    near = np.concatenate([pows, np.nextafter(pows, 0), np.nextafter(pows, np.inf)])
+    # the fast set is [1e-4, 1e16): its edges, from both sides
+    edges = _ulps_around(1e-4, 40) + _ulps_around(1e16, 40) + [9.9999999999999995e-05, 9999999999999998.0]
+    special = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308]
+    bits = rng.integers(0, 2**64, 10**5, dtype=np.uint64, endpoint=False).view(np.float64)
+    lo, hi = np.array([1e-4, 1e16]).view(np.int64)
+    fast = rng.integers(lo, hi, 10**5).view(np.float64) * rng.choice([-1.0, 1.0], 10**5)
+    signed = lambda v: np.concatenate([np.asarray(v, dtype=float), -np.asarray(v, dtype=float)])
+    return {
+        "powers-of-ten": signed(near).reshape(-1, 6),
+        "fast-set-edges": signed(edges).reshape(-1, 2),
+        "integers-near-1e16": (1e16 + np.arange(-5000.0, 5001.0)).reshape(-1, 1),
+        "special": np.array([special, special[::-1]]),
+        "random-bits": bits.reshape(-1, 50),
+        "random-fast-set": fast.reshape(-1, 50),
+        "zero-rows": np.zeros((0, 3)),
+        "one-column": signed(near).reshape(-1, 1),
+    }
+
+
+CSV_GRID = _csv_grid()
+
+
+@pytest.mark.parametrize("block_values", [4, CSV_BLOCK_VALUES])
+@pytest.mark.parametrize("case", list(CSV_GRID))
+def test_csv_writer_is_byte_identical_to_percent_g_on_a_grid(case, block_values):
+    # the random cases span several default blocks, and at 4 values a block every row straddles blocks
+    a = CSV_GRID[case]
+    assert _csv_text(a, block_values) == _percent_g_csv(a)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.integers(1, 60).flatmap(
+        lambda cols: st.lists(
+            st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True), min_size=cols, max_size=cols),
+            min_size=1, max_size=8,
+        )
+    ),
+    st.sampled_from([4, CSV_BLOCK_VALUES]),
+)
+def test_csv_writer_is_byte_identical_to_percent_g_on_any_doubles(rows, block_values):
+    a = np.array(rows, dtype=float)
+    assert _csv_text(a, block_values) == _percent_g_csv(a)
 
 
 def test_tridiag_submatrix():
