@@ -20,8 +20,8 @@ makes the closed-form variance function work: with ``y`` the preimage of
     hat(m) = T^{-T} diag(s) T^{-1}.
 
 Its band, which is the mean ``m`` itself, is read off the peel plan in one
-O(n) outward sweep from the pivot (:func:`_hat_band`); the mean on ``Q``,
-``pi(y^{-1})`` and the whole hat run on it.
+O(n) outward sweep from the pivot, ``matrix_spaces._hat_element`` beside the
+peel kernel; the mean on ``Q``, ``pi(y^{-1})`` and :func:`hat_via_T` run on it.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .matrix_spaces import DenseSym, IncompleteSym, TridiagSym, _from_unit, _hat_fill, _peel_order, _peel_unit
-from .peeling import _peel_plan
+from .matrix_spaces import DenseSym, IncompleteSym, TridiagSym, _hat_element, _hat_fill, _peel_core, _peel_unit
 from .power_functions import ShapeParams
+from .wishart_q import inverse_mean
 
 __all__ = ["LUMMatrix", "decompose", "hat_via_T"]
 
@@ -84,41 +84,11 @@ def decompose(y: TridiagSym, M: int) -> LUMMatrix:
     ``T_ii = sqrt(a)`` and ``sqrt(a) b`` on the side facing the pivot; the
     pivot vertex contributes the square root of the remainder.
     """
-    a, b = _peel_plan(y, M)
+    if not 1 <= M <= y.n:
+        raise ValueError(f"pivot M={M} out of range 1..{y.n}")
+    a, b = _peel_core(y.diag, y.off, M)
     diag = np.sqrt(a)
     return LUMMatrix(y.n, M, diag, diag[: M - 1] * b[: M - 1], diag[M:] * b[M:])
-
-
-def _hat_band(s: NDArray, M: int, a: NDArray, b: NDArray) -> NDArray:
-    """Band of ``T^{-T} diag(s) T^{-1}`` from the peel plan of ``y = T T'``, diag then off in one array.
-
-    One outward sweep from the pivot, O(n): ``hd_M = s_M / a_M``, then for
-    each peeled vertex ``i`` with neighbour ``j`` toward the pivot
-
-        hd_i = s_i / a_i + b_i^2 hd_j,    ho_{ij} = -b_i hd_j.
-
-    ``s`` is any real vector and ``(a, b)`` one element's plan.  At ``s = 1`` this is ``pi(y^{-1})``.
-    """
-    n = len(a)
-    s, a, b = s.tolist(), a.tolist(), b.tolist()
-    hd, ho = [0.0] * n, [0.0] * (n - 1)
-    hd[M - 1] = s[M - 1] / a[M - 1]
-    for i, j in reversed(_peel_order(n, M)):
-        hd[i] = s[i] / a[i] + b[i] ** 2 * hd[j]
-        ho[min(i, j)] = -b[i] * hd[j]
-    return np.array(hd + ho)
-
-
-def _hat_element(s: NDArray, M: int, y: TridiagSym, what: str) -> IncompleteSym:
-    """:func:`_hat_band` of ``y`` in ``P`` (peeled toward ``M``) as an element of ``I``.
-
-    The band has degree -1 in ``y``.  It is formed at the unit scale of the
-    peel (exact powers of two) and scaled back by :func:`_from_unit`, which
-    calls it ``what``.
-    """
-    a, b, e = _peel_unit(y.diag, y.off, M)
-    band = _from_unit(_hat_band(s, M, a, b), -e, what, -1, "y")
-    return IncompleteSym._trusted(y.n, band[: y.n], band[y.n :])
 
 
 def hat_via_T(p: ShapeParams, m: IncompleteSym) -> DenseSym:
@@ -129,10 +99,9 @@ def hat_via_T(p: ShapeParams, m: IncompleteSym) -> DenseSym:
         hat(m) = T^{-T} diag(s) T^{-1}.
 
     Its inverse ``T diag(1/s) T'`` is tridiagonal, so it is filled in from
-    its band (:func:`_hat_band`).  At ``s = (1, ..., 1)`` this is the plain
-    positive definite completion.
+    its band (``matrix_spaces._hat_element``).  At ``s = (1, ..., 1)`` this
+    is the plain positive definite completion.
     """
-    from .wishart_q import inverse_mean  # deferred: avoids a module cycle
-
-    band = _hat_band(p.s, p.M, *_peel_plan(inverse_mean(p, m), p.M))
-    return _hat_fill(band[: m.n], band[m.n :])
+    y = inverse_mean(p, m)
+    band = _hat_element(p.s, p.M, _peel_unit(y.diag, y.off, p.M), "the hat completion")
+    return _hat_fill(band.diag, band.off)

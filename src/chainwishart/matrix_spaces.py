@@ -27,14 +27,19 @@ positive constant.
 One elimination, the peel kernel ``_peel_core``, serves the whole ``P``
 side and tests each pivot as it forms it: at ``M = n`` it is the cone test
 and the leading log-minors, and at any ``M`` the peel plan and peel maps.
-On the ``Q`` side one vectorized test, ``_q_gaps``, forms the ratio-form
-clique gaps, which the atoms of the power functions and the clique inverses
-reuse, so each closed form reads an element of ``Q`` once.  The covariance on
-both cones is the banded derivative of the clique assembly, ``_clique_form``,
-which ``_covariance_coords`` alone applies or solves.  Every closed form of
-nonzero degree is formed at unit scale and scaled back by ``_from_unit``, the
-one place that raises the range error for a result past the double range;
-fresh, finite kernel outputs are stored by ``_BandedSym._trusted`` unchecked.
+The outward sweep of the same plan, ``_hat_element``, gives the band of
+``T^{-T} diag(s) T^{-1}`` with ``y = T T'``: the mean on ``Q``,
+``pi(y^{-1})`` and the hat completion through the factor.  A family forms
+the plan of its natural parameter once and keeps it.  On the ``Q`` side one
+vectorized test, ``_q_gaps``, forms the ratio-form clique gaps, which the
+atoms of the power functions and the clique inverses reuse, so each closed
+form reads an element of ``Q`` once.  The covariance on both cones is the
+banded derivative of the clique assembly, ``_clique_form``, which
+``_covariance_coords`` alone applies or solves; the solve checks each pivot
+before it divides.  Every closed form of nonzero degree is formed at unit
+scale and scaled back by ``_from_unit``, the one place that raises the range
+error for a result past the double range; fresh, finite kernel outputs are
+stored by ``_BandedSym._trusted`` unchecked.
 
 Vertices are labelled ``1..n`` in the public API; arrays are 0-based.
 """
@@ -259,7 +264,7 @@ def _from_unit(v: NDArray | float, e: int, what: str, degree: int, name: str) ->
     """``v * 2^e``, an array in place: a result formed at unit size, scaled back by its power of two (exact).
 
     A result that is not a finite double, at unit size or scaled back, is a
-    ``ValueError`` calling it ``what``, of negative ``degree`` in the input
+    ``ValueError`` calling it ``what``, of ``degree`` in the input
     ``name``.  The error names no cause: the other inputs' scale, or a point
     near the cone's boundary, can take the result out of range as well.
     """
@@ -342,6 +347,38 @@ def _peel_unit(
     b[: M - 1] = o[: M - 1] / a[: M - 1]
     b[M:] = o[M - 1 :] / a[M:]
     return a, b, scale
+
+
+def _hat_band(s: NDArray, M: int, a: NDArray, b: NDArray) -> NDArray:
+    """Band of ``T^{-T} diag(s) T^{-1}`` from the peel plan of ``y = T T'``, diag then off in one array.
+
+    One outward sweep from the pivot, O(n): ``hd_M = s_M / a_M``, then for
+    each peeled vertex ``i`` with neighbour ``j`` toward the pivot
+
+        hd_i = s_i / a_i + b_i^2 hd_j,    ho_{ij} = -b_i hd_j.
+
+    ``s`` is any real vector and ``(a, b)`` one element's plan.  At ``s = 1`` this is ``pi(y^{-1})``.
+    """
+    n = len(a)
+    s, a, b = s.tolist(), a.tolist(), b.tolist()
+    hd, ho = [0.0] * n, [0.0] * (n - 1)
+    hd[M - 1] = s[M - 1] / a[M - 1]
+    for i, j in reversed(_peel_order(n, M)):
+        hd[i] = s[i] / a[i] + b[i] ** 2 * hd[j]
+        ho[min(i, j)] = -b[i] * hd[j]
+    return np.array(hd + ho)
+
+
+def _hat_element(s: NDArray, M: int, plan: tuple[NDArray, NDArray, int], what: str) -> IncompleteSym:
+    """:func:`_hat_band` off the unit-scale peel ``plan`` of ``y`` toward ``M`` (:func:`_peel_unit`), in ``I``.
+
+    The band has degree -1 in ``y``.  It is formed at the unit scale of the
+    peel (exact powers of two) and scaled back by :func:`_from_unit`, which
+    calls it ``what``.
+    """
+    a, b, e = plan
+    band = _from_unit(_hat_band(s, M, a, b), -e, what, -1, "y")
+    return IncompleteSym._trusted(a.size, band[: a.size], band[a.size :])
 
 
 def is_in_P(y: TridiagSym) -> bool:
@@ -435,9 +472,7 @@ def inverse_image(y: TridiagSym) -> IncompleteSym:
     Read off the peel plan of ``y`` by the O(n) sweep of the mean map at unit
     shape, without forming ``y^{-1}``.
     """
-    from .lum_triangular import _hat_element  # deferred: it imports this module
-
-    return _hat_element(np.ones(y.n), y.n, y, "pi(y^{-1})")
+    return _hat_element(np.ones(y.n), y.n, _peel_unit(y.diag, y.off, y.n), "pi(y^{-1})")
 
 
 def _clique_inverses(
@@ -494,14 +529,27 @@ def _clique_form(x: IncompleteSym, exps: tuple, g: NDArray | None = None) -> tup
             -cliq_e * (i00 * i11 + i01 * i01))
 
 
+def _not_definite(where: str, pivot: float, sign: float) -> ValueError:
+    """The error for a pivot of a clique form that is zero, not finite or not of the form's sign."""
+    want = "positive" if sign > 0 else "negative"
+    return ValueError(f"the clique form is not definite in double precision: its pivot at {where} is "
+                      f"{pivot:.6g}, not a finite {want} number")
+
+
 def _form_solve(form: tuple[NDArray, ...], r: NDArray) -> NDArray:
     """``D^{-1} r`` into ``r``, for a definite clique form; one right-hand side per column of ``r``.
 
     Weighted by the pairing, ``D`` is symmetric, so LDL' needs no pivoting: each ``o_b`` goes first,
     vectorized, leaving a tridiagonal system on the ``d``, one float loop each way (rows if 2-D).
+    Every pivot must be finite, nonzero and of the sign of ``D``'s diagonal (negative on ``Q``,
+    positive on ``P``); it is checked before it divides, and a failed one is a ``ValueError``.
     """
     dd, dd1, do0, do1, oo = form
     n = dd.size
+    sign = 1.0 if dd[0] > 0 else -1.0  # a definite form has its sign on every diagonal entry and pivot
+    bad = np.flatnonzero(~((sign * oo > 0) & (sign * oo < math.inf)))
+    if bad.size:
+        raise _not_definite(f"clique ({bad[0] + 1},{bad[0] + 2})", oo[bad[0]], sign)
     col = (slice(None),) + (None,) * (r.ndim - 1)  # per-clique factors broadcast over the columns
     h0, h1 = 0.5 * do0 / oo, 0.5 * do1 / oo  # row o_b gives z_o = r_o / oo - h0 z_b - h1 z_{b+1}
     p, t1, mult = dd.copy(), (dd1 - do0 * h1).tolist(), [0.0] * (n - 1)  # the Schur complement on the d
@@ -511,12 +559,14 @@ def _form_solve(form: tuple[NDArray, ...], r: NDArray) -> NDArray:
     r[: n - 1] -= do0[col] * r[n:]
     r[1:n] -= do1[col] * r[n:]
     z, p = r[:n].tolist() if r.ndim == 1 else list(r[:n]), p.tolist()
-    for b in range(n - 1):
-        mult[b] = t1[b] / p[b]
-        p[b + 1] -= mult[b] * t1[b]
-        z[b + 1] -= mult[b] * z[b]
+    for b in range(n):
+        if not 0.0 < sign * p[b] < math.inf:
+            raise _not_definite(f"vertex {b + 1}", p[b], sign)
+        if b < n - 1:
+            mult[b] = t1[b] / p[b]
+            p[b + 1] -= mult[b] * t1[b]
+            z[b + 1] -= mult[b] * z[b]
         z[b] /= p[b]
-    z[n - 1] /= p[n - 1]
     for b in range(n - 2, -1, -1):
         z[b] -= mult[b] * z[b + 1]
     if r.ndim == 1:

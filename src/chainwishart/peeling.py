@@ -26,9 +26,10 @@ integral in ``b`` (or ``beta``).
 
 Each public map checks its input cone; the inverse maps read their step off
 the peel kernel ``matrix_spaces._peel_core``, whose sweep is the test on
-``P``.  The samplers, the ``LU(M)`` factor and the closed forms use one peel
-plan per element (``_peel_plan``): one kernel sweep, every peel read off in
-O(n) with the same floating-point operations as the maps.
+``P``.  The samplers, the ``LU(M)`` factor and the closed forms call that
+kernel directly: one sweep per element gives every peel in O(n), with the
+same floating-point operations as the maps, and each family keeps the plan
+of its natural parameter once formed.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from numpy.typing import NDArray
 
 from .matrix_spaces import (
     IncompleteSym,
@@ -137,24 +137,6 @@ def psi_tilde_inv(eta: IncompleteSym) -> PeelTriple:
     """Peel vertex ``n`` on the dual side: :func:`psi_inv` on the reversed chain."""
     t = psi_inv(_mirror(eta))
     return PeelTriple(t.a, t.b, _mirror(t.rest))
-
-
-def _peel_plan(elem: Union[TridiagSym, IncompleteSym], M: int) -> tuple[NDArray, NDArray]:
-    """Peel ``elem`` down to its pivot vertex ``M``; on ``P`` the sweep is the cone test.
-
-    On ``Q`` the vectorized :func:`assert_in_Q` runs first.  Every peel is
-    read off the arrays in O(n) with the same floating-point operations as
-    the inverse maps, so seeded samplers and factors are unchanged.  Returns
-    ``(a, b)`` indexed by vertex: vertex ``i`` was peeled with pivot ``a[i]``
-    and regression ``b[i]`` toward its neighbour ``j`` on the pivot's side
-    (``matrix_spaces._peel_order``), and ``a[M-1]`` is the remainder.
-    """
-    if not 1 <= M <= elem.n:
-        raise ValueError(f"pivot M={M} out of range 1..{elem.n}")
-    dual = isinstance(elem, IncompleteSym)
-    if dual:
-        assert_in_Q(elem)
-    return _peel_core(elem.diag, elem.off, M, dual)
 
 
 # ---------------------------------------------------------------------------

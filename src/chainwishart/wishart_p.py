@@ -39,13 +39,13 @@ from .matrix_spaces import (
     _clique_assembly,
     _covariance_coords,
     _from_unit,
+    _peel_core,
     _peel_order,
     _q_gaps,
     _to_unit,
     is_in_Q,
     pairing,
 )
-from .peeling import _peel_plan
 from .power_functions import (
     ShapeParams,
     _jet_log,
@@ -124,6 +124,11 @@ class WishartP:
     @cached_property
     def _riesz_exps(self) -> tuple[NDArray, NDArray]:
         return riesz_p_exponents(self.params.s, self.params.M)
+
+    @cached_property
+    def _plan(self) -> tuple[NDArray, NDArray]:
+        """The dual peel of ``x`` toward ``M``, whose cone was tested at construction: the sampler reads it."""
+        return _peel_core(self.x.diag, self.x.off, self.params.M, dual=True)
 
     @cached_property
     def _log_laplace_x(self) -> float:
@@ -235,7 +240,7 @@ def sample_p_many(w: WishartP, rng: np.random.Generator, size: int) -> NDArray[n
     consumes the stream and rounds exactly as ``rng.normal(-b, scale)``.
     """
     n, M, s = w.n, w.params.M, w.params.s.tolist()
-    alpha, beta = (v.tolist() for v in _peel_plan(w.x, M))
+    alpha, beta = (v.tolist() for v in w._plan)
     xd = w.x.diag.tolist()
     out = np.empty((size, 2 * n - 1))
     diag, off = out[:, :n], out[:, n:]

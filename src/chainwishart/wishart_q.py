@@ -21,7 +21,8 @@ with the reciprocal-shape mean map, higher moments, and two exact samplers.
 The mean, covariance and variance run in O(n) per evaluation without a dense
 inverse.  With ``y = T T'`` the LU(M) factor, the mean is the band of
 ``T^{-T} diag(s) T^{-1}``, read off the peel plan of ``y`` in one outward
-sweep from the pivot (``lum_triangular._hat_band``).  The variance function
+sweep from the pivot (``matrix_spaces._hat_element``); the family forms that
+plan once, and its peeling sampler reads it too.  The variance function
 inverts the banded derivative of the inverse mean, one banded solve, and the
 covariance is the variance function at the mean.  The paper's dense mean and
 covariance live on in the dense test oracle under ``tests/``, its compact
@@ -62,15 +63,17 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .lum_triangular import _hat_element
 from .matrix_spaces import (
     ConeError,
     IncompleteSym,
     TridiagSym,
     _clique_assembly,
     _covariance_coords,
+    _from_unit,
+    _hat_element,
     _peel_core,
     _peel_order,
+    _peel_unit,
     _q_gaps,
     assert_in_P,
     inverse_image,
@@ -78,7 +81,6 @@ from .matrix_spaces import (
     pairing,
     zg_basis,
 )
-from .peeling import _peel_plan
 from .power_functions import (
     ShapeParams,
     _jet_moment,
@@ -149,6 +151,11 @@ class WishartQ:
     @cached_property
     def _log_norm(self) -> float:
         return log_norm_constant(self.params)
+
+    @cached_property
+    def _plan(self) -> tuple[NDArray, NDArray, int]:
+        """The unit-scale peel of ``y`` toward ``M`` (``matrix_spaces._peel_unit``): mean and sampler read it."""
+        return _peel_unit(self.y.diag, self.y.off, self.params.M)
 
     @cached_property
     def _log_Delta_y(self) -> float:
@@ -234,12 +241,12 @@ def mean_formula(p: ShapeParams, y: TridiagSym) -> IncompleteSym:
     """
     if p.n != y.n:
         raise ValueError("size mismatch")
-    return _hat_element(p.s, p.M, y, "the mean")
+    return _hat_element(p.s, p.M, _peel_unit(y.diag, y.off, p.M), "the mean")
 
 
 def mean(w: WishartQ) -> IncompleteSym:
-    """Mean of the family; lies in ``Q``.  At ``s = 1`` this is ``pi(y^{-1})``."""
-    return mean_formula(w.params, w.y)
+    """Mean of the family; lies in ``Q``.  At ``s = 1`` this is ``pi(y^{-1})``.  Read off the family's plan."""
+    return _hat_element(w.params.s, w.params.M, w._plan, "the mean")
 
 
 def pairing_with_parameter(w: WishartQ) -> float:
@@ -347,7 +354,8 @@ def sample_many(w: WishartQ, rng: np.random.Generator, size: int) -> NDArray[np.
     does; ``tests/test_peel_plan.py`` pins seeded draws by digest.
     """
     n, M, s = w.n, w.params.M, w.params.s.tolist()
-    a, b = (v.tolist() for v in _peel_plan(w.y, M))
+    a, b, e = w._plan
+    a, b = _from_unit(a.copy(), e, "the peel pivots", 1, "y").tolist(), b.tolist()
     out = np.empty((size, 2 * n - 1))
     diag, off = out[:, :n], out[:, n:]
     diag[:, M - 1] = rng.gamma(s[M - 1], 1.0 / a[M - 1], size)

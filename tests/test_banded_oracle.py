@@ -220,6 +220,21 @@ def test_clique_form_solve_inverts_apply_on_both_cones(n, c):
                 assert_close(_form_apply(form, _form_solve(form, r.copy())), r)
 
 
+def test_a_form_pivot_that_is_zero_or_of_the_wrong_sign_is_a_value_error():
+    # n = 2 with smallest eigenvalue 1e-10: the Q covariance form's last Schur pivot rounds to 0
+    w = wq.WishartQ(ShapeParams(1, [3.0, 3.0]), TridiagSym(2, [1.0 + 1e-10] * 2, [-1.0]))
+    zero = "the clique form is not definite in double precision: its pivot at vertex 2 is 0, not a finite negative"
+    with pytest.raises(ValueError, match=zero):
+        wq.covariance_apply(w, TridiagSym(2, [1.0, 0.0], [0.0]))
+    with pytest.raises(ValueError, match=zero):
+        wq.covariance_matrix(w)
+    # n = 3 with clique gaps 1e-8: a Newton step's form on P gets a negative pivot
+    p = ShapeParams(2, [0.4, 0.4, 0.4])
+    x = IncompleteSym(3, [1.0] * 3, [math.sqrt(1.0 - 1e-8)] * 2)
+    with pytest.raises(ValueError, match="its pivot at vertex 3 is .*, not a finite positive number"):
+        wp.newton_inverse_mean_p(p, wp.mean_p(wp.WishartP(p, x)))
+
+
 # -- scale invariance ---------------------------------------------------------
 
 

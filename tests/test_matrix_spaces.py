@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chainwishart import matrix_spaces
+from chainwishart.lum_triangular import decompose
 from chainwishart.matrix_spaces import (
     CSV_BLOCK_VALUES,
     ConeError,
@@ -25,7 +26,6 @@ from chainwishart.matrix_spaces import (
     pairing,
     project_pi,
 )
-from chainwishart.peeling import _peel_plan
 
 from _gen import random_pd_tridiag, random_q_elem
 
@@ -89,7 +89,7 @@ def test_a_zero_pivot_is_a_cone_error_naming_its_minor(off, M, minor):
     y = TridiagSym(len(off) + 1, np.ones(len(off) + 1), off)
     assert not is_in_P(y)
     with pytest.raises(ConeError, match=re.escape(f"y is not positive definite: {minor} (pivot 0)")):
-        _peel_plan(y, M)
+        decompose(y, M)
 
 
 @st.composite
@@ -124,10 +124,10 @@ def test_every_pivot_order_decides_membership_alike(case):
     assert is_in_P(y) == member
     for M in range(1, y.n + 1):
         if member:
-            _peel_plan(y, M)
+            decompose(y, M)
         else:
             with pytest.raises(ConeError):
-                _peel_plan(y, M)
+                decompose(y, M)
 
 
 def test_is_in_Q_examples():

@@ -12,11 +12,15 @@ last bit, fails them.
 """
 
 import hashlib
+import importlib
+import pkgutil
 import sys
 
 import numpy as np
 import pytest
 
+import chainwishart
+from chainwishart import matrix_spaces
 from chainwishart import wishart_p as wp
 from chainwishart import wishart_q as wq
 from chainwishart.lum_triangular import decompose
@@ -136,3 +140,34 @@ def _draw_digest(kind, n):
 @pytest.mark.parametrize("kind, n", list(DIGESTS), ids=[f"{k}-{n}" for k, n in DIGESTS])
 def test_seeded_draw_stream_is_pinned_by_digest(kind, n):
     assert _draw_digest(kind, n) == DIGESTS[kind, n]
+
+
+def test_each_family_forms_its_peel_plan_once(monkeypatch):
+    # every module's binding of the peel kernel and of the Q cone test, wrapped to count its calls
+    calls = {"_peel_unit": 0, "_q_gaps": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    rng = np.random.default_rng(10)
+    n = 10
+    w_q = wq.WishartQ(random_shape_q(rng, n, 4), random_pd_tridiag(rng, n))
+    w_p = wp.WishartP(random_shape_p(rng, n, 7), random_q_elem(rng, n))
+    u = random_pd_tridiag(rng, n)
+    originals = {name: getattr(matrix_spaces, name) for name in calls}
+    for info in pkgutil.iter_modules(chainwishart.__path__):
+        mod = importlib.import_module(f"chainwishart.{info.name}")
+        for name, fn in originals.items():
+            if getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counted(name, fn))
+    for _ in range(100):
+        wq.sample_many(w_q, rng, 3)
+        wq.mean(w_q)
+        wq.covariance_apply(w_q, u)
+    assert calls == {"_peel_unit": 1, "_q_gaps": 0}
+    for _ in range(100):
+        wp.sample_p_many(w_p, rng, 3)
+    assert calls == {"_peel_unit": 2, "_q_gaps": 0}
