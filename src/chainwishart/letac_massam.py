@@ -61,7 +61,8 @@ class LMParams:
 
     ``beta[k]`` is the exponent of the separator ``k + 2``; no range
     restriction applies at construction.  Two parameter sets are equal, and
-    hash alike, when their exponent vectors are.
+    hash alike, when their exponent vectors are; both are read-only copies,
+    so a parameter set's hash cannot change.
     """
 
     alpha: NDArray[np.float64]
@@ -74,6 +75,7 @@ class LMParams:
             raise ValueError("alpha needs at least one clique exponent")
         if self.beta.size != self.alpha.size - 1:
             raise ValueError("beta must have one entry per separator (len(alpha) - 1)")
+        self.alpha.flags.writeable = self.beta.flags.writeable = False
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LMParams):

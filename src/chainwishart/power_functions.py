@@ -72,7 +72,8 @@ class ShapeParams:
     The domain flags are advisory: the power functions are defined for every
     real ``s``; only densities, normalizing constants and samplers restrict
     to the integrability domains.  Two shapes are equal, and hash alike,
-    when their pivots and shape vectors are.
+    when their pivots and shape vectors are; ``s`` is a read-only copy, so
+    a shape's hash cannot change.
     """
 
     M: int
@@ -87,6 +88,7 @@ class ShapeParams:
             raise ValueError("shape vector must be finite")
         if not 1 <= self.M <= self.s.size:
             raise ValueError(f"pivot M={self.M} out of range 1..{self.s.size}")
+        self.s.flags.writeable = False
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ShapeParams):

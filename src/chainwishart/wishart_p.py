@@ -25,6 +25,7 @@ the inverse mean is found by Newton steps, each one solve of that form.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -90,7 +91,9 @@ class WishartP:
     are kept for every later reading of ``x``, so a family sweeps ``x`` once
     in its lifetime.  The constants that depend only on the family (the
     normalizer, ``log(delta_{-s} phi)(x)``, the exponent vectors) are
-    likewise computed once each, on first use, and kept.
+    likewise computed once each, on first use, and kept.  So that they stay
+    true, construction marks ``x.diag`` and ``x.off`` read-only: an
+    in-place edit of ``x`` raises ``ValueError``.
     """
 
     params: ShapeParams
@@ -104,6 +107,7 @@ class WishartP:
                 "shape out of domain: need s_i > -3/2 off the pivot and s_M > -1"
             )
         object.__setattr__(self, "_x_gaps", _q_gaps(self.x))
+        self.x.diag.flags.writeable = self.x.off.flags.writeable = False
 
     @property
     def n(self) -> int:
@@ -311,91 +315,39 @@ def quadratic_params_p_inverse(
 def integer_feasibility_p(
     n: int, max_entry: int = 20, require_positive: bool = True
 ) -> tuple[bool, Optional[dict]]:
-    """Search for a true (integer-multiplicity) quadratic parameterization.
+    """Decide whether a true (integer-multiplicity) quadratic construction exists.
 
-    Looks for integer ``(alpha, beta)`` with entries at most ``max_entry``
-    satisfying the quadratic-construction relations for some pivot and an
-    in-domain shape.  With ``require_positive=True`` (default) every
-    constituent piece must be genuinely present -- multiplicity at least 1
-    for each clique piece and each non-structural one-dimensional piece --
-    which is the reading under which no solution exists for ``n >= 4``: the
-    doubly constrained positions would need ``s_j >= -1`` (clique side) and
-    ``s_j <= -3/2`` (diagonal side) at once.
+    Integer ``(alpha, beta)`` with entries at most ``max_entry`` must satisfy
+    the quadratic-construction relations for some pivot and in-domain shape.
+    With ``require_positive=True`` (default) every clique piece and every
+    non-structural one-dimensional piece is present (multiplicity >= 1), so
+    a vertex two or more steps from the pivot would need ``s_j >= -1``
+    (clique side) and ``s_j <= -3/2`` (vertex side) at once: a construction
+    exists exactly for ``n <= 3``.  With ``require_positive=False`` the
+    boundary construction ``s_j = -1`` (``alpha_j = 1``, ``beta_j = 0``)
+    exists for every ``n``; see README, "Known discrepancies".
 
-    With ``require_positive=False`` zero multiplicities are allowed and the
-    boundary solution ``s_j = -1`` (``alpha_j = 1``, ``beta = 0``) makes
-    every ``n`` feasible; see README, "Known discrepancies".
-
-    Returns ``(feasible, witness)`` with the witness holding ``M``, ``s``,
-    ``alpha`` and ``beta``.
+    The witness is ``s = -1`` except ``s_M = -1/2``, with ``M = 2`` when
+    ``require_positive`` and ``n = 3``, else ``M = 1``.  Its entries are 0
+    and 1, so every ``max_entry >= 1`` gives the same answer and a smaller
+    one gives none.  Returns ``(feasible, witness)``, the witness holding
+    ``M``, ``s``, ``alpha`` and ``beta``.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    lo_beta = 1 if require_positive else 0
-    hi = max_entry
-    alpha_lo = 1  # alpha = 0 would put the shape on the excluded boundary -3/2
-
-    for M in range(1, n + 1):
-        # twice the shape values: t_i = 2 s_i, integer by the alpha grid
-        cand: dict[int, list[int]] = {}
-        ok = True
-        for i in range(1, n + 1):
-            if i == M:
-                continue
-            ts = set(range(alpha_lo - 3, hi - 3 + 1))  # t = alpha - 3 > -3
-            ts = {t for t in ts if t > -3}
-            if i <= M - 2 or i >= M + 2:
-                ts &= {-2 - b for b in range(lo_beta, hi + 1)}
-            if not ts:
-                ok = False
-                break
-            cand[i] = sorted(ts)
-        if not ok:
-            continue
-
-        def build(t: dict[int, int], t_m: float) -> dict:
-            s = np.array(
-                [t_m / 2.0 if i == M else t[i] / 2.0 for i in range(1, n + 1)]
-            )
-            p = ShapeParams(M, s)
-            alpha, beta = quadratic_params_p(p)
-            return {
-                "M": M,
-                "s": s.tolist(),
-                "alpha": np.round(alpha).astype(int).tolist(),
-                "beta": np.round(beta).astype(int).tolist(),
-            }
-
-        if n == 1:
-            for beta1 in range(max(lo_beta, 1), hi + 1):
-                s1 = beta1 / 2.0 - 1.0
-                if s1 > -1.0:
-                    return True, build({}, 2.0 * s1)
-            continue
-        left_opts = cand[M - 1] if M >= 2 else [0]
-        right_opts = cand[M + 1] if M <= n - 1 else [0]
-        found = None
-        for tl in left_opts:
-            for tr in right_opts:
-                # pivot-slot equation: beta_M = t_M - tl - tr - 2*interior
-                shift = tl + tr + (2 if 1 < M < n else 0)
-                for beta_m in range(lo_beta, hi + 1):
-                    t_m = beta_m + shift
-                    if t_m > -2.0:  # s_M > -1
-                        tvals = {i: (cand[i][0] if i not in (M - 1, M + 1) else 0) for i in cand}
-                        if M >= 2:
-                            tvals[M - 1] = tl
-                        if M <= n - 1:
-                            tvals[M + 1] = tr
-                        found = build(tvals, float(t_m))
-                        break
-                if found:
-                    break
-            if found:
-                break
-        if found:
-            return True, found
-    return False, None
+    n, max_entry = operator.index(n), operator.index(max_entry)
+    if max_entry < 1 or (require_positive and n >= 4):
+        return False, None
+    M = 2 if require_positive and n == 3 else 1
+    s = np.full(n, -1.0)
+    s[M - 1] = -0.5
+    alpha, beta = quadratic_params_p(ShapeParams(M, s))
+    return True, {
+        "M": M,
+        "s": s.tolist(),
+        "alpha": np.round(alpha).astype(int).tolist(),
+        "beta": np.round(beta).astype(int).tolist(),
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -129,7 +129,9 @@ class WishartQ:
     Construction tests the shape's domain and ``y``'s membership of ``P``
     once, and nothing tests them again; the constants that depend only on
     the family (the normalizer, ``log Delta_{+-s}(y)``, the exponent
-    vectors) are likewise computed once each, on first use, and kept.
+    vectors) are likewise computed once each, on first use, and kept.  So
+    that they stay true, construction marks ``y.diag`` and ``y.off``
+    read-only: an in-place edit of ``y`` raises ``ValueError``.
     """
 
     params: ShapeParams
@@ -143,6 +145,7 @@ class WishartQ:
                 "shape out of domain: need s_i > 1/2 off the pivot and s_M > 0"
             )
         assert_in_P(self.y)
+        self.y.diag.flags.writeable = self.y.off.flags.writeable = False
 
     @property
     def n(self) -> int:

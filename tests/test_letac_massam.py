@@ -38,6 +38,16 @@ def test_lm_params_compare_and_hash_by_value():
     assert a != LMParams([1.0, 2.0], [0.1])
 
 
+def test_lm_params_hash_cannot_change_after_construction():
+    lm = LMParams([1.0, 2.0, 3.0], [0.1, 0.2])
+    h = hash(lm)
+    with pytest.raises(ValueError):
+        lm.alpha[0] = 5.0
+    with pytest.raises(ValueError):
+        lm.beta[1] = 5.0
+    assert hash(lm) == h
+
+
 def test_log_H_examples():
     eye = IncompleteSym(3, np.ones(3), np.zeros(2))
     assert log_H(LMParams([1.0, 1.0], [1.0]), eye) == pytest.approx(0.0)

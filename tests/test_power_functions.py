@@ -61,6 +61,43 @@ def test_shape_params_and_families_compare_and_hash_by_value():
     assert wp.WishartP(a, x) == wp.WishartP(b, x)
 
 
+def test_shape_hash_cannot_change_after_construction():
+    s = np.array([1.0, 1.0, 1.0])
+    p = ShapeParams(2, s)
+    h = hash(p)
+    s[0] = 5.0  # the caller's array is copied, not kept
+    with pytest.raises(ValueError):
+        p.s[0] = 5.0
+    with pytest.raises(ValueError):
+        p.s += 1.0
+    assert hash(p) == h and p == ShapeParams(2, [1.0, 1.0, 1.0])
+
+
+def test_families_freeze_their_natural_parameter():
+    # a family keeps constants read off its parameter (log power, peel
+    # plan, clique gaps), so an in-place edit must fail, not leave them
+    # stale
+    y = TridiagSym(3, [1.0, 1.0, 1.0], [0.1, 0.2])
+    w = wq.WishartQ(ShapeParams(2, [1.0, 1.0, 1.0]), y)
+    m = wq.mean(w)
+    with pytest.raises(ValueError):
+        y.diag[:] = 1.0
+    with pytest.raises(ValueError):
+        y.off[:] = 2.0
+    assert np.array_equal(wq.mean(w).coords(), m.coords())
+    x = IncompleteSym(3, [1.0, 1.0, 1.0], [0.1, 0.2])
+    wp.WishartP(ShapeParams(2, [1.0, 1.0, 1.0]), x)
+    with pytest.raises(ValueError):
+        x.diag[0] = -1.0
+    with pytest.raises(ValueError):
+        x.off *= 10.0
+    # a failed construction leaves the caller's element writable
+    z = TridiagSym(2, [1.0, 1.0], [2.0])
+    with pytest.raises(ConeError):
+        wq.WishartQ(ShapeParams(2, [1.0, 1.0]), z)
+    z.off[0] = 0.5
+
+
 def test_log_Delta_M_examples():
     eye = TridiagSym(4, np.ones(4), np.zeros(3))
     for m in range(1, 5):

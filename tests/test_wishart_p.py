@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,24 @@ def test_integer_feasibility():
         assert np.allclose(alpha, witness["alpha"]) and np.allclose(beta, witness["beta"])
         assert all(int(a) == a and a >= 0 for a in witness["alpha"])
         assert all(int(b) == b and b >= 0 for b in witness["beta"])
+
+
+def test_integer_feasibility_pin():
+    # sha256 of the repr of every answer over n in 1..10, max_entry in
+    # {-1, 0, 1, 2, 3, 20} and both flags, recorded from the nested search
+    # over pivots, twice-shapes and multiplicities that the closed
+    # construction replaced
+    grid = [wp.integer_feasibility_p(n, max_entry=m, require_positive=r)
+            for n in range(1, 11) for m in (-1, 0, 1, 2, 3, 20) for r in (True, False)]
+    digest = hashlib.sha256(repr(grid).encode()).hexdigest()
+    assert digest == "affdaaa48236ab364c9429d981ada51bafac60c0990ced3a07a5c2a04eb48307"
+    for n in (0, -1):
+        with pytest.raises(ValueError):
+            wp.integer_feasibility_p(n)
+    with pytest.raises(TypeError):
+        wp.integer_feasibility_p(2.5)
+    with pytest.raises(TypeError):
+        wp.integer_feasibility_p(3, max_entry=2.0)
 
 
 def test_integer_feasibility_boundary_convention():
