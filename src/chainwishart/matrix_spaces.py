@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, TextIO
 
 import numpy as np
@@ -112,22 +112,25 @@ def _integral(value, name: str) -> int:
     raise TypeError(f"{name} must be an integral number, got {value!r}")
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, frozen=True, init=False)
 class _BandedSym:
-    """Shared storage for banded symmetric data: diagonal plus off-diagonal."""
+    """Shared storage for banded symmetric data: diagonal plus off-diagonal.
+
+    Frozen: its fields cannot be rebound, so a family that holds an element
+    and keeps constants computed from it never sees it replaced.
+    """
 
     n: int
     diag: NDArray[np.float64]
-    off: NDArray[np.float64] = field(default=None)  # type: ignore[assignment]
+    off: NDArray[np.float64]
 
-    def __post_init__(self) -> None:
-        self.n = _integral(self.n, "n")
-        if self.n < 1:
+    def __init__(self, n: int, diag: Iterable[float], off: Iterable[float] | None = None) -> None:
+        n = _integral(n, "n")
+        if n < 1:
             raise ValueError("size must be at least 1")
-        self.diag = _as_vector(self.diag, self.n, "diag")
-        if self.off is None:
-            self.off = np.zeros(self.n - 1)
-        self.off = _as_vector(self.off, self.n - 1, "off")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "diag", _as_vector(diag, n, "diag"))
+        object.__setattr__(self, "off", _as_vector(np.zeros(n - 1) if off is None else off, n - 1, "off"))
 
     # -- coordinates -------------------------------------------------------
 
@@ -143,7 +146,9 @@ class _BandedSym:
         ``n - 1``, owned by the result and finite by construction.
         """
         elem = object.__new__(cls)
-        elem.n, elem.diag, elem.off = n, diag, off
+        object.__setattr__(elem, "n", n)
+        object.__setattr__(elem, "diag", diag)
+        object.__setattr__(elem, "off", off)
         return elem
 
     @classmethod

@@ -90,9 +90,10 @@ class WishartP:
     once, and nothing tests them again: the clique gaps of that cone test
     are kept for every later reading of ``x``, so a family sweeps ``x`` once
     in its lifetime.  The constants that depend only on the family (the
-    normalizer, ``log(delta_{-s} phi)(x)``, the exponent vectors) are
-    likewise computed once each, on first use, and kept.  So that they stay
-    true, construction marks ``x.diag`` and ``x.off`` read-only: an
+    normalizer, ``log(delta_{-s} phi)(x)``, the exponent vectors, the
+    sampler's peel plan and walk) are likewise computed once each, on first
+    use, and kept.  So that they stay true, construction marks ``x.diag``
+    and ``x.off`` read-only, and the element's fields cannot be rebound: an
     in-place edit of ``x`` raises ``ValueError``.
     """
 
@@ -133,6 +134,24 @@ class WishartP:
     def _plan(self) -> tuple[NDArray, NDArray]:
         """The dual peel of ``x`` toward ``M``, whose cone was tested at construction: the sampler reads it."""
         return _peel_core(self.x.diag, self.x.off, self.params.M, dual=True)
+
+    @cached_property
+    def _walk(self) -> tuple[float, list, NDArray, NDArray, NDArray]:
+        """The peeling sampler's constants, read off ``_plan`` (see :func:`sample_p_many`).
+
+        ``(pivot shape, draws, scales, neighbours, b)``: the pivot's gamma
+        shape; per peeled vertex in stream order its row, its normal's row
+        and its gamma shape; the gamma scales of every vertex; and per peeled
+        vertex in off-coordinate order the diagonal of ``x`` at its neighbour
+        toward the pivot and its regression ``b``.
+        """
+        n, M, s = self.n, self.params.M, self.params.s.tolist()
+        alpha, beta = self._plan
+        draws = [(i, n + min(i, j), s[i] + 1.5) for i, j in reversed(_peel_order(n, M))]
+        peeled, toward = np.r_[: M - 1, M:n], np.r_[1:M, M - 1 : n - 1]
+        xd = self.x.diag[toward, None]
+        scales = np.array([1.0 / v for v in alpha.tolist()])[:, None]
+        return s[M - 1] + 1.0, draws, scales, xd, beta[peeled, None]
 
     @cached_property
     def _log_laplace_x(self) -> float:
@@ -232,29 +251,48 @@ def covariance_p_matrix(w: WishartP) -> NDArray[np.float64]:
 def sample_p_many(w: WishartP, rng: np.random.Generator, size: int) -> NDArray[np.float64]:
     """``size`` exact draws as coordinate rows (diag then off); all land in ``P``.
 
-    Walks the peel plan of ``x`` innermost first: the pivot coordinate is a
-    gamma draw, and each peeled vertex gets a Gamma(s_i + 3/2) pivot with
-    rate its peeled dual pivot and a regression coefficient that is Gaussian
-    given it, whose ``a b^2`` adds onto the neighbour's diagonal.
+    Walks the peel plan of ``x`` outward from the pivot: the pivot
+    coordinate is a gamma draw, and each peeled vertex gets a Gamma(s_i + 3/2)
+    pivot with rate its peeled dual pivot and a regression coefficient that
+    is Gaussian given it, whose ``a b^2`` adds onto the neighbour's diagonal.
 
-    As in ``wishart_q.sample_many``: the plan, the shape and ``x``'s
-    diagonal are read once as Python floats, each vertex costs two
-    generator calls and a fixed handful of array operations on all draws
-    (O(n) per draw), and the Gaussian ``standard_normal * scale - b``
-    consumes the stream and rounds exactly as ``rng.normal(-b, scale)``.
+    As in ``wishart_q.sample_many``, every variate is drawn first, in stream
+    order (the pivot's gamma, then per vertex of the right arm and then of
+    the left arm, outward, ``size`` gammas and ``size`` normals), into the
+    rows of one vertex-major array.  Past the draws nothing couples the
+    vertices but ``diag_j += a b^2``, so the rest is a dozen whole-array
+    passes, the right arm's terms added before the left arm's as the walk
+    adds them.  The Gaussian ``standard_normal * scale - b`` rounds exactly
+    as ``rng.normal(-b, scale)``; the output's buffer holds the temporaries
+    until the rows are transposed into it.  O(n) per draw.
     """
-    n, M, s = w.n, w.params.M, w.params.s.tolist()
-    alpha, beta = (v.tolist() for v in w._plan)
-    xd = w.x.diag.tolist()
+    n, M = w.n, w.params.M
+    pivot_shape, draws, scales, xd, b = w._walk
+    rows = np.empty((2 * n - 1, size))
+    rng.standard_gamma(pivot_shape, out=rows[M - 1])
+    for v, r, shape in draws:
+        rng.standard_gamma(shape, out=rows[v])
+        rng.standard_normal(out=rows[r])
+    a, ab = rows[:n], rows[n:]  # off rows: the normals, then beta, then a b
+    a *= scales
     out = np.empty((size, 2 * n - 1))
-    diag, off = out[:, :n], out[:, n:]
-    diag[:, M - 1] = rng.gamma(s[M - 1] + 1.0, 1.0 / alpha[M - 1], size)
-    for i, j in reversed(_peel_order(n, M)):
-        a = rng.gamma(s[i] + 1.5, 1.0 / alpha[i], size)
-        b = rng.standard_normal(size) * np.sqrt(1.0 / (2.0 * a * xd[j])) - beta[i]
-        diag[:, i] = a
-        diag[:, j] += a * b**2
-        np.multiply(a, b, out=off[:, min(i, j)])
+    t = out.reshape(2 * n - 1, size)[: n - 1]
+    left, right = a[: M - 1], a[M:]  # the peeled vertices' pivots, in off-coordinate order
+    np.multiply(left, 2.0, out=t[: M - 1])
+    np.multiply(right, 2.0, out=t[M - 1 :])
+    t *= xd
+    np.divide(1.0, t, out=t)
+    np.sqrt(t, out=t)
+    ab *= t
+    ab -= b
+    np.multiply(ab, ab, out=t)
+    t[: M - 1] *= left  # a b^2
+    t[M - 1 :] *= right
+    ab[: M - 1] *= left  # a b
+    ab[M - 1 :] *= right
+    a[M - 1 : n - 1] += t[M - 1 :]  # the right arm onto its neighbours toward the pivot
+    a[1:M] += t[: M - 1]  # then the left arm
+    np.copyto(out, rows.T)
     return out
 
 

@@ -36,17 +36,21 @@ dense inverses) is the oracle for it.
 
 The samplers:
 
-* a peeling sampler that walks the peel plan of ``y`` one vertex at a time,
-  drawing a gamma pivot and a conditionally Gaussian regression coefficient,
-  exactly inverting the integration steps behind the Laplace transform;
+* a peeling sampler that walks the peel plan of ``y`` outward from the
+  pivot, giving each vertex a gamma pivot and a conditionally Gaussian
+  regression coefficient, exactly inverting the integration steps behind
+  the Laplace transform;
 * a quadratic-construction sampler that sums projected Gaussian outer
   products over prefix/suffix index sets, with multiplicities ``sigma`` tied
   to the shape by ``sigma_i/2 = s_i - s_{i+1}`` (left of the pivot),
   ``sigma_M/2 = s_M``, ``sigma_i/2 = s_i - s_{i-1}`` (right of the pivot),
-  each set's Gaussians drawn off its own peel plan.
+  each set's Gaussians drawn off its own peel plan (the sets that end at
+  ``n`` read the tails of one shared peel).
 
-Both loop in Python over vertices, never over draws: each step works on all
-``size`` draws at once, so a draw costs O(n) on the peeling sampler and
+Neither loops over draws.  The peeling sampler draws every variate of a
+call first, in stream order, then steps along both arms of the chain at
+once, each step on all ``size`` draws; the quadratic one works a set at a
+time.  A draw costs O(n) on the peeling sampler and
 O(sum over the sets of ``|I| * multiplicity``) on the quadratic one.
 
 The tilt ``exp(-<y, pi(v v')>) = exp(-v' y_I v)`` makes each Gaussian factor
@@ -129,9 +133,11 @@ class WishartQ:
     Construction tests the shape's domain and ``y``'s membership of ``P``
     once, and nothing tests them again; the constants that depend only on
     the family (the normalizer, ``log Delta_{+-s}(y)``, the exponent
-    vectors) are likewise computed once each, on first use, and kept.  So
-    that they stay true, construction marks ``y.diag`` and ``y.off``
-    read-only: an in-place edit of ``y`` raises ``ValueError``.
+    vectors, the peel plan and the sampler's walk) are likewise computed
+    once each, on first use, and kept.  So that they stay true,
+    construction marks ``y.diag`` and ``y.off`` read-only, and the
+    element's fields cannot be rebound: an in-place edit of ``y`` raises
+    ``ValueError``.
     """
 
     params: ShapeParams
@@ -159,6 +165,44 @@ class WishartQ:
     def _plan(self) -> tuple[NDArray, NDArray, int]:
         """The unit-scale peel of ``y`` toward ``M`` (``matrix_spaces._peel_unit``): mean and sampler read it."""
         return _peel_unit(self.y.diag, self.y.off, self.params.M)
+
+    @cached_property
+    def _walk(self) -> tuple[float, list, NDArray, NDArray, list, NDArray]:
+        """The peeling sampler's constants, read off ``_plan`` (see :func:`sample_many`).
+
+        The sampler keeps its rows in walk order: the pivot, then a pair per
+        step (the shorter arm's vertex, then the longer arm's), then the
+        rest of the longer arm.  The normal of walk row ``k`` sits in row
+        ``n + k - 1``, and its ``2a`` and ``b`` in rows ``k - 1`` and
+        ``n + k - 2`` of the scratch.  So every step reads and writes whole
+        contiguous blocks, and a vertex's parent is two rows back in the
+        pairs and one row back after them.  Returns ``(pivot shape, draws,
+        scales, constants, steps, coords)``: the pivot's gamma shape; per
+        peeled vertex in stream order its row, its normal's row and its
+        gamma shape; the gamma scales ``1/a`` in walk order; ``2a`` then
+        ``b`` of the peeled vertices in walk order; per step the slices of
+        its rows, normals, parents and constants; and the output coordinate
+        of every row.  Pivots past the double range raise the range error
+        here, so on every call that reads them.
+        """
+        n, M, s = self.n, self.params.M, self.params.s.tolist()
+        a, b, e = self._plan
+        a, b = _from_unit(a.copy(), e, "the peel pivots", 1, "y").tolist(), b.tolist()
+        short, long = sorted((list(range(M - 2, -1, -1)), list(range(M, n))), key=len)  # the arms, outward
+        m = len(short)
+        walk = [M - 1] + [v for pair in zip(short, long) for v in pair] + long[m:]
+        row = {v: k for k, v in enumerate(walk)}
+        draws = [(row[i], n + row[i] - 1, s[i] - 0.5) for i, _ in reversed(_peel_order(n, M))]
+        # (first walk row, width, parents): a pair's parents are the pair before it, or the pivot
+        spans = [(k, 2, slice(k - 2, k) if k > 1 else slice(0, 1)) for k in range(1, 2 * m, 2)]
+        spans += [(k, 1, slice(k - 1, k)) for k in range(2 * m + 1, n)]
+        steps = [(slice(k, k + w), slice(n + k - 1, n + k - 1 + w), parents,
+                  slice(k - 1, k - 1 + w), slice(n + k - 2, n + k - 2 + w)) for k, w, parents in spans]
+        peeled = walk[1:]
+        scales = np.array([1.0 / a[v] for v in walk])[:, None]
+        constants = np.array([2.0 * a[v] for v in peeled] + [b[v] for v in peeled])[:, None]
+        coords = walk + [n + min(v, v + 1 if v < M - 1 else v - 1) for v in peeled]
+        return s[M - 1], draws, scales, constants, steps, np.array(coords)
 
     @cached_property
     def _log_Delta_y(self) -> float:
@@ -343,31 +387,50 @@ def intertwining_check(p: ShapeParams, m: IncompleteSym) -> tuple[IncompleteSym,
 def sample_many(w: WishartQ, rng: np.random.Generator, size: int) -> NDArray[np.float64]:
     """``size`` exact draws as rows of canonical coordinates (diag then off).
 
-    Walks the peel plan of ``y`` innermost first: the pivot coordinate is a
-    gamma draw, and each peeled vertex adds a regression coefficient that is
-    Gaussian given its already drawn neighbour and an independent gamma
-    pivot coordinate, exactly inverting the integration steps behind the
-    Laplace transform.
+    Walks the peel plan of ``y`` outward from the pivot: the pivot
+    coordinate is a gamma draw, and each peeled vertex adds a regression
+    coefficient that is Gaussian given its already drawn neighbour and an
+    independent gamma pivot coordinate, exactly inverting the integration
+    steps behind the Laplace transform.
 
-    The plan and the shape are read once as Python floats.  Each vertex then
-    costs two generator calls (``size`` normals, then ``size`` gammas) and
-    a fixed handful of array operations on all draws at once, O(n) per
-    draw.  The Gaussian is formed as ``standard_normal * scale - b``, which
-    consumes the stream and rounds exactly as ``rng.normal(-b, scale)``
-    does; ``tests/test_peel_plan.py`` pins seeded draws by digest.
+    The variates never depend on earlier draws, so all of them are drawn
+    first, in stream order (the pivot's gamma, then per vertex of the right
+    arm and then of the left arm, outward, ``size`` normals and ``size``
+    gammas), into the rows of one vertex-major array laid out in walk order
+    (``WishartQ._walk``); ``gamma(k, 1/a)`` is ``(1/a) * standard_gamma(k)``
+    bit for bit, so the scales take one pass.  The recurrence
+    ``x_i = alpha_i + beta_i^2 x_j`` then advances both arms at once, one
+    step on two contiguous rows per vertex of the shorter arm, then the
+    rest of the longer arm a row at a time.  The Gaussian is
+    ``standard_normal * scale - b``, which rounds exactly as
+    ``rng.normal(-b, scale)``.  The rows are scattered into the C-ordered
+    output once, whose buffer holds the step temporaries until then, so the
+    peak stays near twice the output.  O(n) per draw;
+    ``tests/test_peel_plan.py`` pins seeded draws by digest.
     """
-    n, M, s = w.n, w.params.M, w.params.s.tolist()
-    a, b, e = w._plan
-    a, b = _from_unit(a.copy(), e, "the peel pivots", 1, "y").tolist(), b.tolist()
+    n = w.n
+    pivot_shape, draws, scales, constants, steps, coords = w._walk
+    rows = np.empty((2 * n - 1, size))
+    rng.standard_gamma(pivot_shape, out=rows[0])
+    for k, r, shape in draws:
+        rng.standard_normal(out=rows[r])
+        rng.standard_gamma(shape, out=rows[k])
+    rows[:n] *= scales
     out = np.empty((size, 2 * n - 1))
-    diag, off = out[:, :n], out[:, n:]
-    diag[:, M - 1] = rng.gamma(s[M - 1], 1.0 / a[M - 1], size)
-    for i, j in reversed(_peel_order(n, M)):
-        xjj = diag[:, j]
-        beta = rng.standard_normal(size) * np.sqrt(1.0 / (2.0 * a[i] * xjj)) - b[i]
-        alpha = rng.gamma(s[i] - 0.5, 1.0 / a[i], size)
-        np.add(alpha, beta**2 * xjj, out=diag[:, i])
-        np.multiply(beta, xjj, out=off[:, min(i, j)])
+    scratch = out.reshape(2 * n - 1, size)[: 2 * n - 2]
+    np.copyto(scratch, constants)  # whole rows, so that no step broadcasts
+    for xs, bs, js, ts, us in steps:
+        xi, bi, xj, t, u = rows[xs], rows[bs], rows[js], scratch[ts], scratch[us]
+        t *= xj  # 2a x_j
+        np.divide(1.0, t, out=t)
+        np.sqrt(t, out=t)
+        bi *= t
+        bi -= u  # beta = z sqrt(1 / (2a x_j)) - b
+        np.multiply(bi, bi, out=u)
+        u *= xj
+        xi += u  # x_i = alpha_i + beta^2 x_j
+        bi *= xj  # off = beta x_j
+    out.T[coords] = rows
     return out
 
 
@@ -449,23 +512,38 @@ def sample_gram_many(
     The peel plan of ``y_I`` toward its first vertex gives ``y_I = U U'``,
     ``U`` upper bidiagonal with ``U_ii = sqrt(a_i)``, ``U_{i-1,i} = sqrt(a_i) b_i``;
     ``v_I = U^{-T} g / sqrt(2)`` by forward substitution, where ``U^{-T} / sqrt(2)``
-    is the Cholesky factor of ``(2 y_I)^{-1}``.  Each set costs one normal
-    draw of ``size * multiplicity * |I|`` values and one in-place update per
-    vertex of ``I``, on all draws and terms at once.
+    is the Cholesky factor of ``(2 y_I)^{-1}``.  Vertex ``i``'s pivot in
+    that peel depends only on ``i..hi``, so the sets that end at ``n`` (the
+    suffixes and the full set) read the tails of one peel, of the longest
+    of them, bit for bit as their own peels (the power-of-two scaling of
+    :func:`matrix_spaces._peel_core` is exact); every other set peels its
+    own interval.  Each set costs one normal draw of
+    ``size * multiplicity * |I|`` values, in the order of ``index_sets``,
+    and one in-place update per vertex of ``I``, on all draws and terms at once.
     """
     assert_in_P(y)
     n = y.n
-    out = np.zeros((size, 2 * n - 1))
-    diag, off = out[:, :n], out[:, n:]
     ints = (int, np.integer)
     for lo, hi, mult in index_sets:
         if not (isinstance(lo, ints) and isinstance(hi, ints) and 1 <= lo <= hi <= n):
             raise ValueError(f"invalid interval ({lo}, {hi})")
         if not (isinstance(mult, ints) and mult >= 0):
             raise ValueError(f"multiplicity {mult!r} of interval ({lo}, {hi}) is not a nonnegative integer")
+    tails = [lo for lo, hi, _ in index_sets if hi == n]
+    if tails:
+        first = min(tails)
+        a, tail_b = _peel_core(y.diag[first - 1 :], y.off[first - 1 :], 1, name=f"y_{{{first}..{n}}}")
+        tail_root = np.sqrt(2.0 * a)
+    out = np.zeros((size, 2 * n - 1))
+    diag, off = out[:, :n], out[:, n:]
+    for lo, hi, mult in index_sets:
         k = hi - lo + 1
-        a, b = _peel_core(y.diag[lo - 1 : hi], y.off[lo - 1 : hi - 1], 1, name=f"y_{{{lo}..{hi}}}")
-        v = rng.standard_normal((size, mult, k)) / np.sqrt(2.0 * a)
+        if hi == n:
+            root, b = tail_root[lo - first :], tail_b[lo - first :]
+        else:
+            a, b = _peel_core(y.diag[lo - 1 : hi], y.off[lo - 1 : hi - 1], 1, name=f"y_{{{lo}..{hi}}}")
+            root = np.sqrt(2.0 * a)
+        v = rng.standard_normal((size, mult, k)) / root
         vt, b = v.reshape(-1, k).T, b.tolist()  # vt[i]: vertex i of every draw and term
         for i in range(1, k):
             vt[i] -= b[i] * vt[i - 1]

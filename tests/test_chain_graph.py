@@ -148,3 +148,10 @@ def _mask_rule(n, mask):
 def test_enumeration_lists_the_orders_in_mask_order(n):
     got = [o.sequence for o in enumerate_eliminating_orders(build_chain(n))]
     assert got == [_mask_rule(n, m) for m in range(1 << (n - 1))]
+
+
+def test_eliminating_orders_are_slotted():
+    orders = enumerate_eliminating_orders(build_chain(6))
+    assert all(not hasattr(o, "__dict__") for o in orders)
+    assert orders[0] == EliminatingOrder(orders[0].sequence)
+    assert hash(orders[0]) == hash(EliminatingOrder(orders[0].sequence))

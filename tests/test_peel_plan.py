@@ -15,6 +15,7 @@ import hashlib
 import importlib
 import pkgutil
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -171,3 +172,71 @@ def test_each_family_forms_its_peel_plan_once(monkeypatch):
     for _ in range(100):
         wp.sample_p_many(w_p, rng, 3)
     assert calls == {"_peel_unit": 2, "_q_gaps": 0}
+
+
+# (sampler, n, M) -> sha256 over the draw counts of ARM_SIZES, in that order
+# (see _arm_digest).  Each pivot leaves arms of unequal length on its two
+# sides, so the right arm (drawn first) and the left arm end at different
+# steps.  Recorded from the samplers as they stood before they drew every
+# variate ahead of the arithmetic.
+ARM_SIZES = (0, 1, 16, 500)
+ARM_DIGESTS = {
+    ("q", 13, 4): "dd277d8c1fa6e241d9e0d7f10b65115984a87a2bd93aad8469256a20729de9a1",
+    ("q", 13, 11): "e640403de28bc33dc483a46f90a967361c62037ee8f5dc2e4c1e133b47b832b1",
+    ("q", 300, 75): "e5f0d58cdf5617dacaa9791c8208dd074a36e63528c153433db6133f9f71d35b",
+    ("p", 13, 4): "4e2ca6168878ba9626ffd836503ce621e4f072df126f5725dcf4704c20454e01",
+    ("p", 13, 11): "eabac61c13920df6353ee4f215cad6083d5df7b412ac6660d54ec700da44e37b",
+    ("p", 300, 75): "ed1c7bffd9f1dc33a99d8fae89e3b5365f61e3b0e265b6f66dc6aa26d41d6841",
+    ("gram", 13, 4): "beec39e0c90dabda0a3a0016aec972e0b6c3a8a7312314cba4a069f0f1042363",
+    ("gram", 13, 11): "256685b12846ed1d3513d3db2a76d58f038e9af34a2ff57d5e44087f51f3edea",
+    ("gram", 300, 75): "162068bd3d1910222298423875ea129573ce06dbda835f5f60c7c418176938ea",
+}
+
+
+def _arm_digest(kind, n, M):
+    h = hashlib.sha256()
+    rng = np.random.default_rng([n, M, 7])
+    y, x = random_pd_tridiag(rng, n), random_q_elem(rng, n)
+    w_q, w_p = wq.WishartQ(random_shape_q(rng, n, M), y), wp.WishartP(random_shape_p(rng, n, M), x)
+    # a few sets on each side of the pivot; 9 terms on the full set and on {n}
+    sigma = np.zeros(n, dtype=int)
+    for v, mult in ((1, 1), (2, 2), (M - 1, 3), (M, 9), (M + 1, 2), (n - 1, 1), (n, 9)):
+        sigma[v - 1] = mult
+    for size in ARM_SIZES:
+        draw = np.random.default_rng([n, M, size])
+        if kind == "q":
+            out = wq.sample_many(w_q, draw, size)
+        elif kind == "p":
+            out = wp.sample_p_many(w_p, draw, size)
+        else:
+            out = wq.sample_quadratic_many(sigma, M, y, draw, size)
+        assert out.shape == (size, 2 * n - 1) and out.dtype == np.float64
+        assert out.flags.c_contiguous
+        h.update(out.tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("kind, n, M", list(ARM_DIGESTS), ids=[f"{k}-{n}-M{M}" for k, n, M in ARM_DIGESTS])
+def test_seeded_draws_on_unequal_arms_are_pinned_by_digest(kind, n, M):
+    assert _arm_digest(kind, n, M) == ARM_DIGESTS[kind, n, M]
+
+
+@pytest.mark.parametrize("kind", ["q", "p"])
+@pytest.mark.parametrize("n, size", [(3, 100_000), (300, 500), (1500, 16)])
+def test_sampler_peak_memory_stays_near_its_output(kind, n, size):
+    rng = np.random.default_rng([n, 8])
+    if kind == "q":
+        w = wq.WishartQ(random_shape_q(rng, n, n // 3 + 1), random_pd_tridiag(rng, n))
+        sampler = wq.sample_many
+    else:
+        w = wp.WishartP(random_shape_p(rng, n, n // 3 + 1), random_q_elem(rng, n))
+        sampler = wp.sample_p_many
+    sampler(w, rng, 1)  # a family forms its sampler constants once, on its first draw
+    tracemalloc.start()
+    try:
+        out = sampler(w, rng, size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (size, 2 * n - 1)
+    assert peak <= 2.5 * out.nbytes

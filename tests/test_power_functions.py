@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,20 @@ def test_families_freeze_their_natural_parameter():
     with pytest.raises(ConeError):
         wq.WishartQ(ShapeParams(2, [1.0, 1.0]), z)
     z.off[0] = 0.5
+
+
+def test_banded_elements_cannot_rebind_their_fields():
+    # rebinding a field would bypass the read-only arrays above and leave a
+    # family's cached constants (mean, sampler walk) reading the old element
+    y = TridiagSym(3, [1.0, 1.0, 1.0], [0.1, 0.2])
+    w = wq.WishartQ(ShapeParams(2, [1.0, 1.0, 1.0]), y)
+    m = wq.mean(w)
+    for elem in (y, IncompleteSym(3, [1.0, 1.0, 1.0], [0.1, 0.2]), TridiagSym.from_coords([1.0, 2.0, 0.5])):
+        for name, value in (("off", np.array([2.0, 2.0])), ("diag", np.ones(3)), ("n", 4)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(elem, name, value)
+    assert np.array_equal(wq.mean(w).coords(), m.coords())
+    assert wq.log_laplace(w, TridiagSym(3, [1.0, 1.0, 1.0], [0.0, 0.0])) <= 0.0
 
 
 def test_log_Delta_M_examples():
