@@ -11,6 +11,7 @@ round-trip error of the generalized Lauritzen maps (inverse mean after mean).
 """
 
 import argparse
+from functools import partial
 
 import numpy as np
 
@@ -21,18 +22,15 @@ from chainwishart.verification import (
     _family_q,
     _random_pd,
     cov_coords_from_operator,
+    mc_mean_cov,
     stream_rng,
 )
 
 
-def worst_z(coords, th_mean, th_cov):
-    se = coords.std(axis=0, ddof=1) / np.sqrt(coords.shape[0])
-    z_mean = np.max(np.abs(coords.mean(axis=0) - th_mean) / se)
-    batches = np.array_split(coords, 50)
-    covs = np.stack([np.atleast_2d(np.cov(b, rowvar=False)) for b in batches])
-    se_cov = covs.std(axis=0, ddof=1) / np.sqrt(50)
-    z_cov = np.max(np.abs(covs.mean(axis=0) - th_cov) / se_cov)
-    return z_mean, z_cov
+def worst_z(draw, mean, cov, n_samples, seed):
+    """Worst ``|z|`` of the coordinate means and of the covariances of ``verification.mc_mean_cov``."""
+    reports = mc_mean_cov(draw, mean.coords(), cov_coords_from_operator(cov, mean.n), n_samples, seed)
+    return [max(abs(r.z_score) for r in reports if f".{kind}[" in r.name) for kind in ("mean", "cov")]
 
 
 def main() -> None:
@@ -43,16 +41,15 @@ def main() -> None:
     args = parser.parse_args()
     n = args.n
     rng = stream_rng(args.seed)
+    seed = 1000 * args.seed  # experiment k draws from the stream of seed + k
 
     print(f"chain size n = {n}, {args.draws} draws per experiment\n")
     print("recursive sampler on the dual cone:")
     print(f"{'pivot':>6}  {'mean |z|':>9}  {'cov |z|':>8}  {'round-trip err':>14}")
     for m in range(1, n + 1):
         w = _family_q(rng, n, m)
-        coords = wq.sample_many(w, stream_rng(args.seed, 10 + m), args.draws)
-        zm, zc = worst_z(
-            coords, wq.mean(w).coords(), cov_coords_from_operator(wq.covariance_matrix(w), n)
-        )
+        draw = partial(wq.sample_many, w)
+        zm, zc = worst_z(draw, wq.mean(w), wq.covariance_matrix(w), args.draws, seed + 10 + m)
         back = wq.inverse_mean(w.params, wq.mean(w))
         rt = np.max(np.abs(back.coords() - w.y.coords()))
         print(f"{m:>6}  {zm:>9.2f}  {zc:>8.2f}  {rt:>14.2e}")
@@ -66,20 +63,16 @@ def main() -> None:
     sigma_sets = wq.sigma_to_shape(sigma, m_piv)
     y = _random_pd(rng, n)
     w = wq.WishartQ(sigma_sets, y)
-    coords = wq.sample_quadratic_many(sigma, m_piv, y, stream_rng(args.seed, 30), args.draws)
-    zm, zc = worst_z(
-        coords, wq.mean(w).coords(), cov_coords_from_operator(wq.covariance_matrix(w), n)
-    )
+    draw = partial(wq.sample_quadratic_many, sigma, m_piv, y)
+    zm, zc = worst_z(draw, wq.mean(w), wq.covariance_matrix(w), args.draws, seed + 30)
     print(f"sigma = {sigma.tolist()} at pivot {m_piv}: mean |z| = {zm:.2f}, cov |z| = {zc:.2f}")
 
     print("\nconcentration-cone sampler:")
     print(f"{'pivot':>6}  {'mean |z|':>9}  {'cov |z|':>8}")
     for m in range(1, n + 1):
         w = _family_p(rng, n, m)
-        coords = wp.sample_p_many(w, stream_rng(args.seed, 40 + m), args.draws)
-        zm, zc = worst_z(
-            coords, wp.mean_p(w).coords(), cov_coords_from_operator(wp.covariance_p_matrix(w), n)
-        )
+        draw = partial(wp.sample_p_many, w)
+        zm, zc = worst_z(draw, wp.mean_p(w), wp.covariance_p_matrix(w), args.draws, seed + 40 + m)
         print(f"{m:>6}  {zm:>9.2f}  {zc:>8.2f}")
 
 

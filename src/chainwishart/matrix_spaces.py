@@ -35,11 +35,11 @@ vectorized test, ``_q_gaps``, forms the ratio-form clique gaps, which the
 atoms of the power functions and the clique inverses reuse, so each closed
 form reads an element of ``Q`` once.  The covariance on both cones is the
 banded derivative of the clique assembly, ``_clique_form``, which
-``_covariance_coords`` alone applies or solves; the solve checks each pivot
-before it divides.  Every closed form of nonzero degree is formed at unit
-scale and scaled back by ``_from_unit``, the one place that raises the range
-error for a result past the double range; fresh, finite kernel outputs are
-stored by ``_BandedSym._trusted`` unchecked.
+``_covariance_coords`` applies or solves and ``_covariance_matrix`` writes out;
+the solve checks each pivot before it divides.  Every closed form of nonzero
+degree is formed at unit scale and scaled back by ``_from_unit``, the one place
+that raises the range error for a result past the double range; fresh, finite
+kernel outputs are stored by ``_BandedSym._trusted`` unchecked.
 
 Vertices are labelled ``1..n`` in the public API; arrays are 0-based.
 """
@@ -595,22 +595,38 @@ def _form_apply(form: tuple[NDArray, ...], u: NDArray) -> NDArray:
     return out
 
 
+def _unit_form(x: IncompleteSym, exps: tuple, g: NDArray | None) -> tuple[tuple[NDArray, ...], int]:
+    """``(form, e)``: the clique form of ``x * 2^-e`` of unit size (:func:`_to_unit`) at ``exps``, gaps ``g``."""
+    c, e = _to_unit(x.coords())
+    return _clique_form(IncompleteSym._trusted(x.n, c[: x.n], c[x.n :]), exps, g), e
+
+
 def _covariance_coords(
     x: IncompleteSym, exps: tuple, u: NDArray, inverse: bool, name: str, g: NDArray | None = None
 ) -> NDArray:
     """``D u``, or ``-D^{-1} u`` into ``u`` if ``inverse``, with ``D`` the clique form of ``x`` at ``exps``.
 
     The covariance on ``P`` (``D``), the variance function on ``Q`` and the
-    Newton step on ``P`` (``-D^{-1}``).  ``x`` and ``u`` (one direction per
-    column) are scaled to unit size by :func:`_to_unit` (``D`` has degree -2
-    in ``x``), reusing the scale-free gaps ``g`` of ``x`` if given, and the
-    result back by :func:`_from_unit`, naming ``x`` as ``name``.
+    Newton step on ``P`` (``-D^{-1}``).  ``D`` (degree -2 in ``x``) and
+    ``u`` (one direction per column) are formed at unit size, and the
+    result is scaled back by :func:`_from_unit`, naming ``x`` as ``name``.
     """
-    c, e = _to_unit(x.coords())
-    form = _clique_form(IncompleteSym._trusted(x.n, c[: x.n], c[x.n :]), exps, g)
+    form, e = _unit_form(x, exps, g)
     u, f = _to_unit(u, out=u)
     u = _form_solve(form, np.negative(u, out=u)) if inverse else _form_apply(form, u)
     return _from_unit(u, (2 if inverse else -2) * e + f, "the covariance", -2, name)
+
+
+def _covariance_matrix(x: IncompleteSym, exps: tuple, g: NDArray) -> NDArray:
+    """``D`` in the canonical basis (:func:`_covariance_coords` on the identity): its five diagonals written out."""
+    (dd, dd1, do0, do1, oo), e = _unit_form(x, exps, g)
+    n = dd.size
+    d, b, o = np.arange(n), np.arange(n - 1), np.arange(n, 2 * n - 1)
+    out = np.zeros((2 * n - 1, 2 * n - 1))
+    # added onto the zeros, so that a -0 entry (do0 or do1 at a zero x_{b,b+1}) is +0, as in D e_k
+    out[np.r_[d, b, b + 1, b, b + 1, o, o, o], np.r_[d, b + 1, b, o, o, b, b + 1, o]] += np.concatenate(
+        [dd, dd1, dd1, do0, do1, 0.5 * do0, 0.5 * do1, oo])
+    return _from_unit(out, -2 * e, "the covariance", -2, "x")
 
 
 def lauritzen_map(x: IncompleteSym) -> TridiagSym:

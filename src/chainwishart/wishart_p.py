@@ -39,6 +39,7 @@ from .matrix_spaces import (
     TridiagSym,
     _clique_assembly,
     _covariance_coords,
+    _covariance_matrix,
     _from_unit,
     _peel_core,
     _peel_order,
@@ -91,9 +92,9 @@ class WishartP:
     are kept for every later reading of ``x``, so a family sweeps ``x`` once
     in its lifetime.  The constants that depend only on the family (the
     normalizer, ``log(delta_{-s} phi)(x)``, the exponent vectors, the
-    sampler's peel plan and walk) are likewise computed once each, on first
-    use, and kept.  So that they stay true, construction marks ``x.diag``
-    and ``x.off`` read-only, and the element's fields cannot be rebound: an
+    sampler's walk) are likewise computed once each, on first use, and
+    kept.  So that they stay true, construction marks ``x.diag`` and
+    ``x.off`` read-only, and the element's fields cannot be rebound: an
     in-place edit of ``x`` raises ``ValueError``.
     """
 
@@ -131,13 +132,8 @@ class WishartP:
         return riesz_p_exponents(self.params.s, self.params.M)
 
     @cached_property
-    def _plan(self) -> tuple[NDArray, NDArray]:
-        """The dual peel of ``x`` toward ``M``, whose cone was tested at construction: the sampler reads it."""
-        return _peel_core(self.x.diag, self.x.off, self.params.M, dual=True)
-
-    @cached_property
     def _walk(self) -> tuple[float, list, NDArray, NDArray, NDArray]:
-        """The peeling sampler's constants, read off ``_plan`` (see :func:`sample_p_many`).
+        """The peeling sampler's constants, off the dual peel of ``x`` toward ``M`` (see :func:`sample_p_many`).
 
         ``(pivot shape, draws, scales, neighbours, b)``: the pivot's gamma
         shape; per peeled vertex in stream order its row, its normal's row
@@ -146,7 +142,7 @@ class WishartP:
         toward the pivot and its regression ``b``.
         """
         n, M, s = self.n, self.params.M, self.params.s.tolist()
-        alpha, beta = self._plan
+        alpha, beta = _peel_core(self.x.diag, self.x.off, M, dual=True)
         draws = [(i, n + min(i, j), s[i] + 1.5) for i, j in reversed(_peel_order(n, M))]
         peeled, toward = np.r_[: M - 1, M:n], np.r_[1:M, M - 1 : n - 1]
         xd = self.x.diag[toward, None]
@@ -239,8 +235,8 @@ def covariance_p_apply(w: WishartP, u: IncompleteSym) -> TridiagSym:
 
 
 def covariance_p_matrix(w: WishartP) -> NDArray[np.float64]:
-    """Covariance operator in the canonical basis: :func:`covariance_p_apply` on the identity."""
-    return _covariance_coords(w.x, w._riesz_exps, np.eye(2 * w.n - 1), False, "x", w._x_gaps)
+    """Covariance operator in the canonical basis: :func:`covariance_p_apply` on the identity, written out."""
+    return _covariance_matrix(w.x, w._riesz_exps, w._x_gaps)
 
 
 # ---------------------------------------------------------------------------

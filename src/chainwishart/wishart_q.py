@@ -94,7 +94,6 @@ from .power_functions import (
     _log_gamma_normalizer,
     _log_power,
     delta_exponents,
-    log_Delta_M,
     phi_exponents,
 )
 
@@ -130,14 +129,17 @@ __all__ = [
 class WishartQ:
     """Wishart family member on ``Q``: shape ``(M, s)`` and natural parameter ``y``.
 
-    Construction tests the shape's domain and ``y``'s membership of ``P``
-    once, and nothing tests them again; the constants that depend only on
-    the family (the normalizer, ``log Delta_{+-s}(y)``, the exponent
-    vectors, the peel plan and the sampler's walk) are likewise computed
-    once each, on first use, and kept.  So that they stay true,
-    construction marks ``y.diag`` and ``y.off`` read-only, and the
-    element's fields cannot be rebound: an in-place edit of ``y`` raises
-    ``ValueError``.
+    Construction tests the shape's domain and forms ``_plan``, the tested
+    unit-scale peel of ``y`` toward ``M`` (``matrix_spaces._peel_unit``): the
+    family's one decision of ``y``'s cone, which within ``PD_RTOL`` of the
+    boundary follows the peel toward the pivot, as ``log_Delta_M``,
+    :func:`mean_formula` and the LU(M) factor do.  The mean and covariance
+    read the plan; the constants that depend only on the family (the
+    normalizer, ``log Delta_s(y)`` and the sampler's walk off the plan, the
+    exponent vectors) are computed once each, on first use, and kept: a
+    family peels ``y`` once in its lifetime.  To keep them true,
+    construction marks ``y.diag`` and ``y.off`` read-only, and the element's
+    fields cannot be rebound: an in-place edit of ``y`` raises ``ValueError``.
     """
 
     params: ShapeParams
@@ -150,7 +152,7 @@ class WishartQ:
             raise ValueError(
                 "shape out of domain: need s_i > 1/2 off the pivot and s_M > 0"
             )
-        assert_in_P(self.y)
+        object.__setattr__(self, "_plan", _peel_unit(self.y.diag, self.y.off, self.params.M))
         self.y.diag.flags.writeable = self.y.off.flags.writeable = False
 
     @property
@@ -160,11 +162,6 @@ class WishartQ:
     @cached_property
     def _log_norm(self) -> float:
         return log_norm_constant(self.params)
-
-    @cached_property
-    def _plan(self) -> tuple[NDArray, NDArray, int]:
-        """The unit-scale peel of ``y`` toward ``M`` (``matrix_spaces._peel_unit``): mean and sampler read it."""
-        return _peel_unit(self.y.diag, self.y.off, self.params.M)
 
     @cached_property
     def _walk(self) -> tuple[float, list, NDArray, NDArray, list, NDArray]:
@@ -182,8 +179,7 @@ class WishartQ:
         gamma shape; the gamma scales ``1/a`` in walk order; ``2a`` then
         ``b`` of the peeled vertices in walk order; per step the slices of
         its rows, normals, parents and constants; and the output coordinate
-        of every row.  Pivots past the double range raise the range error
-        here, so on every call that reads them.
+        of every row.
         """
         n, M, s = self.n, self.params.M, self.params.s.tolist()
         a, b, e = self._plan
@@ -206,11 +202,9 @@ class WishartQ:
 
     @cached_property
     def _log_Delta_y(self) -> float:
-        return log_Delta_M(self.params, self.y)
-
-    @cached_property
-    def _log_Delta_neg_y(self) -> float:
-        return _log_Delta(-self.params.s, self.params.M, self.y)
+        """``log Delta_s^(M)(y) = sum_i s_i log a_i`` over the pivots of ``_plan``, scaled back."""
+        a, _, e = self._plan
+        return float(self.params.s @ np.log(_from_unit(a.copy(), e, "the peel pivots", 1, "y")))
 
     @cached_property
     def _delta_exps(self) -> tuple[NDArray, NDArray]:
@@ -267,10 +261,10 @@ def log_density(w: WishartQ, x: IncompleteSym) -> float:
 
 
 def log_laplace(w: WishartQ, z: TridiagSym) -> float:
-    """``log E exp(-<z, X>) = log Delta_{-s}(z + y) - log Delta_{-s}(y)``."""
+    """``log E exp(-<z, X>) = log Delta_{-s}(z + y) - log Delta_{-s}(y)``; the last term is ``+ log Delta_s(y)``."""
     if z.n != w.n:
         raise ValueError("size mismatch")
-    return _log_Delta(-w.params.s, w.params.M, z + w.y, "z + y") - w._log_Delta_neg_y
+    return _log_Delta(-w.params.s, w.params.M, z + w.y, "z + y") + w._log_Delta_y
 
 
 # ---------------------------------------------------------------------------

@@ -168,10 +168,37 @@ def test_each_family_forms_its_peel_plan_once(monkeypatch):
         wq.sample_many(w_q, rng, 3)
         wq.mean(w_q)
         wq.covariance_apply(w_q, u)
-    assert calls == {"_peel_unit": 1, "_q_gaps": 0}
+    assert calls == {"_peel_unit": 0, "_q_gaps": 0}  # w_q formed its plan at construction
     for _ in range(100):
         wp.sample_p_many(w_p, rng, 3)
-    assert calls == {"_peel_unit": 2, "_q_gaps": 0}
+    assert calls == {"_peel_unit": 1, "_q_gaps": 0}
+
+
+def test_a_q_family_peels_y_once_in_its_lifetime(monkeypatch):
+    # every module's binding of the peel kernel, wrapped to count the sweeps of y itself
+    rng = np.random.default_rng(11)
+    n = 10
+    p, y = random_shape_q(rng, n, 4), random_pd_tridiag(rng, n)
+    x, z, u = random_q_elem(rng, n), 0.3 * random_pd_tridiag(rng, n), random_pd_tridiag(rng, n)
+    sweeps = []
+    original = matrix_spaces._peel_unit
+
+    def counted(diag, *args, **kwargs):
+        sweeps.append(diag is y.diag)
+        return original(diag, *args, **kwargs)
+
+    for info in pkgutil.iter_modules(chainwishart.__path__):
+        mod = importlib.import_module(f"chainwishart.{info.name}")
+        if getattr(mod, "_peel_unit", None) is original:
+            monkeypatch.setattr(mod, "_peel_unit", counted)
+    w = wq.WishartQ(p, y)
+    for _ in range(100):
+        wq.mean(w)
+        wq.sample_many(w, rng, 3)
+        wq.covariance_apply(w, u)
+        wq.log_density(w, x)
+        wq.log_laplace(w, z)
+    assert sweeps.count(True) == 1
 
 
 # (sampler, n, M) -> sha256 over the draw counts of ARM_SIZES, in that order

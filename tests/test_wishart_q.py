@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from chainwishart.matrix_spaces import (
     TridiagSym,
     hat_completion,
     inverse_image,
+    is_in_P,
     is_in_Q,
     pairing,
     project_pi,
@@ -36,6 +39,17 @@ def test_family_validates_domain_and_cone():
         wq.WishartQ(ShapeParams(2, [0.4, 1.0]), y)
     with pytest.raises(ConeError):
         wq.WishartQ(ShapeParams(2, [1.0, 1.0]), TridiagSym(2, [1, 1], [2]))
+
+
+def test_a_family_decides_the_cone_of_y_by_its_peel_toward_the_pivot():
+    # y passes the LDL test (pivots toward n), but its peel toward M = 2 meets a
+    # determinant pivot of 5e-13, inside the 1e-12 margin: the family is refused
+    # at construction, not by its first mean or draw
+    y = TridiagSym(3, [1, 1, 1], [0.999, np.sqrt(1 - 0.999 * 0.999 - 5e-13)])
+    assert is_in_P(y)
+    with pytest.raises(ConeError, match=re.escape(
+            "y is not positive definite: the determinant (pivot 5e-13) is not positive")):
+        wq.WishartQ(ShapeParams(2, [1, 1, 1]), y)
 
 
 def test_log_norm_constant_examples():
