@@ -1,4 +1,4 @@
-"""Command-line front end.
+"""Command-line front end: argument parsing, the subcommands and their exit codes.
 
 Subcommands: ``sample``, ``eval``, ``orders``, ``lm-convert``,
 ``missing-stat``, ``verify``.  Banded matrices travel as JSON objects
@@ -6,15 +6,16 @@ Subcommands: ``sample``, ``eval``, ``orders``, ``lm-convert``,
 ``{"M": int, "s": [...], "y": {...}}`` (dual-cone family) or with ``"x"``
 (concentration-cone family); samples as CSV rows of ``2n - 1`` coordinates,
 diagonal columns first, with ``#`` metadata lines recording seed and
-parameters.  The default seed comes from ``CHAINWISHART_SEED``.
+parameters.  The formats live in :mod:`chainwishart._formats`, the
+missing-data statistic in :mod:`chainwishart.wishart_q`; :func:`main` maps
+their errors to exit codes.  The default seed comes from ``CHAINWISHART_SEED``.
 
 Exit codes: 0 success; 1 verification failure; 2 parameter-domain or cone
 violation (the diagnostic names the failed minor), a moment order above its
 cap, a Newton inversion that cannot reach its target, or a result past the
-double range; 3 I/O failure or a
-malformed input file (not UTF-8, a missing or mistyped field, a fraction
-where an integer belongs, a non-finite cell); 4
-inconvertible clique/separator parameters; 5 non-monotone missing-data
+double range; 3 I/O failure or a malformed input file (not UTF-8, a missing
+or mistyped field, a fraction where an integer belongs, a non-finite cell);
+4 inconvertible clique/separator parameters; 5 non-monotone missing-data
 pattern; 6 no consistent pivot for a missing-data pattern.
 """
 
@@ -24,12 +25,21 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, TypeVar
 
 import numpy as np
 
 from . import verification, wishart_p, wishart_q
+from ._formats import (
+    FormatError,
+    MissingDataset,
+    ObservationRow,
+    PatternError,
+    _write_csv,
+    dense_to_csv,
+    parse_missing_csv,
+    read_json_object,
+)
 from .chain_graph import (
     build_chain,
     enumerate_eliminating_orders,
@@ -37,14 +47,9 @@ from .chain_graph import (
     first_separator,
 )
 from .letac_massam import LMParams, lm_to_sM, sM_to_lm
-from .matrix_spaces import (
-    IncompleteSym,
-    TridiagSym,
-    _integral,
-    _write_csv_rows,
-    dense_to_csv,
-)
+from .matrix_spaces import IncompleteSym, TridiagSym, _integral
 from .power_functions import ShapeParams
+from .wishart_q import PivotError, missing_statistic
 
 __all__ = ["main", "MissingDataset", "ObservationRow", "missing_statistic"]
 
@@ -67,147 +72,13 @@ class CliError(Exception):
         self.code = code
 
 
-# ---------------------------------------------------------------------------
-# monotone missing data
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ObservationRow:
-    """One record: the observed index interval (1-based, inclusive) and values."""
-
-    lo: int
-    hi: int
-    values: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class MissingDataset:
-    """Rows whose observed sets are left prefixes, right suffixes, or full."""
-
-    n: int
-    rows: tuple[ObservationRow, ...]
-
-
-def _classify_row(cells: Sequence[str], n: int, row_no: int) -> ObservationRow:
-    observed = [j for j, c in enumerate(cells, start=1) if c.strip() != ""]
-    if not observed:
-        raise CliError(EXIT_NOT_MONOTONE, f"row {row_no}: no observed entries")
-    lo, hi = observed[0], observed[-1]
-    if observed != list(range(lo, hi + 1)):
-        raise CliError(
-            EXIT_NOT_MONOTONE,
-            f"row {row_no}: observed set {observed} is not contiguous",
-        )
-    if lo != 1 and hi != n:
-        raise CliError(
-            EXIT_NOT_MONOTONE,
-            f"row {row_no}: observed set {{{lo}..{hi}}} is neither a left prefix "
-            f"nor a right suffix of 1..{n}",
-        )
-    try:
-        values = tuple(float(cells[j - 1]) for j in range(lo, hi + 1))
-    except ValueError as e:
-        raise CliError(EXIT_IO, f"row {row_no}: {e}") from e
-    if not np.isfinite(values).all():
-        raise CliError(EXIT_IO, f"row {row_no}: values must be finite")
-    return ObservationRow(lo, hi, values)
-
-
-def parse_missing_csv(text: str) -> MissingDataset:
-    """Parse a CSV with empty cells marking missing coordinates."""
-    rows = []
-    n: Optional[int] = None
-    row_no = 0
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        row_no += 1
-        cells = line.split(",")
-        if n is None:
-            n = len(cells)
-        elif len(cells) != n:
-            raise CliError(EXIT_IO, f"row {row_no}: expected {n} columns, got {len(cells)}")
-        rows.append(_classify_row(cells, n, row_no))
-    if n is None:
-        raise CliError(EXIT_IO, "no data rows")
-    return MissingDataset(n, tuple(rows))
-
-
-def missing_statistic(ds: MissingDataset) -> tuple[IncompleteSym, np.ndarray, int]:
-    """Band-projected Gram statistic, multiplicity vector and inferred pivot.
-
-    ``T = sum_rows pi(v v')`` with ``v`` the zero-padded observation.  The
-    pivot must separate prefixes from suffixes strictly: every prefix length
-    below it, every suffix start above it; full rows count in the pivot slot.
-    When a range of pivots is consistent the smallest is chosen (the law of
-    ``T`` does not depend on the choice).
-
-    Under per-row Gaussians with covariance ``(2 y_I)^{-1}`` on the observed
-    interval ``I`` (the tilted-construction convention; see README), ``T`` is
-    an exact draw from the quadratic construction at ``(sigma, M, y)``.
-    """
-    n = ds.n
-    prefix_lens = []
-    suffix_starts = []
-    n_full = 0
-    for r in ds.rows:
-        if r.lo == 1 and r.hi == n:
-            n_full += 1
-        elif r.lo == 1:
-            prefix_lens.append(r.hi)
-        else:
-            suffix_starts.append(r.lo)
-    lo_m = max(prefix_lens) + 1 if prefix_lens else 1
-    hi_m = min(suffix_starts) - 1 if suffix_starts else n
-    if lo_m > hi_m:
-        raise CliError(
-            EXIT_NO_PIVOT,
-            f"no consistent pivot: prefixes force M >= {lo_m} but suffixes force M <= {hi_m}",
-        )
-    if prefix_lens:
-        m = lo_m
-    elif suffix_starts:
-        m = hi_m
-    else:
-        m = n
-    sigma = np.zeros(n, dtype=int)
-    sigma[m - 1] = n_full
-    for i in prefix_lens:
-        sigma[i - 1] += 1
-    for k in suffix_starts:
-        sigma[k - 1] += 1
-    diag = np.zeros(n)
-    off = np.zeros(n - 1)
-    try:
-        with np.errstate(over="raise"):
-            for r in ds.rows:
-                v = np.asarray(r.values)
-                diag[r.lo - 1 : r.hi] += v**2
-                if v.size >= 2:
-                    off[r.lo - 1 : r.hi - 1] += v[:-1] * v[1:]
-    except FloatingPointError:
-        raise CliError(
-            EXIT_DOMAIN, "the statistic T is not a finite double: a square or product of the data overflows"
-        ) from None
-    return IncompleteSym(n, diag, off), sigma, m
+#: The exit codes of the library errors printed as they are, most specific first.
+_LIBRARY_EXITS = ((PatternError, EXIT_NOT_MONOTONE), (FormatError, EXIT_IO), (PivotError, EXIT_NO_PIVOT))
 
 
 # ---------------------------------------------------------------------------
 # I/O helpers
 # ---------------------------------------------------------------------------
-
-
-def _read_json(path: str) -> dict:
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            data = json.load(f)
-    except (OSError, ValueError) as e:  # ValueError: not JSON, or not UTF-8
-        raise CliError(EXIT_IO, f"cannot read {path}: {e}") from e
-    if not isinstance(data, dict):
-        raise CliError(EXIT_IO, f"cannot read {path}: expected a JSON object, got {type(data).__name__}")
-    return data
 
 
 def _decode(decode: Callable[[dict], T], data: dict, path: str) -> T:
@@ -245,7 +116,7 @@ def _print_json(obj) -> None:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    params = _read_json(args.params)
+    params = read_json_object(args.params)
     seed = args.seed if args.seed is not None else DEFAULT_SEED
     rng = verification.stream_rng(seed)
     if args.sigma is not None:
@@ -273,9 +144,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         "# columns: " + ",".join([f"d{i}" for i in range(1, n + 1)] + [f"o{i}" for i in range(1, n)]),
     ]
     try:
-        with open(args.out, "w", encoding="utf-8") as f:
-            f.write("\n".join(header) + "\n")
-            _write_csv_rows(f, coords)
+        _write_csv(args.out, coords, header)
     except OSError as e:
         raise CliError(EXIT_IO, f"cannot write {args.out}: {e}") from e
     print(f"wrote {args.n} draws to {args.out}")
@@ -285,11 +154,11 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 def _eval_point(args: argparse.Namespace, decode: Callable[[dict], T]) -> T:
     if args.point is None:
         raise CliError(EXIT_IO, f"--what {args.what} needs --point")
-    return _decode(decode, _read_json(args.point), args.point)
+    return _decode(decode, read_json_object(args.point), args.point)
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    params = _read_json(args.params)
+    params = read_json_object(args.params)
     family = args.family
     what = args.what
     if what == "inverse-mean":
@@ -368,7 +237,7 @@ def _cmd_orders(args: argparse.Namespace) -> int:
 
 
 def _cmd_lm_convert(args: argparse.Namespace) -> int:
-    data = _read_json(args.file)
+    data = read_json_object(args.file)
     if args.direction == "lm-to-s":
         lm = _decode(LMParams.from_json_dict, data, args.file)
         p = lm_to_sM(lm)
@@ -499,9 +368,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as e:
+    except (CliError, FormatError, PivotError) as e:
         print(f"error: {e}", file=sys.stderr)
-        return e.code
+        return e.code if isinstance(e, CliError) else next(c for kind, c in _LIBRARY_EXITS if isinstance(e, kind))
     except (ValueError, RuntimeError) as e:
         # cone, shape, moment-order and double-range violations, and a Newton inversion that fails
         print("error:", " ".join(str(e).split()), file=sys.stderr)

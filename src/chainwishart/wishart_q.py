@@ -16,7 +16,8 @@ and Laplace transform ``Delta_{-s}(z + y) / Delta_{-s}(y)``.
 This module provides, all in closed form: the mean map and its explicit
 inverse (a family of generalized Lauritzen bijections), the covariance as an
 operator, the variance function, the intertwining of the inverse mean map
-with the reciprocal-shape mean map, higher moments, and two exact samplers.
+with the reciprocal-shape mean map, higher moments, two exact samplers, and
+the statistic of monotone missing data that the quadratic one describes.
 
 The mean, covariance and variance run in O(n) per evaluation without a dense
 inverse.  With ``y = T T'`` the LU(M) factor, the mean is the band of
@@ -67,6 +68,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
+from ._formats import MissingDataset
 from .matrix_spaces import (
     ConeError,
     IncompleteSym,
@@ -79,7 +81,6 @@ from .matrix_spaces import (
     _peel_order,
     _peel_unit,
     _q_gaps,
-    assert_in_P,
     inverse_image,
     lauritzen_map,
     pairing,
@@ -488,6 +489,58 @@ def basic_index_sets(sigma: Iterable[int], M: int, n: int) -> list[tuple[int, in
     return sets
 
 
+class PivotError(ValueError):
+    """A monotone missing-data pattern that no pivot ``M`` separates."""
+
+
+def missing_statistic(ds: MissingDataset) -> tuple[IncompleteSym, NDArray, int]:
+    """Band-projected Gram statistic, multiplicity vector and inferred pivot.
+
+    ``T = sum_rows pi(v v')`` with ``v`` the zero-padded observation.  The
+    pivot must separate prefixes from suffixes strictly: every prefix length
+    below it, every suffix start above it; full rows count in the pivot slot.
+    When a range of pivots is consistent the smallest is chosen (the law of
+    ``T`` does not depend on the choice); when none is, :class:`PivotError`.
+    A square or product of the data past the double range is a ``ValueError``.
+
+    Under per-row Gaussians with covariance ``(2 y_I)^{-1}`` on the observed
+    interval ``I`` (the tilted-construction convention; see README), ``T`` is
+    an exact draw from the quadratic construction at ``(sigma, M, y)``: the
+    inverse of :func:`basic_index_sets`.
+    """
+    n = ds.n
+    prefix_lens, suffix_starts, n_full = [], [], 0
+    for r in ds.rows:
+        if r.lo == 1 and r.hi == n:
+            n_full += 1
+        elif r.lo == 1:
+            prefix_lens.append(r.hi)
+        else:
+            suffix_starts.append(r.lo)
+    lo_m = max(prefix_lens) + 1 if prefix_lens else 1
+    hi_m = min(suffix_starts) - 1 if suffix_starts else n
+    if lo_m > hi_m:
+        raise PivotError(f"no consistent pivot: prefixes force M >= {lo_m} but suffixes force M <= {hi_m}")
+    m = lo_m if prefix_lens else hi_m  # hi_m is n when there are no suffixes either
+    sigma = np.zeros(n, dtype=int)
+    sigma[m - 1] = n_full
+    for i in prefix_lens + suffix_starts:
+        sigma[i - 1] += 1
+    diag = np.zeros(n)
+    off = np.zeros(n - 1)
+    try:
+        with np.errstate(over="raise"):
+            for r in ds.rows:
+                v = np.asarray(r.values)
+                diag[r.lo - 1 : r.hi] += v**2
+                if v.size >= 2:
+                    off[r.lo - 1 : r.hi - 1] += v[:-1] * v[1:]
+    except FloatingPointError:
+        raise ValueError(
+            "the statistic T is not a finite double: a square or product of the data overflows") from None
+    return IncompleteSym(n, diag, off), sigma, m
+
+
 def sample_gram_many(
     index_sets: Sequence[tuple[int, int, int]],
     y: TridiagSym,
@@ -506,16 +559,17 @@ def sample_gram_many(
     The peel plan of ``y_I`` toward its first vertex gives ``y_I = U U'``,
     ``U`` upper bidiagonal with ``U_ii = sqrt(a_i)``, ``U_{i-1,i} = sqrt(a_i) b_i``;
     ``v_I = U^{-T} g / sqrt(2)`` by forward substitution, where ``U^{-T} / sqrt(2)``
-    is the Cholesky factor of ``(2 y_I)^{-1}``.  Vertex ``i``'s pivot in
-    that peel depends only on ``i..hi``, so the sets that end at ``n`` (the
-    suffixes and the full set) read the tails of one peel, of the longest
-    of them, bit for bit as their own peels (the power-of-two scaling of
-    :func:`matrix_spaces._peel_core` is exact); every other set peels its
-    own interval.  Each set costs one normal draw of
+    is the Cholesky factor of ``(2 y_I)^{-1}``.  The tested peel of the whole
+    chain toward vertex 1, before any draw, is the call's one decision of
+    ``y``'s cone (within ``PD_RTOL`` of the boundary it follows that peel).
+    Vertex ``i``'s pivot depends only on ``i..n``, so the sets that end at
+    ``n`` read its tails, bit for bit as their own peels (the power-of-two
+    scaling of :func:`matrix_spaces._peel_core` is exact); every other set
+    peels its own interval, whose pivots are at least the whole chain's, so
+    that peel passes too.  Each set costs one normal draw of
     ``size * multiplicity * |I|`` values, in the order of ``index_sets``,
     and one in-place update per vertex of ``I``, on all draws and terms at once.
     """
-    assert_in_P(y)
     n = y.n
     ints = (int, np.integer)
     for lo, hi, mult in index_sets:
@@ -523,17 +577,14 @@ def sample_gram_many(
             raise ValueError(f"invalid interval ({lo}, {hi})")
         if not (isinstance(mult, ints) and mult >= 0):
             raise ValueError(f"multiplicity {mult!r} of interval ({lo}, {hi}) is not a nonnegative integer")
-    tails = [lo for lo, hi, _ in index_sets if hi == n]
-    if tails:
-        first = min(tails)
-        a, tail_b = _peel_core(y.diag[first - 1 :], y.off[first - 1 :], 1, name=f"y_{{{first}..{n}}}")
-        tail_root = np.sqrt(2.0 * a)
+    a, tail_b = _peel_core(y.diag, y.off, 1)
+    tail_root = np.sqrt(2.0 * a)
     out = np.zeros((size, 2 * n - 1))
     diag, off = out[:, :n], out[:, n:]
     for lo, hi, mult in index_sets:
         k = hi - lo + 1
         if hi == n:
-            root, b = tail_root[lo - first :], tail_b[lo - first :]
+            root, b = tail_root[lo - 1 :], tail_b[lo - 1 :]
         else:
             a, b = _peel_core(y.diag[lo - 1 : hi], y.off[lo - 1 : hi - 1], 1, name=f"y_{{{lo}..{hi}}}")
             root = np.sqrt(2.0 * a)

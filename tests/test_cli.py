@@ -16,8 +16,8 @@ from chainwishart.cli import (
     missing_statistic,
     parse_missing_csv,
 )
+from chainwishart._formats import CSV_BLOCK_VALUES
 from chainwishart.matrix_spaces import (
-    CSV_BLOCK_VALUES,
     IncompleteSym,
     TridiagSym,
     dense_from_csv,

@@ -3,7 +3,9 @@
 Each module imports alone in a fresh interpreter, and no function body
 imports from the package: a cycle between modules is broken by moving code,
 not by deferring an import.  Standard-library imports deferred for speed,
-such as ``decimal`` in ``matrix_spaces._q_gaps``, stay allowed.
+such as ``decimal`` in ``matrix_spaces._q_gaps``, stay allowed.  The file
+formats in ``_formats`` import nothing from the package, and no module but
+``cli`` imports ``cli``.
 """
 
 import ast
@@ -17,6 +19,7 @@ import pytest
 import chainwishart
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(chainwishart.__path__))
+PACKAGE = Path(chainwishart.__file__).parent
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -39,3 +42,26 @@ def test_no_function_body_imports_from_the_package():
             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 found += [f"{path.name}:{node.lineno} in {fn.name}" for node in ast.walk(fn) if _package_import(node)]
     assert not found
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """The package modules that the file at ``path`` imports, anywhere in it, by short name."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not _package_import(node):
+            continue
+        if isinstance(node, ast.Import):
+            names |= {a.name.split(".")[1] for a in node.names if a.name.count(".") >= 1}
+            continue
+        module = (node.module or "") if node.level else node.module.partition(".")[2]  # drop "chainwishart."
+        names |= {module.split(".")[0]} if module else {a.name for a in node.names}
+    return names
+
+
+def test_the_file_formats_import_nothing_from_the_package():
+    assert _imported_modules(PACKAGE / "_formats.py") == set()
+
+
+def test_no_module_but_cli_imports_cli():
+    importers = [p.name for p in sorted(PACKAGE.glob("*.py")) if "cli" in _imported_modules(p)]
+    assert importers == []

@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chainwishart import matrix_spaces
+from chainwishart import _formats
+from chainwishart._formats import CSV_BLOCK_VALUES
 from chainwishart.lum_triangular import decompose
 from chainwishart.matrix_spaces import (
-    CSV_BLOCK_VALUES,
     ConeError,
     IncompleteSym,
     TridiagSym,
@@ -321,10 +321,10 @@ def test_dense_csv_round_trip(tmp_path):
 
 @pytest.mark.parametrize("block_values", [4, 1 << 16])
 def test_csv_writer_round_trips_edge_values_exactly(tmp_path, monkeypatch, block_values):
-    from chainwishart import matrix_spaces
+    from chainwishart import _formats
     from chainwishart.matrix_spaces import dense_from_csv, dense_to_csv
 
-    monkeypatch.setattr(matrix_spaces, "CSV_BLOCK_VALUES", block_values)
+    monkeypatch.setattr(_formats, "CSV_BLOCK_VALUES", block_values)
     edge = [-0.0, 5e-324, 1e-5, 1e16, 1.7976931348623157e308, -2.2250738585072014e-308]
     a = np.array([edge, [0.1, -1.0 / 3.0, np.pi, 2.0**-1074, -1e300, 123456789.0]] * 3)
     path = tmp_path / "edge.csv"
@@ -341,9 +341,9 @@ def _percent_g_csv(a):
 
 def _csv_text(a, block_values):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(matrix_spaces, "CSV_BLOCK_VALUES", block_values)
+        mp.setattr(_formats, "CSV_BLOCK_VALUES", block_values)
         f = io.StringIO()
-        matrix_spaces._write_csv_rows(f, a)
+        _formats._write_csv_rows(f, a)
     return f.getvalue()
 
 

@@ -8,6 +8,7 @@ from chainwishart.matrix_spaces import (
     ConeError,
     IncompleteSym,
     TridiagSym,
+    _peel_core,
     hat_completion,
     inverse_image,
     is_in_P,
@@ -328,6 +329,46 @@ def test_gram_sampler_rejects_a_multiplicity_that_is_no_nonnegative_integer(mult
 def test_gram_sampler_rejects_an_interval_outside_the_chain(interval):
     with pytest.raises(ValueError, match="invalid interval"):
         wq.sample_gram_many([(*interval, 1)], GRAM_Y, np.random.default_rng(0), 4)
+
+
+def test_the_quadratic_sampler_decides_the_cone_of_y_by_one_peel_before_any_draw():
+    # y passes the LDL test (pivots toward n), but the whole chain's peel toward
+    # vertex 1 meets a determinant pivot of 5.01e-13, inside the 1e-12 margin
+    y = TridiagSym(3, [1, 1, 1], [0.999, np.sqrt(1 - 0.999 * 0.999 - 5e-13)])
+    assert is_in_P(y)
+    rng = stream_rng(59)
+    state = rng.bit_generator.state
+    with pytest.raises(ConeError, match=re.escape(
+            "y is not positive definite: the determinant (pivot 5.01044e-13) is not positive")):
+        wq.sample_quadratic_many([1, 2, 1], 2, y, rng, 4)
+    assert rng.bit_generator.state == state
+
+
+def near_boundary_p(rng, n, scale):
+    """``scale`` times a tridiagonal element built from its peel toward vertex 1, about 30% of its pivots tiny."""
+    a = np.where(rng.random(n) < 0.3, 10.0 ** rng.uniform(-13, -11, n), rng.uniform(0.01, 1, n))
+    off = rng.uniform(-1, 1, n - 1) * np.sqrt(a[1:])
+    diag = a.copy()
+    diag[:-1] += off**2 / a[1:]
+    return TridiagSym(n, scale * diag, scale * off)
+
+
+def test_every_interval_peel_passes_once_the_whole_chains_peel_has():
+    # an interval's pivots toward its first vertex are at least the whole chain's,
+    # so the sampler's only cone decision is the peel of the whole chain
+    rng = np.random.default_rng(20261020)
+    accepted = 0
+    for case in range(2000):
+        n = int(rng.integers(2, 11))
+        y = near_boundary_p(rng, n, (1e-200, 1.0, 1e200)[case % 3])
+        try:
+            _peel_core(y.diag, y.off, 1)
+        except ConeError:
+            continue
+        accepted += 1
+        intervals = [(lo, hi, 1) for lo in range(1, n + 1) for hi in range(lo, n + 1)]
+        wq.sample_gram_many(intervals, y, rng, 1)
+    assert 500 < accepted < 1500  # members on both sides of the margin
 
 
 def test_quadratic_sampler_saturated_case():
