@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 __all__ = [
     "ChainGraph",
     "EliminatingOrder",
@@ -110,14 +112,19 @@ def build_chain(n: int) -> ChainGraph:
 def enumerate_eliminating_orders(g: ChainGraph) -> list[EliminatingOrder]:
     """All ``2^(n-1)`` eliminating orders, one per intertwining mask, in mask order.
 
-    Built by prefix doubling: step ``k`` extends every prefix from the right
-    run (bit ``k`` clear), then every prefix from the left run (bit ``k``
-    set), so each list of prefixes stays in the order of their masks.
+    Built all at once, one row per position ``k`` and one column per mask,
+    in the smallest integer type that holds ``n``: with ``c`` the number of
+    left-run elements among the first ``k + 1``, the ``k``-th element is
+    ``c`` when bit ``k`` is set and ``n - (k - c)`` when it is clear.  Bit
+    ``n - 1`` of a mask is always clear, so the last element, the maximal
+    vertex, is ``c + 1``.  ``tolist`` gives the orders Python ints.
     """
-    runs = [((), 1, g.n)]  # (prefix, next vertex of the left run, of the right run)
-    for _ in range(g.n - 1):
-        runs = [(seq + (r,), l, r - 1) for seq, l, r in runs] + [(seq + (l,), l + 1, r) for seq, l, r in runs]
-    return [EliminatingOrder(seq + (l,)) for seq, l, _ in runs]  # l is the max vertex
+    n = g.n
+    k = np.arange(n, dtype=np.min_scalar_type(n))[:, None]
+    left = ((np.arange(1 << (n - 1)) >> k) & 1).astype(k.dtype)
+    count = left.cumsum(axis=0, dtype=k.dtype)
+    cols = np.where(left, count, n - k + count)
+    return [EliminatingOrder(seq) for seq in zip(*cols.tolist())]
 
 
 def is_eliminating(g: ChainGraph, seq: Sequence[int]) -> bool:

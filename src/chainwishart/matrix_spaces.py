@@ -264,8 +264,7 @@ def _unit_scaled(diag: NDArray, off: NDArray) -> tuple[list, list, int]:
 
 def _to_unit(v: NDArray, out: NDArray | None = None, axis: int | None = None) -> tuple[NDArray, NDArray]:
     """``(v * 2^-e, e)`` with the largest ``|v * 2^-e|`` (in each slice along ``axis``) in ``[1/2, 1)``, exactly."""
-    keep = axis is not None
-    e = np.frexp(np.maximum(v.max(axis, keepdims=keep), -v.min(axis, keepdims=keep)))[1]  # no |v| temporary
+    e = np.frexp(np.abs(v).max(axis, keepdims=axis is not None))[1]
     return np.ldexp(v, -e, out=out), e
 
 
@@ -352,9 +351,12 @@ def _peel_unit(
     if not d[M - 1] > tol:
         raise _not_positive(name, M - 1, M, n, d[M - 1], scale)
     a, o = np.array(d), np.array(o) if scale else off
-    b = np.zeros_like(a)
-    b[: M - 1] = o[: M - 1] / a[: M - 1]
-    b[M:] = o[M - 1 :] / a[M:]
+    b = np.empty(n)
+    b[M - 1] = 0.0
+    if M > 1:
+        np.divide(o[: M - 1], a[: M - 1], out=b[: M - 1])
+    if M < n:
+        np.divide(o[M - 1 :], a[M:], out=b[M:])
     return a, b, scale
 
 

@@ -333,11 +333,12 @@ def homogeneity_degree(p: ShapeParams) -> float:
 # last axis holds 2^N coefficients, entry ``S`` (a bit mask) multiplying the
 # ``e_j`` with ``j`` in ``S``.
 #
-# Products of whole arrays of jets run batched in numpy (``_jet_mul``, and
-# the log series over them).  The two sequential steps run on Python floats,
-# subset by subset, off tables cached per jet size: the quotient of the peel
-# (``_jet_div``, ``q a = c`` solved for ``q``) and the one coefficient of
-# ``exp`` a moment needs (``_exp_top``, a sum over set partitions).
+# Whole arrays of jets run batched in numpy: their products (``_jet_mul``)
+# and their logs (``_jet_log``, which solves the subsets of one size at a
+# time).  The two sequential steps run on Python floats, subset by subset,
+# off tables cached per jet size: the quotient of the peel (``_jet_div``,
+# ``q a = c`` solved for ``q``) and the one coefficient of ``exp`` a moment
+# needs (``_exp_top``, a sum over set partitions, which ``_jet_log`` inverts).
 # ---------------------------------------------------------------------------
 
 #: Elements of the pair-product temporary of one :func:`_jet_mul` chunk.
@@ -362,6 +363,23 @@ def _quotient_pairs(size: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 def _partition_pairs(size: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Per mask ``S``, the pairs ``(T, S - T)`` over the subsets ``T`` of ``S`` that hold its lowest bit."""
     return tuple(tuple((t, s ^ t) for t in range(1, s + 1) if t & s == t and t & s & -s) for s in range(size))
+
+
+@lru_cache(maxsize=None)
+def _log_steps(size: int) -> tuple[tuple[NDArray, NDArray, NDArray, NDArray], ...]:
+    """The steps of :func:`_jet_log`, one per subset size from 2 up.
+
+    A step holds the masks ``S`` of its size, their pairs ``(T, S - T)`` in
+    :func:`_partition_pairs` but each row's last, ``(S, 0)``, and the start
+    of each mask's pairs.
+    """
+    pairs, steps = _partition_pairs(size), []
+    for k in range(2, size.bit_length()):
+        masks = [s for s in range(size) if s.bit_count() == k]
+        rows = [pairs[s][:-1] for s in masks]
+        t, u = np.array([p for row in rows for p in row]).T
+        steps.append((np.array(masks), t, u, np.cumsum([0] + [len(row) for row in rows[:-1]])))
+    return tuple(steps)
 
 
 def _jet_mul(a: NDArray, b: NDArray) -> NDArray[np.float64]:
@@ -406,14 +424,26 @@ def _exp_top(g: NDArray) -> float:
 
 
 def _jet_log(x: NDArray) -> NDArray[np.float64]:
-    """``log x - log x_0``: the series of ``log(1 + u)`` in the relative part ``u = x / x_0 - 1``."""
-    u = x / x[..., :1]
-    u[..., 0] = 0.0
-    out, pw = u.copy(), u
-    for k in range(2, x.shape[-1].bit_length()):
-        pw = _jet_mul(pw, u)
-        out += -((-1.0) ** k) / k * pw
-    return out
+    """``log x - log x_0``: the jet ``g`` with ``exp(g) = e = x / x_0`` and ``g_0 = 0``.
+
+    It inverts the recurrence of :func:`_exp_top`: ``g_S = e_S`` minus the
+    sum of ``g_T e_{S-T}`` over the proper subsets ``T`` of ``S`` that hold
+    its lowest bit, all of them solved before ``S``.  The subsets of one
+    size are solved together (:func:`_log_steps`), for every jet at once,
+    coefficient-major so that each gather takes whole rows; at size 2 each
+    sum has one term.
+    """
+    g = x / x[..., :1]
+    g[..., 0] = 0.0
+    steps = _log_steps(x.shape[-1])
+    if steps:
+        e = g.T.copy()  # ``e_0`` is never read
+        gt = e.copy()
+        for s, t, u, starts in steps:
+            terms = gt[t] * e[u]
+            gt[s] = e[s] - (terms if len(t) == len(s) else np.add.reduceat(terms, starts))
+        g[...] = gt.T
+    return g
 
 
 def _jet_moment(base: TridiagSym | IncompleteSym, dirs: Sequence, log_laplace, name: str) -> float:
@@ -425,12 +455,16 @@ def _jet_moment(base: TridiagSym | IncompleteSym, dirs: Sequence, log_laplace, n
     and the moment, of degree ``-N`` in ``base`` (named ``name``), back by
     :func:`_from_unit`.
     """
-    k = len(dirs)
-    coords, ex = _to_unit(np.array([base.coords()] + [-u.coords() for u in dirs]), axis=1)
-    jets = np.zeros((coords.shape[1], 1 << k))
+    n, k = base.n, len(dirs)
+    # one row per element, diagonal then off-diagonal, each scaled by its own power of two
+    coords = np.concatenate([v for u in (base, *dirs) for v in (u.diag, u.off)]).reshape(k + 1, -1)
+    coords, ex = _to_unit(coords, out=coords, axis=1)
+    coords[1:] *= -1.0
+    jets = np.zeros((2 * n - 1, 1 << k))
     jets[:, [0] + [1 << j for j in range(k)]] = coords.T
-    top = _exp_top(log_laplace(jets[: base.n], jets[base.n :]))
-    return _from_unit(top, int(ex[1:].sum()) - k * int(ex[0, 0]), "the moment", -k, name)
+    top = _exp_top(log_laplace(jets[:n], jets[n:]))
+    e0, *e = ex.ravel().tolist()
+    return _from_unit(top, sum(e) - k * e0, "the moment", -k, name)
 
 
 def _log_Delta_jet(p: ShapeParams, diag: NDArray, off: NDArray) -> NDArray[np.float64]:

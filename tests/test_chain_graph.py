@@ -144,10 +144,12 @@ def _mask_rule(n, mask):
     return tuple(seq + [left])
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", [*range(1, 9), 14])
 def test_enumeration_lists_the_orders_in_mask_order(n):
     got = [o.sequence for o in enumerate_eliminating_orders(build_chain(n))]
     assert got == [_mask_rule(n, m) for m in range(1 << (n - 1))]
+    # Python ints, not numpy scalars: the ``orders`` JSON writes them as numbers
+    assert all(type(v) is int for seq in got for v in seq)
 
 
 def test_eliminating_orders_are_slotted():

@@ -37,9 +37,9 @@ SIZES = (1, 2, 3, 13, 10_000)
 SCALES = (1e-150, 1.0, 1e150)
 
 
-def _cases():
-    """``(n, M, c, data)`` over every size, pivot and scale, with one seeded draw of data per size."""
-    for n in SIZES:
+def _cases(sizes=SIZES):
+    """``(n, M, c, data)`` over ``sizes``, every pivot and scale, with one seeded draw of data per size."""
+    for n in sizes:
         rng = np.random.default_rng([20261018, n])
         y, z, x, theta = (random_pd_tridiag(rng, n), random_pd_tridiag(rng, n),
                           random_q_elem(rng, n), random_q_elem(rng, n))
@@ -119,6 +119,28 @@ DIGESTS = {
 @pytest.mark.parametrize("name", list(DIGESTS))
 def test_closed_form_values_are_pinned_by_digest(name):
     assert _digest(name) == DIGESTS[name]
+
+
+# the moments at orders N = 1 and 2 (directions z, u on Q and x, v on P),
+# recorded when the jet log was the series of log(1 + u); n = 10^4 is left out
+MOMENT_DIGESTS = {
+    "moment": "514f6b129ffe5f8b74186010a95a3667e37ff7131667c51eb9c9807bc4554744",
+    "moment_p": "3b5c8f7629967f42d6fd26fa2823530298383506467a9d673c78ed7ca56372c4",
+}
+
+
+def _moments(name, d):
+    if name == "moment":
+        return [wq.moment(d["wq"], wq.MomentSpec(z)) for z in ([d["z"]], [d["z"], d["u"]])]
+    return [wp.moment_p(d["wp"], x) for x in ([d["x"]], [d["x"], d["v"]])]
+
+
+@pytest.mark.parametrize("name", list(MOMENT_DIGESTS))
+def test_moments_of_order_one_and_two_are_pinned_by_digest(name):
+    h = hashlib.sha256()
+    for *_, d in _cases(SIZES[:-1]):
+        h.update(np.asarray(_moments(name, d), dtype=np.float64).tobytes())
+    assert h.hexdigest() == MOMENT_DIGESTS[name]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 13, 40, 200])

@@ -124,3 +124,16 @@ def test_partition_sum_is_the_top_coefficient_of_the_exp_series(N):
         series += power
     top = power_functions._exp_top(g)
     assert abs(top - series[-1]) <= 1e-14 * abs(series[-1])
+
+
+@pytest.mark.parametrize("N", range(1, 7))
+def test_jet_log_inverts_the_partition_sum(N):
+    # exp(log x - log x_0) = x / x_0, so its top coefficient is x's over x_0
+    rng = np.random.default_rng([61, N])
+    x = rng.uniform(-1.0, 1.0, (40, 1 << N))
+    x[:, 0] = rng.uniform(1.0, 2.0, 40)  # |x / x_0| <= 1, so the products of N entries stay below 1
+    g = power_functions._jet_log(x)
+    assert not np.any(g[:, 0])
+    e = x / x[:, :1]
+    for row, want in zip(g, e):
+        assert abs(power_functions._exp_top(row) - want[-1]) <= 1e-13 * np.max(np.abs(want))
