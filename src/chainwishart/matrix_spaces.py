@@ -264,7 +264,8 @@ def _unit_scaled(diag: NDArray, off: NDArray) -> tuple[list, list, int]:
 
 def _to_unit(v: NDArray, out: NDArray | None = None, axis: int | None = None) -> tuple[NDArray, NDArray]:
     """``(v * 2^-e, e)`` with the largest ``|v * 2^-e|`` (in each slice along ``axis``) in ``[1/2, 1)``, exactly."""
-    e = np.frexp(np.abs(v).max(axis, keepdims=axis is not None))[1]
+    keep = axis is not None
+    e = np.frexp(np.maximum(v.max(axis, keepdims=keep), -v.min(axis, keepdims=keep)))[1]  # no |v| temporary
     return np.ldexp(v, -e, out=out), e
 
 

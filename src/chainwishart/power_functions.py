@@ -341,7 +341,7 @@ def homogeneity_degree(p: ShapeParams) -> float:
 # needs (``_exp_top``, a sum over set partitions, which ``_jet_log`` inverts).
 # ---------------------------------------------------------------------------
 
-#: Elements of the pair-product temporary of one :func:`_jet_mul` chunk.
+#: Elements of the pair-product temporary of one :func:`_jet_mul` or :func:`_jet_log` chunk.
 _JET_CHUNK = 1 << 20
 
 
@@ -366,20 +366,19 @@ def _partition_pairs(size: int) -> tuple[tuple[tuple[int, int], ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _log_steps(size: int) -> tuple[tuple[NDArray, NDArray, NDArray, NDArray], ...]:
-    """The steps of :func:`_jet_log`, one per subset size from 2 up.
+def _log_steps(size: int) -> tuple[int, tuple[tuple[NDArray, NDArray, NDArray, NDArray], ...]]:
+    """The steps of :func:`_jet_log`, one per subset size from 2 up, and the most pairs in one.
 
     A step holds the masks ``S`` of its size, their pairs ``(T, S - T)`` in
-    :func:`_partition_pairs` but each row's last, ``(S, 0)``, and the start
-    of each mask's pairs.
+    :func:`_partition_pairs` with each row's last, ``(S, 0)``, moved first,
+    and the start of each mask's pairs.
     """
     pairs, steps = _partition_pairs(size), []
     for k in range(2, size.bit_length()):
         masks = [s for s in range(size) if s.bit_count() == k]
-        rows = [pairs[s][:-1] for s in masks]
-        t, u = np.array([p for row in rows for p in row]).T
-        steps.append((np.array(masks), t, u, np.cumsum([0] + [len(row) for row in rows[:-1]])))
-    return tuple(steps)
+        t, u = np.array([p for s in masks for p in (pairs[s][-1], *pairs[s][:-1])]).T
+        steps.append((np.array(masks), t, u, np.arange(0, t.size, 1 << (k - 1))))
+    return max((t.size for _, t, _, _ in steps), default=1), tuple(steps)
 
 
 def _jet_mul(a: NDArray, b: NDArray) -> NDArray[np.float64]:
@@ -427,22 +426,25 @@ def _jet_log(x: NDArray) -> NDArray[np.float64]:
     """``log x - log x_0``: the jet ``g`` with ``exp(g) = e = x / x_0`` and ``g_0 = 0``.
 
     It inverts the recurrence of :func:`_exp_top`: ``g_S = e_S`` minus the
-    sum of ``g_T e_{S-T}`` over the proper subsets ``T`` of ``S`` that hold
-    its lowest bit, all of them solved before ``S``.  The subsets of one
-    size are solved together (:func:`_log_steps`), for every jet at once,
-    coefficient-major so that each gather takes whole rows; at size 2 each
-    sum has one term.
+    products ``g_T e_{S-T}`` over the proper subsets ``T`` of ``S`` that
+    hold its lowest bit, all of them solved before ``S``.  While ``S`` is
+    unsolved its slot holds ``e_S``, so with ``e_0 = 1`` the pair ``(S, 0)``
+    gives the first term.  The subsets of one size are solved together
+    (:func:`_log_steps`), coefficient-major so that each gather takes whole
+    rows, for up to ``_JET_CHUNK`` pair products at a time.
     """
+    widest, steps = _log_steps(x.shape[-1])
+    k = max(1, _JET_CHUNK // widest)
+    if x.ndim > 1 and len(x) > k:
+        return np.concatenate([_jet_log(x[i : i + k]) for i in range(0, len(x), k)])
     g = x / x[..., :1]
-    g[..., 0] = 0.0
-    steps = _log_steps(x.shape[-1])
     if steps:
-        e = g.T.copy()  # ``e_0`` is never read
+        e = g.T
         gt = e.copy()
         for s, t, u, starts in steps:
-            terms = gt[t] * e[u]
-            gt[s] = e[s] - (terms if len(t) == len(s) else np.add.reduceat(terms, starts))
+            gt[s] = np.subtract.reduceat(gt[t] * e[u], starts)
         g[...] = gt.T
+    g[..., 0] = 0.0
     return g
 
 

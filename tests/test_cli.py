@@ -216,11 +216,11 @@ def test_verify_all_passes_without_scipy(tmp_path):
     assert lines[-1] == "[]\n"
     # the report, text and JSON, is pinned bit for bit: every check keeps its draws and its detail.
     # The JSON digest was re-recorded when the jet log became the inverse of the exp recurrence:
-    # the statistics of moment_q_order3_mc and moment_p_order3_mc moved by 1.7e-14 and 4.5e-14 relative
+    # the statistic of moment_q_order3_mc moved by 1.7e-14 relative
     text = "".join(lines[:-1]).encode()
     assert hashlib.sha256(text).hexdigest() == "ac98f4f3222c038792d5bdc2edf3f0321f533855a19dca6676d7107e7a152725"
     assert hashlib.sha256(report.read_bytes()).hexdigest() == (
-        "2fedabdc05cc72b33564487347261646224e26faab80018b7a5ffc0df5510058"
+        "7cb36e8275a37c2c2c717f52ae8133d7ac98c1148cd51dd5373f9a6a9ef08c6c"
     )
 
 
