@@ -11,12 +11,13 @@ missing-data statistic in :mod:`chainwishart.wishart_q`; :func:`main` maps
 their errors to exit codes.  The default seed comes from ``CHAINWISHART_SEED``.
 
 Exit codes: 0 success; 1 verification failure; 2 parameter-domain or cone
-violation (the diagnostic names the failed minor), a moment order above its
-cap, a Newton inversion that cannot reach its target, or a result past the
-double range; 3 I/O failure or a malformed input file (not UTF-8, a missing
-or mistyped field, a fraction where an integer belongs, a non-finite cell);
-4 inconvertible clique/separator parameters; 5 non-monotone missing-data
-pattern; 6 no consistent pivot for a missing-data pattern.
+violation (the diagnostic names the failed minor), a pivot outside ``1..n``,
+a moment order above its cap of 6, a Newton inversion that cannot reach its
+target, or a result past the double range; 3 I/O failure or a malformed
+input file (not UTF-8, a missing or mistyped field, a fraction where an
+integer belongs, a non-finite cell); 4 inconvertible clique/separator
+parameters; 5 non-monotone missing-data pattern; 6 no consistent pivot for a
+missing-data pattern.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from .chain_graph import (
     first_separator,
 )
 from .letac_massam import LMParams, lm_to_sM, sM_to_lm
-from .matrix_spaces import IncompleteSym, TridiagSym, _integral
+from .matrix_spaces import IncompleteSym, TridiagSym, _pivot
 from .power_functions import ShapeParams
 from .wishart_q import PivotError, missing_statistic
 
@@ -122,9 +123,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     if args.sigma is not None:
         if args.family != "q":
             raise CliError(EXIT_DOMAIN, "--sigma applies to the dual-cone family only")
-        y, m_pivot = _decode(
-            lambda d: (TridiagSym.from_json_dict(d["y"]), _integral(d["M"], "pivot M")), params, args.params
-        )
+        y = _decode(lambda d: TridiagSym.from_json_dict(d["y"]), params, args.params)
+        m_pivot = _decode(lambda d: _pivot(d["M"], y.n), params, args.params)
         coords = wishart_q.sample_quadratic_many(args.sigma, m_pivot, y, rng, args.n)
         meta = {"family": "q-quadratic", "sigma": args.sigma.tolist(), "M": m_pivot}
         n = y.n

@@ -152,7 +152,7 @@ def sM_to_lm(p: ShapeParams) -> LMParams:
     n, M, s = p.n, p.M, p.s
     if not 2 <= M <= n - 1:
         raise ValueError(
-            f"pivot M={M} has no clique/separator representation: endpoint power "
+            f"the endpoint pivot {M} has no clique/separator representation: endpoint power "
             f"functions carry {n - 1} diagonal exponents, one more than H provides"
         )
     alpha = np.empty(n - 1)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .matrix_spaces import DenseSym, IncompleteSym, TridiagSym, _hat_element, _hat_fill, _peel_core, _peel_unit
+from .matrix_spaces import DenseSym, IncompleteSym, TridiagSym, _hat_element, _hat_fill, _peel_core, _peel_unit, _pivot
 from .power_functions import ShapeParams
 from .wishart_q import inverse_mean
 
@@ -57,8 +57,7 @@ class LUMMatrix:
         self.diag = np.asarray(self.diag, dtype=float).reshape(-1)
         self.sub = np.asarray(self.sub, dtype=float).reshape(-1)
         self.sup = np.asarray(self.sup, dtype=float).reshape(-1)
-        if not 1 <= self.M <= self.n:
-            raise ValueError(f"pivot M={self.M} out of range 1..{self.n}")
+        self.M = _pivot(self.M, self.n)
         if self.diag.shape != (self.n,):
             raise ValueError("diag must have length n")
         if self.sub.shape != (self.M - 1,):
@@ -84,8 +83,7 @@ def decompose(y: TridiagSym, M: int) -> LUMMatrix:
     ``T_ii = sqrt(a)`` and ``sqrt(a) b`` on the side facing the pivot; the
     pivot vertex contributes the square root of the remainder.
     """
-    if not 1 <= M <= y.n:
-        raise ValueError(f"pivot M={M} out of range 1..{y.n}")
+    M = _pivot(M, y.n)
     a, b = _peel_core(y.diag, y.off, M)
     diag = np.sqrt(a)
     return LUMMatrix(y.n, M, diag, diag[: M - 1] * b[: M - 1], diag[M:] * b[M:])

@@ -45,6 +45,7 @@ File formats live in :mod:`chainwishart._formats`; ``dense_to_csv`` and
 ``dense_from_csv`` are re-exported here.
 
 Vertices are labelled ``1..n`` in the public API; arrays are 0-based.
+Every function that takes a pivot ``M`` checks it by ``_pivot``.
 """
 
 from __future__ import annotations
@@ -114,6 +115,14 @@ def _integral(value, name: str) -> int:
     if isinstance(value, (float, np.floating)) and float(value).is_integer():
         return int(value)
     raise TypeError(f"{name} must be an integral number, got {value!r}")
+
+
+def _pivot(M, n: int) -> int:
+    """The pivot ``M`` of a chain on ``n`` vertices, as an int by :func:`_integral`; ``ValueError`` outside ``1..n``."""
+    M = _integral(M, "pivot M")
+    if not 1 <= M <= n:
+        raise ValueError(f"pivot M={M} out of range 1..{n}")
+    return M
 
 
 @dataclass(eq=False, frozen=True, init=False)

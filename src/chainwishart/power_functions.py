@@ -43,9 +43,9 @@ from .matrix_spaces import (
     IncompleteSym,
     TridiagSym,
     _from_unit,
-    _integral,
     _peel_core,
     _peel_order,
+    _pivot,
     _q_gaps,
     _to_unit,
     leading_log_minors,
@@ -80,14 +80,12 @@ class ShapeParams:
     s: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "M", _integral(self.M, "pivot M"))
         object.__setattr__(self, "s", np.asarray(self.s, dtype=float).reshape(-1).copy())
         if self.s.size < 1:
             raise ValueError("shape vector must be non-empty")
         if not np.all(np.isfinite(self.s)):
             raise ValueError("shape vector must be finite")
-        if not 1 <= self.M <= self.s.size:
-            raise ValueError(f"pivot M={self.M} out of range 1..{self.s.size}")
+        object.__setattr__(self, "M", _pivot(self.M, self.s.size))
         self.s.flags.writeable = False
 
     def __eq__(self, other: object) -> bool:
@@ -136,8 +134,7 @@ def delta_exponents(s: Iterable[float], M: int) -> tuple[NDArray[np.float64], ND
     """
     s = np.asarray(s, dtype=float).reshape(-1)
     n = s.size
-    if not 1 <= M <= n:
-        raise ValueError(f"pivot M={M} out of range 1..{n}")
+    M = _pivot(M, n)
     # block {b, b+1} carries s_b left of the pivot and s_{b+1} right of it;
     # x_jj carries -s_{j-1} left of the pivot and -s_{j+1} right of it
     cliq, diag = np.empty(n - 1), np.zeros(n)
@@ -344,6 +341,9 @@ def homogeneity_degree(p: ShapeParams) -> float:
 #: Elements of the pair-product temporary of one :func:`_jet_mul` or :func:`_jet_log` chunk.
 _JET_CHUNK = 1 << 20
 
+#: The highest moment order: a moment of order N costs O(n 3^N) jet products.
+_MOMENT_CAP = 6
+
 
 @lru_cache(maxsize=None)
 def _subset_pairs(size: int) -> tuple[NDArray, NDArray, NDArray]:
@@ -455,9 +455,16 @@ def _jet_moment(base: TridiagSym | IncompleteSym, dirs: Sequence, log_laplace, n
     Scaling a power function's argument only shifts ``F`` by a constant, so
     ``base`` and each direction are scaled to unit size by :func:`_to_unit`
     and the moment, of degree ``-N`` in ``base`` (named ``name``), back by
-    :func:`_from_unit`.
+    :func:`_from_unit`.  The one check of the directions, for both cones:
+    at least one, at most ``_MOMENT_CAP``, each of the size of ``base``.
     """
     n, k = base.n, len(dirs)
+    if k == 0:
+        raise ValueError("need at least one test direction")
+    if k > _MOMENT_CAP:
+        raise ValueError(f"moment order {k} above cap {_MOMENT_CAP}")
+    if any(u.n != n for u in dirs):
+        raise ValueError("size mismatch")
     # one row per element, diagonal then off-diagonal, each scaled by its own power of two
     coords = np.concatenate([v for u in (base, *dirs) for v in (u.diag, u.off)]).reshape(k + 1, -1)
     coords, ex = _to_unit(coords, out=coords, axis=1)

@@ -43,9 +43,9 @@ from .matrix_spaces import (
     _from_unit,
     _peel_core,
     _peel_order,
+    _pivot,
     _q_gaps,
     _to_unit,
-    is_in_Q,
     pairing,
 )
 from .power_functions import (
@@ -87,15 +87,16 @@ __all__ = [
 class WishartP:
     """Family member on ``P``: shape ``(M, s)`` and natural parameter ``x`` in ``Q``.
 
-    Construction tests the shape's domain and ``x``'s membership of ``Q``
-    once, and nothing tests them again: the clique gaps of that cone test
-    are kept for every later reading of ``x``, so a family sweeps ``x`` once
-    in its lifetime.  The constants that depend only on the family (the
-    normalizer, ``log(delta_{-s} phi)(x)``, the exponent vectors, the
-    sampler's walk) are likewise computed once each, on first use, and
-    kept.  So that they stay true, construction marks ``x.diag`` and
-    ``x.off`` read-only, and the element's fields cannot be rebound: an
-    in-place edit of ``x`` raises ``ValueError``.
+    Construction forms the normalizer by :func:`log_norm_constant_p`, the
+    family's one test of the shape's domain, and tests ``x``'s membership of
+    ``Q`` once; nothing tests them again.  The clique gaps of that cone test
+    are kept for every later reading of ``x`` but the sampler's walk, which
+    reads ``x`` once more through its dual peel.  The other constants that
+    depend only on the family (``log(delta_{-s} phi)(x)``, the exponent
+    vectors, the walk) are computed once each, on first use, and kept.  So
+    that they stay true, construction marks ``x.diag`` and ``x.off``
+    read-only, and the element's fields cannot be rebound: an in-place edit
+    of ``x`` raises ``ValueError``.
     """
 
     params: ShapeParams
@@ -104,20 +105,13 @@ class WishartP:
     def __post_init__(self) -> None:
         if self.params.n != self.x.n:
             raise ValueError("shape vector and natural parameter size disagree")
-        if not self.params.in_p_domain():
-            raise ValueError(
-                "shape out of domain: need s_i > -3/2 off the pivot and s_M > -1"
-            )
+        object.__setattr__(self, "_log_norm", log_norm_constant_p(self.params))
         object.__setattr__(self, "_x_gaps", _q_gaps(self.x))
         self.x.diag.flags.writeable = self.x.off.flags.writeable = False
 
     @property
     def n(self) -> int:
         return self.params.n
-
-    @cached_property
-    def _log_norm(self) -> float:
-        return log_norm_constant_p(self.params)
 
     @cached_property
     def _delta_exps(self) -> tuple[NDArray, NDArray]:
@@ -169,7 +163,7 @@ def riesz_p_exponents(s: Iterable[float], M: int) -> tuple[NDArray[np.float64], 
 
 
 def log_norm_constant_p(p: ShapeParams) -> float:
-    """Log of the Riesz normalizer; raises outside the integrability domain."""
+    """Log of the Riesz normalizer; raises outside the integrability domain, the one test of it that a family makes."""
     if not p.in_p_domain():
         raise ValueError("shape out of domain: need s_i > -3/2 off the pivot and s_M > -1")
     args = p.s + 1.5
@@ -330,6 +324,7 @@ def quadratic_params_p_inverse(
     n = beta.size
     if alpha.size != n - 1 and n > 1:
         raise ValueError("alpha must have one entry per clique")
+    M = _pivot(M, n)
     s = np.empty(n)
     for i in range(1, n + 1):
         if i < M:
@@ -389,22 +384,16 @@ def integer_feasibility_p(
 # ---------------------------------------------------------------------------
 
 
-def moment_p(w: WishartP, x_list: Sequence[IncompleteSym], cap: int = 6) -> float:
+def moment_p(w: WishartP, x_list: Sequence[IncompleteSym]) -> float:
     """``E[ <Y, x_1> ... <Y, x_N> ]`` as a Taylor coefficient of the Laplace transform.
 
     The moment is the coefficient of ``e_1 ... e_N`` in
     ``exp(F(x - sum_j e_j x_j) - F(x))`` with nilpotent ``e_j`` and
     ``F = cliq_e . log |x_b| + diag_e . log x_jj`` the log-Laplace exponent
     (:func:`riesz_p_exponents`), evaluated on 2^N-coefficient jets for all
-    cliques at once; endpoint pivots need no special case.
+    cliques at once; endpoint pivots need no special case.  The directions
+    are checked by ``power_functions._jet_moment``, as on ``Q``.
     """
-    n_dirs = len(x_list)
-    if n_dirs == 0:
-        raise ValueError("need at least one test direction")
-    if n_dirs > cap:
-        raise ValueError(f"moment order {n_dirs} above cap {cap}")
-    if any(x.n != w.n for x in x_list):
-        raise ValueError("size mismatch")
     cliq_e, diag_e = w._riesz_exps
     k = w.n - 1
 
@@ -441,21 +430,29 @@ def newton_inverse_mean_p(p: ShapeParams, target: TridiagSym) -> IncompleteSym:
     From the identity, at most 100 steps, stopping at 1e-10 relative, at the
     target scaled to unit size, as ``mean_p(c x) = mean_p(x) / c``; the
     answer, of degree -1 in the target, is scaled back by :func:`_from_unit`.
+    The shape and the target's size are checked once.  Each trial point's
+    clique gaps are its cone test in the line search, and the accepted
+    iterate's mean and Newton step both read them.
     """
+    log_norm_constant_p(p)  # raises outside the shape's domain
+    if p.n != target.n:
+        raise ValueError("size mismatch")
     target_c, e = _to_unit(target.coords())
     x, exps = IncompleteSym(p.n, np.ones(p.n)), riesz_p_exponents(p.s, p.M)
+    g = _q_gaps(x)
     for _ in range(100):
-        resid = mean_p(WishartP(p, x)).coords() - target_c
+        resid = _clique_assembly(x, -exps[0], -exps[1], "the mean", g).coords() - target_c
         if np.max(np.abs(resid)) <= 1e-10 * np.max(np.abs(target_c)):
             return IncompleteSym.from_coords(_from_unit(x.coords(), -e, "the inverse mean", -1, "y"))
-        step = _covariance_coords(x, exps, resid, True, "x")  # jacobian^{-1} resid
+        step = _covariance_coords(x, exps, resid, True, "x", g)  # jacobian^{-1} resid
         t = 1.0
         while t > 1e-8:
             trial = IncompleteSym.from_coords(x.coords() - t * step)
-            if is_in_Q(trial):
-                x = trial
+            try:
+                g, x = _q_gaps(trial), trial
                 break
-            t /= 2.0
+            except ConeError:
+                t /= 2.0
         else:
             raise RuntimeError("line search failed to stay inside the cone")
     raise RuntimeError("Newton inversion did not converge")

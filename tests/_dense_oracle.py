@@ -33,7 +33,7 @@ from chainwishart.matrix_spaces import (
     project_pi,
 )
 from chainwishart.lum_triangular import LUMMatrix
-from chainwishart.power_functions import ShapeParams
+from chainwishart.power_functions import _MOMENT_CAP, ShapeParams
 from chainwishart.wishart_p import WishartP, riesz_p_exponents
 from chainwishart.wishart_q import MomentSpec, WishartQ, operator_matrix
 
@@ -127,8 +127,8 @@ def moment(w: WishartQ, spec: MomentSpec) -> float:
     the moment is the sum of the cycle products over all permutations.
     """
     n_dirs = len(spec.z_list)
-    if n_dirs > spec.cap:
-        raise ValueError(f"moment order {n_dirs} above cap {spec.cap}")
+    if n_dirs > _MOMENT_CAP:
+        raise ValueError(f"moment order {n_dirs} above cap {_MOMENT_CAP}")
     if spec.z_list[0].n != w.n:
         raise ValueError("size mismatch")
     blocks = _mean_blocks(w.params, w.y)
@@ -157,7 +157,7 @@ def _blocks(d0: NDArray, d1: NDArray, o: NDArray) -> NDArray[np.float64]:
     return out
 
 
-def moment_p(w: WishartP, x_list: Sequence[IncompleteSym], cap: int = 6) -> float:
+def moment_p(w: WishartP, x_list: Sequence[IncompleteSym]) -> float:
     """``E[ <Y, x_1> ... <Y, x_N> ]`` by the permutation-cycle expansion.
 
     Cycle factors sum clique-block traces with weights ``s + 3/2`` and
@@ -166,8 +166,8 @@ def moment_p(w: WishartP, x_list: Sequence[IncompleteSym], cap: int = 6) -> floa
     covered by the same expression.
     """
     n_dirs = len(x_list)
-    if n_dirs > cap:
-        raise ValueError(f"moment order {n_dirs} above cap {cap}")
+    if n_dirs > _MOMENT_CAP:
+        raise ValueError(f"moment order {n_dirs} above cap {_MOMENT_CAP}")
     if any(x.n != w.n for x in x_list):
         raise ValueError("size mismatch")
     theta = w.x

@@ -695,7 +695,23 @@ CONTRACT = [
      EXIT_IO),
     ("lm-convert-pivot-1.5", {"s.json": {"M": 1.5, "s": [1.0, 1.0, 1.0]}},
      ["lm-convert", "--direction", "s-to-lm", "--file", "{s.json}"], EXIT_IO),
+    # a pivot outside 1..n, and a Newton target of another size than the shape
+    *[
+        (f"sample-sigma-pivot-{pivot}", {"q.json": {**Q2, "M": pivot}},
+         ["sample", "--family", "q", "--params", "{q.json}", "--n", "5", "--out", "{dir}/x.csv", "--sigma", "1,1"],
+         EXIT_DOMAIN)
+        for pivot in (0, 3)
+    ],
+    ("newton-target-of-another-size", {"p.json": P2, "t.json": Q3["y"]},
+     ["eval", "--what", "inverse-mean", "--family", "p", "--params", "{p.json}", "--point", "{t.json}"],
+     EXIT_DOMAIN),
 ]
+#: The error line of a contract case, where the case pins it.
+CONTRACT_ERRORS = {
+    "sample-sigma-pivot-0": "error: pivot M=0 out of range 1..2\n",
+    "sample-sigma-pivot-3": "error: pivot M=3 out of range 1..2\n",
+    "newton-target-of-another-size": "error: size mismatch\n",
+}
 
 
 @pytest.mark.parametrize("case, files, argv, code", CONTRACT, ids=[c[0] for c in CONTRACT])
@@ -718,6 +734,9 @@ def test_cli_exit_code_contract(tmp_path, capsys, case, files, argv, code):
     if code:
         assert err.startswith("error:")
         assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "x.csv").exists()
+    if case in CONTRACT_ERRORS:
+        assert err == CONTRACT_ERRORS[case]
     if case in NEWTON_SCALES:
         got = IncompleteSym.from_json_dict(json.loads(out)["inverse_mean"])
         want = NEWTON_SCALES[case] * IncompleteSym.from_json_dict(P2["x"])

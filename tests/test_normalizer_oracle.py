@@ -108,8 +108,6 @@ def test_a_family_computes_its_normalizer_once(monkeypatch):
 
     rng = np.random.default_rng(47)
     n, M = 4, 2
-    w = wq.WishartQ(ShapeParams(M, rng.uniform(0.8, 2.5, n)), TridiagSym(n, np.full(n, 2.0), np.full(n - 1, 0.3)))
-    wpp = wp.WishartP(ShapeParams(M, rng.uniform(0.0, 1.5, n)), random_q_elem(rng, n))
     runs = []
     kernel = power_functions._log_gamma_normalizer
 
@@ -119,9 +117,13 @@ def test_a_family_computes_its_normalizer_once(monkeypatch):
 
     for mod in (wq, wp):
         monkeypatch.setattr(mod, "_log_gamma_normalizer", counted)
+    w = wq.WishartQ(ShapeParams(M, rng.uniform(0.8, 2.5, n)), TridiagSym(n, np.full(n, 2.0), np.full(n - 1, 0.3)))
+    assert len(runs) == 1
+    wpp = wp.WishartP(ShapeParams(M, rng.uniform(0.0, 1.5, n)), random_q_elem(rng, n))
+    assert len(runs) == 2
     xs = [random_q_elem(rng, n) for _ in range(3)]
     assert len({wq.log_density(w, x) for x in xs}) == 3
-    assert len(runs) == 1
+    assert len(runs) == 2
     for _ in range(3):
         wp.log_density_p(wpp, TridiagSym(n, np.full(n, 2.0), np.full(n - 1, 0.3)))
     assert len(runs) == 2

@@ -278,8 +278,8 @@ def test_moment_p_low_orders():
         mp, xs[1]
     )
     assert m2 == pytest.approx(expect2, rel=1e-12)
-    with pytest.raises(ValueError):
-        wp.moment_p(w, xs, cap=2)
+    with pytest.raises(ValueError, match="moment order 7 above cap 6"):
+        wp.moment_p(w, xs * 2 + xs[:1])
 
 
 def test_moment_p_vs_mc_including_endpoints():

@@ -426,8 +426,8 @@ def test_moment_low_orders_and_cap():
         zs[1], mn
     )
     assert m2 == pytest.approx(expect2, rel=1e-12)
-    with pytest.raises(ValueError):
-        wq.moment(w, wq.MomentSpec(zs, cap=2))
+    with pytest.raises(ValueError, match="moment order 7 above cap 6"):
+        wq.moment(w, wq.MomentSpec(zs * 2 + zs[:1]))
 
 
 def test_moment_scalar_shape_closed_form():
