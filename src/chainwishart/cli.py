@@ -33,8 +33,6 @@ import numpy as np
 from . import verification, wishart_p, wishart_q
 from ._formats import (
     FormatError,
-    MissingDataset,
-    ObservationRow,
     PatternError,
     _write_csv,
     dense_to_csv,
@@ -52,7 +50,7 @@ from .matrix_spaces import IncompleteSym, TridiagSym, _pivot
 from .power_functions import ShapeParams
 from .wishart_q import PivotError, missing_statistic
 
-__all__ = ["main", "MissingDataset", "ObservationRow", "missing_statistic"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1

@@ -37,7 +37,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .chain_graph import CliqueOrder, first_separator
-from .matrix_spaces import IncompleteSym
+from .matrix_spaces import IncompleteSym, _same_size
 from .power_functions import ShapeParams, _log_atoms
 from .wishart_q import log_norm_constant
 
@@ -105,8 +105,7 @@ class LMParams:
 
 def log_H(lm: LMParams, x: IncompleteSym) -> float:
     """``log H(alpha, beta; x)`` on the dual cone."""
-    if lm.n != x.n:
-        raise ValueError("size mismatch")
+    _same_size(lm.n, x.n)
     log_cliq, log_diag = _log_atoms(x)
     return float(lm.alpha @ log_cliq - lm.beta @ log_diag[1 : x.n - 1])
 

@@ -117,6 +117,13 @@ def _integral(value, name: str) -> int:
     raise TypeError(f"{name} must be an integral number, got {value!r}")
 
 
+def _same_size(n: int, *others: int) -> None:
+    """The one size rule: ``ValueError("size mismatch")`` unless every size equals ``n``."""
+    for k in others:
+        if k != n:
+            raise ValueError("size mismatch")
+
+
 def _pivot(M, n: int) -> int:
     """The pivot ``M`` of a chain on ``n`` vertices, as an int by :func:`_integral`; ``ValueError`` outside ``1..n``."""
     M = _integral(M, "pivot M")
@@ -477,8 +484,7 @@ def pairing(y: TridiagSym, x: IncompleteSym) -> float:
 
     An overflowing sum is redone on operands scaled by powers of two (exact).
     """
-    if y.n != x.n:
-        raise ValueError(f"size mismatch: {y.n} vs {x.n}")
+    _same_size(y.n, x.n)
     with np.errstate(over="ignore", invalid="ignore"):
         total = float(y.diag @ x.diag + 2.0 * (y.off @ x.off))
         if math.isfinite(total):

@@ -44,6 +44,7 @@ from .matrix_spaces import (
     TridiagSym,
     _mirror,
     _peel_core,
+    _same_size,
     assert_in_P,
     assert_in_Q,
     pairing,
@@ -169,8 +170,7 @@ def jacobian_psi_tilde(alpha: float, beta: float, x: IncompleteSym) -> float:
 
 def trace_decomposition_check(y: TridiagSym, eta: IncompleteSym) -> tuple[float, float]:
     """Both sides of ``tr(y eta) = a alpha + a x_22 (b + beta)^2 + tr(z x)``."""
-    if y.n != eta.n:
-        raise ValueError("size mismatch")
+    _same_size(y.n, eta.n)
     if y.n < 2:
         raise ValueError("decomposition needs n >= 2")
     lhs = pairing(y, eta)

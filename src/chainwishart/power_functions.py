@@ -47,6 +47,7 @@ from .matrix_spaces import (
     _peel_order,
     _pivot,
     _q_gaps,
+    _same_size,
     _to_unit,
     leading_log_minors,
     trailing_log_minors,
@@ -182,8 +183,7 @@ def _log_power(exps: tuple[NDArray, NDArray], atoms: tuple[NDArray, NDArray]) ->
 
 def log_delta_M(p: ShapeParams, x: IncompleteSym) -> float:
     """``log delta_s^(M)(x)`` on the dual cone."""
-    if p.n != x.n:
-        raise ValueError("shape vector and matrix size disagree")
+    _same_size(p.n, x.n)
     return _log_power(delta_exponents(p.s, p.M), _log_atoms(x))
 
 
@@ -200,8 +200,7 @@ def log_Delta_M(p: ShapeParams, y: TridiagSym, name: str = "y") -> float:
     (right of it) minors, so the product telescopes to the minor form above;
     their sweep is the cone test of ``y`` (called ``name`` in its error).
     """
-    if p.n != y.n:
-        raise ValueError("shape vector and matrix size disagree")
+    _same_size(p.n, y.n)
     return _log_Delta(p.s, p.M, y, name)
 
 
@@ -242,8 +241,7 @@ def log_delta_order(s: Iterable[float], order: EliminatingOrder, x: IncompleteSy
     """
     s = np.asarray(s, dtype=float).reshape(-1)
     n = x.n
-    if s.size != n or order.n != n:
-        raise ValueError("sizes disagree")
+    _same_size(s.size, order.n, n)
     log_cliq, log_diag = _log_atoms(x)
     pos = {v: i for i, v in enumerate(order.sequence)}
     total = 0.0
@@ -287,8 +285,7 @@ def log_Delta_order(s: Iterable[float], order: EliminatingOrder, y: TridiagSym) 
     """
     s = np.asarray(s, dtype=float).reshape(-1)
     n = y.n
-    if s.size != n or order.n != n:
-        raise ValueError("sizes disagree")
+    _same_size(s.size, order.n, n)
     lead = leading_log_minors(y)
     trail = trailing_log_minors(y)
     full = lead[n - 1]
@@ -463,8 +460,7 @@ def _jet_moment(base: TridiagSym | IncompleteSym, dirs: Sequence, log_laplace, n
         raise ValueError("need at least one test direction")
     if k > _MOMENT_CAP:
         raise ValueError(f"moment order {k} above cap {_MOMENT_CAP}")
-    if any(u.n != n for u in dirs):
-        raise ValueError("size mismatch")
+    _same_size(n, *(u.n for u in dirs))
     # one row per element, diagonal then off-diagonal, each scaled by its own power of two
     coords = np.concatenate([v for u in (base, *dirs) for v in (u.diag, u.off)]).reshape(k + 1, -1)
     coords, ex = _to_unit(coords, out=coords, axis=1)

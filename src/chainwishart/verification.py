@@ -42,7 +42,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import wishart_p, wishart_q
-from .matrix_spaces import DenseSym, IncompleteSym, TridiagSym, lauritzen_map, pairing, project_pi
+from .matrix_spaces import DenseSym, IncompleteSym, TridiagSym, _same_size, lauritzen_map, pairing, project_pi
 from .power_functions import ShapeParams
 
 __all__ = [
@@ -514,8 +514,7 @@ def _variance_apply_nice(p: ShapeParams, m: IncompleteSym, u: TridiagSym) -> Inc
     with ``P(A)u = pi(A u A)`` and ``M_I`` the padded interval inverses of
     the Lauritzen image of ``m``.
     """
-    if not (p.n == m.n == u.n):
-        raise ValueError("size mismatch")
+    _same_size(p.n, m.n, u.n)
     n, M, s = p.n, p.M, p.s
     mhat = _hat_completion(m)
     k = lauritzen_map(m).to_dense()
@@ -531,8 +530,7 @@ def _variance_apply_nice(p: ShapeParams, m: IncompleteSym, u: TridiagSym) -> Inc
 
 def _variance_apply_expanded(p: ShapeParams, m: IncompleteSym, u: TridiagSym) -> IncompleteSym:
     """Expanded three-sum variance formula; algebraically equal to the compact one."""
-    if not (p.n == m.n == u.n):
-        raise ValueError("size mismatch")
+    _same_size(p.n, m.n, u.n)
     n, M, s = p.n, p.M, p.s
     mhat = _hat_completion(m)
     k = lauritzen_map(m).to_dense()

@@ -45,7 +45,9 @@ from .matrix_spaces import (
     _peel_order,
     _pivot,
     _q_gaps,
+    _same_size,
     _to_unit,
+    assert_in_P,
     pairing,
 )
 from .power_functions import (
@@ -103,8 +105,7 @@ class WishartP:
     x: IncompleteSym
 
     def __post_init__(self) -> None:
-        if self.params.n != self.x.n:
-            raise ValueError("shape vector and natural parameter size disagree")
+        _same_size(self.params.n, self.x.n)
         object.__setattr__(self, "_log_norm", log_norm_constant_p(self.params))
         object.__setattr__(self, "_x_gaps", _q_gaps(self.x))
         self.x.diag.flags.writeable = self.x.off.flags.writeable = False
@@ -180,8 +181,7 @@ def _log_laplace_exponent(
 
 def log_density_p(w: WishartP, y: TridiagSym) -> float:
     """Log density at ``y``; ``-inf`` outside the cone."""
-    if y.n != w.n:
-        raise ValueError("size mismatch")
+    _same_size(y.n, w.n)
     try:
         log_power = log_Delta_M(w.params, y)  # its pivot sweep is the cone test
     except ConeError:
@@ -191,8 +191,7 @@ def log_density_p(w: WishartP, y: TridiagSym) -> float:
 
 def log_laplace_p(w: WishartP, theta: IncompleteSym) -> float:
     """``log E exp(-<theta, Y>)`` as a ratio of dual power functions."""
-    if theta.n != w.n:
-        raise ValueError("size mismatch")
+    _same_size(theta.n, w.n)
     shifted = _log_atoms(theta + w.x, "theta + x")
     return _log_laplace_exponent(w._delta_exps, w._phi_exps, shifted) - w._log_laplace_x
 
@@ -209,8 +208,7 @@ def mean_p_formula(p: ShapeParams, x: IncompleteSym) -> TridiagSym:
     weights ``-(s + 1)``-type coefficients; both are read off
     :func:`riesz_p_exponents`, which also fixes the endpoint-pivot variant.
     """
-    if p.n != x.n:
-        raise ValueError("size mismatch")
+    _same_size(p.n, x.n)
     cliq_e, diag_e = riesz_p_exponents(p.s, p.M)
     return _clique_assembly(x, -cliq_e, -diag_e, "the mean")
 
@@ -223,8 +221,7 @@ def mean_p(w: WishartP) -> TridiagSym:
 
 def covariance_p_apply(w: WishartP, u: IncompleteSym) -> TridiagSym:
     """Covariance operator ``I -> Z`` applied to ``u``: minus the mean Jacobian, a banded clique form."""
-    if u.n != w.n:
-        raise ValueError("size mismatch")
+    _same_size(u.n, w.n)
     return TridiagSym.from_coords(_covariance_coords(w.x, w._riesz_exps, u.coords(), False, "x", w._x_gaps))
 
 
@@ -322,7 +319,7 @@ def quadratic_params_p_inverse(
     alpha = np.asarray(alpha, dtype=float).reshape(-1)
     beta = np.asarray(beta, dtype=float).reshape(-1)
     n = beta.size
-    if alpha.size != n - 1 and n > 1:
+    if alpha.size != n - 1:
         raise ValueError("alpha must have one entry per clique")
     M = _pivot(M, n)
     s = np.empty(n)
@@ -430,13 +427,13 @@ def newton_inverse_mean_p(p: ShapeParams, target: TridiagSym) -> IncompleteSym:
     From the identity, at most 100 steps, stopping at 1e-10 relative, at the
     target scaled to unit size, as ``mean_p(c x) = mean_p(x) / c``; the
     answer, of degree -1 in the target, is scaled back by :func:`_from_unit`.
-    The shape and the target's size are checked once.  Each trial point's
-    clique gaps are its cone test in the line search, and the accepted
-    iterate's mean and Newton step both read them.
+    The shape, the target's size and the target's cone are checked once.
+    Each trial point's clique gaps are its cone test in the line search, and
+    the accepted iterate's mean and Newton step both read them.
     """
     log_norm_constant_p(p)  # raises outside the shape's domain
-    if p.n != target.n:
-        raise ValueError("size mismatch")
+    _same_size(p.n, target.n)
+    assert_in_P(target, "target")
     target_c, e = _to_unit(target.coords())
     x, exps = IncompleteSym(p.n, np.ones(p.n)), riesz_p_exponents(p.s, p.M)
     g = _q_gaps(x)

@@ -82,6 +82,7 @@ from .matrix_spaces import (
     _peel_unit,
     _pivot,
     _q_gaps,
+    _same_size,
     inverse_image,
     lauritzen_map,
     pairing,
@@ -149,8 +150,7 @@ class WishartQ:
     y: TridiagSym
 
     def __post_init__(self) -> None:
-        if self.params.n != self.y.n:
-            raise ValueError("shape vector and natural parameter size disagree")
+        _same_size(self.params.n, self.y.n)
         object.__setattr__(self, "_log_norm", log_norm_constant(self.params))
         object.__setattr__(self, "_plan", _peel_unit(self.y.diag, self.y.off, self.params.M))
         self.y.diag.flags.writeable = self.y.off.flags.writeable = False
@@ -233,8 +233,7 @@ def log_density(w: WishartQ, x: IncompleteSym) -> float:
     ``delta_s^(M)`` and ``phi`` are read off one set of atoms of ``x``, whose
     sweep is its cone test.
     """
-    if x.n != w.n:
-        raise ValueError("size mismatch")
+    _same_size(x.n, w.n)
     try:
         atoms = _log_atoms(x)
     except ConeError:
@@ -250,8 +249,7 @@ def log_density(w: WishartQ, x: IncompleteSym) -> float:
 
 def log_laplace(w: WishartQ, z: TridiagSym) -> float:
     """``log E exp(-<z, X>) = log Delta_{-s}(z + y) - log Delta_{-s}(y)``; the last term is ``+ log Delta_s(y)``."""
-    if z.n != w.n:
-        raise ValueError("size mismatch")
+    _same_size(z.n, w.n)
     return _log_Delta(-w.params.s, w.params.M, z + w.y, "z + y") + w._log_Delta_y
 
 
@@ -268,8 +266,7 @@ def mean_formula(p: ShapeParams, y: TridiagSym) -> IncompleteSym:
     outward sweep (no dense inverse).  It has degree -1 in ``y``; a mean past
     the largest double is a ``ValueError``.
     """
-    if p.n != y.n:
-        raise ValueError("size mismatch")
+    _same_size(p.n, y.n)
     return _hat_element(p.s, p.M, _peel_unit(y.diag, y.off, p.M), "the mean")
 
 
@@ -288,8 +285,7 @@ def covariance_apply(w: WishartQ, u: TridiagSym) -> IncompleteSym:
 
     ``V(m) u = -D^{-1} u`` with ``D`` the clique form of :func:`inverse_mean` at ``m``.
     """
-    if u.n != w.n:
-        raise ValueError("size mismatch")
+    _same_size(u.n, w.n)
     return IncompleteSym.from_coords(_covariance_coords(mean(w), w._delta_exps, u.coords(), True, "y"))
 
 
@@ -312,8 +308,7 @@ def inverse_mean(p: ShapeParams, m: IncompleteSym) -> TridiagSym:
     with ``(e, d)`` the clique/diagonal exponents of ``delta_s^(M)``.  At
     ``s = (1, ..., 1)`` this reduces to the Lauritzen bijection.
     """
-    if p.n != m.n:
-        raise ValueError("size mismatch")
+    _same_size(p.n, m.n)
     return _clique_assembly(m, *delta_exponents(p.s, p.M), "the inverse mean")
 
 
@@ -337,8 +332,7 @@ def variance_apply_nice(p: ShapeParams, m: IncompleteSym, u: TridiagSym) -> Inco
     as dense oracles, ``verification._variance_apply_nice`` and
     ``verification._variance_apply_expanded``.
     """
-    if not (p.n == m.n == u.n):
-        raise ValueError("size mismatch")
+    _same_size(p.n, m.n, u.n)
     exps = delta_exponents(p.s, p.M)
     return IncompleteSym.from_coords(_covariance_coords(m, exps, u.coords(), True, "y", _q_gaps(m)))
 

@@ -13,10 +13,8 @@ from chainwishart.cli import (
     EXIT_NO_PIVOT,
     EXIT_NOT_MONOTONE,
     main,
-    missing_statistic,
-    parse_missing_csv,
 )
-from chainwishart._formats import CSV_BLOCK_VALUES
+from chainwishart._formats import CSV_BLOCK_VALUES, parse_missing_csv
 from chainwishart.matrix_spaces import (
     IncompleteSym,
     TridiagSym,
@@ -25,6 +23,7 @@ from chainwishart.matrix_spaces import (
 )
 from chainwishart.power_functions import ShapeParams
 from chainwishart.verification import stream_rng
+from chainwishart.wishart_q import missing_statistic
 from chainwishart import wishart_p as wp
 from chainwishart import wishart_q as wq
 
@@ -695,7 +694,7 @@ CONTRACT = [
      EXIT_IO),
     ("lm-convert-pivot-1.5", {"s.json": {"M": 1.5, "s": [1.0, 1.0, 1.0]}},
      ["lm-convert", "--direction", "s-to-lm", "--file", "{s.json}"], EXIT_IO),
-    # a pivot outside 1..n, and a Newton target of another size than the shape
+    # a pivot outside 1..n, and a Newton target of another size than the shape or outside P
     *[
         (f"sample-sigma-pivot-{pivot}", {"q.json": {**Q2, "M": pivot}},
          ["sample", "--family", "q", "--params", "{q.json}", "--n", "5", "--out", "{dir}/x.csv", "--sigma", "1,1"],
@@ -705,12 +704,16 @@ CONTRACT = [
     ("newton-target-of-another-size", {"p.json": P2, "t.json": Q3["y"]},
      ["eval", "--what", "inverse-mean", "--family", "p", "--params", "{p.json}", "--point", "{t.json}"],
      EXIT_DOMAIN),
+    ("newton-target-outside-P", {"p.json": P2, "t.json": {"n": 2, "diag": [1.0, -1.0], "off": [0.0]}},
+     ["eval", "--what", "inverse-mean", "--family", "p", "--params", "{p.json}", "--point", "{t.json}"],
+     EXIT_DOMAIN),
 ]
 #: The error line of a contract case, where the case pins it.
 CONTRACT_ERRORS = {
     "sample-sigma-pivot-0": "error: pivot M=0 out of range 1..2\n",
     "sample-sigma-pivot-3": "error: pivot M=3 out of range 1..2\n",
     "newton-target-of-another-size": "error: size mismatch\n",
+    "newton-target-outside-P": "error: target is not positive definite: leading principal minor 2 (pivot -1) is not positive\n",
 }
 
 

@@ -5,7 +5,8 @@ imports from the package: a cycle between modules is broken by moving code,
 not by deferring an import.  Standard-library imports deferred for speed,
 such as ``decimal`` in ``matrix_spaces._q_gaps``, stay allowed.  The file
 formats in ``_formats`` import nothing from the package, and no module but
-``cli`` imports ``cli``.
+``cli`` imports ``cli``.  The package itself re-exports nothing: importing it
+loads no module, and importing a module loads only what that module imports.
 """
 
 import ast
@@ -65,3 +66,31 @@ def test_the_file_formats_import_nothing_from_the_package():
 def test_no_module_but_cli_imports_cli():
     importers = [p.name for p in sorted(PACKAGE.glob("*.py")) if "cli" in _imported_modules(p)]
     assert importers == []
+
+
+def _closure(module: str) -> set[str]:
+    """``module`` and every package module that it imports, directly or through another."""
+    seen, todo = set(), [module]
+    while todo:
+        m = todo.pop()
+        if m not in seen:
+            seen.add(m)
+            todo += _imported_modules(PACKAGE / f"{m}.py")
+    return seen
+
+
+def _loaded_by(statement: str) -> set[str]:
+    """The package modules, by short name, that ``statement`` loads in a fresh interpreter."""
+    code = f"import sys; {statement}; print(*(m for m in sys.modules if m.startswith('chainwishart.')))"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return {m.removeprefix("chainwishart.") for m in done.stdout.split()}
+
+
+def test_importing_the_package_loads_no_module():
+    assert _loaded_by("import chainwishart") == set()
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_importing_a_module_loads_exactly_its_own_imports(module):
+    assert _loaded_by(f"import chainwishart.{module}") == _closure(module)
