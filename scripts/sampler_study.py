@@ -71,8 +71,8 @@ def main() -> None:
     print(f"{'pivot':>6}  {'mean |z|':>9}  {'cov |z|':>8}")
     for m in range(1, n + 1):
         w = _family_p(rng, n, m)
-        draw = partial(wp.sample_p_many, w)
-        zm, zc = worst_z(draw, wp.mean_p(w), wp.covariance_p_matrix(w), args.draws, seed + 40 + m)
+        draw = partial(wp.sample_many, w)
+        zm, zc = worst_z(draw, wp.mean(w), wp.covariance_matrix(w), args.draws, seed + 40 + m)
         print(f"{m:>6}  {zm:>9.2f}  {zc:>8.2f}")
 
 

@@ -109,8 +109,15 @@ def build_chain(n: int) -> ChainGraph:
     return ChainGraph(n)
 
 
+#: The longest chain whose orders are enumerated: 2^15 orders, about 0.2 GB through the CLI.
+_MAX_ENUMERATED_N = 16
+
+
 def enumerate_eliminating_orders(g: ChainGraph) -> list[EliminatingOrder]:
     """All ``2^(n-1)`` eliminating orders, one per intertwining mask, in mask order.
+
+    A chain of more than ``_MAX_ENUMERATED_N`` vertices is a ``ValueError``,
+    raised before anything is allocated: each vertex doubles the list.
 
     Built all at once, one row per position ``k`` and one column per mask,
     in the smallest integer type that holds ``n``: with ``c`` the number of
@@ -120,6 +127,10 @@ def enumerate_eliminating_orders(g: ChainGraph) -> list[EliminatingOrder]:
     vertex, is ``c + 1``.  ``tolist`` gives the orders Python ints.
     """
     n = g.n
+    if n > _MAX_ENUMERATED_N:
+        top = _MAX_ENUMERATED_N
+        raise ValueError(f"a chain of {n} vertices has 2^{n - 1} eliminating orders; "
+                         f"at most {top} vertices (2^{top - 1} orders) are enumerated")
     k = np.arange(n, dtype=np.min_scalar_type(n))[:, None]
     left = ((np.arange(1 << (n - 1)) >> k) & 1).astype(k.dtype)
     count = left.cumsum(axis=0, dtype=k.dtype)

@@ -13,11 +13,11 @@ their errors to exit codes.  The default seed comes from ``CHAINWISHART_SEED``.
 Exit codes: 0 success; 1 verification failure; 2 parameter-domain or cone
 violation (the diagnostic names the failed minor), a pivot outside ``1..n``,
 a moment order above its cap of 6, a Newton inversion that cannot reach its
-target, or a result past the double range; 3 I/O failure or a malformed
-input file (not UTF-8, a missing or mistyped field, a fraction where an
-integer belongs, a non-finite cell); 4 inconvertible clique/separator
-parameters; 5 non-monotone missing-data pattern; 6 no consistent pivot for a
-missing-data pattern.
+target, an ``orders`` chain above 16 vertices, or a result past the double
+range; 3 I/O failure or a malformed input file (not UTF-8, a missing or
+mistyped field, a fraction where an integer belongs, a non-finite cell); 4
+inconvertible clique/separator parameters; 5 non-monotone missing-data
+pattern; 6 no consistent pivot for a missing-data pattern.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ import argparse
 import json
 import os
 import sys
-from typing import Callable, Optional, Sequence, TypeVar
+from types import ModuleType
+from typing import Callable, NamedTuple, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -46,7 +47,7 @@ from .chain_graph import (
     first_separator,
 )
 from .letac_massam import LMParams, lm_to_sM, sM_to_lm
-from .matrix_spaces import IncompleteSym, TridiagSym, _pivot
+from .matrix_spaces import TridiagSym, _pivot
 from .power_functions import ShapeParams
 from .wishart_q import PivotError, missing_statistic
 
@@ -75,6 +76,23 @@ class CliError(Exception):
 _LIBRARY_EXITS = ((PatternError, EXIT_NOT_MONOTONE), (FormatError, EXIT_IO), (PivotError, EXIT_NO_PIVOT))
 
 
+class _Cone(NamedTuple):
+    """What ``--family`` selects: the module, its family, its JSON field names and its inverse mean's tag."""
+
+    module: ModuleType
+    family: type
+    parameter_field: str
+    directions_field: str
+    inverse_mean_tag: dict
+
+
+#: ``--family`` to its cone; each closed form and sampler is called through ``module``.
+_CONES = {
+    "q": _Cone(wishart_q, wishart_q.WishartQ, "y", "z_list", {}),
+    "p": _Cone(wishart_p, wishart_p.WishartP, "x", "x_list", {"method": "newton"}),
+}
+
+
 # ---------------------------------------------------------------------------
 # I/O helpers
 # ---------------------------------------------------------------------------
@@ -90,12 +108,10 @@ def _decode(decode: Callable[[dict], T], data: dict, path: str) -> T:
         raise CliError(EXIT_IO, f"{path}: mistyped field: {e}") from e
 
 
-def _load_family(params: dict, path: str, family: str):
+def _load_family(params: dict, path: str, cone: _Cone):
     def build(d: dict):
         p = ShapeParams.from_json_dict(d)
-        if family == "q":
-            return wishart_q.WishartQ(p, TridiagSym.from_json_dict(d["y"]))
-        return wishart_p.WishartP(p, IncompleteSym.from_json_dict(d["x"]))
+        return cone.family(p, cone.module.Parameter.from_json_dict(d[cone.parameter_field]))
 
     return _decode(build, params, path)
 
@@ -127,12 +143,10 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         meta = {"family": "q-quadratic", "sigma": args.sigma.tolist(), "M": m_pivot}
         n = y.n
     else:
-        w = _load_family(params, args.params, args.family)
+        cone = _CONES[args.family]
+        w = _load_family(params, args.params, cone)
         n = w.n
-        if args.family == "q":
-            coords = wishart_q.sample_many(w, rng, args.n)
-        else:
-            coords = wishart_p.sample_p_many(w, rng, args.n)
+        coords = cone.module.sample_many(w, rng, args.n)
         meta = {"family": args.family}
     header = [
         "# chainwishart sample",
@@ -157,44 +171,28 @@ def _eval_point(args: argparse.Namespace, decode: Callable[[dict], T]) -> T:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     params = read_json_object(args.params)
-    family = args.family
-    what = args.what
+    cone = _CONES[args.family]
+    mod, what = cone.module, args.what
     if what == "inverse-mean":
         p = _decode(ShapeParams.from_json_dict, params, args.params)
-        if family == "q":
-            y = wishart_q.inverse_mean(p, _eval_point(args, IncompleteSym.from_json_dict))
-            _print_json({"inverse_mean": y.to_json_dict()})
-        else:
-            target = _eval_point(args, TridiagSym.from_json_dict)
-            x = wishart_p.newton_inverse_mean_p(p, target)
-            _print_json({"inverse_mean": x.to_json_dict(), "method": "newton"})
+        parameter = mod.inverse_mean(p, _eval_point(args, mod.Point.from_json_dict))
+        _print_json({"inverse_mean": parameter.to_json_dict(), **cone.inverse_mean_tag})
         return EXIT_OK
-    w = _load_family(params, args.params, family)
+    w = _load_family(params, args.params, cone)
     if what == "density":
-        if family == "q":
-            val = wishart_q.log_density(w, _eval_point(args, IncompleteSym.from_json_dict))
-        else:
-            val = wishart_p.log_density_p(w, _eval_point(args, TridiagSym.from_json_dict))
+        val = mod.log_density(w, _eval_point(args, mod.Point.from_json_dict))
         # outside the support the log density is -inf, which JSON cannot hold
         _print_json({"log_density": None if val == float("-inf") else val})
     elif what == "laplace":
-        if family == "q":
-            val = wishart_q.log_laplace(w, _eval_point(args, TridiagSym.from_json_dict))
-        else:
-            val = wishart_p.log_laplace_p(w, _eval_point(args, IncompleteSym.from_json_dict))
-        _print_json({"log_laplace": val})
+        _print_json({"log_laplace": mod.log_laplace(w, _eval_point(args, mod.Parameter.from_json_dict))})
     elif what == "mean":
-        m = wishart_q.mean(w) if family == "q" else wishart_p.mean_p(w)
-        _print_json({"mean": m.to_json_dict()})
+        _print_json({"mean": mod.mean(w).to_json_dict()})
     elif what == "variance":
-        if family == "q":
-            if args.point is not None:
-                # the variance function at m is the covariance at its inverse mean
-                m = _eval_point(args, IncompleteSym.from_json_dict)
-                w = wishart_q.WishartQ(w.params, wishart_q.inverse_mean(w.params, m))
-            mat = wishart_q.covariance_matrix(w)
-        else:
-            mat = wishart_p.covariance_p_matrix(w)
+        if args.point is not None:
+            # the variance function at m is the covariance at its inverse mean
+            m = _eval_point(args, mod.Point.from_json_dict)
+            w = cone.family(w.params, mod.inverse_mean(w.params, m))
+        mat = mod.covariance_matrix(w)
         if args.out is not None:
             try:
                 dense_to_csv(args.out, mat)
@@ -202,13 +200,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
                 raise CliError(EXIT_IO, f"cannot write {args.out}: {e}") from e
         _print_json({"variance_matrix": mat.tolist()})
     elif what == "moment":
-        if family == "q":
-            zs = _eval_point(args, lambda d: [TridiagSym.from_json_dict(z) for z in d["z_list"]])
-            val = wishart_q.moment(w, wishart_q.MomentSpec(zs))
-        else:
-            xs = _eval_point(args, lambda d: [IncompleteSym.from_json_dict(x) for x in d["x_list"]])
-            val = wishart_p.moment_p(w, xs)
-        _print_json({"moment": val})
+        read = mod.Parameter.from_json_dict
+        dirs = _eval_point(args, lambda d: [read(u) for u in d[cone.directions_field]])
+        _print_json({"moment": mod.moment(w, dirs)})
     else:  # pragma: no cover - argparse restricts choices
         raise CliError(EXIT_IO, f"unknown eval target {what}")
     return EXIT_OK
@@ -310,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="draw exact samples to CSV")
-    p.add_argument("--family", choices=["q", "p"], required=True)
+    p.add_argument("--family", choices=list(_CONES), required=True)
     p.add_argument("--params", required=True, help="JSON parameter file")
     p.add_argument("--n", type=int, default=1000, help="number of draws")
     p.add_argument("--seed", type=int, default=None)
@@ -329,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["density", "laplace", "mean", "inverse-mean", "variance", "moment"],
         required=True,
     )
-    p.add_argument("--family", choices=["q", "p"], default="q")
+    p.add_argument("--family", choices=list(_CONES), default="q")
     p.add_argument("--params", required=True)
     p.add_argument("--point", default=None, help="JSON point file where needed")
     p.add_argument("--out", default=None, help="also write matrix results as row-major CSV")

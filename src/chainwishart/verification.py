@@ -140,10 +140,10 @@ def _mean_se(vals: NDArray[np.float64]) -> tuple[float, float]:
     return float(np.mean(vals)), se
 
 
-def _mc_laplace(w, z, log_laplace, sample_many, n_samples: int, seed: int, name: str) -> MCReport:
-    """``E exp(-<z, draw>)`` over ``n_samples`` draws of ``w`` against ``exp(log_laplace(w, z))``."""
-    theory = float(np.exp(log_laplace(w, z)))
-    coords = sample_many(w, stream_rng(seed), n_samples)
+def _mc_laplace(cone, w, z, n_samples: int, seed: int, name: str) -> MCReport:
+    """``E exp(-<z, draw>)`` over ``n_samples`` draws of ``w`` against ``exp(cone.log_laplace(w, z))``."""
+    theory = float(np.exp(cone.log_laplace(w, z)))
+    coords = cone.sample_many(w, stream_rng(seed), n_samples)
     t = coords @ (coordinate_weights(w.n) * z.coords())
     est, se = _mean_se(np.exp(-t))
     return _make_report(est, se, theory, n_samples, seed, name)
@@ -156,7 +156,7 @@ def mc_laplace_q(
     seed: int = 0,
 ) -> MCReport:
     """Estimate ``E exp(-<z, X>)`` by exact sampling; theory from the closed form."""
-    return _mc_laplace(w, z, wishart_q.log_laplace, wishart_q.sample_many, n_samples, seed, "laplace_q")
+    return _mc_laplace(wishart_q, w, z, n_samples, seed, "laplace_q")
 
 
 def mc_laplace_p(
@@ -166,7 +166,7 @@ def mc_laplace_p(
     seed: int = 0,
 ) -> MCReport:
     """Estimate ``E exp(-<theta, Y>)`` on the concentration-cone family."""
-    return _mc_laplace(w, theta, wishart_p.log_laplace_p, wishart_p.sample_p_many, n_samples, seed, "laplace_p")
+    return _mc_laplace(wishart_p, w, theta, n_samples, seed, "laplace_p")
 
 
 def mc_mean_cov(
@@ -470,8 +470,8 @@ def suite_mean(seed: int, mutations: frozenset = frozenset()) -> list[CheckResul
         out.append(_sample_check(f"mean_q[n=4,M={M}]", f"q[n=4,M={M}]", draw, mean, None, seed * 100 + M))
     for M in (1, 3):
         w = _family_p(stream_rng(seed, 320 + M), 3, M)
-        draw = partial(wishart_p.sample_p_many, w)
-        mean = wishart_p.mean_p(w)
+        draw = partial(wishart_p.sample_many, w)
+        mean = wishart_p.mean(w)
         out.append(_sample_check(f"mean_p[n=3,M={M}]", f"p[n=3,M={M}]", draw, mean, None, seed * 100 + 10 + M))
     # quadratic construction, integer multiplicities
     w, draw = _quadratic_family(stream_rng(seed, 340))
@@ -572,8 +572,8 @@ def suite_variance(seed: int, mutations: frozenset = frozenset()) -> list[CheckR
     out.append(_rel_check("variance_triple_agreement[n=5]", v_band, [v_nice, v_exp, v], v, 1e-8))
 
     wp = _family_p(stream_rng(seed, 410), 3, 2)
-    v_p = wishart_p.covariance_p_matrix(wp)
-    fd_p = _fd_covariance(wishart_p.mean_p_formula, wp.params, wp.x)
+    v_p = wishart_p.covariance_matrix(wp)
+    fd_p = _fd_covariance(wishart_p.mean_formula, wp.params, wp.x)
     out.append(_rel_check("covariance_p_vs_fd[n=3]", v_p, [fd_p], v_p, 1e-5))
 
     # empirical coordinate covariance, both families
@@ -581,7 +581,7 @@ def suite_variance(seed: int, mutations: frozenset = frozenset()) -> list[CheckR
     draw, mean = partial(wishart_q.sample_many, w3), _mutated_mean_q(w3, mutations)
     cov = wishart_q.covariance_matrix(w3)
     out.append(_sample_check("cov_empirical_q[n=3,M=2]", "q_cov[n=3,M=2]", draw, mean, cov, seed * 100 + 42))
-    draw, mean = partial(wishart_p.sample_p_many, wp), wishart_p.mean_p(wp)
+    draw, mean = partial(wishart_p.sample_many, wp), wishart_p.mean(wp)
     out.append(_sample_check("cov_empirical_p[n=3,M=2]", "p_cov[n=3,M=2]", draw, mean, v_p, seed * 100 + 43))
     return out
 
@@ -600,29 +600,20 @@ def suite_moments(seed: int, mutations: frozenset = frozenset()) -> list[CheckRe
     against 100,000 draws of each exact sampler.  ``pairing`` gives the same
     bits with its arguments in either order, so one body serves both cones.
     """
-
-    def moment_q(w: wishart_q.WishartQ, dirs: Sequence[TridiagSym]) -> float:
-        return wishart_q.moment(w, wishart_q.MomentSpec(dirs))
-
     out = []
-    for cone, stream, family, direction, moment, mean, cov_apply, sample_many in (
-        ("q", 500, _family_q, TridiagSym, moment_q, wishart_q.mean, wishart_q.covariance_apply,
-         wishart_q.sample_many),
-        ("p", 510, _family_p, IncompleteSym, wishart_p.moment_p, wishart_p.mean_p, wishart_p.covariance_p_apply,
-         wishart_p.sample_p_many),
-    ):
+    for name, stream, family, cone in (("q", 500, _family_q, wishart_q), ("p", 510, _family_p, wishart_p)):
         rng = stream_rng(seed, stream)
         w = family(rng, 3, 2)
-        dirs = [direction.from_coords(rng.uniform(-1, 1, size=5)) for _ in range(3)]
-        m = mean(w)
+        dirs = [cone.Parameter.from_coords(rng.uniform(-1, 1, size=5)) for _ in range(3)]
+        m = cone.mean(w)
         exact1 = pairing(m, dirs[0])
-        exact2 = pairing(cov_apply(w, dirs[0]), dirs[1]) + exact1 * pairing(m, dirs[1])
-        out.append(_exact_moment_check(f"moment_{cone}_order1", moment(w, dirs[:1]), exact1))
-        out.append(_exact_moment_check(f"moment_{cone}_order2", moment(w, dirs[:2]), exact2))
-        coords = sample_many(w, stream_rng(seed, stream + 1), 100_000)
+        exact2 = pairing(cone.covariance_apply(w, dirs[0]), dirs[1]) + exact1 * pairing(m, dirs[1])
+        out.append(_exact_moment_check(f"moment_{name}_order1", cone.moment(w, dirs[:1]), exact1))
+        out.append(_exact_moment_check(f"moment_{name}_order2", cone.moment(w, dirs[:2]), exact2))
+        coords = cone.sample_many(w, stream_rng(seed, stream + 1), 100_000)
         prods = np.prod([coords @ (coordinate_weights(3) * u.coords()) for u in dirs], axis=0)
-        rep = _make_report(*_mean_se(prods), moment(w, dirs), 100_000, seed, "")
-        out.append(_z_check(f"moment_{cone}_order3_mc", [rep]))
+        rep = _make_report(*_mean_se(prods), cone.moment(w, dirs), 100_000, seed, "")
+        out.append(_z_check(f"moment_{name}_order3_mc", [rep]))
     return out
 
 
@@ -637,7 +628,7 @@ def suite_samplers(seed: int, mutations: frozenset = frozenset()) -> list[CheckR
         pval = ks_test_gamma(draws, shape, rate)
         out.append(CheckResult(f"ks_q_base[{label}]", pval > 0.01, f"p = {pval:.4f}", pval, 0.01))
     wp = wishart_p.WishartP(ShapeParams(1, [0.0]), IncompleteSym(1, [1.0], []))
-    draws = wishart_p.sample_p_many(wp, stream_rng(seed, 601), 10_000)[:, 0]
+    draws = wishart_p.sample_many(wp, stream_rng(seed, 601), 10_000)[:, 0]
     pval = ks_test_gamma(draws, 1.0, 1.0)
     out.append(CheckResult("ks_p_base[exp1]", pval > 0.01, f"p = {pval:.4f}", pval, 0.01))
 

@@ -65,31 +65,35 @@ from .power_functions import (
 )
 
 __all__ = [
+    "Point",
+    "Parameter",
     "WishartP",
     "riesz_p_exponents",
-    "log_norm_constant_p",
-    "log_density_p",
-    "log_laplace_p",
-    "mean_p",
-    "mean_p_formula",
-    "covariance_p_apply",
-    "covariance_p_matrix",
-    "sample_p",
-    "sample_p_many",
+    "log_norm_constant",
+    "log_density",
+    "log_laplace",
+    "mean",
+    "mean_formula",
+    "covariance_apply",
+    "covariance_matrix",
+    "sample_many",
     "quadratic_params_p",
     "quadratic_params_p_inverse",
     "integer_feasibility_p",
-    "moment_p",
+    "moment",
     "canonical_measure_check",
-    "newton_inverse_mean_p",
+    "inverse_mean",
 ]
+
+#: The sample space ``P`` and the natural parameter space ``Q``, as ``wishart_q`` names its own.
+Point, Parameter = TridiagSym, IncompleteSym
 
 
 @dataclass(frozen=True)
 class WishartP:
     """Family member on ``P``: shape ``(M, s)`` and natural parameter ``x`` in ``Q``.
 
-    Construction forms the normalizer by :func:`log_norm_constant_p`, the
+    Construction forms the normalizer by :func:`log_norm_constant`, the
     family's one test of the shape's domain, and tests ``x``'s membership of
     ``Q`` once; nothing tests them again.  The clique gaps of that cone test
     are kept for every later reading of ``x`` but the sampler's walk, which
@@ -106,7 +110,7 @@ class WishartP:
 
     def __post_init__(self) -> None:
         _same_size(self.params.n, self.x.n)
-        object.__setattr__(self, "_log_norm", log_norm_constant_p(self.params))
+        object.__setattr__(self, "_log_norm", log_norm_constant(self.params))
         object.__setattr__(self, "_x_gaps", _q_gaps(self.x))
         self.x.diag.flags.writeable = self.x.off.flags.writeable = False
 
@@ -128,7 +132,7 @@ class WishartP:
 
     @cached_property
     def _walk(self) -> tuple[float, list, NDArray, NDArray, NDArray]:
-        """The peeling sampler's constants, off the dual peel of ``x`` toward ``M`` (see :func:`sample_p_many`).
+        """The peeling sampler's constants, off the dual peel of ``x`` toward ``M`` (see :func:`sample_many`).
 
         ``(pivot shape, draws, scales, neighbours, b)``: the pivot's gamma
         shape; per peeled vertex in stream order its row, its normal's row
@@ -163,7 +167,7 @@ def riesz_p_exponents(s: Iterable[float], M: int) -> tuple[NDArray[np.float64], 
     return cliq_d + cliq_p, diag_d + diag_p
 
 
-def log_norm_constant_p(p: ShapeParams) -> float:
+def log_norm_constant(p: ShapeParams) -> float:
     """Log of the Riesz normalizer; raises outside the integrability domain, the one test of it that a family makes."""
     if not p.in_p_domain():
         raise ValueError("shape out of domain: need s_i > -3/2 off the pivot and s_M > -1")
@@ -179,17 +183,17 @@ def _log_laplace_exponent(
     return _log_power(delta_e, atoms) + _log_power(phi_e, atoms)
 
 
-def log_density_p(w: WishartP, y: TridiagSym) -> float:
-    """Log density at ``y``; ``-inf`` outside the cone."""
-    _same_size(y.n, w.n)
+def log_density(w: WishartP, point: TridiagSym) -> float:
+    """Log density at ``point``; ``-inf`` outside the cone."""
+    _same_size(point.n, w.n)
     try:
-        log_power = log_Delta_M(w.params, y)  # its pivot sweep is the cone test
+        log_power = log_Delta_M(w.params, point)  # its pivot sweep is the cone test
     except ConeError:
         return float("-inf")
-    return w._log_norm + log_power - pairing(y, w.x) - w._log_laplace_x
+    return w._log_norm + log_power - pairing(point, w.x) - w._log_laplace_x
 
 
-def log_laplace_p(w: WishartP, theta: IncompleteSym) -> float:
+def log_laplace(w: WishartP, theta: IncompleteSym) -> float:
     """``log E exp(-<theta, Y>)`` as a ratio of dual power functions."""
     _same_size(theta.n, w.n)
     shifted = _log_atoms(theta + w.x, "theta + x")
@@ -201,32 +205,32 @@ def log_laplace_p(w: WishartP, theta: IncompleteSym) -> float:
 # ---------------------------------------------------------------------------
 
 
-def mean_p_formula(p: ShapeParams, x: IncompleteSym) -> TridiagSym:
+def mean_formula(p: ShapeParams, parameter: IncompleteSym) -> TridiagSym:
     """Mean-map expression on ``P``; the negated gradient of the log-Laplace.
 
     Clique blocks enter with weights ``s + 3/2`` and separator entries with
     weights ``-(s + 1)``-type coefficients; both are read off
     :func:`riesz_p_exponents`, which also fixes the endpoint-pivot variant.
     """
-    _same_size(p.n, x.n)
+    _same_size(p.n, parameter.n)
     cliq_e, diag_e = riesz_p_exponents(p.s, p.M)
-    return _clique_assembly(x, -cliq_e, -diag_e, "the mean")
+    return _clique_assembly(parameter, -cliq_e, -diag_e, "the mean")
 
 
-def mean_p(w: WishartP) -> TridiagSym:
-    """Mean of the family; lies in ``P``.  :func:`mean_p_formula` off the family's constants."""
+def mean(w: WishartP) -> TridiagSym:
+    """Mean of the family; lies in ``P``.  :func:`mean_formula` off the family's constants."""
     cliq_e, diag_e = w._riesz_exps
     return _clique_assembly(w.x, -cliq_e, -diag_e, "the mean", w._x_gaps)
 
 
-def covariance_p_apply(w: WishartP, u: IncompleteSym) -> TridiagSym:
+def covariance_apply(w: WishartP, u: IncompleteSym) -> TridiagSym:
     """Covariance operator ``I -> Z`` applied to ``u``: minus the mean Jacobian, a banded clique form."""
     _same_size(u.n, w.n)
     return TridiagSym.from_coords(_covariance_coords(w.x, w._riesz_exps, u.coords(), False, "x", w._x_gaps))
 
 
-def covariance_p_matrix(w: WishartP) -> NDArray[np.float64]:
-    """Covariance operator in the canonical basis: :func:`covariance_p_apply` on the identity, written out."""
+def covariance_matrix(w: WishartP) -> NDArray[np.float64]:
+    """Covariance operator in the canonical basis: :func:`covariance_apply` on the identity, written out."""
     return _covariance_matrix(w.x, w._riesz_exps, w._x_gaps)
 
 
@@ -235,7 +239,7 @@ def covariance_p_matrix(w: WishartP) -> NDArray[np.float64]:
 # ---------------------------------------------------------------------------
 
 
-def sample_p_many(w: WishartP, rng: np.random.Generator, size: int) -> NDArray[np.float64]:
+def sample_many(w: WishartP, rng: np.random.Generator, size: int) -> NDArray[np.float64]:
     """``size`` exact draws as coordinate rows (diag then off); all land in ``P``.
 
     Walks the peel plan of ``x`` outward from the pivot: the pivot
@@ -281,11 +285,6 @@ def sample_p_many(w: WishartP, rng: np.random.Generator, size: int) -> NDArray[n
     a[1:M] += t[: M - 1]  # then the left arm
     np.copyto(out, rows.T)
     return out
-
-
-def sample_p(w: WishartP, rng: np.random.Generator) -> TridiagSym:
-    """One exact draw from the family."""
-    return TridiagSym.from_coords(sample_p_many(w, rng, 1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +380,7 @@ def integer_feasibility_p(
 # ---------------------------------------------------------------------------
 
 
-def moment_p(w: WishartP, x_list: Sequence[IncompleteSym]) -> float:
+def moment(w: WishartP, directions: Sequence[IncompleteSym]) -> float:
     """``E[ <Y, x_1> ... <Y, x_N> ]`` as a Taylor coefficient of the Laplace transform.
 
     The moment is the coefficient of ``e_1 ... e_N`` in
@@ -394,12 +393,12 @@ def moment_p(w: WishartP, x_list: Sequence[IncompleteSym]) -> float:
     cliq_e, diag_e = w._riesz_exps
     k = w.n - 1
 
-    def log_laplace(d: NDArray, o: NDArray) -> NDArray:
+    def exponent(d: NDArray, o: NDArray) -> NDArray:
         dets = _jet_mul(d[:-1], d[1:]) - _jet_mul(o, o)
         logs = _jet_log(np.concatenate([dets, d]))
         return cliq_e @ logs[:k] + diag_e @ logs[k:]
 
-    return _jet_moment(w.x, x_list, log_laplace, "x")
+    return _jet_moment(w.x, directions, exponent, "x")
 
 
 # ---------------------------------------------------------------------------
@@ -421,20 +420,21 @@ def canonical_measure_check(x: IncompleteSym) -> tuple[float, float]:
     return float(lhs), float(rhs)
 
 
-def newton_inverse_mean_p(p: ShapeParams, target: TridiagSym) -> IncompleteSym:
+def inverse_mean(p: ShapeParams, m: TridiagSym) -> IncompleteSym:
     """Invert the mean map on ``P`` by damped Newton steps, each one banded solve in O(n).
 
-    From the identity, at most 100 steps, stopping at 1e-10 relative, at the
-    target scaled to unit size, as ``mean_p(c x) = mean_p(x) / c``; the
+    Unlike ``wishart_q.inverse_mean`` it has no closed form.  From the
+    identity, at most 100 steps, stopping at 1e-10 relative, at the target
+    ``m`` scaled to unit size, as ``mean(c x) = mean(x) / c``; the
     answer, of degree -1 in the target, is scaled back by :func:`_from_unit`.
     The shape, the target's size and the target's cone are checked once.
     Each trial point's clique gaps are its cone test in the line search, and
     the accepted iterate's mean and Newton step both read them.
     """
-    log_norm_constant_p(p)  # raises outside the shape's domain
-    _same_size(p.n, target.n)
-    assert_in_P(target, "target")
-    target_c, e = _to_unit(target.coords())
+    log_norm_constant(p)  # raises outside the shape's domain
+    _same_size(p.n, m.n)
+    assert_in_P(m, "target")
+    target_c, e = _to_unit(m.coords())
     x, exps = IncompleteSym(p.n, np.ones(p.n)), riesz_p_exponents(p.s, p.M)
     g = _q_gaps(x)
     for _ in range(100):
@@ -453,3 +453,10 @@ def newton_inverse_mean_p(p: ShapeParams, target: TridiagSym) -> IncompleteSym:
         else:
             raise RuntimeError("line search failed to stay inside the cone")
     raise RuntimeError("Newton inversion did not converge")
+
+
+# Old names, still called by the benchmark harness under perfbench/; they go
+# when it moves to the shared names above.  Left out of ``__all__``.
+log_density_p, log_laplace_p, mean_p = log_density, log_laplace, mean
+covariance_p_apply, covariance_p_matrix = covariance_apply, covariance_matrix
+sample_p_many, moment_p = sample_many, moment

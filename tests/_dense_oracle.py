@@ -35,7 +35,7 @@ from chainwishart.matrix_spaces import (
 from chainwishart.lum_triangular import LUMMatrix
 from chainwishart.power_functions import _MOMENT_CAP, ShapeParams
 from chainwishart.wishart_p import WishartP, riesz_p_exponents
-from chainwishart.wishart_q import MomentSpec, WishartQ, operator_matrix
+from chainwishart.wishart_q import WishartQ, operator_matrix
 
 
 def _mean_blocks(p: ShapeParams, y: TridiagSym) -> list[tuple[float, DenseSym, tuple[int, int]]]:
@@ -119,20 +119,20 @@ def _cycle_expansion(n_items: int, cycle_value: Callable[[list[int]], float]) ->
     return total
 
 
-def moment(w: WishartQ, spec: MomentSpec) -> float:
+def moment(w: WishartQ, directions: Sequence[TridiagSym]) -> float:
     """``E[ <X, z_1> ... <X, z_N> ]`` by the permutation-cycle expansion.
 
     Each cycle contributes the weighted sum over the construction's interval
     blocks of the trace of the cyclic product of ``(y_I)^{-1} z_I`` factors;
     the moment is the sum of the cycle products over all permutations.
     """
-    n_dirs = len(spec.z_list)
+    n_dirs = len(directions)
     if n_dirs > _MOMENT_CAP:
         raise ValueError(f"moment order {n_dirs} above cap {_MOMENT_CAP}")
-    if spec.z_list[0].n != w.n:
+    if directions[0].n != w.n:
         raise ValueError("size mismatch")
     blocks = _mean_blocks(w.params, w.y)
-    zds = [z.to_dense() for z in spec.z_list]
+    zds = [z.to_dense() for z in directions]
     # padded (y_I)^{-1} z_j per block: traces of restricted products match
     gs = [[a @ zd for zd in zds] for _, a, _ in blocks]
     coeffs = [c for c, _, _ in blocks]
@@ -157,7 +157,7 @@ def _blocks(d0: NDArray, d1: NDArray, o: NDArray) -> NDArray[np.float64]:
     return out
 
 
-def moment_p(w: WishartP, x_list: Sequence[IncompleteSym]) -> float:
+def moment_on_p(w: WishartP, x_list: Sequence[IncompleteSym]) -> float:
     """``E[ <Y, x_1> ... <Y, x_N> ]`` by the permutation-cycle expansion.
 
     Cycle factors sum clique-block traces with weights ``s + 3/2`` and

@@ -287,7 +287,7 @@ def test_criterion_11_samplers():
     draws = wq.sample_many(w2, stream_rng(SEED, 111), 10_000)[:, 0]
     assert ks_test_gamma(draws, 0.75, 1.0) > 0.01
     wpp = wp.WishartP(ShapeParams(1, [0.0]), IncompleteSym(1, [1.0], []))
-    draws = wp.sample_p_many(wpp, stream_rng(SEED, 112), 10_000)[:, 0]
+    draws = wp.sample_many(wpp, stream_rng(SEED, 112), 10_000)[:, 0]
     assert ks_test_gamma(draws, 1.0, 1.0) > 0.01
 
     def worst_z(coords, th_mean, th_cov):
@@ -320,13 +320,13 @@ def test_criterion_11_samplers():
         x = random_q_elem(rng, 3)
         p = random_shape_p(rng, 3, m)
         fam = wp.WishartP(p, x)
-        coords = wp.sample_p_many(fam, stream_rng(SEED, 120 + m), 100_000)
+        coords = wp.sample_many(fam, stream_rng(SEED, 120 + m), 100_000)
         worst = max(
             worst,
             worst_z(
                 coords,
-                wp.mean_p(fam).coords(),
-                cov_coords_from_operator(wp.covariance_p_matrix(fam), 3),
+                wp.mean(fam).coords(),
+                cov_coords_from_operator(wp.covariance_matrix(fam), 3),
             ),
         )
     # quadratic sampler and the multiplicity link
@@ -362,13 +362,13 @@ def test_criterion_12_moments():
     w = wq.WishartQ(p, y)
     zs = [TridiagSym.from_coords(rng.uniform(-1, 1, 2 * n - 1)) for _ in range(3)]
     mn = wq.mean(w)
-    m1 = wq.moment(w, wq.MomentSpec(zs[:1]))
+    m1 = wq.moment(w, zs[:1])
     e1 = pairing(zs[0], mn)
     assert abs(m1 - e1) <= 1e-9 * max(1.0, abs(e1))
-    m2 = wq.moment(w, wq.MomentSpec(zs[:2]))
+    m2 = wq.moment(w, zs[:2])
     e2 = pairing(zs[1], wq.covariance_apply(w, zs[0])) + e1 * pairing(zs[1], mn)
     assert abs(m2 - e2) <= 1e-9 * max(1.0, abs(e2))
-    theory3 = wq.moment(w, wq.MomentSpec(zs))
+    theory3 = wq.moment(w, zs)
     coords = wq.sample_many(w, stream_rng(SEED, 121), 100_000)
     wts = coordinate_weights(n)
     prods = np.prod([coords @ (wts * z.coords()) for z in zs], axis=0)
@@ -378,7 +378,7 @@ def test_criterion_12_moments():
     # scalar shape third moment against the explicit closed form
     for sval in (0.8, 1.5):
         fam = wq.WishartQ(ShapeParams(1, sval * np.ones(n)), y)
-        got = wq.moment(fam, wq.MomentSpec(zs))
+        got = wq.moment(fam, zs)
         expect = scalar_moment3_closed_form(sval, y, zs)
         assert abs(got - expect) <= 1e-9 * max(1.0, abs(expect))
     # concentration-cone side
@@ -386,15 +386,15 @@ def test_criterion_12_moments():
     pp = random_shape_p(rng, n, m)
     fam_p = wp.WishartP(pp, x)
     xs = [IncompleteSym.from_coords(rng.uniform(-1, 1, 2 * n - 1)) for _ in range(3)]
-    mp = wp.mean_p(fam_p)
-    q1 = wp.moment_p(fam_p, xs[:1])
+    mp = wp.mean(fam_p)
+    q1 = wp.moment(fam_p, xs[:1])
     f1 = pairing(mp, xs[0])
     assert abs(q1 - f1) <= 1e-9 * max(1.0, abs(f1))
-    q2 = wp.moment_p(fam_p, xs[:2])
-    f2 = pairing(wp.covariance_p_apply(fam_p, xs[0]), xs[1]) + f1 * pairing(mp, xs[1])
+    q2 = wp.moment(fam_p, xs[:2])
+    f2 = pairing(wp.covariance_apply(fam_p, xs[0]), xs[1]) + f1 * pairing(mp, xs[1])
     assert abs(q2 - f2) <= 1e-9 * max(1.0, abs(f2))
-    theory3p = wp.moment_p(fam_p, xs)
-    coords = wp.sample_p_many(fam_p, stream_rng(SEED, 122), 100_000)
+    theory3p = wp.moment(fam_p, xs)
+    coords = wp.sample_many(fam_p, stream_rng(SEED, 122), 100_000)
     prods = np.prod([coords @ (wts * xx.coords()) for xx in xs], axis=0)
     se = prods.std(ddof=1) / np.sqrt(prods.size)
     z3p = abs(prods.mean() - theory3p) / se

@@ -179,7 +179,7 @@ def clique_sum_loop(x, cliq_e, diag_e):
     return TridiagSym(n, diag, off)
 
 
-def covariance_p_apply_loop(w, u):
+def covariance_apply_loop_p(w, u):
     x = w.x
     cliq_e, diag_e = wp.riesz_p_exponents(w.params.s, w.params.M)
     diag, off = -diag_e * u.diag / x.diag**2, np.zeros(x.n - 1)
@@ -201,10 +201,10 @@ def test_clique_functions_match_their_loop_versions(n, M):
     assert_close(lauritzen_map(x).coords(), lauritzen_map_loop(x).coords())
     assert_close(wq.inverse_mean(pq, x).coords(), clique_sum_loop(x, *delta_exponents(pq.s, M)).coords())
     cliq_e, diag_e = wp.riesz_p_exponents(pp.s, M)
-    assert_close(wp.mean_p_formula(pp, x).coords(), clique_sum_loop(x, -cliq_e, -diag_e).coords())
+    assert_close(wp.mean_formula(pp, x).coords(), clique_sum_loop(x, -cliq_e, -diag_e).coords())
     u = IncompleteSym.from_coords(rng.uniform(-1, 1, 2 * n - 1))
     w = wp.WishartP(pp, x)
-    assert_close(wp.covariance_p_apply(w, u).coords(), covariance_p_apply_loop(w, u).coords())
+    assert_close(wp.covariance_apply(w, u).coords(), covariance_apply_loop_p(w, u).coords())
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 13, 1000])
@@ -232,7 +232,7 @@ def test_a_form_pivot_that_is_zero_or_of_the_wrong_sign_is_a_value_error():
     p = ShapeParams(2, [0.4, 0.4, 0.4])
     x = IncompleteSym(3, [1.0] * 3, [math.sqrt(1.0 - 1e-8)] * 2)
     with pytest.raises(ValueError, match="its pivot at vertex 3 is .*, not a finite positive number"):
-        wp.newton_inverse_mean_p(p, wp.mean_p(wp.WishartP(p, x)))
+        wp.inverse_mean(p, wp.mean(wp.WishartP(p, x)))
 
 
 # -- scale invariance ---------------------------------------------------------
@@ -263,10 +263,10 @@ def test_cones_and_closed_forms_are_scale_invariant(c):
         assert np.max(np.abs(vc * c * c - v1)) <= 1e-12 * np.max(np.abs(v1))
     # the covariance on P has degree -2 in x alike
     pp, v = random_shape_p(rng, n, M), IncompleteSym.from_coords(rng.uniform(-1, 1, 2 * n - 1))
-    v1 = wp.covariance_p_apply(wp.WishartP(pp, x), v).coords()
+    v1 = wp.covariance_apply(wp.WishartP(pp, x), v).coords()
     log_vc = math.log(np.max(np.abs(v1))) - 2.0 * math.log(c)
     if math.log(np.finfo(float).tiny) < log_vc < math.log(np.finfo(float).max):
-        vc = wp.covariance_p_apply(wp.WishartP(pp, c * x), v).coords()
+        vc = wp.covariance_apply(wp.WishartP(pp, c * x), v).coords()
         assert np.max(np.abs(vc * c * c - v1)) <= 1e-12 * np.max(np.abs(v1))
 
 
@@ -283,7 +283,7 @@ def test_covariance_past_the_double_range_is_a_domain_error():
     v = IncompleteSym.from_coords(rng.uniform(-1, 1, 2 * n - 1))
     for call in (lambda: wq.covariance_apply(w, u), lambda: wq.covariance_matrix(w),
                  lambda: wq.variance_apply_nice(w.params, m, u),
-                 lambda: wp.covariance_p_apply(wpp, v), lambda: wp.covariance_p_matrix(wpp)):
+                 lambda: wp.covariance_apply(wpp, v), lambda: wp.covariance_matrix(wpp)):
         with pytest.raises(ValueError, match="outside the double range"):
             call()
 
@@ -295,7 +295,7 @@ def _degree_minus_one_outputs(rng, n, M, c):
     return {
         "inverse_mean": lambda: wq.inverse_mean(p, x),
         "lauritzen_map": lambda: lauritzen_map(x),
-        "mean_p": lambda: wp.mean_p(wp.WishartP(pp, x)),
+        "mean_p": lambda: wp.mean(wp.WishartP(pp, x)),
         "mean": lambda: wq.mean(wq.WishartQ(p, y)),
         "inverse_image": lambda: inverse_image(y),
     }
@@ -316,11 +316,11 @@ def _moments_and_newton_past_the_double_range():
     p, pp = ShapeParams(2, [1.2, 0.8]), ShapeParams(1, [0.2, -0.3])
     y, x = TridiagSym(2, [1e-200, 1e-200], [2e-201]), IncompleteSym(2, [1e-200, 1.3e-200], [-2e-201])
     z, x_unit = TridiagSym(2, [0.5, -0.2], [0.1]), IncompleteSym(2, [1.0, 1.3], [-0.2])
-    target = 1e-310 * wp.mean_p(wp.WishartP(pp, x_unit))
+    target = 1e-310 * wp.mean(wp.WishartP(pp, x_unit))
     return {
-        "moment": lambda: wq.moment(wq.WishartQ(p, y), wq.MomentSpec([z] * 3)),
-        "moment_p": lambda: wp.moment_p(wp.WishartP(pp, x), [x_unit] * 3),
-        "newton_inverse_mean_p": lambda: wp.newton_inverse_mean_p(pp, target),
+        "moment": lambda: wq.moment(wq.WishartQ(p, y), [z] * 3),
+        "moment_p": lambda: wp.moment(wp.WishartP(pp, x), [x_unit] * 3),
+        "newton_inverse_mean_p": lambda: wp.inverse_mean(pp, target),
     }
 
 
@@ -339,10 +339,10 @@ def test_moments_at_huge_directions_blame_no_input(family):
     big = [1e200, 1e200], [1e199]
     if family == "q":
         w = wq.WishartQ(ShapeParams(1, [1.5, 1.5]), TridiagSym(2, [1.0, 1.0], [0.2]))
-        call = lambda: wq.moment(w, wq.MomentSpec([TridiagSym(2, *big)] * 3))
+        call = lambda: wq.moment(w, [TridiagSym(2, *big)] * 3)
     else:
         w = wp.WishartP(ShapeParams(1, [0.2, -0.3]), IncompleteSym(2, [1.0, 1.3], [-0.2]))
-        call = lambda: wp.moment_p(w, [IncompleteSym(2, *big)] * 3)
+        call = lambda: wp.moment(w, [IncompleteSym(2, *big)] * 3)
     with pytest.raises(ValueError, match="^the moment is outside the double range: it has degree -3 in [xy]$"):
         call()
 
@@ -377,7 +377,7 @@ def test_factors_power_functions_and_samplers_are_scale_invariant(c):
     # every draw has degree -1 in the natural parameter; the streams are the same
     draws = [
         lambda c: wq.sample_many(wq.WishartQ(p, c * y), np.random.default_rng(1), 5),
-        lambda c: wp.sample_p_many(wp.WishartP(pp, c * x), np.random.default_rng(2), 5),
+        lambda c: wp.sample_many(wp.WishartP(pp, c * x), np.random.default_rng(2), 5),
         lambda c: wq.sample_gram_many(MIXED_SETS, c * y, np.random.default_rng(3), 5),
     ]
     for draw in draws:
@@ -405,7 +405,7 @@ def test_pairing_and_densities_overflow_to_signed_infinities(c):
     assert pairing(c * y, c * x) == math.inf
     assert pairing(c * y, -(c * x)) == -math.inf
     assert wq.log_density(wq.WishartQ(random_shape_q(rng, n, M), c * y), c * x) == -math.inf
-    assert wp.log_density_p(wp.WishartP(random_shape_p(rng, n, M), c * x), c * y) == -math.inf
+    assert wp.log_density(wp.WishartP(random_shape_p(rng, n, M), c * x), c * y) == -math.inf
     # only a partial sum overflows: the pairing is exact
     assert pairing(TridiagSym(2, [1e308, 1e308], [0.0]), IncompleteSym(2, [10.0, -10.0], [0.0])) == 0.0
 
@@ -436,10 +436,10 @@ def test_closed_forms_run_without_dense_algebra(monkeypatch):
     assert inverse_image(y).n == n
     assert wq.inverse_mean(w.params, m).n == n
     assert lauritzen_map(x).n == n
-    assert wp.mean_p(wpp).n == n
-    assert wp.covariance_p_apply(wpp, v).n == n
-    assert np.isfinite(wq.moment(w, wq.MomentSpec([u, u, u])))
-    assert np.isfinite(wp.moment_p(wpp, [v, v, v]))
+    assert wp.mean(wpp).n == n
+    assert wp.covariance_apply(wpp, v).n == n
+    assert np.isfinite(wq.moment(w, [u, u, u]))
+    assert np.isfinite(wp.moment(wpp, [v, v, v]))
     sigma = np.zeros(n, dtype=int)
     sigma[[0, M - 1, n - 1]] = (1, 2, 1)
     assert wq.sample_quadratic_many(sigma, M, y, rng, 2).shape == (2, 2 * n - 1)
@@ -447,13 +447,13 @@ def test_closed_forms_run_without_dense_algebra(monkeypatch):
     assert wq.sample_gram_many(sets, y, rng, 2).shape == (2, 2 * n - 1)
     assert np.array_equal(np.diag(hat_completion(m)), m.diag)
     assert hat_via_T(w.params, m).shape == (n, n)
-    back = wp.newton_inverse_mean_p(wpp.params, wp.mean_p(wpp))
+    back = wp.inverse_mean(wpp.params, wp.mean(wpp))
     assert np.max(np.abs(back.coords() - x.coords())) <= 1e-8 * np.max(np.abs(x.coords()))
     # the operator matrices are O(n^2) in size: a shorter chain
     k = 150
     w_k = wq.WishartQ(random_shape_q(rng, k, k // 3), random_pd_tridiag(rng, k))
     wp_k = wp.WishartP(random_shape_p(rng, k, k // 3), random_q_elem(rng, k))
-    assert wq.covariance_matrix(w_k).shape == wp.covariance_p_matrix(wp_k).shape == (2 * k - 1, 2 * k - 1)
+    assert wq.covariance_matrix(w_k).shape == wp.covariance_matrix(wp_k).shape == (2 * k - 1, 2 * k - 1)
 
 
 # -- one dual-cone sweep per element -----------------------------------------
@@ -489,15 +489,15 @@ def test_dual_cone_closed_forms_sweep_each_element_once(monkeypatch):
     # the number of elements of Q each call sweeps: none of the family's own
     calls = {
         "log_density": (lambda: wq.log_density(w, x), 1),
-        "log_density_p": (lambda: wp.log_density_p(wpp, random_pd_tridiag(rng, n)), 0),
-        "log_laplace_p": (lambda: wp.log_laplace_p(wpp, theta), 1),  # theta + x
+        "log_density_p": (lambda: wp.log_density(wpp, random_pd_tridiag(rng, n)), 0),
+        "log_laplace_p": (lambda: wp.log_laplace(wpp, theta), 1),  # theta + x
         "canonical_measure_check": (lambda: wp.canonical_measure_check(x), 1),
         "inverse_mean": (lambda: wq.inverse_mean(w.params, x), 1),
-        "mean_p": (lambda: wp.mean_p(wpp), 0),
-        "moment_p": (lambda: wp.moment_p(wpp, [theta, x]), 0),
+        "mean_p": (lambda: wp.mean(wpp), 0),
+        "moment_p": (lambda: wp.moment(wpp, [theta, x]), 0),
         "lauritzen_map": (lambda: lauritzen_map(x), 1),
-        "covariance_p_apply": (lambda: wp.covariance_p_apply(wpp, theta), 0),
-        "covariance_p_matrix": (lambda: wp.covariance_p_matrix(wpp), 0),
+        "covariance_p_apply": (lambda: wp.covariance_apply(wpp, theta), 0),
+        "covariance_p_matrix": (lambda: wp.covariance_matrix(wpp), 0),
     }
     for name, (call, expected) in calls.items():
         for _ in range(2):
@@ -526,7 +526,7 @@ def test_kernel_outputs_skip_the_validating_constructor(monkeypatch):
         return kernel(*args)
 
     monkeypatch.setattr(matrix_spaces, "_as_vector", counted)
-    for call in (lambda: wq.mean(w), lambda: wp.mean_p(wpp), lambda: wq.inverse_mean(w.params, x),
+    for call in (lambda: wq.mean(w), lambda: wp.mean(wpp), lambda: wq.inverse_mean(w.params, x),
                  lambda: lauritzen_map(x)):
         out = call()
         assert np.all(np.isfinite(out.coords()))

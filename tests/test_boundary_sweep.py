@@ -85,20 +85,20 @@ CALLS = {
     "wishart_q.variance_apply_nice": lambda y, x, p, pp: wq.variance_apply_nice(p, x, y),
     "wishart_q.variance_apply_expanded": lambda y, x, p, pp: wq.variance_apply_expanded(p, x, y),
     "wishart_q.intertwining_check": lambda y, x, p, pp: wq.intertwining_check(p, x),
-    "wishart_q.moment": lambda y, x, p, pp: wq.moment(wq.WishartQ(p, y), wq.MomentSpec([y, y])),
+    "wishart_q.moment": lambda y, x, p, pp: wq.moment(wq.WishartQ(p, y), [y, y]),
     "wishart_p.riesz_p_exponents": lambda y, x, p, pp: wp.riesz_p_exponents(pp.s, pp.M),
-    "wishart_p.log_norm_constant_p": lambda y, x, p, pp: wp.log_norm_constant_p(pp),
-    "wishart_p.log_density_p": lambda y, x, p, pp: wp.log_density_p(wp.WishartP(pp, x), y),
-    "wishart_p.log_laplace_p": lambda y, x, p, pp: wp.log_laplace_p(wp.WishartP(pp, x), x),
-    "wishart_p.mean_p": lambda y, x, p, pp: wp.mean_p(wp.WishartP(pp, x)),
-    "wishart_p.mean_p_formula": lambda y, x, p, pp: wp.mean_p_formula(pp, x),
-    "wishart_p.covariance_p_apply": lambda y, x, p, pp: wp.covariance_p_apply(wp.WishartP(pp, x), x),
-    "wishart_p.covariance_p_matrix": lambda y, x, p, pp: wp.covariance_p_matrix(wp.WishartP(pp, x)),
+    "wishart_p.log_norm_constant": lambda y, x, p, pp: wp.log_norm_constant(pp),
+    "wishart_p.log_density": lambda y, x, p, pp: wp.log_density(wp.WishartP(pp, x), y),
+    "wishart_p.log_laplace": lambda y, x, p, pp: wp.log_laplace(wp.WishartP(pp, x), x),
+    "wishart_p.mean": lambda y, x, p, pp: wp.mean(wp.WishartP(pp, x)),
+    "wishart_p.mean_formula": lambda y, x, p, pp: wp.mean_formula(pp, x),
+    "wishart_p.covariance_apply": lambda y, x, p, pp: wp.covariance_apply(wp.WishartP(pp, x), x),
+    "wishart_p.covariance_matrix": lambda y, x, p, pp: wp.covariance_matrix(wp.WishartP(pp, x)),
     "wishart_p.quadratic_params_p": lambda y, x, p, pp: wp.quadratic_params_p(pp),
-    "wishart_p.moment_p": lambda y, x, p, pp: wp.moment_p(wp.WishartP(pp, x), [x, x]),
+    "wishart_p.moment": lambda y, x, p, pp: wp.moment(wp.WishartP(pp, x), [x, x]),
     "wishart_p.canonical_measure_check": lambda y, x, p, pp: wp.canonical_measure_check(x),
-    "wishart_p.newton_inverse_mean_p": lambda y, x, p, pp: wp.newton_inverse_mean_p(
-        pp, wp.mean_p(wp.WishartP(pp, x))),
+    "wishart_p.inverse_mean": lambda y, x, p, pp: wp.inverse_mean(
+        pp, wp.mean(wp.WishartP(pp, x))),
 }
 
 # Public names that are no closed form of a cone element: types, bases, file
@@ -107,9 +107,9 @@ NOT_CLOSED_FORMS = {
     "matrix_spaces": {"ConeError", "TridiagSym", "IncompleteSym", "DenseSym", "zg_basis", "ig_basis",
                       "dense_to_csv", "dense_from_csv"},
     "lum_triangular": {"LUMMatrix"},
-    "wishart_q": {"WishartQ", "MomentSpec", "sample", "sample_many", "sigma_to_shape", "shape_to_sigma",
-                  "basic_index_sets", "sample_gram_many", "sample_quadratic", "sample_quadratic_many"},
-    "wishart_p": {"WishartP", "sample_p", "sample_p_many", "quadratic_params_p_inverse",
+    "wishart_q": {"Point", "Parameter", "WishartQ", "sample_many", "sigma_to_shape", "shape_to_sigma",
+                  "basic_index_sets", "sample_gram_many", "sample_quadratic_many"},
+    "wishart_p": {"Point", "Parameter", "WishartP", "sample_many", "quadratic_params_p_inverse",
                   "integer_feasibility_p"},
 }
 
@@ -183,7 +183,7 @@ def test_eval_near_the_boundary_exits_0_or_2_with_at_most_one_line(tmp_path, cas
     params = ({"M": M, "s": p.s.tolist(), "y": near_p(n, gap, scale).to_json_dict()} if family == "q"
               else {"M": M, "s": pp.s.tolist(), "x": x.to_json_dict()})
     points = {"x": x.to_json_dict(), "x_list": {"x_list": [x.to_json_dict()] * 2},
-              "target": wp.mean_p(wp.WishartP(pp, x)).to_json_dict()}
+              "target": wp.mean(wp.WishartP(pp, x)).to_json_dict()}
     (tmp_path / "params.json").write_text(json.dumps(params))
     argv = [sys.executable, "-m", "chainwishart.cli", "eval", "--what", what, "--family", family,
             "--params", str(tmp_path / "params.json")]

@@ -152,6 +152,14 @@ def test_enumeration_lists_the_orders_in_mask_order(n):
     assert all(type(v) is int for seq in got for v in seq)
 
 
+def test_enumeration_stops_at_16_vertices_before_it_allocates():
+    assert len(enumerate_eliminating_orders(build_chain(16))) == 2**15
+    assert len(enumerate_perfect_clique_orders(build_chain(17))) == 2**15
+    for n in (17, 40, 64, 10**6):
+        with pytest.raises(ValueError, match=rf"a chain of {n} vertices has 2\^{n - 1} eliminating orders"):
+            enumerate_eliminating_orders(build_chain(n))
+
+
 def test_eliminating_orders_are_slotted():
     orders = enumerate_eliminating_orders(build_chain(6))
     assert all(not hasattr(o, "__dict__") for o in orders)

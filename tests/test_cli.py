@@ -164,9 +164,9 @@ def test_import_loads_no_scipy(module):
 # each closed form that reads a normalizer or a log-gamma term, by itself in a fresh process
 NO_SCIPY_CALLS = {
     "log_density": "wq.log_density(wq.WishartQ(p, y), x)",
-    "log_density_p": "wp.log_density_p(wp.WishartP(pp, x), y)",
+    "log_density_p": "wp.log_density(wp.WishartP(pp, x), y)",
     "log_norm_constant": "wq.log_norm_constant(p)",
-    "log_norm_constant_p": "wp.log_norm_constant_p(pp)",
+    "log_norm_constant_p": "wp.log_norm_constant(pp)",
     "canonical_measure_check": "wp.canonical_measure_check(x)",
 }
 
@@ -241,7 +241,7 @@ def test_sample_csv_parses_back_to_the_draws(tmp_path, family):
         expect = wq.sample_many(w, stream_rng(19), draws)
     else:
         w = wp.WishartP(ShapeParams.from_json_dict(params), IncompleteSym.from_json_dict(params["x"]))
-        expect = wp.sample_p_many(w, stream_rng(19), draws)
+        expect = wp.sample_many(w, stream_rng(19), draws)
     got = dense_from_csv(str(out))
     assert got.shape == (draws, 2 * n - 1)
     assert np.array_equal(got, expect)
@@ -541,6 +541,22 @@ def test_eval_variance_at_point_matches_column_by_column_operator(tmp_path, caps
     assert np.max(np.abs(got - expect)) <= 1e-12 * np.max(np.abs(expect))
 
 
+@pytest.mark.parametrize("seed", range(10))
+def test_eval_variance_p_at_point_is_the_covariance_at_its_newton_inverse_mean(tmp_path, capsys, seed):
+    rng = np.random.default_rng([29, seed])
+    n = int(rng.integers(1, 9))
+    M = int(rng.integers(1, n + 1))
+    p = random_shape_p(rng, n, M)
+    params = _write(tmp_path / "p.json", {**p.to_json_dict(), "x": random_q_elem(rng, n).to_json_dict()})
+    w2 = wp.WishartP(p, random_q_elem(rng, n))
+    point = _write(tmp_path / "m.json", wp.mean(w2).to_json_dict())
+    rc = main(["eval", "--what", "variance", "--family", "p", "--params", params, "--point", point])
+    assert rc == 0
+    got = np.array(json.loads(capsys.readouterr().out)["variance_matrix"])
+    expect = wp.covariance_matrix(w2)
+    assert np.max(np.abs(got - expect)) <= 1e-9 * np.max(np.abs(expect))
+
+
 def test_eval_inverse_mean_p_newton(tmp_path, capsys):
     from chainwishart.power_functions import ShapeParams as SP
 
@@ -548,7 +564,7 @@ def test_eval_inverse_mean_p_newton(tmp_path, capsys):
     params = _write(tmp_path / "p.json", {"M": 1, "s": [0.2, -0.3], "x": x})
     from chainwishart.matrix_spaces import IncompleteSym as IS
 
-    target = wp.mean_p(wp.WishartP(SP(1, [0.2, -0.3]), IS.from_json_dict(x)))
+    target = wp.mean(wp.WishartP(SP(1, [0.2, -0.3]), IS.from_json_dict(x)))
     point = _write(tmp_path / "t.json", target.to_json_dict())
     rc = main(["eval", "--what", "inverse-mean", "--family", "p", "--params", params, "--point", point])
     assert rc == 0
@@ -576,7 +592,7 @@ M3_TINY = {"n": 3, "diag": [1e-310, 2e-310, 1e-310], "off": [3e-311, 2e-311]}
 # P2 scaled by 1e-200: its covariance (degree -2) is past the largest double
 P2_TINY = {**P2, "x": {"n": 2, "diag": [1e-200, 1.3e-200], "off": [-2e-201]}}
 # the mean of P2 at c x is its mean at x over c, so Newton must return c x
-P2_MEAN = wp.mean_p(wp.WishartP(ShapeParams.from_json_dict(P2), IncompleteSym.from_json_dict(P2["x"])))
+P2_MEAN = wp.mean(wp.WishartP(ShapeParams.from_json_dict(P2), IncompleteSym.from_json_dict(P2["x"])))
 BIG_DIRECTION = {"n": 2, "diag": [1e200, 1e200], "off": [1e199]}
 NEWTON_SCALES = {"newton-target-at-1e-12": 1e-12, "newton-target-at-1e12": 1e12}
 NOT_UTF8 = b"\xff\xfe\x00bad"
@@ -624,6 +640,11 @@ CONTRACT = [
      EXIT_DOMAIN),
     ("eval-variance-at-point", {"q.json": Q2, "m.json": {"n": 2, "diag": [1.0, 2.0], "off": [0.3]}},
      ["eval", "--what", "variance", "--family", "q", "--params", "{q.json}", "--point", "{m.json}"], 0),
+    # on P the variance at a point goes through the Newton inverse mean, and fails as it does
+    ("eval-variance-p-at-point-outside-P", {"p.json": P2, "m.json": {"n": 2, "diag": [1.0, -1.0], "off": [0.0]}},
+     ["eval", "--what", "variance", "--family", "p", "--params", "{p.json}", "--point", "{m.json}"], EXIT_DOMAIN),
+    ("eval-variance-p-at-point-at-1e-310", {"p.json": P2, "m.json": (1e-310 * P2_MEAN).to_json_dict()},
+     ["eval", "--what", "variance", "--family", "p", "--params", "{p.json}", "--point", "{m.json}"], EXIT_DOMAIN),
     ("eval-density-needs-point", {"q.json": Q2},
      ["eval", "--what", "density", "--family", "q", "--params", "{q.json}"], 3),
     ("eval-inverse-mean-outside-q", {"q.json": Q2, "m.json": {"n": 2, "diag": [1.0, 1.0], "off": [2.0]}},
@@ -636,6 +657,9 @@ CONTRACT = [
     ("orders", {}, ["orders", "--n", "3"], 0),
     ("orders-no-vertex", {}, ["orders", "--n", "0"], EXIT_DOMAIN),
     ("orders-negative-size", {}, ["orders", "--n", "-2"], EXIT_DOMAIN),
+    # refused before anything is allocated: 2^39 and 2^63 orders
+    ("orders-40-vertices", {}, ["orders", "--n", "40"], EXIT_DOMAIN),
+    ("orders-64-vertices", {}, ["orders", "--n", "64"], EXIT_DOMAIN),
     ("lm-convert-none", {"lm.json": {"alpha": [1.0, 2.0, 3.0], "beta": [5.0, 4.0]}},
      ["lm-convert", "--direction", "lm-to-s", "--file", "{lm.json}"], EXIT_NO_CONVERSION),
     ("missing-stat-no-pivot", {"m.csv": "1.0,1.0,\n,,1.0\n"},
@@ -713,6 +737,10 @@ CONTRACT_ERRORS = {
     "sample-sigma-pivot-0": "error: pivot M=0 out of range 1..2\n",
     "sample-sigma-pivot-3": "error: pivot M=3 out of range 1..2\n",
     "newton-target-of-another-size": "error: size mismatch\n",
+    "orders-40-vertices": "error: a chain of 40 vertices has 2^39 eliminating orders; "
+                          "at most 16 vertices (2^15 orders) are enumerated\n",
+    "eval-variance-p-at-point-outside-P":
+        "error: target is not positive definite: leading principal minor 2 (pivot -1) is not positive\n",
     "newton-target-outside-P": "error: target is not positive definite: leading principal minor 2 (pivot -1) is not positive\n",
 }
 

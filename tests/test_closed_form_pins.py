@@ -5,20 +5,22 @@ n in {1, 2, 3, 13, 10^4}, pivots M in {1, (n+1)//2, n} and elements scaled by
 c in {1e-150, 1, 1e150}, in that order (see ``_digest``).  The digests were
 recorded from the implementation as it stood before the dual-cone closed
 forms were rewritten to read each element in one sweep, so any change in a
-returned value, down to its last bit, fails them.  The exceptions:
-``covariance_apply`` and ``variance_apply_nice`` were recorded later;
-``covariance_p_apply`` was re-recorded when it became the clique form applied
-at unit scale (its values moved by at most 2.7e-16 of the largest entry); and
-``log_norm_constant``, ``log_norm_constant_p``, ``log_density`` and
-``log_density_p`` were re-recorded when the normalizer moved from
-``scipy.special.gammaln`` to ``math.lgamma`` with the same order of additions
-(the normalizers moved by at most 1.9e-14 relative; against a 50-digit
-``mpmath`` sum their worst error went from 5.7e-15 to 1.8e-14, see
-``tests/test_normalizer_oracle.py``).
+returned value, down to its last bit, fails them.  A pin's label names its
+cone, ``_p`` for ``wishart_p``, as the function names did before both modules
+shared one set.  The exceptions: ``covariance_apply`` and
+``variance_apply_nice`` were recorded later; ``wishart_p.covariance_apply``
+was re-recorded when it became the clique form applied at unit scale (its
+values moved by at most 2.7e-16 of the largest entry); and
+``log_norm_constant`` and ``log_density`` on both cones were re-recorded
+when the normalizer moved from ``scipy.special.gammaln`` to ``math.lgamma``
+with the same order of additions (the normalizers moved by at most 1.9e-14
+relative; against a 50-digit ``mpmath`` sum their worst error went from
+5.7e-15 to 1.8e-14, see ``tests/test_normalizer_oracle.py``).
 
-``covariance_p_matrix`` is compared with ``np.array_equal`` against the
-stacked ``covariance_p_apply`` columns instead: it is the same clique-form
-operator, applied to the identity in place of one basis element at a time.
+``wishart_p.covariance_matrix`` is compared with ``np.array_equal`` against
+the stacked ``wishart_p.covariance_apply`` columns instead: it is the same
+clique-form operator, applied to the identity in place of one basis element
+at a time.
 """
 
 import hashlib
@@ -65,13 +67,13 @@ def _values(name, d):
         return [wq.log_laplace(d["wq"], d["z"])]
     if name == "log_density_p":
         bad = _off_cone(d)[1]
-        return [wp.log_density_p(d["wp"], d["y"])] + ([wp.log_density_p(d["wp"], bad)] if d["y"].n > 1 else [])
+        return [wp.log_density(d["wp"], d["y"])] + ([wp.log_density(d["wp"], bad)] if d["y"].n > 1 else [])
     if name == "log_laplace_p":
-        return [wp.log_laplace_p(d["wp"], d["theta"])]
+        return [wp.log_laplace(d["wp"], d["theta"])]
     if name == "log_norm_constant":
         return [wq.log_norm_constant(d["s_q"])]
     if name == "log_norm_constant_p":
-        return [wp.log_norm_constant_p(d["s_p"])]
+        return [wp.log_norm_constant(d["s_p"])]
     if name == "delta_exponents":
         return np.concatenate(delta_exponents(d["s_q"].s, d["s_q"].M))
     if name == "riesz_p_exponents":
@@ -79,11 +81,11 @@ def _values(name, d):
     if name == "inverse_mean":
         return wq.inverse_mean(d["s_q"], d["x"]).coords()
     if name == "mean_p":
-        return wp.mean_p(d["wp"]).coords()
+        return wp.mean(d["wp"]).coords()
     if name == "lauritzen_map":
         return lauritzen_map(d["x"]).coords()
     if name == "covariance_p_apply":
-        return wp.covariance_p_apply(d["wp"], d["v"]).coords()
+        return wp.covariance_apply(d["wp"], d["v"]).coords()
     if name == "covariance_apply":
         return wq.covariance_apply(d["wq"], d["u"]).coords()
     if name == "variance_apply_nice":  # degree 2 in m: u at unit scale keeps the value in range
@@ -131,8 +133,8 @@ MOMENT_DIGESTS = {
 
 def _moments(name, d):
     if name == "moment":
-        return [wq.moment(d["wq"], wq.MomentSpec(z)) for z in ([d["z"]], [d["z"], d["u"]])]
-    return [wp.moment_p(d["wp"], x) for x in ([d["x"]], [d["x"], d["v"]])]
+        return [wq.moment(d["wq"], z) for z in ([d["z"]], [d["z"], d["u"]])]
+    return [wp.moment(d["wp"], x) for x in ([d["x"]], [d["x"], d["v"]])]
 
 
 @pytest.mark.parametrize("name", list(MOMENT_DIGESTS))
@@ -149,8 +151,8 @@ def test_covariance_p_matrix_equals_its_columns(n, c):
     rng = np.random.default_rng([7, n])
     for M in sorted({1, (n + 1) // 2, n}):
         w = wp.WishartP(random_shape_p(rng, n, M), c * random_q_elem(rng, n))
-        cols = [wp.covariance_p_apply(w, ig_basis(n, k)).coords() for k in range(2 * n - 1)]
-        assert np.array_equal(wp.covariance_p_matrix(w), np.column_stack(cols))
+        cols = [wp.covariance_apply(w, ig_basis(n, k)).coords() for k in range(2 * n - 1)]
+        assert np.array_equal(wp.covariance_matrix(w), np.column_stack(cols))
 
 
 # (element, name) -> the ConeError text, recorded with the digests above
@@ -178,7 +180,7 @@ def test_dual_cone_error_texts_are_pinned(x, name, text):
     if name == "x":  # the closed forms that test their argument name it x
         ones = lambda e: ShapeParams(1, np.ones(e.n))
         for fn in (lauritzen_map, log_phi, lambda e: wq.inverse_mean(ones(e), e),
-                   lambda e: wp.mean_p_formula(ones(e), e), wp.canonical_measure_check):
+                   lambda e: wp.mean_formula(ones(e), e), wp.canonical_measure_check):
             with pytest.raises(ConeError) as err:
                 fn(x)
             assert str(err.value) == text

@@ -67,15 +67,15 @@ SIZED_ENTRY_POINTS = {
     "inverse_mean": lambda: wq.inverse_mean(P_Q, X2),
     "variance_apply_nice": lambda: wq.variance_apply_nice(P_Q, X, Y2),
     "intertwining_check": lambda: wq.intertwining_check(P_Q, X2),
-    "moment": lambda: wq.moment(WQ, wq.MomentSpec([Y2])),
+    "moment": lambda: wq.moment(WQ, [Y2]),
     "hat_via_T": lambda: lum.hat_via_T(P_Q, X2),
     "WishartP": lambda: wp.WishartP(P_P, X2),
-    "log_density_p": lambda: wp.log_density_p(WP, Y2),
-    "log_laplace_p": lambda: wp.log_laplace_p(WP, X2),
-    "mean_p_formula": lambda: wp.mean_p_formula(P_P, X2),
-    "covariance_p_apply": lambda: wp.covariance_p_apply(WP, X2),
-    "moment_p": lambda: wp.moment_p(WP, [X2]),
-    "newton_inverse_mean_p": lambda: wp.newton_inverse_mean_p(P_P, Y2),
+    "log_density_p": lambda: wp.log_density(WP, Y2),
+    "log_laplace_p": lambda: wp.log_laplace(WP, X2),
+    "mean_p_formula": lambda: wp.mean_formula(P_P, X2),
+    "covariance_p_apply": lambda: wp.covariance_apply(WP, X2),
+    "moment_p": lambda: wp.moment(WP, [X2]),
+    "newton_inverse_mean_p": lambda: wp.inverse_mean(P_P, Y2),
     "log_H": lambda: lm.log_H(lm.LMParams([1.0, 1.0], [1.0]), X2),
 }
 
@@ -133,9 +133,9 @@ def _moment_calls():
     w = wq.WishartQ(random_shape_q(rng, N, 2), random_pd_tridiag(rng, N))
     wpp = wp.WishartP(random_shape_p(rng, N, 2), random_q_elem(rng, N))
     return [
-        (lambda zs: wq.moment(w, wq.MomentSpec(zs)), TridiagSym(N, [0.5, -0.2, 0.1], [0.1, 0.3]),
+        (lambda zs: wq.moment(w, zs), TridiagSym(N, [0.5, -0.2, 0.1], [0.1, 0.3]),
          TridiagSym(2, [1.0, 1.0], [0.0])),
-        (lambda xs: wp.moment_p(wpp, xs), IncompleteSym(N, [0.5, -0.2, 0.1], [0.1, 0.3]),
+        (lambda xs: wp.moment(wpp, xs), IncompleteSym(N, [0.5, -0.2, 0.1], [0.1, 0.3]),
          IncompleteSym(2, [1.0, 1.0], [0.0])),
     ]
 

@@ -1,6 +1,6 @@
 """Higher moments as Taylor coefficients of the Laplace transform.
 
-``wishart_q.moment`` and ``wishart_p.moment_p`` read the coefficient of
+``wishart_q.moment`` and ``wishart_p.moment`` read the coefficient of
 ``e_1 ... e_N`` off 2^N-coefficient jets.  They are checked against the
 paper's permutation-cycle expansions kept in ``tests/_dense_oracle.py``,
 against the Gamma law of ``<X, y>``, which needs no oracle, and against
@@ -47,11 +47,10 @@ def _directions(rng, n, N):
 def test_moments_match_the_cycle_expansions(n, M, N):
     rng, w, wpp = _families(n, M, 1000 * n + 10 * M + N)
     zs, xs = _directions(rng, n, N)
-    spec = wq.MomentSpec(zs)
-    want = dense.moment(w, spec)
-    assert abs(wq.moment(w, spec) - want) <= TOL * abs(want)
-    want = dense.moment_p(wpp, xs)
-    assert abs(wp.moment_p(wpp, xs) - want) <= TOL * abs(want)
+    want = dense.moment(w, zs)
+    assert abs(wq.moment(w, zs) - want) <= TOL * abs(want)
+    want = dense.moment_on_p(wpp, xs)
+    assert abs(wp.moment(wpp, xs) - want) <= TOL * abs(want)
 
 
 def test_pairing_with_the_parameter_is_gamma_at_n_1000():
@@ -60,11 +59,11 @@ def test_pairing_with_the_parameter_is_gamma_at_n_1000():
     n, N = 1000, 6
     _, w, wpp = _families(n, 400, 7)
     k = float(np.sum(w.params.s))
-    got = wq.moment(w, wq.MomentSpec([w.y] * N))
+    got = wq.moment(w, [w.y] * N)
     assert got == pytest.approx(prod(k + i for i in range(N)), rel=TOL)
     cliq_e, diag_e = wp.riesz_p_exponents(wpp.params.s, wpp.params.M)
     k = -(2.0 * float(np.sum(cliq_e)) + float(np.sum(diag_e)))
-    got = wp.moment_p(wpp, [wpp.x] * N)
+    got = wp.moment(wpp, [wpp.x] * N)
     assert got == pytest.approx(prod(k + i for i in range(N)), rel=TOL)
 
 
@@ -75,17 +74,16 @@ def test_pairing_with_the_parameter_is_gamma_at_n_1000():
 def test_moments_are_homogeneous_of_degree_minus_n(n, M, c, N):
     rng, w, wpp = _families(n, M, 31 * n + M)
     zs, xs = _directions(rng, n, N)
-    spec = wq.MomentSpec(zs)
     scaled = wq.WishartQ(w.params, TridiagSym(n, c * w.y.diag, c * w.y.off))
-    assert wq.moment(scaled, spec) == pytest.approx(wq.moment(w, spec) / c**N, rel=TOL)
+    assert wq.moment(scaled, zs) == pytest.approx(wq.moment(w, zs) / c**N, rel=TOL)
     scaled_p = wp.WishartP(wpp.params, IncompleteSym(n, c * wpp.x.diag, c * wpp.x.off))
-    assert wp.moment_p(scaled_p, xs) == pytest.approx(wp.moment_p(wpp, xs) / c**N, rel=TOL)
+    assert wp.moment(scaled_p, xs) == pytest.approx(wp.moment(wpp, xs) / c**N, rel=TOL)
 
 
 def test_moment_p_rejects_an_empty_direction_list():
     _, _, wpp = _families(3, 2, 5)
     with pytest.raises(ValueError, match="need at least one test direction"):
-        wp.moment_p(wpp, [])
+        wp.moment(wpp, [])
 
 
 def test_chunked_jet_product_matches_one_pass(monkeypatch):

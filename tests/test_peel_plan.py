@@ -3,8 +3,8 @@
 The pinned values were recorded from the recursive implementation that the
 plan replaced; seeded draws and factors must stay bit-identical to them.
 
-The sha256 digests pin the draw stream of ``sample_many``, ``sample_p_many``
-and ``sample_gram_many`` across chain lengths, pivots and draw counts.  They
+The sha256 digests pin the draw stream of ``wishart_q.sample_many``,
+``wishart_p.sample_many`` and ``sample_gram_many`` across chain lengths, pivots and draw counts.  They
 were recorded from the samplers as they stood before their inner loops were
 rewritten for speed (vertex rows read as Python floats, ``standard_normal``
 scaled and shifted by hand), so any change in a seeded draw, down to its
@@ -66,7 +66,7 @@ PINNED_T = {
 @pytest.mark.parametrize("M", [1, 3, 4])
 def test_seeded_draws_and_factor_are_pinned(M):
     q = wq.sample_many(wq.WishartQ(ShapeParams(M, S_Q), Y), np.random.default_rng(M), 2)
-    p = wp.sample_p_many(wp.WishartP(ShapeParams(M, S_P), X), np.random.default_rng(M), 2)
+    p = wp.sample_many(wp.WishartP(ShapeParams(M, S_P), X), np.random.default_rng(M), 2)
     t = decompose(Y, M)
     assert np.array_equal(q, np.array(PINNED_Q[M]))
     assert np.array_equal(p, np.array(PINNED_P[M]))
@@ -83,7 +83,7 @@ def test_chains_longer_than_the_recursion_limit():
     y = random_pd_tridiag(rng, n)
     x = random_q_elem(rng, n)
     q = wq.sample_many(wq.WishartQ(ShapeParams(M, np.full(n, 1.5)), y), rng, 4)
-    p = wp.sample_p_many(wp.WishartP(ShapeParams(M, np.full(n, 0.5)), x), rng, 4)
+    p = wp.sample_many(wp.WishartP(ShapeParams(M, np.full(n, 0.5)), x), rng, 4)
     assert q.shape == p.shape == (4, 2 * n - 1)
     assert all(is_in_Q(IncompleteSym.from_coords(row)) for row in q)
     assert all(is_in_P(TridiagSym.from_coords(row)) for row in p)
@@ -130,7 +130,7 @@ def _draw_digest(kind, n):
             if kind == "q":
                 out = wq.sample_many(wq.WishartQ(s_q, y), draw, size)
             elif kind == "p":
-                out = wp.sample_p_many(wp.WishartP(s_p, x), draw, size)
+                out = wp.sample_many(wp.WishartP(s_p, x), draw, size)
             else:
                 out = wq.sample_gram_many(wq.basic_index_sets(sigma, M, n), y, draw, size)
             assert out.shape == (size, 2 * n - 1) and out.dtype == np.float64
@@ -170,7 +170,7 @@ def test_each_family_forms_its_peel_plan_once(monkeypatch):
         wq.covariance_apply(w_q, u)
     assert calls == {"_peel_unit": 0, "_q_gaps": 0}  # w_q formed its plan at construction
     for _ in range(100):
-        wp.sample_p_many(w_p, rng, 3)
+        wp.sample_many(w_p, rng, 3)
     assert calls == {"_peel_unit": 1, "_q_gaps": 0}
 
 
@@ -234,7 +234,7 @@ def _arm_digest(kind, n, M):
         if kind == "q":
             out = wq.sample_many(w_q, draw, size)
         elif kind == "p":
-            out = wp.sample_p_many(w_p, draw, size)
+            out = wp.sample_many(w_p, draw, size)
         else:
             out = wq.sample_quadratic_many(sigma, M, y, draw, size)
         assert out.shape == (size, 2 * n - 1) and out.dtype == np.float64
@@ -257,7 +257,7 @@ def test_sampler_peak_memory_stays_near_its_output(kind, n, size):
         sampler = wq.sample_many
     else:
         w = wp.WishartP(random_shape_p(rng, n, n // 3 + 1), random_q_elem(rng, n))
-        sampler = wp.sample_p_many
+        sampler = wp.sample_many
     sampler(w, rng, 1)  # a family forms its sampler constants once, on its first draw
     tracemalloc.start()
     try:

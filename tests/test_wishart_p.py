@@ -34,8 +34,8 @@ def test_family_validates_domain_and_cone():
 
 
 def test_log_norm_constant_p_examples():
-    assert wp.log_norm_constant_p(ShapeParams(1, [0.0])) == pytest.approx(0.0)
-    assert wp.log_norm_constant_p(ShapeParams(2, [0.0, 0.0])) == pytest.approx(
+    assert wp.log_norm_constant(ShapeParams(1, [0.0])) == pytest.approx(0.0)
+    assert wp.log_norm_constant(ShapeParams(2, [0.0, 0.0])) == pytest.approx(
         -np.log(np.pi / 2.0)
     )
 
@@ -47,7 +47,7 @@ def test_density_p_normalizes_by_independent_importance_sampling():
 
     d, off, log_ref = reference_q_draws(rng, 2, 40_000)
     vals = np.array(
-        [wp.log_density_p(w, TridiagSym(2, d[i], off[i])) for i in range(d.shape[0])]
+        [wp.log_density(w, TridiagSym(2, d[i], off[i])) for i in range(d.shape[0])]
     )
     est, se = importance_mass(vals, log_ref)
     assert abs(est - 1.0) < 4.0 * se
@@ -56,8 +56,8 @@ def test_density_p_normalizes_by_independent_importance_sampling():
 def test_log_density_p_examples():
     w = wp.WishartP(ShapeParams(1, [0.0]), IncompleteSym(1, [1.0], []))
     for yv in (0.1, 1.0, 2.5):
-        assert wp.log_density_p(w, TridiagSym(1, [yv], [])) == pytest.approx(-yv)
-    assert wp.log_density_p(w, TridiagSym(1, [-0.5], [])) == -np.inf
+        assert wp.log_density(w, TridiagSym(1, [yv], [])) == pytest.approx(-yv)
+    assert wp.log_density(w, TridiagSym(1, [-0.5], [])) == -np.inf
     # n = 2 grid check against the directly assembled formula
     from chainwishart.power_functions import log_delta_M, log_Delta_M, log_phi
 
@@ -67,44 +67,44 @@ def test_log_density_p_examples():
         for o in (-0.2, 0.3):
             y = TridiagSym(2, [d1, 1.1], [o])
             expect = (
-                wp.log_norm_constant_p(w2.params)
+                wp.log_norm_constant(w2.params)
                 + log_Delta_M(w2.params, y)
                 - pairing(y, w2.x)
                 - (log_delta_M(neg, w2.x) + log_phi(w2.x))
             )
-            assert wp.log_density_p(w2, y) == pytest.approx(expect)
+            assert wp.log_density(w2, y) == pytest.approx(expect)
 
 
 def test_log_laplace_p_examples():
     w = wp.WishartP(ShapeParams(1, [0.7]), IncompleteSym(1, [1.0], []))
-    assert wp.log_laplace_p(w, IncompleteSym(1, [0.0], [])) == pytest.approx(0.0)
+    assert wp.log_laplace(w, IncompleteSym(1, [0.0], [])) == pytest.approx(0.0)
     # Gamma(s+1, x) transform: theta = x = 1 gives (s+1) log(1/2)
-    assert wp.log_laplace_p(w, IncompleteSym(1, [1.0], [])) == pytest.approx(1.7 * np.log(0.5))
+    assert wp.log_laplace(w, IncompleteSym(1, [1.0], [])) == pytest.approx(1.7 * np.log(0.5))
     w2 = wp.WishartP(ShapeParams(1, [0.0, 0.0]), IncompleteSym(2, [1, 1], [0]))
     with pytest.raises(ConeError):
-        wp.log_laplace_p(w2, IncompleteSym(2, [-2.0, 0.0], [0.0]))
+        wp.log_laplace(w2, IncompleteSym(2, [-2.0, 0.0], [0.0]))
 
 
 def test_mean_p_examples():
     # one vertex: Gamma(s+1, x) mean
     w = wp.WishartP(ShapeParams(1, [0.3]), IncompleteSym(1, [2.0], []))
-    assert wp.mean_p(w).diag[0] == pytest.approx(1.3 / 2.0)
+    assert wp.mean(w).diag[0] == pytest.approx(1.3 / 2.0)
     # two vertices at zero shape, identity-pattern parameter
     w2 = wp.WishartP(ShapeParams(2, [0.0, 0.0]), IncompleteSym(2, [1, 1], [0]))
-    assert wp.mean_p(w2).allclose(TridiagSym(2, [1.5, 1.5], [0.0]))
+    assert wp.mean(w2).allclose(TridiagSym(2, [1.5, 1.5], [0.0]))
     # mean lands inside the cone
     rng = np.random.default_rng(70)
     for _ in range(20):
         n = int(rng.integers(1, 7))
         m = int(rng.integers(1, n + 1))
         w3 = wp.WishartP(random_shape_p(rng, n, m), random_q_elem(rng, n))
-        assert is_in_P(wp.mean_p(w3))
+        assert is_in_P(wp.mean(w3))
 
 
 def test_covariance_p_scalar_and_fd():
     w = wp.WishartP(ShapeParams(1, [0.5]), IncompleteSym(1, [2.0], []))
     u = IncompleteSym(1, [0.6], [])
-    assert wp.covariance_p_apply(w, u).diag[0] == pytest.approx(1.5 * 0.6 / 4.0)
+    assert wp.covariance_apply(w, u).diag[0] == pytest.approx(1.5 * 0.6 / 4.0)
     rng = np.random.default_rng(71)
     for n, m in ((3, 2), (4, 1), (4, 4)):
         x = random_q_elem(rng, n)
@@ -112,42 +112,42 @@ def test_covariance_p_scalar_and_fd():
         w = wp.WishartP(p, x)
 
         def mean_map(c):
-            return wp.mean_p_formula(p, IncompleteSym.from_coords(c)).coords()
+            return wp.mean_formula(p, IncompleteSym.from_coords(c)).coords()
 
         jac = fd_jacobian(mean_map, x.coords())
-        v = wp.covariance_p_matrix(w)
+        v = wp.covariance_matrix(w)
         assert np.max(np.abs(v + jac)) <= 1e-5 * np.max(np.abs(v))
 
 
 def test_sampler_p_base_case_and_cone():
     w = wp.WishartP(ShapeParams(1, [0.0]), IncompleteSym(1, [1.0], []))
-    draws = wp.sample_p_many(w, stream_rng(72), 10_000)[:, 0]
+    draws = wp.sample_many(w, stream_rng(72), 10_000)[:, 0]
     assert ks_test_gamma(draws, 1.0, 1.0) > 0.01
     rng = np.random.default_rng(73)
     for m in (1, 2, 3):
         x = random_q_elem(rng, 3)
         p = random_shape_p(rng, 3, m)
         w = wp.WishartP(p, x)
-        coords = wp.sample_p_many(w, stream_rng(74 + m), 20_000)
+        coords = wp.sample_many(w, stream_rng(74 + m), 20_000)
         assert all(is_in_P(TridiagSym.from_coords(c)) for c in coords[:2000])
-        th = wp.mean_p(w).coords()
+        th = wp.mean(w).coords()
         se = coords.std(axis=0, ddof=1) / np.sqrt(coords.shape[0])
         assert np.max(np.abs(coords.mean(axis=0) - th) / se) < 4.0
 
 
 def test_sample_p_is_the_row_of_a_one_draw_sample_p_many():
     w = wp.WishartP(ShapeParams(2, [0.3, -0.2, 0.8]), IncompleteSym(3, [1.0, 1.5, 0.8], [0.2, -0.3]))
-    one = wp.sample_p(w, stream_rng(47))
+    one = wp.Point.from_coords(wp.sample_many(w, stream_rng(47), 1)[0])
     assert type(one) is TridiagSym
-    assert np.array_equal(one.coords(), wp.sample_p_many(w, stream_rng(47), 1)[0])
+    assert np.array_equal(one.coords(), wp.sample_many(w, stream_rng(47), 1)[0])
 
 
 def test_covariance_p_matches_empirical():
     rng = np.random.default_rng(75)
     x = random_q_elem(rng, 3)
     w = wp.WishartP(random_shape_p(rng, 3, 2), x)
-    draws = wp.sample_p_many(w, stream_rng(76), 100_000)
-    th = cov_coords_from_operator(wp.covariance_p_matrix(w), 3)
+    draws = wp.sample_many(w, stream_rng(76), 100_000)
+    th = cov_coords_from_operator(wp.covariance_matrix(w), 3)
     batches = np.array_split(draws, 50)
     covs = np.stack([np.cov(b, rowvar=False) for b in batches])
     emp = covs.mean(axis=0)
@@ -258,7 +258,7 @@ def test_quadratic_witness_samples_correctly():
             v = stream_rng(79, 10 + lo).standard_normal((60_000, mult, 2)) @ chol.T
             draws[:, lo - 1 : hi] += np.sum(v**2, axis=1)
             draws[:, 4 + lo - 1] += np.sum(v[:, :, 0] * v[:, :, 1], axis=1)
-    th = wp.mean_p(w).coords()
+    th = wp.mean(w).coords()
     se = draws.std(axis=0, ddof=1) / np.sqrt(draws.shape[0])
     assert np.max(np.abs(draws.mean(axis=0) - th) / se) < 4.0
 
@@ -270,16 +270,16 @@ def test_moment_p_low_orders():
     p = random_shape_p(rng, n, m)
     w = wp.WishartP(p, x)
     xs = [IncompleteSym.from_coords(rng.uniform(-1, 1, 2 * n - 1)) for _ in range(3)]
-    mp = wp.mean_p(w)
-    m1 = wp.moment_p(w, xs[:1])
+    mp = wp.mean(w)
+    m1 = wp.moment(w, xs[:1])
     assert m1 == pytest.approx(pairing(mp, xs[0]), rel=1e-12)
-    m2 = wp.moment_p(w, xs[:2])
-    expect2 = pairing(wp.covariance_p_apply(w, xs[0]), xs[1]) + pairing(mp, xs[0]) * pairing(
+    m2 = wp.moment(w, xs[:2])
+    expect2 = pairing(wp.covariance_apply(w, xs[0]), xs[1]) + pairing(mp, xs[0]) * pairing(
         mp, xs[1]
     )
     assert m2 == pytest.approx(expect2, rel=1e-12)
     with pytest.raises(ValueError, match="moment order 7 above cap 6"):
-        wp.moment_p(w, xs * 2 + xs[:1])
+        wp.moment(w, xs * 2 + xs[:1])
 
 
 def test_moment_p_vs_mc_including_endpoints():
@@ -292,8 +292,8 @@ def test_moment_p_vs_mc_including_endpoints():
     for m in (1, 2, 3):
         p = random_shape_p(rng, n, m)
         w = wp.WishartP(p, x)
-        theory = wp.moment_p(w, xs)
-        draws = wp.sample_p_many(w, stream_rng(82, m), 100_000)
+        theory = wp.moment(w, xs)
+        draws = wp.sample_many(w, stream_rng(82, m), 100_000)
         prods = np.prod([draws @ (wts * xx.coords()) for xx in xs], axis=0)
         se = prods.std(ddof=1) / np.sqrt(prods.size)
         assert abs(prods.mean() - theory) < 4.0 * se
@@ -318,8 +318,8 @@ def test_newton_inverse_mean_p():
     rng = np.random.default_rng(84)
     x = random_q_elem(rng, 3)
     p = random_shape_p(rng, 3, 2)
-    target = wp.mean_p(wp.WishartP(p, x))
-    back = wp.newton_inverse_mean_p(p, target)
+    target = wp.mean(wp.WishartP(p, x))
+    back = wp.inverse_mean(p, target)
     assert np.allclose(back.coords(), x.coords(), rtol=1e-7, atol=1e-9)
 
 
@@ -329,7 +329,7 @@ def test_newton_inverse_mean_p_is_scale_equivariant(n, M, c):
     rng = np.random.default_rng([n, M, 86])
     x = c * random_q_elem(rng, n)
     p = random_shape_p(rng, n, M)
-    back = wp.newton_inverse_mean_p(p, wp.mean_p(wp.WishartP(p, x)))
+    back = wp.inverse_mean(p, wp.mean(wp.WishartP(p, x)))
     assert np.max(np.abs(back.coords() - x.coords())) <= 1e-8 * np.max(np.abs(x.coords()))
 
 
@@ -351,7 +351,7 @@ def test_mean_p_is_negated_log_laplace_gradient():
         grad = fd_jacobian(log_lap, x.coords())[0]
         # pairing weights: the gradient in coordinates doubles off entries
         wts = coordinate_weights(n)
-        got = wp.mean_p_formula(p, x).coords() * wts
+        got = wp.mean_formula(p, x).coords() * wts
         assert np.allclose(got, -grad, rtol=1e-5, atol=1e-7)
 
 
@@ -372,5 +372,5 @@ def test_all_draws_land_in_cone():
     x = random_q_elem(rng, 4)
     p = random_shape_p(rng, 4, 2)
     w = wp.WishartP(p, x)
-    coords = wp.sample_p_many(w, stream_rng(87), 100_000)
+    coords = wp.sample_many(w, stream_rng(87), 100_000)
     assert np.all(_pivots_batch(coords, 4))

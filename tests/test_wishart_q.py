@@ -285,22 +285,22 @@ def test_sampler_matches_mean_small():
 
 def test_sample_single_draw_and_determinism():
     w = wq.WishartQ(ShapeParams(2, [1.0, 1.0]), TridiagSym(2, [1, 1], [0]))
-    a = wq.sample(w, stream_rng(99))
-    b = wq.sample(w, stream_rng(99))
+    a = wq.Point.from_coords(wq.sample_many(w, stream_rng(99), 1)[0])
+    b = wq.Point.from_coords(wq.sample_many(w, stream_rng(99), 1)[0])
     assert np.array_equal(a.coords(), b.coords())
     assert is_in_Q(a)
 
 
 def test_sample_is_the_row_of_a_one_draw_sample_many():
     w = wq.WishartQ(ShapeParams(2, [1.2, 0.9, 1.6]), TridiagSym(3, [2.0, 2.5, 1.8], [0.3, -0.4]))
-    one = wq.sample(w, stream_rng(41))
+    one = wq.Point.from_coords(wq.sample_many(w, stream_rng(41), 1)[0])
     assert type(one) is IncompleteSym
     assert np.array_equal(one.coords(), wq.sample_many(w, stream_rng(41), 1)[0])
 
 
 def test_sample_quadratic_is_the_row_of_a_one_draw_sample_quadratic_many():
     y = TridiagSym(3, [2.0, 2.5, 1.8], [0.3, -0.4])
-    one = wq.sample_quadratic([2, 2, 1], 2, y, stream_rng(43))
+    one = wq.Point.from_coords(wq.sample_quadratic_many([2, 2, 1], 2, y, stream_rng(43), 1)[0])
     assert type(one) is IncompleteSym
     assert np.array_equal(one.coords(), wq.sample_quadratic_many([2, 2, 1], 2, y, stream_rng(43), 1)[0])
 
@@ -419,15 +419,15 @@ def test_moment_low_orders_and_cap():
     w = wq.WishartQ(p, y)
     zs = [TridiagSym.from_coords(rng.uniform(-1, 1, 2 * n - 1)) for _ in range(3)]
     mn = wq.mean(w)
-    m1 = wq.moment(w, wq.MomentSpec(zs[:1]))
+    m1 = wq.moment(w, zs[:1])
     assert m1 == pytest.approx(pairing(zs[0], mn), rel=1e-12)
-    m2 = wq.moment(w, wq.MomentSpec(zs[:2]))
+    m2 = wq.moment(w, zs[:2])
     expect2 = pairing(zs[1], wq.covariance_apply(w, zs[0])) + pairing(zs[0], mn) * pairing(
         zs[1], mn
     )
     assert m2 == pytest.approx(expect2, rel=1e-12)
     with pytest.raises(ValueError, match="moment order 7 above cap 6"):
-        wq.moment(w, wq.MomentSpec(zs * 2 + zs[:1]))
+        wq.moment(w, zs * 2 + zs[:1])
 
 
 def test_moment_scalar_shape_closed_form():
@@ -437,7 +437,7 @@ def test_moment_scalar_shape_closed_form():
     zs = [TridiagSym.from_coords(rng.uniform(-1, 1, 2 * n - 1)) for _ in range(3)]
     for sval in (0.9, 1.6):
         w = wq.WishartQ(ShapeParams(3, sval * np.ones(n)), y)
-        got = wq.moment(w, wq.MomentSpec(zs))
+        got = wq.moment(w, zs)
         assert got == pytest.approx(scalar_moment3_closed_form(sval, y, zs), rel=1e-9)
 
 
@@ -448,7 +448,7 @@ def test_moment_vs_mc():
     p = random_shape_q(rng, n, m)
     w = wq.WishartQ(p, y)
     zs = [TridiagSym.from_coords(rng.uniform(-1, 1, 2 * n - 1)) for _ in range(3)]
-    theory = wq.moment(w, wq.MomentSpec(zs))
+    theory = wq.moment(w, zs)
     draws = wq.sample_many(w, stream_rng(61), 100_000)
     wts = coordinate_weights(n)
     prods = np.prod([draws @ (wts * z.coords()) for z in zs], axis=0)
@@ -486,7 +486,7 @@ def test_moment_order2_matches_covariance_matrix_entries():
     for j in range(2 * n - 1):
         for k in range(2 * n - 1):
             ej, ek = zg_basis(n, j), zg_basis(n, k)
-            m2 = wq.moment(w, wq.MomentSpec([ej, ek]))
+            m2 = wq.moment(w, [ej, ek])
             cov_jk = m2 - pairing(ej, mn) * pairing(ek, mn)
             # <v(e_j), e_k> corresponds to w_k * V[k, j] in coordinates
             assert cov_jk == pytest.approx(wts[k] * v[k, j], rel=1e-9, abs=1e-12)
@@ -511,6 +511,6 @@ def test_moment_high_orders_reduce_to_gamma_raw_moments():
     w = wq.WishartQ(ShapeParams(1, [1.5]), TridiagSym(1, [2.0], []))
     z = TridiagSym(1, [1.0], [])
     for order in (4, 5, 6):
-        got = wq.moment(w, wq.MomentSpec([z] * order))
+        got = wq.moment(w, [z] * order)
         exact = prod(1.5 + k for k in range(order)) / 2.0**order
         assert got == pytest.approx(exact, rel=1e-12)
