@@ -18,9 +18,8 @@ import numpy as np
 from chainwishart import wishart_p as wp
 from chainwishart import wishart_q as wq
 from chainwishart.verification import (
-    _family_p,
-    _family_q,
-    _random_pd,
+    _CONES,
+    _family,
     cov_coords_from_operator,
     mc_mean_cov,
     stream_rng,
@@ -47,7 +46,7 @@ def main() -> None:
     print("recursive sampler on the dual cone:")
     print(f"{'pivot':>6}  {'mean |z|':>9}  {'cov |z|':>8}  {'round-trip err':>14}")
     for m in range(1, n + 1):
-        w = _family_q(rng, n, m)
+        w = _family(wq, rng, n, m)
         draw = partial(wq.sample_many, w)
         zm, zc = worst_z(draw, wq.mean(w), wq.covariance_matrix(w), args.draws, seed + 10 + m)
         back = wq.inverse_mean(w.params, wq.mean(w))
@@ -61,7 +60,7 @@ def main() -> None:
     sigma[n // 2] = 2
     m_piv = max(2, n // 2 + 1) if n > 1 else 1
     sigma_sets = wq.sigma_to_shape(sigma, m_piv)
-    y = _random_pd(rng, n)
+    y = _CONES[wq].natural(rng, n)
     w = wq.WishartQ(sigma_sets, y)
     draw = partial(wq.sample_quadratic_many, sigma, m_piv, y)
     zm, zc = worst_z(draw, wq.mean(w), wq.covariance_matrix(w), args.draws, seed + 30)
@@ -70,7 +69,7 @@ def main() -> None:
     print("\nconcentration-cone sampler:")
     print(f"{'pivot':>6}  {'mean |z|':>9}  {'cov |z|':>8}")
     for m in range(1, n + 1):
-        w = _family_p(rng, n, m)
+        w = _family(wp, rng, n, m)
         draw = partial(wp.sample_many, w)
         zm, zc = worst_z(draw, wp.mean(w), wp.covariance_matrix(w), args.draws, seed + 40 + m)
         print(f"{m:>6}  {zm:>9.2f}  {zc:>8.2f}")

@@ -8,7 +8,7 @@ Subcommands: ``sample``, ``eval``, ``orders``, ``lm-convert``,
 diagonal columns first, with ``#`` metadata lines recording seed and
 parameters.  The formats live in :mod:`chainwishart._formats`, the
 missing-data statistic in :mod:`chainwishart.wishart_q`; :func:`main` maps
-their errors to exit codes.  The default seed comes from ``CHAINWISHART_SEED``.
+their errors to exit codes.
 
 Exit codes: 0 success; 1 verification failure; 2 parameter-domain or cone
 violation (the diagnostic names the failed minor), a pivot outside ``1..n``,
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from types import ModuleType
 from typing import Callable, NamedTuple, Optional, Sequence, TypeVar
@@ -61,7 +60,7 @@ EXIT_NO_CONVERSION = 4
 EXIT_NOT_MONOTONE = 5
 EXIT_NO_PIVOT = 6
 
-DEFAULT_SEED = int(os.environ.get("CHAINWISHART_SEED", "20260810"))
+DEFAULT_SEED = 20260810
 
 T = TypeVar("T")
 
@@ -132,8 +131,7 @@ def _print_json(obj) -> None:
 
 def _cmd_sample(args: argparse.Namespace) -> int:
     params = read_json_object(args.params)
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
-    rng = verification.stream_rng(seed)
+    rng = verification.stream_rng(args.seed)
     if args.sigma is not None:
         if args.family != "q":
             raise CliError(EXIT_DOMAIN, "--sigma applies to the dual-cone family only")
@@ -150,7 +148,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         meta = {"family": args.family}
     header = [
         "# chainwishart sample",
-        f"# seed: {seed}",
+        f"# seed: {args.seed}",
         f"# meta: {json.dumps(meta)}",
         f"# params: {json.dumps(params)}",
         "# columns: " + ",".join([f"d{i}" for i in range(1, n + 1)] + [f"o{i}" for i in range(1, n)]),
@@ -270,9 +268,8 @@ def _cmd_missing_stat(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    seed = args.seed if args.seed is not None else DEFAULT_SEED
     mutations = frozenset(args.inject_bug or [])
-    results, ok = verification.run_suites(args.suite, seed, mutations)
+    results, ok = verification.run_suites(args.suite, args.seed, mutations)
     print(verification.format_report(results))
     if args.json:
         try:
@@ -307,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=list(_CONES), required=True)
     p.add_argument("--params", required=True, help="JSON parameter file")
     p.add_argument("--n", type=int, default=1000, help="number of draws")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument(
         "--sigma",
@@ -344,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the Monte-Carlo/brute-force check suites")
     p.add_argument("--suite", choices=["all", *verification.SUITES], default="all")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--json", default=None, help="also write the report as JSON")
     p.add_argument(
         "--inject-bug",

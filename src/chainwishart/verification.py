@@ -19,15 +19,15 @@ estimate is reproducible.
 The five suites are built from a few private pieces, each check keeping
 its name, stream, seed, sample count and threshold:
 
-* ``_family_q`` and ``_family_p`` draw a random family on ``Q`` or ``P``
-  (the natural parameter, then the shape) from a stream;
+* ``_CONES`` keys each cone by its module, and ``_family(cone, ...)`` draws
+  a random family on it (the natural parameter, then the shape);
 * ``_z_check`` turns Monte-Carlo reports into one check on the worst
   ``|z|``, every ``z`` coming from ``_make_report``, and ``_sample_check``
   runs ``mc_mean_cov`` into it;
 * ``_rel_check`` compares matrices by relative error, with
   ``_fd_covariance`` giving the finite-difference covariance of a mean map;
-* one loop body checks the moments of both cones, as ``pairing`` gives the
-  same bits with its arguments in either order.
+* ``laplace``, ``mean``, ``moments`` and the ``samplers`` base cases run one
+  loop body over ``_CONES``, in its order.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ import json
 import math
 from dataclasses import asdict, dataclass
 from functools import partial
-from typing import Callable, Optional, Sequence
+from types import ModuleType
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -51,8 +52,7 @@ __all__ = [
     "stream_rng",
     "coordinate_weights",
     "cov_coords_from_operator",
-    "mc_laplace_q",
-    "mc_laplace_p",
+    "mc_laplace",
     "mc_mean_cov",
     "fd_jacobian",
     "ks_test_gamma",
@@ -140,33 +140,14 @@ def _mean_se(vals: NDArray[np.float64]) -> tuple[float, float]:
     return float(np.mean(vals)), se
 
 
-def _mc_laplace(cone, w, z, n_samples: int, seed: int, name: str) -> MCReport:
-    """``E exp(-<z, draw>)`` over ``n_samples`` draws of ``w`` against ``exp(cone.log_laplace(w, z))``."""
-    theory = float(np.exp(cone.log_laplace(w, z)))
+def mc_laplace(cone: ModuleType, w, theta, n_samples: int = 100_000, seed: int = 0) -> MCReport:
+    """Estimate ``E exp(-<theta, draw>)`` on ``cone`` by exact sampling, as report ``laplace_q`` or ``laplace_p``."""
+    name = f"laplace_{_CONES[cone].label}"
+    theory = float(np.exp(cone.log_laplace(w, theta)))
     coords = cone.sample_many(w, stream_rng(seed), n_samples)
-    t = coords @ (coordinate_weights(w.n) * z.coords())
+    t = coords @ (coordinate_weights(w.n) * theta.coords())
     est, se = _mean_se(np.exp(-t))
     return _make_report(est, se, theory, n_samples, seed, name)
-
-
-def mc_laplace_q(
-    w: wishart_q.WishartQ,
-    z: TridiagSym,
-    n_samples: int = 100_000,
-    seed: int = 0,
-) -> MCReport:
-    """Estimate ``E exp(-<z, X>)`` by exact sampling; theory from the closed form."""
-    return _mc_laplace(wishart_q, w, z, n_samples, seed, "laplace_q")
-
-
-def mc_laplace_p(
-    w: wishart_p.WishartP,
-    theta: IncompleteSym,
-    n_samples: int = 100_000,
-    seed: int = 0,
-) -> MCReport:
-    """Estimate ``E exp(-<theta, Y>)`` on the concentration-cone family."""
-    return _mc_laplace(wishart_p, w, theta, n_samples, seed, "laplace_p")
 
 
 def mc_mean_cov(
@@ -382,22 +363,32 @@ def _random_q(rng: np.random.Generator, n: int) -> IncompleteSym:
     return IncompleteSym(n, d, off)
 
 
-def _family_q(rng: np.random.Generator, n: int, M: int) -> wishart_q.WishartQ:
-    """A family on ``Q``: ``y`` in ``P``, then a shape in the ``Q`` domain, drawn in that order."""
-    y = _random_pd(rng, n)
-    return wishart_q.WishartQ(ShapeParams(M, rng.uniform(0.8, 2.5, size=n)), y)
+# What the suites draw on one cone: its label, family class, natural-parameter generator and shape range.
+class _ConeDraws(NamedTuple):
+    label: str
+    family: type
+    natural: Callable[[np.random.Generator, int], TridiagSym | IncompleteSym]
+    shape_range: tuple[float, float]
 
 
-def _family_p(rng: np.random.Generator, n: int, M: int) -> wishart_p.WishartP:
-    """A family on ``P``: ``x`` in ``Q``, then a shape in the ``P`` domain, drawn in that order."""
-    x = _random_q(rng, n)
-    return wishart_p.WishartP(ShapeParams(M, rng.uniform(-0.7, 1.5, size=n)), x)
+#: The cones by module (``mc_laplace``'s ``cone``), in the order each suite checks them.
+_CONES = {
+    wishart_q: _ConeDraws("q", wishart_q.WishartQ, _random_pd, (0.8, 2.5)),
+    wishart_p: _ConeDraws("p", wishart_p.WishartP, _random_q, (-0.7, 1.5)),
+}
 
 
-def _mutated_mean_q(w: wishart_q.WishartQ, mutations: frozenset) -> IncompleteSym:
-    m = wishart_q.mean(w)
-    if "mean-sign" in mutations:
-        # deliberately flip the sign of the off-diagonal assembly
+def _family(cone: ModuleType, rng: np.random.Generator, n: int, M: int):
+    """A family on ``cone``: the natural parameter, then a shape in the cone's domain, drawn in that order."""
+    c = _CONES[cone]
+    natural = c.natural(rng, n)
+    return c.family(ShapeParams(M, rng.uniform(*c.shape_range, size=n)), natural)
+
+
+def _mean(cone: ModuleType, w, mutations: frozenset) -> IncompleteSym | TridiagSym:
+    """``cone.mean(w)``; ``mean-sign`` deliberately flips the sign of the ``Q`` mean's off-diagonal assembly."""
+    m = cone.mean(w)
+    if cone is wishart_q and "mean-sign" in mutations:
         return IncompleteSym(m.n, m.diag, -m.off)
     return m
 
@@ -439,15 +430,12 @@ def suite_laplace(seed: int, mutations: frozenset = frozenset()) -> list[CheckRe
     """Monte-Carlo checks of both closed-form Laplace transforms (n = 2, 3)."""
     out = []
     k = 0
-    for stream, family, natural, mc_laplace in (
-        (100, _family_q, _random_pd, mc_laplace_q),
-        (200, _family_p, _random_q, mc_laplace_p),
-    ):
+    for (cone, c), stream in zip(_CONES.items(), (100, 200)):
         for n in (2, 3):
             for M in range(1, n + 1):
                 rng = stream_rng(seed, stream + k)
-                w = family(rng, n, M)
-                rep = mc_laplace(w, 0.3 * natural(rng, n), n_samples=100_000, seed=seed * 1000 + k)
+                w = _family(cone, rng, n, M)
+                rep = mc_laplace(cone, w, 0.3 * c.natural(rng, n), n_samples=100_000, seed=seed * 1000 + k)
                 out.append(_z_check(f"{rep.name}[n={n},M={M}]", [rep]))
                 k += 1
     return out
@@ -463,19 +451,16 @@ def _quadratic_family(rng: np.random.Generator) -> tuple[wishart_q.WishartQ, Cal
 def suite_mean(seed: int, mutations: frozenset = frozenset()) -> list[CheckResult]:
     """Empirical means of all three samplers against the closed forms."""
     out = []
-    for M in (1, 2, 4):
-        w = _family_q(stream_rng(seed, 300 + M), 4, M)
-        draw = partial(wishart_q.sample_many, w)
-        mean = _mutated_mean_q(w, mutations)
-        out.append(_sample_check(f"mean_q[n=4,M={M}]", f"q[n=4,M={M}]", draw, mean, None, seed * 100 + M))
-    for M in (1, 3):
-        w = _family_p(stream_rng(seed, 320 + M), 3, M)
-        draw = partial(wishart_p.sample_many, w)
-        mean = wishart_p.mean(w)
-        out.append(_sample_check(f"mean_p[n=3,M={M}]", f"p[n=3,M={M}]", draw, mean, None, seed * 100 + 10 + M))
+    # per cone: the chain size, the pivots, the stream and the seed offset
+    for (cone, c), (n, pivots, stream, offset) in zip(_CONES.items(), ((4, (1, 2, 4), 300, 0), (3, (1, 3), 320, 10))):
+        for M in pivots:
+            w = _family(cone, stream_rng(seed, stream + M), n, M)
+            draw, mean = partial(cone.sample_many, w), _mean(cone, w, mutations)
+            label = f"{c.label}[n={n},M={M}]"
+            out.append(_sample_check(f"mean_{label}", label, draw, mean, None, seed * 100 + offset + M))
     # quadratic construction, integer multiplicities
     w, draw = _quadratic_family(stream_rng(seed, 340))
-    mean = _mutated_mean_q(w, mutations)
+    mean = _mean(wishart_q, w, mutations)
     out.append(_sample_check("mean_quadratic[n=3,M=2]", "quad[n=3,M=2]", draw, mean, None, seed * 100 + 40))
     return out
 
@@ -504,6 +489,12 @@ def _quad(a: DenseSym, ud: DenseSym) -> DenseSym:
     return a @ ud @ a
 
 
+def _dense_terms(p: ShapeParams, m: IncompleteSym, u: TridiagSym) -> tuple:
+    """``n``, ``M``, ``s``, the completion ``hat`` of ``m``, its ``M_I`` and dense ``u``: the formulas' inputs."""
+    _same_size(p.n, m.n, u.n)
+    return p.n, p.M, p.s, _hat_completion(m), _m_sets(lauritzen_map(m).to_dense(), p.n), u.to_dense()
+
+
 def _variance_apply_nice(p: ShapeParams, m: IncompleteSym, u: TridiagSym) -> IncompleteSym:
     """Compact variance formula
 
@@ -514,12 +505,7 @@ def _variance_apply_nice(p: ShapeParams, m: IncompleteSym, u: TridiagSym) -> Inc
     with ``P(A)u = pi(A u A)`` and ``M_I`` the padded interval inverses of
     the Lauritzen image of ``m``.
     """
-    _same_size(p.n, m.n, u.n)
-    n, M, s = p.n, p.M, p.s
-    mhat = _hat_completion(m)
-    k = lauritzen_map(m).to_dense()
-    m_of = _m_sets(k, n)
-    ud = u.to_dense()
+    n, M, s, mhat, m_of, ud = _dense_terms(p, m, u)
     acc = (1.0 / s[0] + 1.0 / s[n - 1] - 1.0 / s[M - 1]) * _quad(mhat, ud)
     for i in range(1, M):
         acc += (1.0 / s[i] - 1.0 / s[i - 1]) * _quad(mhat - m_of(1, i), ud)
@@ -530,12 +516,7 @@ def _variance_apply_nice(p: ShapeParams, m: IncompleteSym, u: TridiagSym) -> Inc
 
 def _variance_apply_expanded(p: ShapeParams, m: IncompleteSym, u: TridiagSym) -> IncompleteSym:
     """Expanded three-sum variance formula; algebraically equal to the compact one."""
-    _same_size(p.n, m.n, u.n)
-    n, M, s = p.n, p.M, p.s
-    mhat = _hat_completion(m)
-    k = lauritzen_map(m).to_dense()
-    m_of = _m_sets(k, n)
-    ud = u.to_dense()
+    n, M, s, mhat, m_of, ud = _dense_terms(p, m, u)
     acc = np.zeros((n, n))
     for i in range(1, M):
         b = m_of(1, i) / s[i - 1]
@@ -558,7 +539,7 @@ def _variance_apply_expanded(p: ShapeParams, m: IncompleteSym, u: TridiagSym) ->
 
 def suite_variance(seed: int, mutations: frozenset = frozenset()) -> list[CheckResult]:
     """Variance formulas against finite differences, the dense oracle, and sampling."""
-    w = _family_q(stream_rng(seed, 400), 5, 3)
+    w = _family(wishart_q, stream_rng(seed, 400), 5, 3)
     v = wishart_q.covariance_matrix(w)
     fd = _fd_covariance(wishart_q.mean_formula, w.params, w.y)
     out = [_rel_check("covariance_q_vs_fd[n=5]", v, [fd], v, 1e-5)]
@@ -571,14 +552,14 @@ def suite_variance(seed: int, mutations: frozenset = frozenset()) -> list[CheckR
     )
     out.append(_rel_check("variance_triple_agreement[n=5]", v_band, [v_nice, v_exp, v], v, 1e-8))
 
-    wp = _family_p(stream_rng(seed, 410), 3, 2)
+    wp = _family(wishart_p, stream_rng(seed, 410), 3, 2)
     v_p = wishart_p.covariance_matrix(wp)
     fd_p = _fd_covariance(wishart_p.mean_formula, wp.params, wp.x)
     out.append(_rel_check("covariance_p_vs_fd[n=3]", v_p, [fd_p], v_p, 1e-5))
 
     # empirical coordinate covariance, both families
-    w3 = _family_q(stream_rng(seed, 420), 3, 2)
-    draw, mean = partial(wishart_q.sample_many, w3), _mutated_mean_q(w3, mutations)
+    w3 = _family(wishart_q, stream_rng(seed, 420), 3, 2)
+    draw, mean = partial(wishart_q.sample_many, w3), _mean(wishart_q, w3, mutations)
     cov = wishart_q.covariance_matrix(w3)
     out.append(_sample_check("cov_empirical_q[n=3,M=2]", "q_cov[n=3,M=2]", draw, mean, cov, seed * 100 + 42))
     draw, mean = partial(wishart_p.sample_many, wp), wishart_p.mean(wp)
@@ -601,36 +582,33 @@ def suite_moments(seed: int, mutations: frozenset = frozenset()) -> list[CheckRe
     bits with its arguments in either order, so one body serves both cones.
     """
     out = []
-    for name, stream, family, cone in (("q", 500, _family_q, wishart_q), ("p", 510, _family_p, wishart_p)):
+    for (cone, c), stream in zip(_CONES.items(), (500, 510)):
         rng = stream_rng(seed, stream)
-        w = family(rng, 3, 2)
+        w = _family(cone, rng, 3, 2)
         dirs = [cone.Parameter.from_coords(rng.uniform(-1, 1, size=5)) for _ in range(3)]
         m = cone.mean(w)
         exact1 = pairing(m, dirs[0])
         exact2 = pairing(cone.covariance_apply(w, dirs[0]), dirs[1]) + exact1 * pairing(m, dirs[1])
-        out.append(_exact_moment_check(f"moment_{name}_order1", cone.moment(w, dirs[:1]), exact1))
-        out.append(_exact_moment_check(f"moment_{name}_order2", cone.moment(w, dirs[:2]), exact2))
+        out.append(_exact_moment_check(f"moment_{c.label}_order1", cone.moment(w, dirs[:1]), exact1))
+        out.append(_exact_moment_check(f"moment_{c.label}_order2", cone.moment(w, dirs[:2]), exact2))
         coords = cone.sample_many(w, stream_rng(seed, stream + 1), 100_000)
         prods = np.prod([coords @ (coordinate_weights(3) * u.coords()) for u in dirs], axis=0)
         rep = _make_report(*_mean_se(prods), cone.moment(w, dirs), 100_000, seed, "")
-        out.append(_z_check(f"moment_{name}_order3_mc", [rep]))
+        out.append(_z_check(f"moment_{c.label}_order3_mc", [rep]))
     return out
 
 
 def suite_samplers(seed: int, mutations: frozenset = frozenset()) -> list[CheckResult]:
     """Base-case distribution tests and recursive/quadratic cross-checks."""
     out = []
-    # gamma base cases on one vertex
-    for shape, rate, label in ((1.0, 1.0, "exp1"), (0.75, 1.0, "gamma075")):
-        p = ShapeParams(1, [shape])
-        w = wishart_q.WishartQ(p, TridiagSym(1, [rate], []))
-        draws = wishart_q.sample_many(w, stream_rng(seed, 600), 10_000)[:, 0]
-        pval = ks_test_gamma(draws, shape, rate)
-        out.append(CheckResult(f"ks_q_base[{label}]", pval > 0.01, f"p = {pval:.4f}", pval, 0.01))
-    wp = wishart_p.WishartP(ShapeParams(1, [0.0]), IncompleteSym(1, [1.0], []))
-    draws = wishart_p.sample_many(wp, stream_rng(seed, 601), 10_000)[:, 0]
-    pval = ks_test_gamma(draws, 1.0, 1.0)
-    out.append(CheckResult("ks_p_base[exp1]", pval > 0.01, f"p = {pval:.4f}", pval, 0.01))
+    # gamma base cases on one vertex, parameter 1: (shape parameter, its Gamma shape, label) per cone
+    cases = (((1.0, 1.0, "exp1"), (0.75, 0.75, "gamma075")), ((0.0, 1.0, "exp1"),))
+    for (cone, c), stream, base_cases in zip(_CONES.items(), (600, 601), cases):
+        for s, shape, label in base_cases:
+            w = c.family(ShapeParams(1, [s]), cone.Parameter(1, [1.0], []))
+            draws = cone.sample_many(w, stream_rng(seed, stream), 10_000)[:, 0]
+            pval = ks_test_gamma(draws, shape, 1.0)
+            out.append(CheckResult(f"ks_{c.label}_base[{label}]", pval > 0.01, f"p = {pval:.4f}", pval, 0.01))
 
     # recursive vs quadratic: same law, so means must agree within joint error
     w, draw = _quadratic_family(stream_rng(seed, 610))

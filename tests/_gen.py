@@ -1,25 +1,27 @@
 """Shared random-instance generators and independent oracles for the tests."""
 
+from functools import partial
+
 import numpy as np
 
+from chainwishart import wishart_p, wishart_q
 from chainwishart.matrix_spaces import TridiagSym
 from chainwishart.power_functions import ShapeParams
-from chainwishart.verification import _random_pd, _random_q
+from chainwishart.verification import _CONES
 
 
 # The verification suites' generators, shared so both draw the same streams.
-random_pd_tridiag = _random_pd
-random_q_elem = _random_q
+random_pd_tridiag = _CONES[wishart_q].natural
+random_q_elem = _CONES[wishart_p].natural
 
 
-def random_shape_q(rng: np.random.Generator, n: int, M: int) -> ShapeParams:
-    """A shape in the ``Q`` domain, drawn as ``verification._family_q`` draws it."""
-    return ShapeParams(M, rng.uniform(0.8, 2.5, size=n))
+def _random_shape(cone, rng: np.random.Generator, n: int, M: int) -> ShapeParams:
+    """A shape in the domain of ``cone``, drawn from its range in ``verification._CONES`` as ``_family`` draws it."""
+    return ShapeParams(M, rng.uniform(*_CONES[cone].shape_range, size=n))
 
 
-def random_shape_p(rng: np.random.Generator, n: int, M: int) -> ShapeParams:
-    """A shape in the ``P`` domain, drawn as ``verification._family_p`` draws it."""
-    return ShapeParams(M, rng.uniform(-0.7, 1.5, size=n))
+random_shape_q = partial(_random_shape, wishart_q)
+random_shape_p = partial(_random_shape, wishart_p)
 
 
 def random_shape_any(rng: np.random.Generator, n: int, M: int) -> ShapeParams:

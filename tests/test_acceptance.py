@@ -42,8 +42,7 @@ from chainwishart.verification import (
     cov_coords_from_operator,
     fd_jacobian,
     ks_test_gamma,
-    mc_laplace_p,
-    mc_laplace_q,
+    mc_laplace,
     stream_rng,
 )
 
@@ -122,13 +121,13 @@ def test_criterion_04_laplace_transforms_mc():
             y = random_pd_tridiag(rng, n)
             w = wq.WishartQ(random_shape_q(rng, n, m), y)
             z = 0.3 * random_pd_tridiag(rng, n)
-            rep = mc_laplace_q(w, z, n_samples=100_000, seed=SEED + k)
+            rep = mc_laplace(wq, w, z, n_samples=100_000, seed=SEED + k)
             assert abs(rep.z_score) < 4.0
             worst = max(worst, abs(rep.z_score))
             x = random_q_elem(rng, n)
             w2 = wp.WishartP(random_shape_p(rng, n, m), x)
             theta = 0.3 * random_q_elem(rng, n)
-            rep2 = mc_laplace_p(w2, theta, n_samples=100_000, seed=SEED + 100 + k)
+            rep2 = mc_laplace(wp, w2, theta, n_samples=100_000, seed=SEED + 100 + k)
             assert abs(rep2.z_score) < 4.0
             worst = max(worst, abs(rep2.z_score))
             k += 1

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -731,7 +733,18 @@ CONTRACT = [
     ("newton-target-outside-P", {"p.json": P2, "t.json": {"n": 2, "diag": [1.0, -1.0], "off": [0.0]}},
      ["eval", "--what", "inverse-mean", "--family", "p", "--params", "{p.json}", "--point", "{t.json}"],
      EXIT_DOMAIN),
+    # the environment holds no seed: a malformed CHAINWISHART_SEED is not read
+    ("orders-under-malformed-seed-variable", {}, ["orders", "--n", "2"], 0),
+    ("sample-default-seed-under-malformed-seed-variable", {"q.json": Q2},
+     ["sample", "--family", "q", "--params", "{q.json}", "--n", "5", "--out", "{dir}/draws.csv"], 0),
 ]
+#: The environment of a contract case that runs as its own process, so that the package is imported under it.
+CONTRACT_ENV = {
+    case: {"CHAINWISHART_SEED": "abc"}
+    for case in ("orders-under-malformed-seed-variable", "sample-default-seed-under-malformed-seed-variable")
+}
+#: Further arguments of a contract case that must write the same output file again.
+CONTRACT_SAME_OUTPUT = {"sample-default-seed-under-malformed-seed-variable": ["--seed", "20260810"]}
 #: The error line of a contract case, where the case pins it.
 CONTRACT_ERRORS = {
     "sample-sigma-pivot-0": "error: pivot M=0 out of range 1..2\n",
@@ -757,8 +770,16 @@ def test_cli_exit_code_contract(tmp_path, capsys, case, files, argv, code):
         names[name] = str(path)
     for key, value in names.items():
         argv = [a.replace("{" + key + "}", value) for a in argv]
-    rc = main(argv)  # an exception escaping here is the traceback the contract forbids
-    out, err = capsys.readouterr()
+    if case in CONTRACT_ENV:
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, **CONTRACT_ENV[case]}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        command = [sys.executable, "-m", "chainwishart.cli", *argv]
+        done = subprocess.run(command, capture_output=True, text=True, env=env)
+        rc, out, err = done.returncode, done.stdout, done.stderr
+    else:
+        rc = main(argv)  # an exception escaping here is the traceback the contract forbids
+        out, err = capsys.readouterr()
     assert "Traceback" not in err
     assert rc in {0, 2, 3, 4, 5, 6}
     assert rc == code
@@ -768,6 +789,10 @@ def test_cli_exit_code_contract(tmp_path, capsys, case, files, argv, code):
         assert not (tmp_path / "x.csv").exists()
     if case in CONTRACT_ERRORS:
         assert err == CONTRACT_ERRORS[case]
+    if case in CONTRACT_SAME_OUTPUT:
+        again = tmp_path / "again.csv"
+        assert main([*argv, *CONTRACT_SAME_OUTPUT[case], "--out", str(again)]) == 0
+        assert pathlib.Path(argv[argv.index("--out") + 1]).read_bytes() == again.read_bytes()
     if case in NEWTON_SCALES:
         got = IncompleteSym.from_json_dict(json.loads(out)["inverse_mean"])
         want = NEWTON_SCALES[case] * IncompleteSym.from_json_dict(P2["x"])

@@ -1,26 +1,31 @@
 import ast
+import hashlib
 import importlib
 import inspect
 import json
 import math
 import pathlib
 import pkgutil
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 from scipy import special, stats  # oracles only: the package computes KS tests without scipy
 
 import chainwishart
+from chainwishart import wishart_p as wp
 from chainwishart import wishart_q as wq
 from chainwishart.matrix_spaces import TridiagSym
 from chainwishart.power_functions import ShapeParams
 from chainwishart.verification import (
+    _CONES,
+    _family,
     _gamma_cdf,
     CheckResult,
     fd_jacobian,
     format_report,
     ks_test_gamma,
-    mc_laplace_q,
+    mc_laplace,
     mc_mean_cov,
     report_json,
     run_suites,
@@ -41,7 +46,7 @@ def test_stream_rng_determinism_and_independence():
 
 def test_mc_laplace_zero_direction():
     w = wq.WishartQ(ShapeParams(2, [1.0, 1.0]), TridiagSym(2, [1, 1], [0]))
-    rep = mc_laplace_q(w, TridiagSym(2, [0.0, 0.0], [0.0]), n_samples=500, seed=1)
+    rep = mc_laplace(wq, w, TridiagSym(2, [0.0, 0.0], [0.0]), n_samples=500, seed=1)
     assert rep.estimate == 1.0
     assert rep.stderr == 0.0
     assert rep.z_score == 0.0
@@ -52,10 +57,27 @@ def test_mc_laplace_deterministic_under_seed():
     rng = np.random.default_rng(100)
     w = wq.WishartQ(random_shape_q(rng, 3, 2), random_pd_tridiag(rng, 3))
     z = 0.3 * random_pd_tridiag(rng, 3)
-    r1 = mc_laplace_q(w, z, n_samples=5000, seed=7)
-    r2 = mc_laplace_q(w, z, n_samples=5000, seed=7)
+    r1 = mc_laplace(wq, w, z, n_samples=5000, seed=7)
+    r2 = mc_laplace(wq, w, z, n_samples=5000, seed=7)
     assert r1.estimate == r2.estimate and r1.stderr == r2.stderr
     assert abs(r1.z_score) < 4.0
+
+
+#: sha256 of the JSON report fields of ``mc_laplace`` on three seeded families per cone, 2,000 draws each.
+MC_LAPLACE_DIGESTS = {
+    "q": "66c2732de0fabbd6769a580e91786e82527a4050bcfe2cebe7507a72a328be75",
+    "p": "949c63480e603cd5aa61189fb7738c21182650cbd8052f8dc992141ce10737a2",
+}
+
+
+@pytest.mark.parametrize("cone", [wq, wp], ids=["q", "p"])
+def test_mc_laplace_reports_are_pinned_on_both_cones(cone):
+    reports = []
+    for k in range(3):
+        rng = stream_rng(7, k)
+        w = _family(cone, rng, 3, k + 1)
+        reports.append(asdict(mc_laplace(cone, w, 0.3 * _CONES[cone].natural(rng, 3), n_samples=2000, seed=k)))
+    assert hashlib.sha256(json.dumps(reports).encode()).hexdigest() == MC_LAPLACE_DIGESTS[_CONES[cone].label]
 
 
 def test_mc_mean_cov_reports():
