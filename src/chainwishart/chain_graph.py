@@ -24,6 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .matrix_spaces import _integral
+
 __all__ = [
     "ChainGraph",
     "EliminatingOrder",
@@ -45,6 +47,7 @@ class ChainGraph:
     n: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", _integral(self.n, "n"))
         if self.n < 1:
             raise ValueError("chain graph needs at least one vertex")
 

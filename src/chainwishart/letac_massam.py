@@ -37,7 +37,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .chain_graph import CliqueOrder, first_separator
-from .matrix_spaces import IncompleteSym, _same_size
+from .matrix_spaces import IncompleteSym, _as_vector, _same_size
 from .power_functions import ShapeParams, _log_atoms
 from .wishart_q import log_norm_constant
 
@@ -57,8 +57,9 @@ _TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class LMParams:
-    """Clique exponents ``alpha`` (length n-1) and separator exponents ``beta``.
+    """Clique exponents ``alpha`` (length n-1) and separator exponents ``beta`` (length n-2).
 
+    ``beta`` is read first, so a length mismatch is reported on ``alpha``.
     ``beta[k]`` is the exponent of the separator ``k + 2``; no range
     restriction applies at construction.  Two parameter sets are equal, and
     hash alike, when their exponent vectors are; both are read-only copies,
@@ -69,12 +70,8 @@ class LMParams:
     beta: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "alpha", np.asarray(self.alpha, dtype=float).reshape(-1).copy())
-        object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float).reshape(-1).copy())
-        if self.alpha.size < 1:
-            raise ValueError("alpha needs at least one clique exponent")
-        if self.beta.size != self.alpha.size - 1:
-            raise ValueError("beta must have one entry per separator (len(alpha) - 1)")
+        object.__setattr__(self, "beta", _as_vector(self.beta, None, "beta"))
+        object.__setattr__(self, "alpha", _as_vector(self.alpha, self.beta.size + 1, "alpha"))
         self.alpha.flags.writeable = self.beta.flags.writeable = False
 
     def __eq__(self, other: object) -> bool:
@@ -100,7 +97,7 @@ class LMParams:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "LMParams":
-        return cls(np.asarray(d["alpha"]), np.asarray(d.get("beta", [])))
+        return cls(d["alpha"], d.get("beta", []))
 
 
 def log_H(lm: LMParams, x: IncompleteSym) -> float:

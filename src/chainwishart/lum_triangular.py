@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .matrix_spaces import DenseSym, IncompleteSym, TridiagSym, _hat_element, _hat_fill, _peel_core, _peel_unit, _pivot
+from .matrix_spaces import DenseSym, IncompleteSym, TridiagSym, _as_vector, _hat_element, _hat_fill, _integral, _peel_core, _peel_unit, _pivot
 from .power_functions import ShapeParams
 from .wishart_q import inverse_mean
 
@@ -54,16 +54,11 @@ class LUMMatrix:
     sup: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        self.diag = np.asarray(self.diag, dtype=float).reshape(-1)
-        self.sub = np.asarray(self.sub, dtype=float).reshape(-1)
-        self.sup = np.asarray(self.sup, dtype=float).reshape(-1)
+        self.n = _integral(self.n, "n")
         self.M = _pivot(self.M, self.n)
-        if self.diag.shape != (self.n,):
-            raise ValueError("diag must have length n")
-        if self.sub.shape != (self.M - 1,):
-            raise ValueError("sub must have length M-1")
-        if self.sup.shape != (self.n - self.M,):
-            raise ValueError("sup must have length n-M")
+        self.diag = _as_vector(self.diag, self.n, "diag")
+        self.sub = _as_vector(self.sub, self.M - 1, "sub")
+        self.sup = _as_vector(self.sup, self.n - self.M, "sup")
         if not np.all(self.diag > 0):
             raise ValueError("diagonal of the factor must be positive")
 

@@ -45,7 +45,8 @@ File formats live in :mod:`chainwishart._formats`; ``dense_to_csv`` and
 ``dense_from_csv`` are re-exported here.
 
 Vertices are labelled ``1..n`` in the public API; arrays are 0-based.
-Every function that takes a pivot ``M`` checks it by ``_pivot``.
+Every function that takes a pivot ``M`` checks it by ``_pivot``, and every
+public float-vector input of the package is read by ``_as_vector``.
 """
 
 from __future__ import annotations
@@ -95,11 +96,15 @@ class ConeError(ValueError):
     """
 
 
-def _as_vector(v: Iterable[float], length: int, name: str) -> NDArray[np.float64]:
+def _as_vector(v: Iterable[float], length: int | None, name: str) -> NDArray[np.float64]:
+    """The one vector rule: ``v`` as a fresh 1-D float array, of ``length`` entries unless that is ``None``.
+
+    A wrong length or a non-finite entry raises ``ValueError`` naming ``name``.
+    """
     arr = np.asarray(v, dtype=float).reshape(-1).copy()
-    if arr.shape != (length,):
+    if length is not None and arr.shape != (length,):
         raise ValueError(f"{name} must have length {length}, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite")
     return arr
 
@@ -173,7 +178,7 @@ class _BandedSym:
 
     @classmethod
     def from_coords(cls, vec: Iterable[float]):
-        vec = np.asarray(vec, dtype=float).reshape(-1)
+        vec = _as_vector(vec, None, "coordinate vector")
         if vec.size % 2 == 0:
             raise ValueError("coordinate vector must have odd length 2n-1")
         n = (vec.size + 1) // 2

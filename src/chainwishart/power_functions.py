@@ -42,6 +42,7 @@ from .chain_graph import EliminatingOrder
 from .matrix_spaces import (
     IncompleteSym,
     TridiagSym,
+    _as_vector,
     _from_unit,
     _peel_core,
     _peel_order,
@@ -81,11 +82,7 @@ class ShapeParams:
     s: NDArray[np.float64]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "s", np.asarray(self.s, dtype=float).reshape(-1).copy())
-        if self.s.size < 1:
-            raise ValueError("shape vector must be non-empty")
-        if not np.all(np.isfinite(self.s)):
-            raise ValueError("shape vector must be finite")
+        object.__setattr__(self, "s", _as_vector(self.s, None, "s"))
         object.__setattr__(self, "M", _pivot(self.M, self.s.size))
         self.s.flags.writeable = False
 
@@ -133,7 +130,7 @@ def delta_exponents(s: Iterable[float], M: int) -> tuple[NDArray[np.float64], ND
     convention handled uniformly.  This is the single source of truth reused
     by densities, mean formulas and quadratic-construction bookkeeping.
     """
-    s = np.asarray(s, dtype=float).reshape(-1)
+    s = _as_vector(s, None, "s")
     n = s.size
     M = _pivot(M, n)
     # block {b, b+1} carries s_b left of the pivot and s_{b+1} right of it;
@@ -239,9 +236,9 @@ def log_delta_order(s: Iterable[float], order: EliminatingOrder, x: IncompleteSy
     where ``v+`` is the future-neighbour set of ``v``.  Equals
     :func:`log_delta_M` at ``M = order.max_vertex``.
     """
-    s = np.asarray(s, dtype=float).reshape(-1)
     n = x.n
-    _same_size(s.size, order.n, n)
+    _same_size(order.n, n)
+    s = _as_vector(s, n, "s")
     log_cliq, log_diag = _log_atoms(x)
     pos = {v: i for i, v in enumerate(order.sequence)}
     total = 0.0
@@ -283,9 +280,9 @@ def log_Delta_order(s: Iterable[float], order: EliminatingOrder, y: TridiagSym) 
     predecessor sets are unions of a prefix and a suffix, so every minor
     factorizes over at most two intervals.
     """
-    s = np.asarray(s, dtype=float).reshape(-1)
     n = y.n
-    _same_size(s.size, order.n, n)
+    _same_size(order.n, n)
+    s = _as_vector(s, n, "s")
     lead = leading_log_minors(y)
     trail = trailing_log_minors(y)
     full = lead[n - 1]

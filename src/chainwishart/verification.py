@@ -43,7 +43,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import wishart_p, wishart_q
-from .matrix_spaces import DenseSym, IncompleteSym, TridiagSym, _same_size, lauritzen_map, pairing, project_pi
+from .matrix_spaces import DenseSym, IncompleteSym, TridiagSym, _as_vector, _same_size, lauritzen_map, pairing, project_pi
 from .power_functions import ShapeParams
 
 __all__ = [
@@ -197,7 +197,7 @@ def fd_jacobian(
     Steps scale with the coordinate magnitude; cone errors from probing past
     a boundary propagate to the caller.
     """
-    point = np.asarray(point, dtype=float)
+    point = _as_vector(point, None, "point")
     d = point.size
     cols = []
     for k in range(d):
@@ -261,7 +261,6 @@ def _gamma_cdf(x: NDArray[np.float64], a: float) -> NDArray[np.float64]:
     prefactor ``x^a e^-x / Gamma(a)`` taken in log scale. ``P = 0`` for
     ``x <= 0``.
     """
-    x = np.asarray(x, dtype=float)
     out = np.zeros(x.shape)
     series = (x > 0) & (x < a + 1.0)
     upper = x >= a + 1.0
@@ -327,11 +326,9 @@ def ks_test_gamma(draws: NDArray[np.float64], shape: float, rate: float) -> floa
     Raises ``ValueError`` for no draws, non-finite draws, or a shape or
     rate that is not finite and positive.
     """
-    draws = np.asarray(draws, dtype=float).reshape(-1)
+    draws = _as_vector(draws, None, "draws")
     if draws.size == 0:
         raise ValueError("no draws")
-    if not np.all(np.isfinite(draws)):
-        raise ValueError("draws must be finite")
     if not (0.0 < shape < math.inf and 0.0 < rate < math.inf):
         raise ValueError(f"shape and rate must be finite and positive, got {shape}, {rate}")
     n = draws.size

@@ -37,6 +37,7 @@ from .matrix_spaces import (
     ConeError,
     IncompleteSym,
     TridiagSym,
+    _as_vector,
     _clique_assembly,
     _covariance_coords,
     _covariance_matrix,
@@ -161,7 +162,7 @@ def riesz_p_exponents(s: Iterable[float], M: int) -> tuple[NDArray[np.float64], 
     additive constant; its negated gradient coefficients are the mean, and
     ``-2`` times it gives the quadratic-construction parameters.
     """
-    s = np.asarray(s, dtype=float).reshape(-1)
+    s = _as_vector(s, None, "s")
     cliq_d, diag_d = delta_exponents(-s, M)
     cliq_p, diag_p = phi_exponents(s.size)
     return cliq_d + cliq_p, diag_d + diag_p
@@ -315,12 +316,10 @@ def quadratic_params_p_inverse(
     alpha: Iterable[float], beta: Iterable[float], M: int
 ) -> ShapeParams:
     """Shape recovered from quadratic parameters at pivot ``M``."""
-    alpha = np.asarray(alpha, dtype=float).reshape(-1)
-    beta = np.asarray(beta, dtype=float).reshape(-1)
+    beta = _as_vector(beta, None, "beta")
     n = beta.size
-    if alpha.size != n - 1:
-        raise ValueError("alpha must have one entry per clique")
     M = _pivot(M, n)
+    alpha = _as_vector(alpha, n - 1, "alpha")
     s = np.empty(n)
     for i in range(1, n + 1):
         if i < M:

@@ -73,6 +73,7 @@ from .matrix_spaces import (
     ConeError,
     IncompleteSym,
     TridiagSym,
+    _as_vector,
     _clique_assembly,
     _covariance_coords,
     _from_unit,
@@ -414,7 +415,7 @@ def sample_many(w: WishartQ, rng: np.random.Generator, size: int) -> NDArray[np.
 
 def sigma_to_shape(sigma: Iterable[int], M: int) -> ShapeParams:
     """Shape vector solving the multiplicity relations for pivot ``M``."""
-    sigma = np.asarray(sigma, dtype=float).reshape(-1)
+    sigma = _as_vector(sigma, None, "sigma")
     n = sigma.size
     M = _pivot(M, n)
     s = np.empty(n)

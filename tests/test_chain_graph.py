@@ -33,6 +33,19 @@ def test_build_chain_rejects_zero():
         build_chain(0)
 
 
+def test_build_chain_reads_n_as_an_integral_number():
+    g = build_chain(3.0)
+    assert g == build_chain(3) and type(g.n) is int
+    assert enumerate_eliminating_orders(g) == enumerate_eliminating_orders(build_chain(3))
+
+
+@pytest.mark.parametrize("n", [2.5, True, "3"])
+def test_build_chain_rejects_a_fraction_boolean_or_string(n):
+    with pytest.raises(TypeError) as err:
+        build_chain(n)
+    assert str(err.value) == f"n must be an integral number, got {n!r}"
+
+
 def test_enumerate_counts():
     assert len(enumerate_eliminating_orders(build_chain(1))) == 1
     assert enumerate_eliminating_orders(build_chain(1))[0].sequence == (1,)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -664,6 +665,15 @@ CONTRACT = [
     ("orders-64-vertices", {}, ["orders", "--n", "64"], EXIT_DOMAIN),
     ("lm-convert-none", {"lm.json": {"alpha": [1.0, 2.0, 3.0], "beta": [5.0, 4.0]}},
      ["lm-convert", "--direction", "lm-to-s", "--file", "{lm.json}"], EXIT_NO_CONVERSION),
+    # every float vector is read by one rule: a non-finite entry or a wrong length is a domain error
+    ("lm-convert-nan-exponent", {"lm.json": {"alpha": [math.nan, 1.0], "beta": [1.0]}},
+     ["lm-convert", "--direction", "lm-to-s", "--file", "{lm.json}"], EXIT_DOMAIN),
+    ("lm-convert-null-exponent", {"lm.json": {"alpha": None, "beta": []}},
+     ["lm-convert", "--direction", "lm-to-s", "--file", "{lm.json}"], EXIT_DOMAIN),
+    ("lm-convert-exponents-of-two-lengths", {"lm.json": {"alpha": [1.0, 1.0], "beta": [1.0, 2.0]}},
+     ["lm-convert", "--direction", "lm-to-s", "--file", "{lm.json}"], EXIT_DOMAIN),
+    ("eval-infinite-shape", {"q.json": {**Q2, "s": [math.inf, 1.0]}},
+     ["eval", "--what", "mean", "--family", "q", "--params", "{q.json}"], EXIT_DOMAIN),
     ("missing-stat-no-pivot", {"m.csv": "1.0,1.0,\n,,1.0\n"},
      ["missing-stat", "--file", "{m.csv}"], EXIT_NO_PIVOT),
     # the squares of the data, and so the statistic, pass the largest double
@@ -750,6 +760,10 @@ CONTRACT_ERRORS = {
     "sample-sigma-pivot-0": "error: pivot M=0 out of range 1..2\n",
     "sample-sigma-pivot-3": "error: pivot M=3 out of range 1..2\n",
     "newton-target-of-another-size": "error: size mismatch\n",
+    "lm-convert-nan-exponent": "error: alpha must be finite\n",
+    "lm-convert-null-exponent": "error: alpha must be finite\n",
+    "lm-convert-exponents-of-two-lengths": "error: alpha must have length 3, got shape (2,)\n",
+    "eval-infinite-shape": "error: s must be finite\n",
     "orders-40-vertices": "error: a chain of 40 vertices has 2^39 eliminating orders; "
                           "at most 16 vertices (2^15 orders) are enumerated\n",
     "eval-variance-p-at-point-outside-P":

@@ -5,7 +5,9 @@ function that takes one rejects a bad ``M`` with the same text and reads
 ``2.0`` as ``2``.  Two sized inputs are compared by
 ``matrix_spaces._same_size`` alone, with one text.  The directions of a
 moment are checked by ``power_functions._jet_moment`` alone, for both cones,
-against one fixed cap.  The guards at the end keep the decisions there.
+against one fixed cap.  A float vector is coerced and checked by
+``matrix_spaces._as_vector`` alone: one text for a wrong length, one for a
+non-finite entry.  The guards at the end keep the decisions there.
 """
 
 import ast
@@ -19,6 +21,7 @@ from chainwishart import letac_massam as lm
 from chainwishart import lum_triangular as lum
 from chainwishart import peeling
 from chainwishart import power_functions as pf
+from chainwishart import verification
 from chainwishart import wishart_p as wp
 from chainwishart import wishart_q as wq
 from chainwishart.chain_graph import build_chain, enumerate_eliminating_orders
@@ -123,8 +126,53 @@ def test_inputs_of_two_sizes_are_one_value_error(entry):
 def test_quadratic_params_p_inverse_takes_no_clique_entry_at_one_vertex():
     with pytest.raises(ValueError) as err:
         wp.quadratic_params_p_inverse([5.0, 6.0, 7.0], [1.0], 1)
-    assert str(err.value) == "alpha must have one entry per clique"
+    assert str(err.value) == "alpha must have length 0, got shape (3,)"
     assert wp.quadratic_params_p_inverse([], [1.0], 1) == pf.ShapeParams(1, [-0.5])
+
+
+#: Every public float-vector input, keyed ``entry.name``: ``(call of that vector alone, a valid vector,
+#: its length)``.  The length is None where the vector itself sets the size, so no length is wrong.
+VECTOR_ENTRY_POINTS = {
+    "TridiagSym.diag": (lambda v: TridiagSym(N, v, [0.3, -0.2]), [2.0, 2.0, 2.0], N),
+    "TridiagSym.off": (lambda v: TridiagSym(N, [2.0, 2.0, 2.0], v), [0.3, -0.2], N - 1),
+    "IncompleteSym.diag": (lambda v: IncompleteSym(N, v, [0.3, -0.2]), [2.0, 2.0, 2.0], N),
+    "IncompleteSym.off": (lambda v: IncompleteSym(N, [2.0, 2.0, 2.0], v), [0.3, -0.2], N - 1),
+    "from_coords.coordinate vector": (TridiagSym.from_coords, [2.0, 2.0, 2.0, 0.3, -0.2], None),
+    "ShapeParams.s": (lambda v: pf.ShapeParams(2, v), [1.0, 1.5, 2.0], None),
+    "delta_exponents.s": (lambda v: pf.delta_exponents(v, 2), [1.0, 1.5, 2.0], None),
+    "riesz_p_exponents.s": (lambda v: wp.riesz_p_exponents(v, 2), [1.0, 1.5, 2.0], None),
+    "log_delta_order.s": (lambda v: pf.log_delta_order(v, ORDER, X), [1.0, 1.5, 2.0], N),
+    "log_Delta_order.s": (lambda v: pf.log_Delta_order(v, ORDER, Y), [1.0, 1.5, 2.0], N),
+    "sigma_to_shape.sigma": (lambda v: wq.sigma_to_shape(v, 2), [1.0, 2.0, 1.0], None),
+    "quadratic_params_p_inverse.alpha": (
+        lambda v: wp.quadratic_params_p_inverse(v, [0.0, 1.0, 0.0], 2), [3.0, 4.0], N - 1),
+    "quadratic_params_p_inverse.beta": (
+        lambda v: wp.quadratic_params_p_inverse([3.0, 4.0], v, 2), [0.0, 1.0, 0.0], None),
+    "LMParams.alpha": (lambda v: lm.LMParams(v, [1.0]), [1.0, 1.0], N - 1),
+    "LMParams.beta": (lambda v: lm.LMParams([1.0, 1.0], v), [1.0], None),
+    "LUMMatrix.diag": (lambda v: lum.LUMMatrix(N, 2, v, [0.1], [0.2]), [1.0, 2.0, 3.0], N),
+    "LUMMatrix.sub": (lambda v: lum.LUMMatrix(N, 2, [1.0, 2.0, 3.0], v, [0.2]), [0.1], 1),
+    "LUMMatrix.sup": (lambda v: lum.LUMMatrix(N, 2, [1.0, 2.0, 3.0], [0.1], v), [0.2], 1),
+    "ks_test_gamma.draws": (lambda v: verification.ks_test_gamma(v, 1.0, 1.0), [0.5, 1.0, 2.0], None),
+    "fd_jacobian.point": (lambda v: verification.fd_jacobian(lambda t: t, v), [1.0, 2.0], None),
+}
+
+
+@pytest.mark.parametrize("entry", VECTOR_ENTRY_POINTS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_vector_entry_is_one_value_error(entry, bad):
+    call, good, _ = VECTOR_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError) as err:
+        call([*good[:-1], bad])
+    assert str(err.value) == f"{entry.partition('.')[2]} must be finite"
+
+
+@pytest.mark.parametrize("entry", [e for e, (_, _, length) in VECTOR_ENTRY_POINTS.items() if length is not None])
+def test_a_vector_of_the_wrong_length_is_one_value_error(entry):
+    call, good, length = VECTOR_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError) as err:
+        call([*good, 1.0])
+    assert str(err.value) == f"{entry.partition('.')[2]} must have length {length}, got shape ({length + 1},)"
 
 
 def _moment_calls():
@@ -177,6 +225,49 @@ def test_only_matrix_spaces_raises_a_size_error():
             ):
                 raisers.append(f"{module}:{node.lineno}")
     assert raisers and all(r.startswith("matrix_spaces:") for r in raisers), raisers
+
+
+def _float_coercions_of_a_parameter(tree: ast.AST) -> list[int]:
+    """Lines where ``np.asarray``/``np.array`` turns a parameter of the enclosing function into floats."""
+    lines = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = fn.args
+        params = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}
+        for node in ast.walk(fn):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("asarray", "array") and node.args):
+                continue
+            arg = node.args[0]
+            # a dataclass field reaches __post_init__ as ``self.<field>``
+            if not (isinstance(arg, ast.Name) and arg.id in params
+                    or isinstance(arg, ast.Attribute) and getattr(arg.value, "id", None) == "self"):
+                continue
+            dtypes = node.args[1:2] + [k.value for k in node.keywords if k.arg == "dtype"]
+            if any(isinstance(d, ast.Name) and d.id == "float" for d in dtypes):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_only_matrix_spaces_coerces_a_float_parameter():
+    """Every float vector goes through ``_as_vector``.
+
+    ``_formats`` may not import ``matrix_spaces`` and coerces only the dense matrices it writes.
+    """
+    found = []
+    for module, text in _sources().items():
+        if module not in ("matrix_spaces", "_formats"):
+            found += [f"{module}:{line}" for line in _float_coercions_of_a_parameter(ast.parse(text))]
+    assert found == []
+
+
+def test_the_coercion_guard_sees_the_old_idiom():
+    old = "def f(s):\n    s = np.asarray(s, dtype=float).reshape(-1)\n"
+    field = "class C:\n    def __post_init__(self):\n        self.s = np.asarray(self.s, dtype=float)\n"
+    assert _float_coercions_of_a_parameter(ast.parse(old)) == [2]
+    assert _float_coercions_of_a_parameter(ast.parse(field)) == [3]
+    assert _float_coercions_of_a_parameter(ast.parse("def f(s):\n    t = np.asarray(s)\n")) == []
 
 
 def test_no_function_takes_a_cap():

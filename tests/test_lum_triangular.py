@@ -53,6 +53,14 @@ def test_decompose_rejects_non_pd():
         decompose(TridiagSym(2, [1, 1], [2]), 1)
 
 
+def test_factor_size_is_an_integral_number():
+    t = LUMMatrix(3.0, 2, [1.0, 2.0, 3.0], [0.1], [0.2])
+    assert type(t.n) is int and t.to_dense().shape == (3, 3)
+    for n in (True, 3.5):
+        with pytest.raises(TypeError, match=f"^n must be an integral number, got {n!r}$"):
+            LUMMatrix(n, 1, [1.0], [], [])
+
+
 @st.composite
 def pd_and_pivot(draw):
     n = draw(st.integers(min_value=1, max_value=10))
