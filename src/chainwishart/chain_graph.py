@@ -141,6 +141,13 @@ def enumerate_eliminating_orders(g: ChainGraph) -> list[EliminatingOrder]:
     return [EliminatingOrder(seq) for seq in zip(*cols.tolist())]
 
 
+def _future_neighbor_lists(seq: Sequence[int]) -> list[list[int]]:
+    """The one future-neighbour rule: the neighbours of each ``v = 1..n`` that come after it in ``seq``."""
+    n = len(seq)
+    pos = {v: i for i, v in enumerate(seq)}
+    return [[w for w in (v - 1, v + 1) if 1 <= w <= n and pos[w] > pos[v]] for v in range(1, n + 1)]
+
+
 def is_eliminating(g: ChainGraph, seq: Sequence[int]) -> bool:
     """Check the completeness of every future-neighbour set.
 
@@ -149,29 +156,26 @@ def is_eliminating(g: ChainGraph, seq: Sequence[int]) -> bool:
     seq = tuple(seq)
     if sorted(seq) != list(range(1, g.n + 1)):
         raise ValueError(f"not a permutation of 1..{g.n}: {seq}")
-    pos = {v: i for i, v in enumerate(seq)}
-    for v in range(1, g.n + 1):
-        fut = [w for w in (v - 1, v + 1) if 1 <= w <= g.n and pos[w] > pos[v]]
-        if len(fut) == 2:  # {v-1, v+1} is never an edge of the chain
-            return False
-    return True
+    # {v-1, v+1} is never an edge of the chain
+    return all(len(fut) < 2 for fut in _future_neighbor_lists(seq))
+
+
+def _vertex(order: EliminatingOrder, v: int) -> int:
+    """The vertex ``v`` of ``order``'s chain, by :func:`_integral`; ``ValueError`` outside ``1..n``."""
+    v = _integral(v, "vertex")
+    if not 1 <= v <= order.n:
+        raise ValueError(f"unknown vertex {v}")
+    return v
 
 
 def future_neighbors(order: EliminatingOrder, v: int) -> set[int]:
     """Neighbours of ``v`` that come later in the order; empty exactly at the max."""
-    n = order.n
-    if not 1 <= v <= n:
-        raise ValueError(f"unknown vertex {v}")
-    pos = {w: i for i, w in enumerate(order.sequence)}
-    return {w for w in (v - 1, v + 1) if 1 <= w <= n and pos[w] > pos[v]}
+    return set(_future_neighbor_lists(order.sequence)[_vertex(order, v) - 1])
 
 
 def predecessors(order: EliminatingOrder, v: int) -> set[int]:
     """All vertices preceding ``v`` in the order."""
-    if not 1 <= v <= order.n:
-        raise ValueError(f"unknown vertex {v}")
-    i = order.position(v)
-    return set(order.sequence[:i])
+    return set(order.sequence[: order.position(_vertex(order, v))])
 
 
 def enumerate_perfect_clique_orders(g: ChainGraph) -> list[CliqueOrder]:

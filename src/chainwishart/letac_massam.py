@@ -37,7 +37,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .chain_graph import CliqueOrder, first_separator
-from .matrix_spaces import IncompleteSym, _as_vector, _same_size
+from .matrix_spaces import IncompleteSym, _as_vector, _integral, _pivot, _same_size
 from .power_functions import ShapeParams, _log_atoms
 from .wishart_q import log_norm_constant
 
@@ -88,6 +88,7 @@ class LMParams:
 
     def beta_at(self, j: int) -> float:
         """Separator exponent ``beta_j`` for a 1-based vertex ``2 <= j <= n-1``."""
+        j = _integral(j, "separator index")
         if not 2 <= j <= self.n - 1:
             raise ValueError(f"separator index {j} out of range 2..{self.n - 1}")
         return float(self.beta[j - 2])
@@ -108,15 +109,16 @@ def log_H(lm: LMParams, x: IncompleteSym) -> float:
 
 
 def matches_pattern(lm: LMParams, M: int) -> bool:
-    """Compatibility pattern at pivot ``M`` (vacuous ranges are satisfied)."""
+    """Compatibility pattern at pivot ``M``: false at the end pivots 1 and ``n``; vacuous ranges are satisfied."""
     n = lm.n
+    M = _pivot(M, n)
     if not 2 <= M <= n - 1:
         return False
     for j in range(1, M - 1):  # alpha_j = beta_{j+1}
-        if not isclose(lm.alpha[j - 1], lm.beta_at(j + 1), rel_tol=_TOL, abs_tol=_TOL):
+        if not isclose(lm.alpha[j - 1], lm.beta[j - 1], rel_tol=_TOL, abs_tol=_TOL):
             return False
     for j in range(M + 1, n):  # alpha_j = beta_j
-        if not isclose(lm.alpha[j - 1], lm.beta_at(j), rel_tol=_TOL, abs_tol=_TOL):
+        if not isclose(lm.alpha[j - 1], lm.beta[j - 2], rel_tol=_TOL, abs_tol=_TOL):
             return False
     return True
 

@@ -45,8 +45,10 @@ File formats live in :mod:`chainwishart._formats`; ``dense_to_csv`` and
 ``dense_from_csv`` are re-exported here.
 
 Vertices are labelled ``1..n`` in the public API; arrays are 0-based.
-Every function that takes a pivot ``M`` checks it by ``_pivot``, and every
-public float-vector input of the package is read by ``_as_vector``.
+Every function that takes a pivot ``M`` checks it by ``_pivot``, every
+integral input of the package (a size, a vertex, an index, an interval
+bound, a multiplicity) is read by ``_integral``, and every public
+float-vector input by ``_as_vector``.
 """
 
 from __future__ import annotations
@@ -110,11 +112,13 @@ def _as_vector(v: Iterable[float], length: int | None, name: str) -> NDArray[np.
 
 
 def _integral(value, name: str) -> int:
-    """``value`` as an int when it is an integral number (2, 2.0, ``np.int64(2)``).
+    """The one integer rule: ``value`` as an int when it is an integral number (2, 2.0, ``np.int64(2)``).
 
-    A fraction, a boolean or a string raises ``TypeError``, so that no
-    input field is truncated silently.
+    A fraction, a boolean or a string raises ``TypeError`` naming ``name``,
+    so that no input is truncated silently; each caller checks the range.
     """
+    if type(value) is int:  # the common case, first: a multiplicity vector reads one per entry
+        return value
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)
     if isinstance(value, (float, np.floating)) and float(value).is_integer():
@@ -190,6 +194,7 @@ class _BandedSym:
 
     def clique_block(self, i: int) -> NDArray[np.float64]:
         """Dense 2x2 block on vertices ``{i, i+1}`` (1-based ``i``)."""
+        i = _integral(i, "clique index")
         if not 1 <= i <= self.n - 1:
             raise ValueError(f"clique index {i} out of range 1..{self.n - 1}")
         d0, d1, o = self.diag[i - 1], self.diag[i], self.off[i - 1]
@@ -242,6 +247,7 @@ class TridiagSym(_BandedSym):
 
     def submatrix(self, lo: int, hi: int) -> "TridiagSym":
         """Principal submatrix on the contiguous vertex set ``{lo..hi}`` (1-based)."""
+        lo, hi = _integral(lo, "lo"), _integral(hi, "hi")
         if not 1 <= lo <= hi <= self.n:
             raise ValueError("invalid interval")
         return TridiagSym(hi - lo + 1, self.diag[lo - 1 : hi], self.off[lo - 1 : hi - 1])
@@ -725,15 +731,21 @@ def trailing_log_minors(y: TridiagSym, name: str = "y") -> NDArray[np.float64]:
 # ---------------------------------------------------------------------------
 
 
-def zg_basis(n: int, k: int) -> TridiagSym:
-    """k-th canonical basis element of ``Z`` (0 <= k < 2n-1): e_ii then E_{i,i+1}."""
+def _basis(cls, n: int, k: int):
+    """The ``k``-th canonical basis element of ``cls`` on ``n`` vertices; ``ValueError`` unless ``0 <= k < 2n-1``."""
+    n, k = _integral(n, "n"), _integral(k, "k")
+    if not 0 <= k < 2 * n - 1:
+        raise ValueError(f"basis index {k} out of range 0..{2 * n - 2}")
     vec = np.zeros(2 * n - 1)
     vec[k] = 1.0
-    return TridiagSym.from_coords(vec)
+    return cls.from_coords(vec)
+
+
+def zg_basis(n: int, k: int) -> TridiagSym:
+    """k-th canonical basis element of ``Z`` (0 <= k < 2n-1): e_ii then E_{i,i+1}."""
+    return _basis(TridiagSym, n, k)
 
 
 def ig_basis(n: int, k: int) -> IncompleteSym:
     """k-th canonical basis element of ``I`` in the same coordinates."""
-    vec = np.zeros(2 * n - 1)
-    vec[k] = 1.0
-    return IncompleteSym.from_coords(vec)
+    return _basis(IncompleteSym, n, k)

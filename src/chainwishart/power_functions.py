@@ -38,12 +38,13 @@ from typing import Iterable, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .chain_graph import EliminatingOrder
+from .chain_graph import EliminatingOrder, _future_neighbor_lists
 from .matrix_spaces import (
     IncompleteSym,
     TridiagSym,
     _as_vector,
     _from_unit,
+    _integral,
     _peel_core,
     _peel_order,
     _pivot,
@@ -150,6 +151,9 @@ def phi_exponents(n: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
     For ``n >= 2``: clique exponents ``-3/2`` and separator exponents ``+1``.
     For ``n = 1`` the function is ``1/x``.
     """
+    n = _integral(n, "n")
+    if n < 1:
+        raise ValueError("n must be at least 1")
     if n == 1:
         return np.zeros(0), np.array([-1.0])
     cliq = np.full(n - 1, -1.5)
@@ -240,10 +244,8 @@ def log_delta_order(s: Iterable[float], order: EliminatingOrder, x: IncompleteSy
     _same_size(order.n, n)
     s = _as_vector(s, n, "s")
     log_cliq, log_diag = _log_atoms(x)
-    pos = {v: i for i, v in enumerate(order.sequence)}
     total = 0.0
-    for v in range(1, n + 1):
-        fut = [w for w in (v - 1, v + 1) if 1 <= w <= n and pos[w] > pos[v]]
+    for v, fut in enumerate(_future_neighbor_lists(order.sequence), 1):
         if not fut:
             num, den = log_diag[v - 1], 0.0
         else:

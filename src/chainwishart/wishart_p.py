@@ -25,7 +25,6 @@ the inverse mean is found by Newton steps, each one solve of that form.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
@@ -42,6 +41,7 @@ from .matrix_spaces import (
     _covariance_coords,
     _covariance_matrix,
     _from_unit,
+    _integral,
     _peel_core,
     _peel_order,
     _pivot,
@@ -336,14 +336,12 @@ def quadratic_params_p_inverse(
     return ShapeParams(M, s)
 
 
-def integer_feasibility_p(
-    n: int, max_entry: int = 20, require_positive: bool = True
-) -> tuple[bool, Optional[dict]]:
+def integer_feasibility_p(n: int, require_positive: bool = True) -> tuple[bool, Optional[dict]]:
     """Decide whether a true (integer-multiplicity) quadratic construction exists.
 
-    Integer ``(alpha, beta)`` with entries at most ``max_entry`` must satisfy
-    the quadratic-construction relations for some pivot and in-domain shape.
-    With ``require_positive=True`` (default) every clique piece and every
+    Integer ``(alpha, beta)`` must satisfy the quadratic-construction
+    relations for some pivot and in-domain shape.  With
+    ``require_positive=True`` (default) every clique piece and every
     non-structural one-dimensional piece is present (multiplicity >= 1), so
     a vertex two or more steps from the pivot would need ``s_j >= -1``
     (clique side) and ``s_j <= -3/2`` (vertex side) at once: a construction
@@ -352,15 +350,14 @@ def integer_feasibility_p(
     exists for every ``n``; see README, "Known discrepancies".
 
     The witness is ``s = -1`` except ``s_M = -1/2``, with ``M = 2`` when
-    ``require_positive`` and ``n = 3``, else ``M = 1``.  Its entries are 0
-    and 1, so every ``max_entry >= 1`` gives the same answer and a smaller
-    one gives none.  Returns ``(feasible, witness)``, the witness holding
-    ``M``, ``s``, ``alpha`` and ``beta``.
+    ``require_positive`` and ``n = 3``, else ``M = 1``; its entries of
+    ``alpha`` and ``beta`` are 0 and 1.  Returns ``(feasible, witness)``,
+    the witness holding ``M``, ``s``, ``alpha`` and ``beta``.
     """
+    n = _integral(n, "n")
     if n < 1:
         raise ValueError("n must be at least 1")
-    n, max_entry = operator.index(n), operator.index(max_entry)
-    if max_entry < 1 or (require_positive and n >= 4):
+    if require_positive and n >= 4:
         return False, None
     M = 2 if require_positive and n == 3 else 1
     s = np.full(n, -1.0)

@@ -78,6 +78,7 @@ from .matrix_spaces import (
     _covariance_coords,
     _from_unit,
     _hat_element,
+    _integral,
     _peel_core,
     _peel_order,
     _peel_unit,
@@ -445,10 +446,11 @@ def basic_index_sets(sigma: Iterable[int], M: int, n: int) -> list[tuple[int, in
     Prefixes ``{1..i}`` for ``i < M``, the full set for the pivot slot, and
     suffixes ``{i..n}`` for ``i > M``.
     """
-    sigma = np.asarray(sigma).reshape(-1).tolist()
-    if len(sigma) != n:
-        raise ValueError("sigma must have one entry per vertex")
-    if not all(v >= 0 and v % 1 == 0 for v in sigma):
+    n = _integral(n, "n")
+    # an object array keeps each entry as given, so a boolean among integers stays a boolean
+    sigma = [_integral(v, "sigma") for v in np.asarray(sigma, dtype=object).reshape(-1)]
+    _same_size(len(sigma), n)
+    if not all(v >= 0 for v in sigma):
         raise ValueError("sigma must be a vector of nonnegative integers")
     if not any(v > 0 for v in sigma):
         raise ValueError("sigma must have at least one positive entry")
@@ -456,12 +458,12 @@ def basic_index_sets(sigma: Iterable[int], M: int, n: int) -> list[tuple[int, in
     sets = []
     for i in range(1, M):
         if sigma[i - 1] > 0:
-            sets.append((1, i, int(sigma[i - 1])))
+            sets.append((1, i, sigma[i - 1]))
     if sigma[M - 1] > 0:
-        sets.append((1, n, int(sigma[M - 1])))
+        sets.append((1, n, sigma[M - 1]))
     for i in range(M + 1, n + 1):
         if sigma[i - 1] > 0:
-            sets.append((i, n, int(sigma[i - 1])))
+            sets.append((i, n, sigma[i - 1]))
     return sets
 
 
@@ -529,8 +531,8 @@ def sample_gram_many(
     ``pi(v v')`` with ``v`` supported on ``I`` and ``v_I ~ N(0, (2 y_I)^{-1})``.
     Mixed patterns outside the basic family are allowed; their laws have no
     closed-form density here (sampler-only mode).  Bounds are 1-based and
-    inclusive; bounds and multiplicities must be integers, multiplicities
-    nonnegative.
+    inclusive; bounds and multiplicities are integral numbers (``2.0`` reads
+    as ``2``), multiplicities nonnegative.
 
     The peel plan of ``y_I`` toward its first vertex gives ``y_I = U U'``,
     ``U`` upper bidiagonal with ``U_ii = sqrt(a_i)``, ``U_{i-1,i} = sqrt(a_i) b_i``;
@@ -546,13 +548,20 @@ def sample_gram_many(
     ``size * multiplicity * |I|`` values, in the order of ``index_sets``,
     and one in-place update per vertex of ``I``, on all draws and terms at once.
     """
-    n = y.n
-    ints = (int, np.integer)
+    sets = []
     for lo, hi, mult in index_sets:
-        if not (isinstance(lo, ints) and isinstance(hi, ints) and 1 <= lo <= hi <= n):
+        lo, hi, mult = _integral(lo, "lo"), _integral(hi, "hi"), _integral(mult, "multiplicity")
+        if not 1 <= lo <= hi <= y.n:
             raise ValueError(f"invalid interval ({lo}, {hi})")
-        if not (isinstance(mult, ints) and mult >= 0):
+        if mult < 0:
             raise ValueError(f"multiplicity {mult!r} of interval ({lo}, {hi}) is not a nonnegative integer")
+        sets.append((lo, hi, mult))
+    return _gram_draws(sets, y, rng, size)
+
+
+def _gram_draws(index_sets: list[tuple[int, int, int]], y: TridiagSym, rng: np.random.Generator, size: int):
+    """:func:`sample_gram_many` on index sets of Python ints already checked against ``y``."""
+    n = y.n
     a, tail_b = _peel_core(y.diag, y.off, 1)
     tail_root = np.sqrt(2.0 * a)
     out = np.zeros((size, 2 * n - 1))
@@ -588,7 +597,7 @@ def sample_quadratic_many(
     When the shape solving the multiplicity relations lies in the
     integrability domain, the law coincides with the recursive sampler's.
     """
-    return sample_gram_many(basic_index_sets(sigma, M, y.n), y, rng, size)
+    return _gram_draws(basic_index_sets(sigma, M, y.n), y, rng, size)
 
 
 # ---------------------------------------------------------------------------

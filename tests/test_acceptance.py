@@ -478,7 +478,7 @@ def test_criterion_14_clique_separator_correspondence():
 def test_criterion_15_integer_infeasibility():
     t0 = time.time()
     for n in (4, 5, 6):
-        feasible, witness = wp.integer_feasibility_p(n, max_entry=20)
+        feasible, witness = wp.integer_feasibility_p(n)
         assert not feasible and witness is None
     elapsed = time.time() - t0
     assert elapsed < 10.0

@@ -7,7 +7,10 @@ function that takes one rejects a bad ``M`` with the same text and reads
 moment are checked by ``power_functions._jet_moment`` alone, for both cones,
 against one fixed cap.  A float vector is coerced and checked by
 ``matrix_spaces._as_vector`` alone: one text for a wrong length, one for a
-non-finite entry.  The guards at the end keep the decisions there.
+non-finite entry.  An integral input is read by ``matrix_spaces._integral``
+alone: ``2.0`` is ``2``, and a fraction or a boolean is one ``TypeError``;
+each function keeps its own range text.  The guards at the end keep the
+decisions there.
 """
 
 import ast
@@ -24,14 +27,15 @@ from chainwishart import power_functions as pf
 from chainwishart import verification
 from chainwishart import wishart_p as wp
 from chainwishart import wishart_q as wq
-from chainwishart.chain_graph import build_chain, enumerate_eliminating_orders
-from chainwishart.matrix_spaces import IncompleteSym, TridiagSym, pairing
+from chainwishart.chain_graph import build_chain, enumerate_eliminating_orders, future_neighbors, predecessors
+from chainwishart.matrix_spaces import IncompleteSym, TridiagSym, _BandedSym, ig_basis, pairing, zg_basis
 
 from _gen import random_pd_tridiag, random_q_elem, random_shape_p, random_shape_q
 
 PACKAGE = Path(chainwishart.__file__).parent
 N = 3
 Y = TridiagSym(N, [2.0, 2.0, 2.0], [0.3, -0.2])
+LM = lm.LMParams([1.0, 1.0], [1.0])
 
 #: Every function that takes a pivot, as a function of the pivot alone, on a chain of N vertices.
 PIVOT_ENTRY_POINTS = {
@@ -44,6 +48,7 @@ PIVOT_ENTRY_POINTS = {
     "quadratic_params_p_inverse": lambda M: wp.quadratic_params_p_inverse([3.0, 4.0], [0.0, 1.0, 0.0], M),
     "LUMMatrix": lambda M: lum.LUMMatrix(N, M, [1.0, 2.0, 3.0], [0.1], [0.2]),
     "decompose": lambda M: lum.decompose(Y, M),
+    "matches_pattern": lambda M: lm.matches_pattern(LM, M),
 }
 
 
@@ -91,6 +96,8 @@ def _canon(v):
         return tuple(_canon(u) for u in v)
     if isinstance(v, (pf.ShapeParams, lum.LUMMatrix)):
         return type(v).__name__, tuple(sorted((k, _canon(u)) for k, u in vars(v).items()))
+    if isinstance(v, _BandedSym):
+        return type(v).__name__, _canon(v.coords())
     return type(v).__name__, v
 
 
@@ -173,6 +180,58 @@ def test_a_vector_of_the_wrong_length_is_one_value_error(entry):
     with pytest.raises(ValueError) as err:
         call([*good, 1.0])
     assert str(err.value) == f"{entry.partition('.')[2]} must have length {length}, got shape ({length + 1},)"
+
+
+def _gram(lo=1, hi=N, mult=1):
+    return wq.sample_gram_many([(lo, hi, mult)], Y, np.random.default_rng(5), 4)
+
+
+#: Every integral input but a pivot (``PIVOT_ENTRY_POINTS`` holds those), keyed ``entry.name``: ``(call of
+#: that integer alone, a valid value, a value out of range, the function's range error)``, on a chain of N vertices.
+INTEGER_ENTRY_POINTS = {
+    "integer_feasibility_p.n": (wp.integer_feasibility_p, 2, 0, "n must be at least 1"),
+    "basic_index_sets.n": (lambda n: wq.basic_index_sets([1, 2, 1], 2, n), 3, 4, "size mismatch"),
+    "basic_index_sets.sigma": (
+        lambda k: wq.basic_index_sets([1, k, 1], 2, N), 2, -1, "sigma must be a vector of nonnegative integers"),
+    "sample_gram_many.lo": (lambda lo: _gram(lo=lo), 2, 0, "invalid interval (0, 3)"),
+    "sample_gram_many.hi": (lambda hi: _gram(hi=hi), 2, 4, "invalid interval (1, 4)"),
+    "sample_gram_many.multiplicity": (
+        lambda m: _gram(mult=m), 2, -1, "multiplicity -1 of interval (1, 3) is not a nonnegative integer"),
+    "zg_basis.n": (lambda n: zg_basis(n, 2), 2, 1, "basis index 2 out of range 0..0"),
+    "zg_basis.k": (lambda k: zg_basis(N, k), 2, -1, "basis index -1 out of range 0..4"),
+    "ig_basis.n": (lambda n: ig_basis(n, 2), 2, 1, "basis index 2 out of range 0..0"),
+    "ig_basis.k": (lambda k: ig_basis(N, k), 2, 5, "basis index 5 out of range 0..4"),
+    "clique_block.clique index": (Y.clique_block, 2, 3, "clique index 3 out of range 1..2"),
+    "submatrix.lo": (lambda lo: Y.submatrix(lo, 3), 2, 0, "invalid interval"),
+    "submatrix.hi": (lambda hi: Y.submatrix(1, hi), 2, 4, "invalid interval"),
+    "phi_exponents.n": (pf.phi_exponents, 2, 0, "n must be at least 1"),
+    "beta_at.separator index": (LM.beta_at, 2, 3, "separator index 3 out of range 2..2"),
+    "future_neighbors.vertex": (lambda v: future_neighbors(ORDER, v), 2, 4, "unknown vertex 4"),
+    "predecessors.vertex": (lambda v: predecessors(ORDER, v), 2, 0, "unknown vertex 0"),
+}
+
+
+@pytest.mark.parametrize("entry", INTEGER_ENTRY_POINTS)
+@pytest.mark.parametrize("bad", [2.5, True])
+def test_a_fraction_or_boolean_integer_is_one_type_error(entry, bad):
+    call = INTEGER_ENTRY_POINTS[entry][0]
+    with pytest.raises(TypeError) as err:
+        call(bad)
+    assert str(err.value) == f"{entry.partition('.')[2]} must be an integral number, got {bad!r}"
+
+
+@pytest.mark.parametrize("entry", INTEGER_ENTRY_POINTS)
+def test_an_integral_float_integer_gives_the_same_result(entry):
+    call, good, _, _ = INTEGER_ENTRY_POINTS[entry]
+    assert _canon(call(float(good))) == _canon(call(good)) == _canon(call(np.int64(good)))
+
+
+@pytest.mark.parametrize("entry", INTEGER_ENTRY_POINTS)
+def test_an_integer_out_of_range_is_the_functions_value_error(entry):
+    call, _, outside, text = INTEGER_ENTRY_POINTS[entry]
+    with pytest.raises(ValueError) as err:
+        call(outside)
+    assert str(err.value) == text
 
 
 def _moment_calls():
@@ -268,6 +327,47 @@ def test_the_coercion_guard_sees_the_old_idiom():
     assert _float_coercions_of_a_parameter(ast.parse(old)) == [2]
     assert _float_coercions_of_a_parameter(ast.parse(field)) == [3]
     assert _float_coercions_of_a_parameter(ast.parse("def f(s):\n    t = np.asarray(s)\n")) == []
+
+
+def _integrality_tests(tree: ast.AST) -> list[int]:
+    """Lines that decide integrality by hand: the ``operator`` module, ``np.integer``, ``.is_integer`` or ``% 1``."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) and any(a.name == "operator" for a in node.names):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "operator":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Attribute) and (
+            node.attr == "is_integer"
+            or node.attr == "integer" and getattr(node.value, "id", None) in ("np", "numpy")
+            or node.attr == "index" and getattr(node.value, "id", None) == "operator"
+        ):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+              and isinstance(node.right, ast.Constant) and node.right.value == 1):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_matrix_spaces_decides_integrality():
+    """Every integral input goes through ``_integral``."""
+    found = []
+    for module, text in _sources().items():
+        if module != "matrix_spaces":
+            found += [f"{module}:{line}" for line in _integrality_tests(ast.parse(text))]
+    assert found == []
+
+
+def test_the_integrality_guard_sees_the_old_idioms():
+    old = (
+        "import operator\n"
+        "n = operator.index(n)\n"
+        "ints = (int, np.integer)\n"
+        "ok = all(v % 1 == 0 for v in sigma)\n"
+        "ok = float(v).is_integer()\n"
+    )
+    assert _integrality_tests(ast.parse(old)) == [1, 2, 3, 4, 5]
+    assert _integrality_tests(ast.parse("odd = size % 2\nk = _integral(k, 'k')\n")) == []
 
 
 def test_no_function_takes_a_cap():

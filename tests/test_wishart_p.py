@@ -178,11 +178,11 @@ def test_quadratic_params_examples():
 def test_integer_feasibility():
     # no true quadratic parameterization for four or more vertices
     for n in (4, 5, 6):
-        feasible, witness = wp.integer_feasibility_p(n, max_entry=20)
+        feasible, witness = wp.integer_feasibility_p(n)
         assert not feasible and witness is None
     # small chains do admit one; report the witness shape
     for n in (1, 2, 3):
-        feasible, witness = wp.integer_feasibility_p(n, max_entry=20)
+        feasible, witness = wp.integer_feasibility_p(n)
         assert feasible
         p = ShapeParams(witness["M"], witness["s"])
         assert p.in_p_domain()
@@ -193,21 +193,19 @@ def test_integer_feasibility():
 
 
 def test_integer_feasibility_pin():
-    # sha256 of the repr of every answer over n in 1..10, max_entry in
-    # {-1, 0, 1, 2, 3, 20} and both flags, recorded from the nested search
-    # over pivots, twice-shapes and multiplicities that the closed
-    # construction replaced
-    grid = [wp.integer_feasibility_p(n, max_entry=m, require_positive=r)
-            for n in range(1, 11) for m in (-1, 0, 1, 2, 3, 20) for r in (True, False)]
+    # sha256 of the repr of every answer over n in 1..10 and both flags,
+    # recorded when the function still took an entry bound, at its default
+    # 20 (every bound >= 1 gave the same answers); the pin before that one
+    # came from the nested search over pivots, twice-shapes and
+    # multiplicities that the closed construction replaced
+    grid = [wp.integer_feasibility_p(n, require_positive=r) for n in range(1, 11) for r in (True, False)]
     digest = hashlib.sha256(repr(grid).encode()).hexdigest()
-    assert digest == "affdaaa48236ab364c9429d981ada51bafac60c0990ced3a07a5c2a04eb48307"
+    assert digest == "a009372a872ac376fcf55408fb06d0f35092197de7643cda6c3c3bf45477ebdd"
     for n in (0, -1):
         with pytest.raises(ValueError):
             wp.integer_feasibility_p(n)
     with pytest.raises(TypeError):
         wp.integer_feasibility_p(2.5)
-    with pytest.raises(TypeError):
-        wp.integer_feasibility_p(3, max_entry=2.0)
 
 
 def test_integer_feasibility_boundary_convention():

@@ -310,8 +310,11 @@ def test_sigma_shape_link():
     assert p.s == pytest.approx([1.0, 1.0, 1.0])
     sigma = wq.shape_to_sigma(wq.sigma_to_shape([2, 2, 1], 2))
     assert sigma == pytest.approx([2, 2, 1])
-    for bad in ([0, 0, 0], [1, -1, 0], [1, 1.5, 0], [1, np.nan, 0], [1, np.inf, 0], [1, 1]):
+    for bad in ([0, 0, 0], [1, -1, 0], [1, 1]):
         with pytest.raises(ValueError):
+            wq.basic_index_sets(bad, 2, 3)
+    for bad in ([1, 1.5, 0], [1, np.nan, 0], [1, np.inf, 0]):
+        with pytest.raises(TypeError, match="sigma must be an integral number"):
             wq.basic_index_sets(bad, 2, 3)
     assert wq.basic_index_sets(np.array([2.0, 0.0, 1.0]), 2, 3) == [(1, 1, 2), (3, 3, 1)]
 
@@ -319,16 +322,33 @@ def test_sigma_shape_link():
 GRAM_Y = TridiagSym(3, [2.0, 2.0, 2.0], [0.5, 0.5])
 
 
-@pytest.mark.parametrize("mult", [-1, 1.5, "2", None])
-def test_gram_sampler_rejects_a_multiplicity_that_is_no_nonnegative_integer(mult):
-    with pytest.raises(ValueError, match=r"multiplicity .* of interval \(1, 2\)"):
+@pytest.mark.parametrize("mult, error, text", [
+    (-1, ValueError, r"multiplicity -1 of interval \(1, 2\) is not a nonnegative integer"),
+    (1.5, TypeError, "multiplicity must be an integral number, got 1.5"),
+    ("2", TypeError, "multiplicity must be an integral number, got '2'"),
+    (None, TypeError, "multiplicity must be an integral number, got None"),
+], ids=["-1", "1.5", "2", "None"])
+def test_gram_sampler_rejects_a_multiplicity_that_is_no_nonnegative_integer(mult, error, text):
+    with pytest.raises(error, match=text):
         wq.sample_gram_many([(1, 2, mult)], GRAM_Y, np.random.default_rng(0), 4)
 
 
-@pytest.mark.parametrize("interval", [(1.5, 2), (1, 2.0), (2, 1), (0, 2), (1, 4)])
+@pytest.mark.parametrize("interval", [(2, 1), (0, 2), (1, 4)])
 def test_gram_sampler_rejects_an_interval_outside_the_chain(interval):
     with pytest.raises(ValueError, match="invalid interval"):
         wq.sample_gram_many([(*interval, 1)], GRAM_Y, np.random.default_rng(0), 4)
+
+
+@pytest.mark.parametrize("lo, hi", [(1.5, 2), (1, "2")])
+def test_gram_sampler_rejects_a_bound_that_is_no_integral_number(lo, hi):
+    with pytest.raises(TypeError, match="must be an integral number"):
+        wq.sample_gram_many([(lo, hi, 1)], GRAM_Y, np.random.default_rng(0), 4)
+
+
+def test_gram_sampler_reads_integral_float_bounds_and_multiplicities_as_integers():
+    want = wq.sample_gram_many([(1, 2, 2)], GRAM_Y, np.random.default_rng(0), 4)
+    got = wq.sample_gram_many([(1.0, np.float64(2.0), 2.0)], GRAM_Y, np.random.default_rng(0), 4)
+    assert np.array_equal(got, want)
 
 
 def test_the_quadratic_sampler_decides_the_cone_of_y_by_one_peel_before_any_draw():
