@@ -333,7 +333,7 @@ def test_gram_sampler_rejects_a_multiplicity_that_is_no_nonnegative_integer(mult
         wq.sample_gram_many([(1, 2, mult)], GRAM_Y, np.random.default_rng(0), 4)
 
 
-@pytest.mark.parametrize("interval", [(2, 1), (0, 2), (1, 4)])
+@pytest.mark.parametrize("interval", [(0, 0), (4, 4), (2, 1), (0, 2), (1, 4)])
 def test_gram_sampler_rejects_an_interval_outside_the_chain(interval):
     with pytest.raises(ValueError, match="invalid interval"):
         wq.sample_gram_many([(*interval, 1)], GRAM_Y, np.random.default_rng(0), 4)
