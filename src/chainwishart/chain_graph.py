@@ -71,7 +71,8 @@ class ChainGraph:
         return tuple(range(2, self.n))
 
     def adjacent(self, v: int, w: int) -> bool:
-        return abs(v - w) == 1 and 1 <= v <= self.n and 1 <= w <= self.n
+        """Whether ``v`` and ``w`` share an edge; each is read by :func:`_vertex`."""
+        return abs(_vertex(self.n, v) - _vertex(self.n, w)) == 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -94,7 +95,8 @@ class EliminatingOrder:
         return self.sequence[-1]
 
     def position(self, v: int) -> int:
-        return self.sequence.index(v)
+        """The 0-based place of ``v`` in the order; ``v`` is read by :func:`_vertex`."""
+        return self.sequence.index(_vertex(self.n, v))
 
 
 @dataclass(frozen=True)
@@ -160,22 +162,22 @@ def is_eliminating(g: ChainGraph, seq: Sequence[int]) -> bool:
     return all(len(fut) < 2 for fut in _future_neighbor_lists(seq))
 
 
-def _vertex(order: EliminatingOrder, v: int) -> int:
-    """The vertex ``v`` of ``order``'s chain, by :func:`_integral`; ``ValueError`` outside ``1..n``."""
+def _vertex(n: int, v: int) -> int:
+    """The vertex ``v`` of a chain on ``n`` vertices, by :func:`_integral`; ``ValueError`` outside ``1..n``."""
     v = _integral(v, "vertex")
-    if not 1 <= v <= order.n:
+    if not 1 <= v <= n:
         raise ValueError(f"unknown vertex {v}")
     return v
 
 
 def future_neighbors(order: EliminatingOrder, v: int) -> set[int]:
     """Neighbours of ``v`` that come later in the order; empty exactly at the max."""
-    return set(_future_neighbor_lists(order.sequence)[_vertex(order, v) - 1])
+    return set(_future_neighbor_lists(order.sequence)[_vertex(order.n, v) - 1])
 
 
 def predecessors(order: EliminatingOrder, v: int) -> set[int]:
     """All vertices preceding ``v`` in the order."""
-    return set(order.sequence[: order.position(_vertex(order, v))])
+    return set(order.sequence[: order.position(v)])
 
 
 def enumerate_perfect_clique_orders(g: ChainGraph) -> list[CliqueOrder]:

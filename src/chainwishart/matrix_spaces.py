@@ -46,9 +46,10 @@ File formats live in :mod:`chainwishart._formats`; ``dense_to_csv`` and
 
 Vertices are labelled ``1..n`` in the public API; arrays are 0-based.
 Every function that takes a pivot ``M`` checks it by ``_pivot``, every
-integral input of the package (a size, a vertex, an index, an interval
-bound, a multiplicity) is read by ``_integral``, and every public
-float-vector input by ``_as_vector``.
+integral input of the package (a chain size, a vertex, an index, an
+interval bound, a multiplicity) is read by ``_integral``, and every public
+float-vector input by ``_as_vector``.  Draw counts and seeds are left to
+numpy, which refuses a fraction, a boolean or a negative count itself.
 """
 
 from __future__ import annotations
@@ -117,8 +118,6 @@ def _integral(value, name: str) -> int:
     A fraction, a boolean or a string raises ``TypeError`` naming ``name``,
     so that no input is truncated silently; each caller checks the range.
     """
-    if type(value) is int:  # the common case, first: a multiplicity vector reads one per entry
-        return value
     if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
         return int(value)
     if isinstance(value, (float, np.floating)) and float(value).is_integer():

@@ -43,7 +43,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from . import wishart_p, wishart_q
-from .matrix_spaces import DenseSym, IncompleteSym, TridiagSym, _as_vector, _same_size, lauritzen_map, pairing, project_pi
+from .matrix_spaces import DenseSym, IncompleteSym, TridiagSym, _as_vector, _integral, _same_size, lauritzen_map, pairing, project_pi
 from .power_functions import ShapeParams
 
 __all__ = [
@@ -116,6 +116,9 @@ class CheckResult:
 
 def coordinate_weights(n: int) -> NDArray[np.float64]:
     """Pairing weights of the canonical coordinates: 1 on diag, 2 off."""
+    n = _integral(n, "n")
+    if n < 1:
+        raise ValueError("n must be at least 1")
     return np.concatenate([np.ones(n), 2.0 * np.ones(n - 1)])
 
 

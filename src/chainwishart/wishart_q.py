@@ -292,6 +292,9 @@ def covariance_apply(w: WishartQ, u: TridiagSym) -> IncompleteSym:
 
 def operator_matrix(fn: Callable[[TridiagSym], IncompleteSym], n: int) -> NDArray[np.float64]:
     """Materialize a linear map on the (2n-1)-dim coordinate space column by column."""
+    n = _integral(n, "n")
+    if n < 1:
+        raise ValueError("n must be at least 1")
     cols = [fn(zg_basis(n, k)).coords() for k in range(2 * n - 1)]
     return np.column_stack(cols)
 

@@ -86,6 +86,16 @@ def test_predecessors():
     assert predecessors(o, 1) == set()
 
 
+def test_adjacent_reads_both_vertices_by_the_integer_rule():
+    g = build_chain(3)
+    assert [g.adjacent(1, w) for w in (1, 2, 3)] == [False, True, False]
+    assert g.adjacent(2, 3.0)
+    with pytest.raises(TypeError, match="vertex must be an integral number"):
+        g.adjacent(2, True)
+    with pytest.raises(ValueError, match="unknown vertex 0"):
+        g.adjacent(1, 0)
+
+
 @settings(deadline=None, max_examples=20)
 @given(st.integers(min_value=1, max_value=7))
 def test_enumeration_matches_bruteforce(n):

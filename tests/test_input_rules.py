@@ -208,6 +208,11 @@ INTEGER_ENTRY_POINTS = {
     "beta_at.separator index": (LM.beta_at, 2, 3, "separator index 3 out of range 2..2"),
     "future_neighbors.vertex": (lambda v: future_neighbors(ORDER, v), 2, 4, "unknown vertex 4"),
     "predecessors.vertex": (lambda v: predecessors(ORDER, v), 2, 0, "unknown vertex 0"),
+    "adjacent.vertex": (lambda v: build_chain(N).adjacent(v, 3), 2, 4, "unknown vertex 4"),
+    "position.vertex": (ORDER.position, 2, 0, "unknown vertex 0"),
+    "operator_matrix.n": (
+        lambda n: wq.operator_matrix(lambda u: IncompleteSym.from_coords(u.coords()), n), 2, 0, "n must be at least 1"),
+    "coordinate_weights.n": (verification.coordinate_weights, 2, 0, "n must be at least 1"),
 }
 
 
